@@ -10,7 +10,6 @@ from .data import (
     Dataset,
     DataFormatError,
     GroupIndex,
-    Sample,
     augment_with_groups,
     build_group_index,
     load_csv,

@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The engine supports exactly the primitives needed to express the training
-objectives in this package: affine maps, tanh/relu, exp/log, square roots,
-stable softplus / log-sum-exp, reductions and gather/scatter indexing.
+objectives in this package: affine maps, tanh/relu, square roots, stable
+softplus / log-sum-exp, reductions, segmented sums and gather/scatter
+indexing.
 Gradients are exact reverse accumulation; the only subgradient conventions
 are relu'(0) = 0 and sqrt'(0) = 0.
 """
@@ -17,14 +18,13 @@ __all__ = [
     "matmul",
     "tanh",
     "relu",
-    "exp",
-    "log",
     "sqrt",
     "softplus",
     "logsumexp",
     "vsum",
     "vmean",
     "take",
+    "segment_sum",
     "reshape",
     "grad",
 ]
@@ -232,24 +232,6 @@ def relu(x):
     return out
 
 
-def exp(x):
-    if not _is_var(x):
-        return np.exp(x)
-    out = Var(np.exp(x.value), (x,))
-    e = out.value
-    out._backward = lambda g: (g * e,)
-    return out
-
-
-def log(x):
-    if not _is_var(x):
-        return np.log(x)
-    out = Var(np.log(x.value), (x,))
-    v = x.value
-    out._backward = lambda g: (g / v,)
-    return out
-
-
 def sqrt(x):
     if not _is_var(x):
         return np.sqrt(x)
@@ -311,6 +293,25 @@ def take(x, idx):
     if not _is_var(x):
         return np.asarray(x)[idx]
     return x[idx]
+
+
+def _segment_sum(x: np.ndarray, seg: np.ndarray, m: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(len(seg), -1)
+    k = rows.shape[1]
+    flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
+    return np.bincount(flat, rows.reshape(-1), m * k).reshape((m,) + x.shape[1:])
+
+
+def segment_sum(x, seg, m: int):
+    """Row sums per segment: out[j] = sum of x[i] over seg[i] == j, for x of
+    shape (n,) or (n, K) and seg in [0, m). Rows are added in index order.
+    The gradient gathers back: d out / d x[i] = g[seg[i]]."""
+    if not _is_var(x):
+        return _segment_sum(x, seg, m)
+    out = Var(_segment_sum(x.value, seg, m), (x,))
+    out._backward = lambda g: (g[seg],)
+    return out
 
 
 def reshape(x, *shape):

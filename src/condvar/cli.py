@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,20 +42,6 @@ EXIT_NUMERIC = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("CORE_REG_THREADS")
-    if cap is None:
-        return
-    try:
-        value = int(cap)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"CORE_REG_THREADS must be a positive integer, got {cap!r}") from None
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(value)
 
 
 def _write_json(path: Path, payload: dict):
@@ -167,13 +152,8 @@ def _cmd_train(args) -> int:
         args.epochs,
         args.seed,
     )
-    groups = build_group_index(dataset)
-    try:
-        report = train(dataset, groups, spec, config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    md.save_checkpoint(out / "checkpoint.json", spec, report.theta, args.seed,
-                       args.epochs * len(groups.groups))
+    report = train(dataset, build_group_index(dataset), spec, config)
+    md.save_checkpoint(out / "checkpoint.json", spec, report.theta, args.seed, report.steps)
     report.save(out / "report.json")
     _manifest(out, "train", {"data": str(args.data), "model": args.model,
                              **config.to_dict()},
@@ -191,15 +171,9 @@ def _evaluate(spec, theta, dataset) -> dict:
     losses = md.per_sample_loss(spec, logits, dataset.labels)
     preds = md.predict_labels(spec, theta, dataset.features)
     groups = build_group_index(dataset)
-    if spec.output_dim == 1:
-        pen = conditional_penalty(logits, groups, 1.0)
-        values = np.asarray(logits)
-    else:
-        pen = sum(conditional_penalty(logits[:, k], groups, 1.0)
-                  for k in range(spec.output_dim))
-        values = np.asarray(logits[:, -1])
+    pen = conditional_penalty(logits, groups, 1.0)
     try:
-        ratio = variance_ratio(values, groups) if groups.c > 0 else None
+        ratio = variance_ratio(logits, groups) if groups.c > 0 else None
     except (DegenerateVarianceError, ValueError):
         ratio = None
     return {
@@ -392,20 +366,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the config exit code
         return int(exc.code) if exc.code else 0
     try:
-        _apply_thread_cap()
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, DataFormatError):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    # LinAlgError and DataFormatError subclass ValueError, so they go first
     except (DivergenceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (DataFormatError, FileNotFoundError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Observed samples, the (label, id) grouping partition, and CSV ingest.
+"""Columnar observations, the (label, id) grouping partition, and CSV ingest.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -9,11 +9,11 @@ conditional variance penalty sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "Sample",
     "Dataset",
     "GroupIndex",
     "DataFormatError",
@@ -28,128 +28,139 @@ class DataFormatError(ValueError):
     """Raised for malformed data files."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: feature vector, class label, optional id token."""
-
-    features: np.ndarray
-    label: int
-    id: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.features.ndim != 1:
-            raise ValueError("features must be one-dimensional")
-        if self.label < 0:
-            raise ValueError("labels are class indices >= 0")
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass
 class Dataset:
-    samples: list
-    p: int
-    n_classes: int
+    """n observations stored as columns.
 
-    def __post_init__(self):
-        if len(self.samples) < 1:
+    features   (n, p) float array
+    labels     (n,) class indices in [0, n_classes)
+    ids        (n,) object array of id tokens; None marks an absent id
+
+    The arrays are copied on construction and read-only afterwards.
+    """
+
+    def __init__(self, features, labels, ids=None, n_classes=None):
+        features = np.array(features, dtype=float)
+        labels = np.array(labels, dtype=int)
+        if features.ndim != 2:
+            raise ValueError("features must be an (n, p) array")
+        n = features.shape[0]
+        if n < 1:
             raise ValueError("a dataset needs at least one sample")
-        for s in self.samples:
-            if s.features.shape != (self.p,):
-                raise ValueError("sample feature dimension differs from dataset p")
-            if s.label >= self.n_classes:
-                raise ValueError(f"label {s.label} >= class count {self.n_classes}")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def features(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.asarray([s.label for s in self.samples], dtype=int)
-
-    @property
-    def ids(self) -> list:
-        return [s.id for s in self.samples]
+        if labels.shape != (n,):
+            raise ValueError(f"labels shape {labels.shape} does not match {n} samples")
+        ids = np.full(n, None, dtype=object) if ids is None else np.array(ids, dtype=object)
+        if ids.shape != (n,):
+            raise ValueError(f"ids shape {ids.shape} does not match {n} samples")
+        if n_classes is None:
+            n_classes = int(labels.max()) + 1
+        if labels.min() < 0:
+            raise ValueError("labels are class indices >= 0")
+        if labels.max() >= n_classes:
+            raise ValueError(f"label {labels.max()} >= class count {n_classes}")
+        self._features = _frozen(features)
+        self.labels = _frozen(labels)
+        self.ids = _frozen(ids)
+        self.n_classes = int(n_classes)
 
     @staticmethod
     def from_arrays(features, labels, ids=None, n_classes=None) -> "Dataset":
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        if ids is None:
-            ids = [None] * len(labels)
-        if n_classes is None:
-            n_classes = int(labels.max()) + 1
-        samples = [
-            Sample(features[i], int(labels[i]), ids[i]) for i in range(len(labels))
-        ]
-        return Dataset(samples, features.shape[1], n_classes)
+        return Dataset(features, labels, ids, n_classes)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def features(self) -> np.ndarray:
+        return self._features
+
+    @property
+    def p(self) -> int:
+        return self._features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupIndex:
-    """Partition of {0..n-1} into index groups.
+    """Partition of {0..n-1} as a segment-id vector.
 
-    groups  tuple of int arrays, disjoint and covering
+    seg     (n,) group of each observation, numbered 0..m-1 in order of
+            first occurrence; any integer labelling passed in is renumbered
     n       total sample count
     m       group count
     c       grouped-observation count, n - m = sum(|S_j| - 1)
     """
 
-    groups: tuple
-    n: int
+    seg: np.ndarray
 
     def __post_init__(self):
-        groups = tuple(np.asarray(g, dtype=int) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
+        keys = np.asarray(self.seg)
+        if keys.ndim != 1:
+            raise ValueError("segment ids must be one-dimensional")
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(len(first))
+        object.__setattr__(self, "seg", _frozen(rank[inverse.reshape(-1)]))
+
+    @staticmethod
+    def from_groups(groups, n: int) -> "GroupIndex":
+        """Index from explicit member arrays; they must partition range(n)."""
+        groups = [np.asarray(g, dtype=int).reshape(-1) for g in groups]
         flat = np.concatenate(groups) if groups else np.empty(0, dtype=int)
-        if len(flat) != self.n or len(np.unique(flat)) != self.n:
+        if len(flat) != n or len(np.unique(flat)) != n:
             raise ValueError("groups must partition the index range exactly")
-        if self.n and (flat.min() < 0 or flat.max() >= self.n):
+        if n and (flat.min() < 0 or flat.max() >= n):
             raise ValueError("group indices out of range")
+        seg = np.empty(n, dtype=np.intp)
+        seg[flat] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        return GroupIndex(seg)
+
+    @property
+    def n(self) -> int:
+        return len(self.seg)
 
     @property
     def m(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
 
     @property
     def c(self) -> int:
         return self.n - self.m
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.asarray([len(g) for g in self.groups], dtype=int)
+        return _frozen(np.bincount(self.seg))
 
     def max_size(self) -> int:
         return int(self.sizes.max())
 
+    @cached_property
+    def groups(self) -> tuple:
+        """Member indices of each group, ascending, in group order."""
+        members = np.argsort(self.seg, kind="stable")
+        return tuple(np.split(members, np.cumsum(self.sizes)[:-1]))
+
     def nontrivial(self) -> list:
         """Groups with at least two members."""
-        return [g for g in self.groups if len(g) >= 2]
+        return [self.groups[j] for j in np.flatnonzero(self.sizes >= 2)]
 
 
 def build_group_index(dataset: Dataset) -> GroupIndex:
     """Group observations sharing the exact (label, id) pair.
 
-    Samples without an id become singleton groups. Group order is
+    Samples without an id become singleton groups; ids compare by their
+    string form, as they do after a CSV round trip. Group order is
     first-occurrence order, which keeps batching deterministic.
     """
-    order: list = []
-    members: dict = {}
-    for i, s in enumerate(dataset.samples):
-        if s.id is None:
-            order.append([i])
-            continue
-        key = (s.label, s.id)
-        if key in members:
-            members[key].append(i)
-        else:
-            lst = [i]
-            members[key] = lst
-            order.append(lst)
-    return GroupIndex(tuple(np.asarray(g, dtype=int) for g in order), len(dataset))
+    n = len(dataset)
+    present = np.not_equal(dataset.ids, None)
+    _, id_code = np.unique(dataset.ids[present].astype(str), return_inverse=True)
+    key = np.arange(n) + n * dataset.n_classes  # above every (id, label) code
+    key[present] = id_code.reshape(-1) * dataset.n_classes + dataset.labels[present]
+    return GroupIndex(key)
 
 
 def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, selection) -> Dataset:
@@ -161,25 +172,23 @@ def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, sele
     """
     if count_per_sample < 1:
         raise ValueError("count_per_sample must be >= 1")
-    selection = sorted(int(i) for i in selection)
-    for i in selection:
-        if not 0 <= i < len(dataset):
-            raise IndexError(f"selection index {i} out of range")
-    chosen = set(selection)
-    new_samples = []
-    for i, s in enumerate(dataset.samples):
-        if i in chosen:
-            new_samples.append(Sample(s.features, s.label, f"aug{i}"))
-        else:
-            new_samples.append(s)
-    for i in selection:
-        src = dataset.samples[i]
-        for _ in range(count_per_sample):
-            feats = np.asarray(transform(src.features.copy()), dtype=float)
-            if feats.shape != (dataset.p,):
-                raise ValueError("transform must preserve the feature dimension")
-            new_samples.append(Sample(feats, src.label, f"aug{i}"))
-    return Dataset(new_samples, dataset.p, dataset.n_classes)
+    selection = np.sort(np.asarray(selection, dtype=int).reshape(-1))
+    bad = selection[(selection < 0) | (selection >= len(dataset))]
+    if bad.size:
+        raise IndexError(f"selection index {bad[0]} out of range")
+    tags = np.array([f"aug{i}" for i in selection], dtype=object)
+    ids = dataset.ids.copy()
+    ids[selection] = tags
+    sources = np.repeat(selection, count_per_sample)
+    copies = [np.asarray(transform(dataset.features[i].copy()), dtype=float) for i in sources]
+    if any(f.shape != (dataset.p,) for f in copies):
+        raise ValueError("transform must preserve the feature dimension")
+    return Dataset(
+        np.concatenate([dataset.features, np.reshape(copies, (-1, dataset.p))]),
+        np.concatenate([dataset.labels, dataset.labels[sources]]),
+        np.concatenate([ids, np.repeat(tags, count_per_sample)]),
+        dataset.n_classes,
+    )
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -188,12 +197,13 @@ def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cols = ",".join(f"x{j}" for j in range(dataset.p))
         fh.write(f"id,y,{cols}\n")
-        for s in dataset.samples:
-            ident = "" if s.id is None else str(s.id)
+        for ident, label, row in zip(dataset.ids, dataset.labels.tolist(),
+                                     dataset.features.tolist()):
+            ident = "" if ident is None else str(ident)
             if "," in ident or "\n" in ident:
                 raise DataFormatError("id tokens may not contain commas or newlines")
-            feats = ",".join(repr(float(v)) for v in s.features)
-            fh.write(f"{ident},{s.label},{feats}\n")
+            feats = ",".join(map(repr, row))
+            fh.write(f"{ident},{label},{feats}\n")
 
 
 def load_csv(path) -> Dataset:
@@ -208,19 +218,25 @@ def load_csv(path) -> Dataset:
     if header != expected:
         raise DataFormatError(f"{path}: malformed header {header!r}")
     p = len(header) - 2
-    samples = []
+    if len(lines) < 2:
+        raise DataFormatError(f"{path}: no data rows")
+    ids, labels, feats = [], [], []
     for ln_no, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != p + 2:
             raise DataFormatError(f"{path}:{ln_no}: expected {p + 2} fields, got {len(parts)}")
-        ident = parts[0] if parts[0] != "" else None
+        ids.append(parts[0] if parts[0] != "" else None)
         try:
-            label = int(parts[1])
-            feats = np.asarray([float(v) for v in parts[2:]], dtype=float)
+            labels.append(int(parts[1]))
+            feats.append([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{ln_no}: non-numeric value ({exc})") from None
-        samples.append(Sample(feats, label, ident))
-    if not samples:
-        raise DataFormatError(f"{path}: no data rows")
-    n_classes = max(s.label for s in samples) + 1
-    return Dataset(samples, p, n_classes)
+    labels = np.asarray(labels, dtype=int)
+    feats = np.asarray(feats, dtype=float)
+    negative = labels < 0
+    bad = np.flatnonzero(negative | ~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        what = f"negative label {labels[i]}" if negative[i] else "non-finite feature"
+        raise DataFormatError(f"{path}:{i + 2}: {what}")
+    return Dataset(feats, labels, ids)

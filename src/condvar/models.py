@@ -20,7 +20,6 @@ __all__ = [
     "param_count",
     "param_slices",
     "weight_slices",
-    "bias_slices",
     "init_params",
     "forward",
     "per_sample_loss",
@@ -102,10 +101,6 @@ def param_slices(spec: ModelSpec):
 
 def weight_slices(spec: ModelSpec):
     return [w for w, _, _ in param_slices(spec)]
-
-
-def bias_slices(spec: ModelSpec):
-    return [b for _, _, b in param_slices(spec)]
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Dataset, GroupIndex
 
 __all__ = [
@@ -66,57 +67,81 @@ class PenaltyConfig:
 
 def _check_values(values, group_index: GroupIndex) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.shape != (group_index.n,):
+    if values.ndim not in (1, 2) or len(values) != group_index.n:
         raise ValueError(
-            f"values length {values.shape} does not match group index over {group_index.n} samples"
+            f"values shape {values.shape} does not match group index over {group_index.n} samples"
         )
     return values
+
+
+def segment_means(values, seg, m: int):
+    """Per-segment means of (n,) or (n, K) values, on arrays or autodiff Vars."""
+    sizes = np.bincount(seg, minlength=m).reshape((m,) + (1,) * (len(values.shape) - 1))
+    return ad.segment_sum(values, seg, m) / sizes
+
+
+def _segment_variances(values, seg, m: int):
+    """Population variance per segment and coordinate: (m,) or (m, K)."""
+    dev = values - ad.take(segment_means(values, seg, m), seg)
+    return segment_means(dev * dev, seg, m)
+
+
+def penalty_sum(values, seg, m: int, nu: float):
+    """Sum over the m segments and all coordinates of Var_j^nu.
+
+    The one implementation of the conditional variance penalty: works on
+    arrays and on autodiff Vars, so training differentiates the same code
+    that the diagnostics evaluate. Singleton segments contribute exactly 0.
+    """
+    var = _segment_variances(values, seg, m)
+    if nu == 0.5:
+        var = ad.sqrt(var)
+    return ad.vsum(var)
 
 
 def group_variances(values, group_index: GroupIndex) -> np.ndarray:
     """Population within-group variance per group (singletons give 0)."""
     values = _check_values(values, group_index)
-    out = np.empty(group_index.m)
-    for j, g in enumerate(group_index.groups):
-        v = values[g]
-        out[j] = np.mean((v - v.mean()) ** 2)
-    return out
+    return _segment_variances(values, group_index.seg, group_index.m)
 
 
 def conditional_penalty(values, group_index: GroupIndex, nu: float = 1.0) -> float:
     """Mean over all m groups of (within-group population variance)^nu.
 
+    ``values`` has shape (n,) or (n, K); per-coordinate variances of
+    multi-output values are raised to nu and summed over coordinates.
     Returns exactly 0.0 when there are no grouped observations (c = 0), in
     which case penalized and pooled training coincide.
     """
     if nu not in (0.5, 1.0):
         raise ValueError("nu must be exactly 0.5 or 1.0")
-    _check_values(values, group_index)
+    values = _check_values(values, group_index)
     if group_index.c == 0:
         return 0.0
-    variances = group_variances(values, group_index)
-    if nu == 0.5:
-        variances = np.sqrt(variances)
-    return float(np.mean(variances))
+    return float(penalty_sum(values, group_index.seg, group_index.m, nu)) / group_index.m
 
 
 def variance_ratio(values, group_index: GroupIndex) -> float:
     """Mean within-group variance divided by the variance of group means.
 
     A small ratio says the values vary across groups but barely within
-    them. Requires m >= 2 and at least one non-singleton group; equal group
-    means make the denominator zero, which is reported as degenerate.
+    them. Multi-output values of shape (n, K) sum both variances over
+    coordinates. Requires m >= 2 and at least one non-singleton group;
+    equal group means make the denominator zero, which is reported as
+    degenerate.
     """
     values = _check_values(values, group_index)
     if group_index.m < 2:
         raise ValueError("variance_ratio needs at least two groups")
-    if not group_index.nontrivial():
+    if group_index.c == 0:
         raise ValueError("variance_ratio needs at least one group of size >= 2")
-    means = np.asarray([values[g].mean() for g in group_index.groups])
-    denom = float(np.mean((means - means.mean()) ** 2))
+    seg, m = group_index.seg, group_index.m
+    means = segment_means(values, seg, m)
+    denom = float(np.sum(np.mean((means - means.mean(axis=0)) ** 2, axis=0)))
     if denom == 0.0:
         raise DegenerateVarianceError("all group means are equal")
-    numer = float(np.mean(group_variances(values, group_index)))
+    within = _segment_variances(values, seg, m)
+    numer = float(np.mean(within.reshape(m, -1).sum(axis=1)))
     return numer / denom
 
 
@@ -130,28 +155,20 @@ def variance_decomposition(values, group_index: GroupIndex):
     when all groups have equal size.
     """
     values = _check_values(values, group_index)
-    n = group_index.n
+    if values.ndim != 1:
+        raise ValueError("variance_decomposition takes one value per sample")
+    seg, m = group_index.seg, group_index.m
     grand = values.mean()
     total = float(np.mean((values - grand) ** 2))
-    within = 0.0
-    between = 0.0
-    for g in group_index.groups:
-        v = values[g]
-        mu = v.mean()
-        within += len(g) / n * float(np.mean((v - mu) ** 2))
-        between += len(g) / n * float((mu - grand) ** 2)
+    weights = group_index.sizes / group_index.n
+    within = float(np.sum(weights * _segment_variances(values, seg, m)))
+    between = float(np.sum(weights * (segment_means(values, seg, m) - grand) ** 2))
     return total, within, between
 
 
 def baseline_group_by_label(dataset: Dataset) -> GroupIndex:
     """One group per class label: the grouping-by-class baseline."""
-    labels = dataset.labels
-    groups = []
-    for k in range(dataset.n_classes):
-        idx = np.flatnonzero(labels == k)
-        if len(idx):
-            groups.append(idx)
-    return GroupIndex(tuple(groups), len(dataset))
+    return GroupIndex(dataset.labels)
 
 
 def baseline_unconditional(values) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as md
 from .data import GroupIndex, build_group_index
-from .penalties import conditional_penalty
+from .penalties import conditional_penalty, segment_means
 from .scm import StyleAwareDataset, rerender
 
 __all__ = [
@@ -37,9 +37,8 @@ __all__ = [
 
 @dataclass
 class ConditionalCovariance:
-    """Per-group style covariances plus their spectral-norm bound zeta."""
+    """Pooled within-group style covariance plus its spectral norm zeta."""
 
-    per_group: np.ndarray   # (m, q, q)
     pooled: np.ndarray      # (q, q)
     zeta: float
     spd: bool
@@ -96,9 +95,12 @@ def _sigma_per_group(sigma, m: int, q: int) -> np.ndarray:
     raise ValueError(f"sigma must be (q, q) shared or (m, q, q) per group, got {arr.shape}")
 
 
+def _sample_losses(spec, theta, features, labels) -> np.ndarray:
+    return np.asarray(md.per_sample_loss(spec, md.forward(spec, theta, features), labels))
+
+
 def _mean_loss(spec, theta, features, labels) -> float:
-    logits = md.forward(spec, theta, features)
-    return float(np.mean(md.per_sample_loss(spec, logits, labels)))
+    return float(np.mean(_sample_losses(spec, theta, features, labels)))
 
 
 def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
@@ -198,19 +200,23 @@ def _group_shift_gradients(spec, theta, style_dataset, group_index) -> np.ndarra
     """Gradient of each group's mean loss with respect to its style shift,
     evaluated at zero shift: exact chain rule through W for linear renders,
     central differences otherwise. Shape (m, q)."""
-    m, q = group_index.m, style_dataset.q
-    out = np.empty((m, q))
+    seg, m, q = group_index.seg, group_index.m, style_dataset.q
+    labels = style_dataset.dataset.labels
     if style_dataset.render_kind == "linear":
-        feats = style_dataset.dataset.features
-        labels = style_dataset.dataset.labels
-        gx = _input_gradients(spec, theta, feats, labels)
+        gx = _input_gradients(spec, theta, style_dataset.dataset.features, labels)
         per_sample = gx @ style_dataset.style_matrix  # (n, q)
-        for j, g in enumerate(group_index.groups):
-            out[j] = per_sample[g].mean(axis=0)
-        return out
-    for j, g in enumerate(group_index.groups):
-        out[j] = _fd_group_gradient(spec, theta, style_dataset, g, np.zeros(q))
-    return out
+        return segment_means(per_sample, seg, m)
+    # a shift of group j moves only group j's losses, so one forward pass
+    # per probe shifts every group at once
+    h = 1e-6
+    per_sample = np.empty((len(seg), q))
+    for k in range(q):
+        e = np.zeros(q)
+        e[k] = h
+        up = _sample_losses(spec, theta, style_dataset.render(style_dataset.style + e), labels)
+        dn = _sample_losses(spec, theta, style_dataset.render(style_dataset.style - e), labels)
+        per_sample[:, k] = up - dn
+    return segment_means(per_sample, seg, m) / (2.0 * h)
 
 
 def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
@@ -247,17 +253,14 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
         return WorstCaseResult(value, assignment, method)
     if method == "gradient_allocation":
         grads = _group_shift_gradients(spec, theta, style_dataset, group_index)
-        assignment = np.zeros((m, q))
-        norms = np.empty(m)
-        for j in range(m):
-            sg = sigmas[j] @ grads[j]
-            norms[j] = np.sqrt(max(grads[j] @ sg, 0.0))
+        sg = np.einsum("jab,jb->ja", sigmas, grads)
+        norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
         active = norms > 0.0
+        assignment = np.zeros((m, q))
         if active.any():
             # nonzero-gradient groups share the whole average budget equally
             per_group_budget = xi * m / active.sum()
-            for j in np.flatnonzero(active):
-                assignment[j] = np.sqrt(per_group_budget) * (sigmas[j] @ grads[j]) / norms[j]
+            assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
         value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
         return WorstCaseResult(value, assignment, method)
     if method == "exhaustive_tiny":
@@ -339,10 +342,8 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     expansion: unshifted loss + sqrt(xi) * conditional sd of the loss."""
     if xi < 0:
         raise ValueError("xi must be >= 0")
-    feats = style_dataset.dataset.features
-    labels = style_dataset.dataset.labels
-    logits = md.forward(spec, theta, feats)
-    losses = np.asarray(md.per_sample_loss(spec, logits, labels))
+    ds = style_dataset.dataset
+    losses = _sample_losses(spec, theta, ds.features, ds.labels)
     unshifted = float(np.mean(losses))
     pen = conditional_penalty(losses, group_index, nu=0.5)
     if xi == 0.0:
@@ -379,8 +380,7 @@ def steepest_style_direction(spec: md.ModelSpec, theta,
     """Sigma-whitened direction of fastest first-order loss growth under a
     global style shift: Sigma g / sqrt(g^T Sigma g) with g the mean shift
     gradient over all samples."""
-    whole = GroupIndex((np.arange(len(style_dataset.dataset)),),
-                       len(style_dataset.dataset))
+    whole = GroupIndex(np.zeros(len(style_dataset.dataset), dtype=int))
     g = _group_shift_gradients(spec, theta, style_dataset, whole)[0]
     sigma = np.asarray(sigma, dtype=float)
     sg = sigma @ g
@@ -397,35 +397,25 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
     All groups of size >= 2 contribute, population-normalized, and are
     pooled into one shared estimate (the generators here share one style
     covariance across groups). Falls back to the generator's covariance
-    when no group is estimable. zeta is the largest spectral norm seen.
+    when no group is estimable. zeta is the spectral norm of the estimate.
     """
     if not isinstance(style_dataset, StyleAwareDataset):
         raise TypeError("style latents are required")
     if group_index is None:
         group_index = build_group_index(style_dataset.dataset)
-    q = style_dataset.q
     styles = style_dataset.style
-    per_group = np.zeros((group_index.m, q, q))
-    scatter = np.zeros((q, q))
-    weight = 0
-    for j, g in enumerate(group_index.groups):
-        if len(g) < 2:
-            continue
-        s = styles[g]
-        dev = s - s.mean(axis=0)
-        per_group[j] = dev.T @ dev / len(g)
-        scatter += dev.T @ dev
-        weight += len(g)
-    if weight == 0:
+    seg = group_index.seg
+    dev = styles - segment_means(styles, seg, group_index.m)[seg]
+    dev = dev[group_index.sizes[seg] >= 2]
+    if len(dev) == 0:
         if style_dataset.scm is None:
             raise ValueError("no group has two members and no generator covariance exists")
         pooled = np.asarray(style_dataset.scm.style_cov, dtype=float)
-        per_group[:] = pooled
     else:
-        pooled = scatter / weight
+        pooled = dev.T @ dev / len(dev)
     eigs = np.linalg.eigvalsh((pooled + pooled.T) / 2.0)
     zeta = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     # degenerate (all-identical within groups) estimates must not pass as SPD
     floor = 1e-12 * max(1.0, float(np.mean(styles * styles)))
     spd = bool(np.all(eigs > floor))
-    return ConditionalCovariance(per_group, pooled, zeta, spd)
+    return ConditionalCovariance(pooled, zeta, spd)

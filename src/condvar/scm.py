@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Dataset
 
 __all__ = [
     "LinearScmSpec",
@@ -228,10 +228,7 @@ def expand_assignment(assignment, n: int, q: int, group_index=None) -> np.ndarra
     if arr.shape == (n, q):
         return arr
     if group_index is not None and arr.shape == (group_index.m, q):
-        out = np.empty((n, q))
-        for j, g in enumerate(group_index.groups):
-            out[g] = arr[j]
-        return out
+        return arr[group_index.seg]
     raise ValueError(f"cannot interpret assignment of shape {arr.shape}")
 
 
@@ -241,16 +238,8 @@ def rerender(style_dataset: StyleAwareDataset, assignment, group_index=None) -> 
     n = len(style_dataset.dataset)
     delta = expand_assignment(assignment, n, style_dataset.q, group_index)
     feats = style_dataset.render(style_dataset.style + delta)
-    samples = [
-        Sample(feats[i], s.label, s.id)
-        for i, s in enumerate(style_dataset.dataset.samples)
-    ]
-    return Dataset(samples, style_dataset.dataset.p, style_dataset.dataset.n_classes)
-
-
-def _finalize(features, labels, ids, n_classes=2) -> Dataset:
-    samples = [Sample(features[i], int(labels[i]), ids[i]) for i in range(len(labels))]
-    return Dataset(samples, features.shape[1], n_classes)
+    ds = style_dataset.dataset
+    return Dataset(feats, ds.labels, ds.ids, ds.n_classes)
 
 
 def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpec,
@@ -286,7 +275,7 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpe
     ids = [f"i{int(ident)}" for ident in idents]
     feats = _render("linear", core, style, c_mat, w_mat)
     return StyleAwareDataset(
-        dataset=_finalize(feats, labels, ids),
+        dataset=Dataset(feats, labels, ids, n_classes=2),
         core=core,
         style=style,
         render_kind="linear",
@@ -357,7 +346,7 @@ def _sample_example1(n, c, class1_style_shift, seed, params):
     w_mat = EXAMPLE1_STYLE_DIRECTION[:, None]
     feats = _render("linear", core, style, c_mat, w_mat)
     return StyleAwareDataset(
-        dataset=_finalize(feats, labels, ids),
+        dataset=Dataset(feats, labels, ids, n_classes=2),
         core=core,
         style=style,
         render_kind="linear",
@@ -421,7 +410,7 @@ def _sample_example2(n, c, class1_angle_shift, seed, params):
     style = angle[:, None]
     feats = _render("polar", core, style, None, None)
     return StyleAwareDataset(
-        dataset=_finalize(feats, labels, ids),
+        dataset=Dataset(feats, labels, ids, n_classes=2),
         core=core,
         style=style,
         render_kind="polar",

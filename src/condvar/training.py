@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as md
 from .data import Dataset, GroupIndex, build_group_index
-from .penalties import PenaltyConfig, conditional_penalty
+from .penalties import PenaltyConfig, conditional_penalty, penalty_sum
 
 __all__ = [
     "OptimizerConfig",
@@ -115,10 +115,12 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Final parameters plus one diagnostics row per epoch."""
+    """Final parameters, one diagnostics row per epoch, and the number of
+    optimizer steps taken."""
 
     theta: np.ndarray
     history: list
+    steps: int
 
     def to_dict(self) -> dict:
         return {
@@ -143,52 +145,19 @@ def _ridge_term(theta, spec: md.ModelSpec):
     return parts
 
 
-def _group_penalty_term(values, local_groups, m_batch: int, nu: float):
-    """Differentiable mean over the batch's m groups of Var_j^nu.
-
-    ``values`` has shape (n_batch,) or (n_batch, K); per-coordinate
-    variances of multi-output values are raised to nu and summed over
-    coordinates. Singleton groups contribute zero and are skipped; the
-    division still counts them through ``m_batch``.
-    """
-    nontrivial = [g for g in local_groups if len(g) >= 2]
-    if not nontrivial:
-        return None
-    idx = np.concatenate(nontrivial)
-    sizes = np.asarray([len(g) for g in nontrivial], dtype=float)
-    # scatter matrix: member row -> its group column
-    member_of = np.zeros((len(idx), len(nontrivial)))
-    pos = 0
-    for j, g in enumerate(nontrivial):
-        member_of[pos:pos + len(g), j] = 1.0
-        pos += len(g)
-    multi = values.value.ndim == 2 if isinstance(values, ad.Var) else np.ndim(values) == 2
-    sel = ad.take(values, idx)
-    if multi:
-        sums = ad.matmul(member_of.T, sel)              # (G, K)
-        means = sums / sizes[:, None]
-        dev = sel - ad.matmul(member_of, means)
-        var = ad.matmul(member_of.T, dev * dev) / sizes[:, None]
-    else:
-        sums = ad.matmul(member_of.T, sel)              # (G,)
-        means = sums / sizes
-        dev = sel - ad.matmul(member_of, means)
-        var = ad.matmul(member_of.T, dev * dev) / sizes
-    if nu == 0.5:
-        var = ad.sqrt(var)
-    return ad.vsum(var) / float(m_batch)
-
-
-def _objective_graph(theta, spec, x, labels, local_groups, penalty: PenaltyConfig):
+def _objective_graph(theta, spec, x, labels, seg, penalty: PenaltyConfig):
+    """``seg`` numbers the batch's groups 0..m-1 (or is None for no groups).
+    Without a group of size >= 2 the penalty branch is skipped entirely."""
     logits = md.forward(spec, theta, x)
     losses = md.per_sample_loss(spec, logits, labels)
     obj = ad.vmean(losses)
     if penalty.gamma > 0.0:
         obj = obj + penalty.gamma * _ridge_term(theta, spec)
-    if penalty.lam > 0.0 and local_groups is not None:
-        values = logits if penalty.target == "prediction" else losses
-        term = _group_penalty_term(values, local_groups, len(local_groups), penalty.nu)
-        if term is not None:
+    if penalty.lam > 0.0 and seg is not None:
+        m = int(seg.max()) + 1
+        if m < len(seg):
+            values = logits if penalty.target == "prediction" else losses
+            term = penalty_sum(values, seg, m, penalty.nu) / float(m)
             obj = obj + penalty.lam * term
     return obj
 
@@ -203,11 +172,11 @@ def pooled_objective(spec: md.ModelSpec, theta, x, labels, gamma: float = 0.0) -
 def core_objective(spec: md.ModelSpec, theta, x, labels, local_groups,
                    penalty: PenaltyConfig) -> float:
     """Pooled objective plus lam * conditional variance penalty computed over
-    the groups contained in this batch. With lam == 0 this is bit-identical
-    to ``pooled_objective``."""
-    out = _objective_graph(
-        np.asarray(theta, dtype=float), spec, x, labels, local_groups, penalty
-    )
+    the groups contained in this batch; ``local_groups`` lists the row
+    positions of each group and must partition the batch. With lam == 0
+    this is bit-identical to ``pooled_objective``."""
+    seg = GroupIndex.from_groups(local_groups, len(labels)).seg
+    out = _objective_graph(np.asarray(theta, dtype=float), spec, x, labels, seg, penalty)
     return float(out)
 
 
@@ -215,26 +184,27 @@ def core_objective(spec: md.ModelSpec, theta, x, labels, local_groups,
 
 def _group_batches(group_index: GroupIndex, batch_size: int, seed: int,
                    epoch: int) -> list:
-    """Batches as lists of whole groups (shuffled as units, packed greedily)."""
+    """Batches as (row indices, batch-local segment ids) pairs: groups are
+    shuffled as units and packed greedily in that order."""
     if group_index.m and group_index.max_size() > batch_size:
         raise ValueError(
             f"largest group ({group_index.max_size()}) exceeds batch size {batch_size}"
         )
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(epoch)])
     order = rng.permutation(group_index.m)
+    rank = np.empty(group_index.m, dtype=np.intp)
+    rank[order] = np.arange(group_index.m)
+    row_rank = rank[group_index.seg]
+    rows = np.argsort(row_rank, kind="stable")
+    filled = np.concatenate([[0], np.cumsum(group_index.sizes[order])])
     batches = []
-    current: list = []
-    filled = 0
-    for j in order:
-        g = group_index.groups[j]
-        if filled + len(g) > batch_size:
-            batches.append(current)
-            current = []
-            filled = 0
-        current.append(g)
-        filled += len(g)
-    if current:
-        batches.append(current)
+    start = 0  # in shuffled-group units
+    while start < group_index.m:
+        # greedy packing: the longest run of whole groups that fits
+        stop = int(np.searchsorted(filled, filled[start] + batch_size, side="right")) - 1
+        idx = rows[filled[start]:filled[stop]]
+        batches.append((idx, row_rank[idx] - start))
+        start = stop
     return batches
 
 
@@ -243,18 +213,7 @@ def group_aware_minibatches(group_index: GroupIndex, batch_size: int, seed: int,
     """Shuffle groups as units (seeded by (seed, epoch)) and pack them
     greedily into batches of at most ``batch_size`` indices. No group is ever
     split; the last batch may be short."""
-    return [np.concatenate(groups) for groups in
-            _group_batches(group_index, batch_size, seed, epoch)]
-
-
-def _local_groups(groups_in_batch: list) -> list:
-    """Member positions of each group inside the concatenated batch."""
-    local = []
-    pos = 0
-    for g in groups_in_batch:
-        local.append(np.arange(pos, pos + len(g)))
-        pos += len(g)
-    return local
+    return [idx for idx, _ in _group_batches(group_index, batch_size, seed, epoch)]
 
 
 # ---- optimizers ----------------------------------------------------------
@@ -295,16 +254,8 @@ def _make_optimizer(cfg: OptimizerConfig, dim: int):
 def _epoch_diagnostics(spec, theta, x, labels, group_index, penalty) -> dict:
     logits = md.forward(spec, theta, x)
     losses = md.per_sample_loss(spec, logits, labels)
-    if penalty.target == "prediction":
-        if spec.output_dim == 1:
-            pen = conditional_penalty(logits, group_index, penalty.nu)
-        else:
-            pen = sum(
-                conditional_penalty(logits[:, k], group_index, penalty.nu)
-                for k in range(spec.output_dim)
-            )
-    else:
-        pen = conditional_penalty(losses, group_index, penalty.nu)
+    values = logits if penalty.target == "prediction" else losses
+    pen = conditional_penalty(values, group_index, penalty.nu)
     ridge = float(_ridge_term(theta, spec))
     preds = md.predict_labels(spec, theta, x)
     return {
@@ -332,16 +283,12 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     history = []
     step = 0
     for epoch in range(config.epochs):
-        for batch_groups in _group_batches(group_index, config.batch_size,
-                                           config.seed, epoch):
-            batch = np.concatenate(batch_groups)
+        for batch, seg in _group_batches(group_index, config.batch_size,
+                                         config.seed, epoch):
             xb = x_all[batch]
             yb = y_all[batch]
-            local = None
-            if config.penalty.lam > 0.0 and any(len(g) >= 2 for g in batch_groups):
-                local = _local_groups(batch_groups)
             def objective(tv):
-                return _objective_graph(tv, model_spec, xb, yb, local, config.penalty)
+                return _objective_graph(tv, model_spec, xb, yb, seg, config.penalty)
             g = ad.grad(objective, theta)
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(
@@ -355,7 +302,7 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
         if not np.isfinite(row["loss"]):
             raise DivergenceError(f"non-finite objective after epoch {epoch}")
         history.append(row)
-    return TrainReport(theta, history)
+    return TrainReport(theta, history, step)
 
 
 def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,

@@ -1,12 +1,12 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
-from condvar import GroupIndex, build_group_index, conditional_penalty, load_csv
+from condvar import build_group_index, conditional_penalty, load_csv
 from condvar import models as md
 from condvar.cli import main
+from condvar.training import group_aware_minibatches
 
 
 def run(*argv):
@@ -63,13 +63,36 @@ def test_gen_rejects_unknown_generator(tmp_path):
     assert run("gen", "example3", "--n", 10, "--c", 0, "--out", tmp_path) == 2
 
 
-def test_train_writes_checkpoint_and_report(trained_dir):
+def test_train_writes_checkpoint_and_report(gen_dir, trained_dir):
     spec, theta, seed, step = md.load_checkpoint(trained_dir / "checkpoint.json")
     assert spec.kind == "linear"
     assert theta.shape == (3,)
     report = json.loads((trained_dir / "report.json").read_text())
     assert len(report["history"]) == 8
     assert report["theta"] == [float(v) for v in theta]
+    # the checkpoint records optimizer steps taken: 120-row batches, 8 epochs
+    groups = build_group_index(load_csv(gen_dir / "train.csv"))
+    assert step == sum(len(group_aware_minibatches(groups, 120, 0, epoch))
+                       for epoch in range(8))
+
+
+def test_train_eval_shift_eval_rerun_byte_identical(gen_dir, tmp_path):
+    outputs = []
+    for rerun in ("a", "b"):
+        out = tmp_path / rerun
+        assert run("train", "--data", gen_dir / "train.csv", "--model", "linear:2",
+                   "--lambda", 1.0, "--penalty", "l,0.5", "--gamma", 1e-4,
+                   "--epochs", 3, "--seed", 5, "--out", out / "train") == 0
+        ckpt = out / "train" / "checkpoint.json"
+        assert run("eval", "--checkpoint", ckpt, "--data", gen_dir / "test.csv",
+                   "--out", out / "eval") == 0
+        assert run("shift_eval", "--checkpoint", ckpt, "--data", gen_dir / "train.csv",
+                   "--latents", gen_dir / "train_latents.json", "--xi", 0.0, 0.5,
+                   "--out", out / "shift") == 0
+        outputs.append([(out / name).read_bytes() for name in (
+            "train/checkpoint.json", "train/report.json", "eval/metrics.json",
+            "shift/robustness.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_train_penalty_variants(gen_dir, tmp_path):
@@ -173,9 +196,10 @@ def test_plot_dimension_error(tmp_path):
     assert run("plot", "--data", other / "train.csv", "--out", tmp_path) == 3
 
 
-def test_thread_cap_env_validation(gen_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("CORE_REG_THREADS", "not-a-number")
-    assert run("plot", "--data", gen_dir / "train.csv", "--out", tmp_path) == 2
-    monkeypatch.setenv("CORE_REG_THREADS", "2")
-    assert run("plot", "--data", gen_dir / "train.csv", "--out", tmp_path) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+def test_linear_algebra_failure_exits_numerical(gen_dir, tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr("condvar.cli.train", singular)
+    assert run("train", "--data", gen_dir / "train.csv", "--model", "linear:2",
+               "--out", tmp_path) == 4

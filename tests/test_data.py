@@ -5,7 +5,6 @@ from condvar import (
     DataFormatError,
     Dataset,
     GroupIndex,
-    Sample,
     augment_with_groups,
     build_group_index,
     load_csv,
@@ -55,17 +54,17 @@ def test_group_index_invariants_on_random_instances():
         assert np.array_equal(flat, np.arange(n))
         assert gi.c == sum(len(g) - 1 for g in gi.groups)
         for g in gi.groups:
-            keys = {(ds.samples[i].label, ds.samples[i].id) for i in g}
+            keys = {(ds.labels[i], ds.ids[i]) for i in g}
             assert len(keys) == 1
-            if ds.samples[g[0]].id is None:
+            if ds.ids[g[0]] is None:
                 assert len(g) == 1
 
 
 def test_group_index_rejects_non_partition():
     with pytest.raises(ValueError):
-        GroupIndex((np.array([0, 1]), np.array([1, 2])), 3)
+        GroupIndex.from_groups((np.array([0, 1]), np.array([1, 2])), 3)
     with pytest.raises(ValueError):
-        GroupIndex((np.array([0]),), 2)
+        GroupIndex.from_groups((np.array([0]),), 2)
 
 
 def test_augment_identity_transform_groups_of_two():
@@ -76,7 +75,7 @@ def test_augment_identity_transform_groups_of_two():
     sizes = sorted(len(g) for g in gi.groups)
     assert sizes == [1, 1, 2]
     pair = gi.nontrivial()[0]
-    f0, f1 = out.samples[pair[0]].features, out.samples[pair[1]].features
+    f0, f1 = out.features[pair[0]], out.features[pair[1]]
     assert np.array_equal(f0, f1)
 
 
@@ -94,7 +93,7 @@ def test_augment_rotation_by_pi():
     out = augment_with_groups(ds, lambda f: rot @ f, 1, [0])
     gi = build_group_index(out)
     assert gi.m == 1 and gi.c == 1
-    assert np.allclose(out.samples[1].features, [-1.0, 0.0])
+    assert np.allclose(out.features[1], [-1.0, 0.0])
 
 
 def test_augment_selection_out_of_range():
@@ -107,10 +106,10 @@ def test_csv_row_parsing(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("id,y,x0,x1\na,1,0.5,-0.25\n,0,1.0,2.0\n")
     ds = load_csv(path)
-    assert ds.samples[0].id == "a"
-    assert ds.samples[0].label == 1
-    assert np.array_equal(ds.samples[0].features, [0.5, -0.25])
-    assert ds.samples[1].id is None
+    assert ds.ids[0] == "a"
+    assert ds.labels[0] == 1
+    assert np.array_equal(ds.features[0], [0.5, -0.25])
+    assert ds.ids[1] is None
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -122,9 +121,9 @@ def test_csv_round_trip_bitwise(tmp_path):
     save_csv(ds, path)
     back = load_csv(path)
     assert back.p == ds.p and len(back) == len(ds)
-    for a, b in zip(ds.samples, back.samples):
-        assert a.label == b.label and a.id == b.id
-        assert np.array_equal(a.features, b.features)
+    assert np.array_equal(ds.labels, back.labels)
+    assert list(ds.ids) == list(back.ids)
+    assert np.array_equal(ds.features, back.features)
 
 
 @pytest.mark.parametrize("content", [
@@ -133,6 +132,9 @@ def test_csv_round_trip_bitwise(tmp_path):
     "y,x0\n1,2.0\n",                 # missing header field
     "id,label,x0\na,1,2.0\n",        # wrong header name
     "",                              # empty file
+    "id,y,x0\na,-1,2.0\n",           # negative label
+    "id,y,x0\na,1,nan\n",            # NaN feature
+    "id,y,x0\na,1,inf\n",            # infinite feature
 ])
 def test_csv_malformed_inputs(tmp_path, content):
     path = tmp_path / "bad.csv"
@@ -143,6 +145,6 @@ def test_csv_malformed_inputs(tmp_path, content):
 
 def test_dataset_validates_dimensions():
     with pytest.raises(ValueError):
-        Dataset([Sample(np.array([1.0]), 0)], p=2, n_classes=1)
+        Dataset(np.array([1.0, 2.0]), [0], n_classes=1)
     with pytest.raises(ValueError):
-        Dataset([Sample(np.array([1.0, 2.0]), 3)], p=2, n_classes=2)
+        Dataset(np.array([[1.0, 2.0]]), [3], n_classes=2)

@@ -16,7 +16,7 @@ from condvar import (
 
 
 def gi(groups, n):
-    return GroupIndex(tuple(np.asarray(g) for g in groups), n)
+    return GroupIndex.from_groups(tuple(np.asarray(g) for g in groups), n)
 
 
 def random_grouping(rng, n):
@@ -199,3 +199,14 @@ def test_grouping_then_penalty_consistency_with_build_group_index():
     values = rng.standard_normal(12)
     assert conditional_penalty(values, index, 1.0) == pytest.approx(
         two_pass_oracle(values, index, 1.0), rel=1e-12)
+
+
+def test_multi_output_penalty_sums_coordinates():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        index = random_grouping(rng, n)
+        values = rng.standard_normal((n, 3))
+        for nu in (0.5, 1.0):
+            want = sum(conditional_penalty(values[:, k], index, nu) for k in range(3))
+            assert conditional_penalty(values, index, nu) == pytest.approx(want, rel=1e-12)

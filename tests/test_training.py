@@ -96,7 +96,7 @@ def test_core_objective_adds_lambda_times_penalty():
     cfg = PenaltyConfig("prediction", 1.0, 2.0, 0.0)
     got = core_objective(spec, theta, x, y, groups, cfg)
     base = pooled_objective(spec, theta, x, y, 0.0)
-    index = GroupIndex((np.array([0, 1]), np.array([2])), 3)
+    index = GroupIndex.from_groups((np.array([0, 1]), np.array([2])), 3)
     pen = conditional_penalty(np.array([1.0, 3.0, 5.0]), index, 1.0)
     assert got == pytest.approx(base + 2.0 * pen, rel=1e-12)
 
@@ -108,12 +108,13 @@ def test_objective_gradient_with_penalty_matches_fd():
     x = rng.standard_normal((9, 3))
     y = rng.integers(0, 2, 9)
     groups = [np.array([0, 1, 2]), np.array([3, 4]), np.array([5]), np.array([6, 7, 8])]
+    seg = GroupIndex.from_groups(groups, 9).seg
     for target in ("prediction", "loss"):
         for nu in (1.0, 0.5):
             cfg = PenaltyConfig(target, nu, 0.9, 1e-3)
 
             def objective(tv):
-                return _objective_graph(tv, spec, x, y, groups, cfg)
+                return _objective_graph(tv, spec, x, y, seg, cfg)
 
             g = md.gradient(objective, theta)
             fd = np.zeros_like(theta)
@@ -129,7 +130,7 @@ def test_objective_gradient_with_penalty_matches_fd():
 # ---- batching ----------------------------------------------------------------
 
 def test_minibatches_keep_groups_whole():
-    index = GroupIndex((np.array([0, 1]), np.array([2, 3]), np.array([4])), 5)
+    index = GroupIndex.from_groups((np.array([0, 1]), np.array([2, 3]), np.array([4])), 5)
     batches = group_aware_minibatches(index, 3, seed=0, epoch=0)
     seen = np.sort(np.concatenate(batches))
     assert np.array_equal(seen, np.arange(5))
@@ -141,19 +142,19 @@ def test_minibatches_keep_groups_whole():
 
 
 def test_minibatches_single_batch_when_size_allows():
-    index = GroupIndex(tuple(np.array([i]) for i in range(6)), 6)
+    index = GroupIndex.from_groups(tuple(np.array([i]) for i in range(6)), 6)
     batches = group_aware_minibatches(index, 6, seed=1, epoch=0)
     assert len(batches) == 1 and len(batches[0]) == 6
 
 
 def test_minibatch_rejects_oversized_group():
-    index = GroupIndex((np.array([0, 1, 2]), np.array([3])), 4)
+    index = GroupIndex.from_groups((np.array([0, 1, 2]), np.array([3])), 4)
     with pytest.raises(ValueError):
         group_aware_minibatches(index, 2, seed=0, epoch=0)
 
 
 def test_minibatches_epoch_dependent_but_seed_deterministic():
-    index = GroupIndex(tuple(np.array([i]) for i in range(50)), 50)
+    index = GroupIndex.from_groups(tuple(np.array([i]) for i in range(50)), 50)
     a = group_aware_minibatches(index, 7, seed=3, epoch=0)
     b = group_aware_minibatches(index, 7, seed=3, epoch=0)
     c = group_aware_minibatches(index, 7, seed=3, epoch=1)
