@@ -18,7 +18,6 @@ from .data import (
 from .models import (
     ModelSpec,
     forward,
-    gradient,
     init_params,
     load_checkpoint,
     logistic_loss,

@@ -1,9 +1,10 @@
 """Differentiable classifiers: linear logistic and small fully-connected nets.
 
 Parameters live in one flat vector with a frozen layout (layer-major,
-weights before biases) so checkpoints stay readable across versions. The
-forward pass is written against dispatching primitives and therefore runs
-both on plain numpy arrays and on autodiff nodes.
+weights before biases) so checkpoints stay readable across versions.
+``forward`` computes the logits and ``backward`` chains a logit gradient
+back to the parameters and the inputs; the losses carry their closed-form
+derivative in ``loss_gradient``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-
 __all__ = [
     "ModelSpec",
     "param_count",
@@ -22,10 +21,11 @@ __all__ = [
     "weight_slices",
     "init_params",
     "forward",
+    "backward",
     "per_sample_loss",
     "logistic_loss",
     "softmax_cross_entropy",
-    "gradient",
+    "loss_gradient",
     "predict_labels",
     "save_checkpoint",
     "load_checkpoint",
@@ -113,46 +113,87 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return theta
 
 
-def forward(spec: ModelSpec, theta, x):
-    """Logits for ``x``; accepts a single sample (p,) or a batch (n, p).
-
-    ``theta`` and ``x`` may each be a flat ndarray or an autodiff Var (the
-    latter enables gradients with respect to the inputs). Single-logit
-    models return shape (n,) (or a scalar for a single sample), K-output
-    models return (n, K).
-    """
-    if isinstance(x, ad.Var):
-        if len(x.shape) != 2:
-            raise ValueError("Var inputs must be a 2-d batch")
-        single = False
-    else:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
+def _checked(spec: ModelSpec, theta, x):
+    """(theta, x as a 2-d batch, whether x was a single sample)."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
     if x.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature dimension {x.shape[1]} does not match model input {spec.input_dim}"
         )
-    if not isinstance(theta, ad.Var):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (param_count(spec),):
-            raise ValueError("parameter vector length does not match the model spec")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (param_count(spec),):
+        raise ValueError("parameter vector length does not match the model spec")
+    return theta, x, single
+
+
+def _layer_inputs(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
+    """Yield the input of every layer: the batch x, then each hidden
+    activation, each computed in one buffer."""
     h = x
-    layers = param_slices(spec)
-    for li, (wsl, wshape, bsl) in enumerate(layers):
-        w = ad.reshape(theta[wsl], *wshape)
-        b = theta[bsl]
-        h = ad.matmul(h, w) + b
-        if spec.kind == "mlp" and li < len(layers) - 1:
-            h = ad.tanh(h) if spec.activation == "tanh" else ad.relu(h)
+    yield h
+    for wsl, wshape, bsl in param_slices(spec)[:-1]:
+        h = h @ theta[wsl].reshape(wshape)
+        h += theta[bsl]
+        h = np.tanh(h, out=h) if spec.activation == "tanh" else np.maximum(h, 0.0, out=h)
+        yield h
+
+
+def forward(spec: ModelSpec, theta, x):
+    """Logits for ``x``; accepts a single sample (p,) or a batch (n, p).
+
+    Single-logit models return shape (n,) (or a scalar for a single
+    sample), K-output models return (n, K).
+    """
+    theta, x, single = _checked(spec, theta, x)
+    for h in _layer_inputs(spec, theta, x):  # only the last one is kept
+        pass
+    wsl, wshape, bsl = param_slices(spec)[-1]
+    h = h @ theta[wsl].reshape(wshape) + theta[bsl]
     if spec.output_dim == 1:
-        h = ad.reshape(h, -1)
-        if single:
-            h = h[0]
-    elif single:
-        h = h[0]
-    return h
+        h = h.reshape(-1)
+    return h[0] if single else h
+
+
+def backward(spec: ModelSpec, theta, x, g_logits):
+    """Chain ``g_logits`` (d objective / d logits, shaped like ``forward``'s
+    output for ``x``) back through the layers.
+
+    Returns (g_theta, g_x): the gradient with respect to the flat parameter
+    vector and to the inputs, shaped like ``theta`` and ``x``. The
+    subgradient of relu at its kink is 0.
+    """
+    theta, x, single = _checked(spec, theta, x)
+    hs = list(_layer_inputs(spec, theta, x))
+    g = np.asarray(g_logits, dtype=float).reshape(len(x), spec.output_dim)
+    g_theta = np.empty_like(theta)
+    layers = param_slices(spec)
+    for i in reversed(range(len(layers))):
+        wsl, wshape, bsl = layers[i]
+        g_theta[wsl] = (hs[i].T @ g).reshape(-1)
+        g_theta[bsl] = g.sum(axis=0)
+        g = g @ theta[wsl].reshape(wshape).T
+        if i > 0:  # hs[i] is the activation of layer i - 1
+            h = hs[i]
+            g = g * (1.0 - h * h) if spec.activation == "tanh" else g * (h > 0.0)
+    return g_theta, (g[0] if single else g)
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    # max(0, z) + log1p(exp(-|z|)) is stable for any magnitude
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(z, axis=axis, keepdims=True)
+    return (m + np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
 def logistic_loss(y, logit):
@@ -160,37 +201,25 @@ def logistic_loss(y, logit):
     yv = np.asarray(y, dtype=float)
     if not np.all(np.isin(yv, (-1.0, 1.0))):
         raise ValueError("logistic_loss expects labels in {-1, +1}")
-    if isinstance(logit, ad.Var):
-        return ad.softplus(-(ad.as_var(yv) * logit))
-    return ad.softplus(-yv * np.asarray(logit, dtype=float))
+    return _softplus(-yv * np.asarray(logit, dtype=float))
 
 
 def softmax_cross_entropy(label, logits):
     """-log softmax(logits)[label]; log-sum-exp stabilized; vectorizes."""
     labels = np.asarray(label)
-    if not isinstance(logits, ad.Var):
-        logits = np.asarray(logits, dtype=float)
-    arr = logits.value if isinstance(logits, ad.Var) else logits
-    if arr.ndim == 1:
-        k = arr.shape[0]
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim == 1:
+        k = logits.shape[0]
         if labels.ndim != 0:
             raise ValueError("single logit row needs a scalar label")
         if not 0 <= int(labels) < k:
             raise ValueError(f"label {int(labels)} out of range for {k} classes")
-        onehot = np.zeros(k)
-        onehot[int(labels)] = 1.0
-        lse = ad.logsumexp(logits, axis=0)
-        picked = ad.vsum(logits * onehot)
-        return lse - picked
-    k = arr.shape[1]
+        return _logsumexp(logits, axis=0) - logits[int(labels)]
+    k = logits.shape[1]
     labels = labels.astype(int)
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError("label out of range")
-    onehot = np.zeros(arr.shape)
-    onehot[np.arange(arr.shape[0]), labels] = 1.0
-    lse = ad.logsumexp(logits, axis=1)
-    picked = ad.vsum(logits * onehot, axis=1)
-    return lse - picked
+    return _logsumexp(logits, axis=1) - logits[np.arange(len(labels)), labels]
 
 
 def per_sample_loss(spec: ModelSpec, logits, labels):
@@ -203,10 +232,19 @@ def per_sample_loss(spec: ModelSpec, logits, labels):
     return softmax_cross_entropy(labels, logits)
 
 
-def gradient(objective, theta: np.ndarray) -> np.ndarray:
-    """Exact reverse-mode gradient of a scalar objective built from the
-    supported primitives, as a flat vector matching ``theta``."""
-    return ad.grad(objective, theta)
+def loss_gradient(spec: ModelSpec, logits, labels) -> np.ndarray:
+    """d per_sample_loss / d logits, row by row, shaped like ``logits`` (a
+    batch): -y * sigmoid(-y z) for the logistic loss, softmax(z) - onehot
+    for softmax cross-entropy."""
+    labels = np.asarray(labels, dtype=int)
+    logits = np.asarray(logits, dtype=float)
+    if spec.output_dim == 1:
+        y = 2.0 * labels - 1.0
+        return -y * _sigmoid(-y * logits)
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    g = e / e.sum(axis=1, keepdims=True)
+    g[np.arange(len(labels)), labels] -= 1.0
+    return g
 
 
 def predict_labels(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import Dataset, GroupIndex
 
 __all__ = [
@@ -74,29 +73,54 @@ def _check_values(values, group_index: GroupIndex) -> np.ndarray:
     return values
 
 
-def segment_means(values, seg, m: int):
-    """Per-segment means of (n,) or (n, K) values, on arrays or autodiff Vars."""
-    sizes = np.bincount(seg, minlength=m).reshape((m,) + (1,) * (len(values.shape) - 1))
-    return ad.segment_sum(values, seg, m) / sizes
+def segment_sum(x, seg, m: int) -> np.ndarray:
+    """Row sums per segment: out[j] = sum of x[i] over seg[i] == j, for x of
+    shape (n,) or (n, K) and seg in [0, m). Rows are added in index order."""
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(len(seg), -1)
+    k = rows.shape[1]
+    flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
+    return np.bincount(flat, rows.reshape(-1), m * k).reshape((m,) + x.shape[1:])
 
 
-def _segment_variances(values, seg, m: int):
+def segment_means(values, seg, m: int) -> np.ndarray:
+    """Per-segment means of (n,) or (n, K) values."""
+    values = np.asarray(values, dtype=float)
+    sizes = np.bincount(seg, minlength=m).reshape((m,) + (1,) * (values.ndim - 1))
+    return segment_sum(values, seg, m) / sizes
+
+
+def _segment_variances(values, seg, m: int) -> np.ndarray:
     """Population variance per segment and coordinate: (m,) or (m, K)."""
-    dev = values - ad.take(segment_means(values, seg, m), seg)
+    dev = values - segment_means(values, seg, m)[seg]
     return segment_means(dev * dev, seg, m)
 
 
-def penalty_sum(values, seg, m: int, nu: float):
+def penalty_sum(values, seg, m: int, nu: float) -> float:
     """Sum over the m segments and all coordinates of Var_j^nu.
 
-    The one implementation of the conditional variance penalty: works on
-    arrays and on autodiff Vars, so training differentiates the same code
-    that the diagnostics evaluate. Singleton segments contribute exactly 0.
+    The one implementation of the conditional variance penalty, behind both
+    the training objective and the diagnostics. Singleton segments
+    contribute exactly 0.
     """
     var = _segment_variances(values, seg, m)
     if nu == 0.5:
-        var = ad.sqrt(var)
-    return ad.vsum(var)
+        var = np.sqrt(var)
+    return np.sum(var)
+
+
+def penalty_gradient(values, seg, m: int, nu: float) -> np.ndarray:
+    """d penalty_sum / d values, shaped like ``values``: 2 (v - mu_j) / n_j
+    per coordinate, times 1/2 Var_j^(-1/2) at nu = 1/2. A zero-variance
+    segment gets gradient 0 (the subgradient sqrt'(0) = 0), so exactly
+    duplicated rows add nothing to a training step."""
+    dev = values - segment_means(values, seg, m)[seg]
+    scale = 2.0 / np.bincount(seg, minlength=m).reshape((m,) + (1,) * (dev.ndim - 1))
+    if nu == 0.5:
+        var = segment_means(dev * dev, seg, m)
+        positive = var > 0.0
+        scale = scale * np.where(positive, 0.5 / np.sqrt(np.where(positive, var, 1.0)), 0.0)
+    return dev * scale[seg]
 
 
 def group_variances(values, group_index: GroupIndex) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import models as md
 from .data import GroupIndex, build_group_index
 from .penalties import conditional_penalty, segment_means
@@ -110,14 +109,17 @@ def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     return _mean_loss(spec, theta, shifted.features, shifted.labels)
 
 
-def _group_loss(spec, theta, style_dataset, members, delta) -> float:
+def _group_features(style_dataset, members, delta) -> np.ndarray:
     from .scm import _render
 
     style = style_dataset.style[members] + delta
-    feats = _render(style_dataset.render_kind, style_dataset.core[members], style,
-                    style_dataset.core_matrix, style_dataset.style_matrix)
-    labels = style_dataset.dataset.labels[members]
-    return _mean_loss(spec, theta, feats, labels)
+    return _render(style_dataset.render_kind, style_dataset.core[members], style,
+                   style_dataset.core_matrix, style_dataset.style_matrix)
+
+
+def _group_loss(spec, theta, style_dataset, members, delta) -> float:
+    feats = _group_features(style_dataset, members, delta)
+    return _mean_loss(spec, theta, feats, style_dataset.dataset.labels[members])
 
 
 def _sphere_directions(q: int):
@@ -157,13 +159,15 @@ def _maximize_group(spec, theta, style_dataset, members, sigma, xi, seed) -> tup
                 best_val, best_delta = val, delta
         return best_val, best_delta
     # q > 3: projected gradient ascent from random restarts, 200 steps
+    labels = style_dataset.dataset.labels[members]
     best_val, best_delta = -np.inf, np.zeros(q)
     step = 0.1 * scale
     for u0 in _ascent_directions(q, seed):
         u = u0.copy()
         for _ in range(200):
             delta = scale * (chol @ u)
-            g = _fd_group_gradient(spec, theta, style_dataset, members, delta)
+            feats = _group_features(style_dataset, members, delta)
+            g = _style_gradients(spec, theta, style_dataset, feats, labels).mean(axis=0)
             g_u = scale * (chol.T @ g)
             u = u + step * g_u / max(np.linalg.norm(g_u), 1e-12)
             u /= np.linalg.norm(u)
@@ -174,49 +178,26 @@ def _maximize_group(spec, theta, style_dataset, members, sigma, xi, seed) -> tup
     return best_val, best_delta
 
 
-def _fd_group_gradient(spec, theta, style_dataset, members, delta, h=1e-6):
-    q = style_dataset.q
-    g = np.zeros(q)
-    for k in range(q):
-        e = np.zeros(q)
-        e[k] = h
-        up = _group_loss(spec, theta, style_dataset, members, delta + e)
-        dn = _group_loss(spec, theta, style_dataset, members, delta - e)
-        g[k] = (up - dn) / (2.0 * h)
-    return g
-
-
-def _input_gradients(spec, theta, features, labels) -> np.ndarray:
-    """d(sum of per-sample losses) / d(features), shape (n, p)."""
-    xv = ad.Var(np.asarray(features, dtype=float))
-    logits = md.forward(spec, theta, xv)
-    losses = md.per_sample_loss(spec, logits, labels)
-    total = ad.vsum(losses)
-    total.backward()
-    return xv.grad
+def _style_gradients(spec, theta, style_dataset, features, labels) -> np.ndarray:
+    """d loss_i / d style_i for samples rendered as ``features``, (n, q):
+    the input gradient chained through the render, W for a linear render
+    and d x / d angle = r (-sin a, cos a) = (-x_1, x_0) for the polar one,
+    whose other style coordinates do not reach the features."""
+    logits = md.forward(spec, theta, features)
+    _, gx = md.backward(spec, theta, features, md.loss_gradient(spec, logits, labels))
+    if style_dataset.render_kind == "linear":
+        return gx @ style_dataset.style_matrix
+    out = np.zeros((len(gx), style_dataset.q))
+    out[:, 0] = gx[:, 1] * features[:, 0] - gx[:, 0] * features[:, 1]
+    return out
 
 
 def _group_shift_gradients(spec, theta, style_dataset, group_index) -> np.ndarray:
     """Gradient of each group's mean loss with respect to its style shift,
-    evaluated at zero shift: exact chain rule through W for linear renders,
-    central differences otherwise. Shape (m, q)."""
-    seg, m, q = group_index.seg, group_index.m, style_dataset.q
-    labels = style_dataset.dataset.labels
-    if style_dataset.render_kind == "linear":
-        gx = _input_gradients(spec, theta, style_dataset.dataset.features, labels)
-        per_sample = gx @ style_dataset.style_matrix  # (n, q)
-        return segment_means(per_sample, seg, m)
-    # a shift of group j moves only group j's losses, so one forward pass
-    # per probe shifts every group at once
-    h = 1e-6
-    per_sample = np.empty((len(seg), q))
-    for k in range(q):
-        e = np.zeros(q)
-        e[k] = h
-        up = _sample_losses(spec, theta, style_dataset.render(style_dataset.style + e), labels)
-        dn = _sample_losses(spec, theta, style_dataset.render(style_dataset.style - e), labels)
-        per_sample[:, k] = up - dn
-    return segment_means(per_sample, seg, m) / (2.0 * h)
+    evaluated at zero shift. Shape (m, q)."""
+    ds = style_dataset.dataset
+    per_sample = _style_gradients(spec, theta, style_dataset, ds.features, ds.labels)
+    return segment_means(per_sample, group_index.seg, group_index.m)
 
 
 def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,

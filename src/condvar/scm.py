@@ -424,17 +424,17 @@ def save_latents(style_dataset: StyleAwareDataset, path) -> None:
         "generator": style_dataset.generator,
         "generator_params": style_dataset.generator_params,
         "render_kind": style_dataset.render_kind,
-        "core": [[float(v) for v in row] for row in style_dataset.core],
-        "style": [[float(v) for v in row] for row in style_dataset.style],
+        "core": style_dataset.core.tolist(),
+        "style": style_dataset.style.tolist(),
     }
     if style_dataset.render_kind == "linear":
-        payload["core_matrix"] = [[float(v) for v in row] for row in style_dataset.core_matrix]
-        payload["style_matrix"] = [[float(v) for v in row] for row in style_dataset.style_matrix]
+        payload["core_matrix"] = np.asarray(style_dataset.core_matrix, dtype=float).tolist()
+        payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
     if style_dataset.scm is not None:
         payload["scm"] = style_dataset.scm.to_dict()
+    # one dumps call runs the C encoder; json.dump always takes the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:

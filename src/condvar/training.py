@@ -1,11 +1,6 @@
-"""Objective assembly, group-preserving minibatching and first-order training.
+"""Group-preserving minibatching and first-order training.
 
-The penalized objective is
-
-    mean loss over the batch
-    + gamma * ||weights||^2                      (biases excluded)
-    + lam * mean over batch groups of Var_j^nu   (variance of logits or losses)
-
+The penalized objective and its gradient are in ``autodiff``.
 Minibatches never split a group, so the within-group variances inside a
 batch are computed from complete groups. When a batch contains no group of
 size >= 2 (or lam == 0) the penalty branch is skipped entirely, which makes
@@ -22,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as md
 from .data import Dataset, GroupIndex, build_group_index
-from .penalties import PenaltyConfig, conditional_penalty, penalty_sum
+from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
     "OptimizerConfig",
@@ -134,39 +129,11 @@ class TrainReport:
             fh.write("\n")
 
 
-# ---- objective graphs ----------------------------------------------------
-
-def _ridge_term(theta, spec: md.ModelSpec):
-    parts = None
-    for wsl in md.weight_slices(spec):
-        w = theta[wsl]
-        term = ad.vsum(w * w)
-        parts = term if parts is None else parts + term
-    return parts
-
-
-def _objective_graph(theta, spec, x, labels, seg, penalty: PenaltyConfig):
-    """``seg`` numbers the batch's groups 0..m-1 (or is None for no groups).
-    Without a group of size >= 2 the penalty branch is skipped entirely."""
-    logits = md.forward(spec, theta, x)
-    losses = md.per_sample_loss(spec, logits, labels)
-    obj = ad.vmean(losses)
-    if penalty.gamma > 0.0:
-        obj = obj + penalty.gamma * _ridge_term(theta, spec)
-    if penalty.lam > 0.0 and seg is not None:
-        m = int(seg.max()) + 1
-        if m < len(seg):
-            values = logits if penalty.target == "prediction" else losses
-            term = penalty_sum(values, seg, m, penalty.nu) / float(m)
-            obj = obj + penalty.lam * term
-    return obj
-
+# ---- objectives ------------------------------------------------------------
 
 def pooled_objective(spec: md.ModelSpec, theta, x, labels, gamma: float = 0.0) -> float:
     """Mean loss over the batch plus gamma * ||weights||^2."""
-    cfg = PenaltyConfig(gamma=gamma)
-    out = _objective_graph(np.asarray(theta, dtype=float), spec, x, labels, None, cfg)
-    return float(out)
+    return ad.objective(spec, theta, x, labels, None, PenaltyConfig(gamma=gamma))
 
 
 def core_objective(spec: md.ModelSpec, theta, x, labels, local_groups,
@@ -176,8 +143,7 @@ def core_objective(spec: md.ModelSpec, theta, x, labels, local_groups,
     positions of each group and must partition the batch. With lam == 0
     this is bit-identical to ``pooled_objective``."""
     seg = GroupIndex.from_groups(local_groups, len(labels)).seg
-    out = _objective_graph(np.asarray(theta, dtype=float), spec, x, labels, seg, penalty)
-    return float(out)
+    return ad.objective(spec, theta, x, labels, seg, penalty)
 
 
 # ---- batching ------------------------------------------------------------
@@ -256,7 +222,7 @@ def _epoch_diagnostics(spec, theta, x, labels, group_index, penalty) -> dict:
     losses = md.per_sample_loss(spec, logits, labels)
     values = logits if penalty.target == "prediction" else losses
     pen = conditional_penalty(values, group_index, penalty.nu)
-    ridge = float(_ridge_term(theta, spec))
+    ridge = ad.ridge(spec, theta)
     preds = md.predict_labels(spec, theta, x)
     return {
         "loss": float(np.mean(losses)),
@@ -285,11 +251,8 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     for epoch in range(config.epochs):
         for batch, seg in _group_batches(group_index, config.batch_size,
                                          config.seed, epoch):
-            xb = x_all[batch]
-            yb = y_all[batch]
-            def objective(tv):
-                return _objective_graph(tv, model_spec, xb, yb, seg, config.penalty)
-            g = ad.grad(objective, theta)
+            g = ad.grad(model_spec, theta, x_all[batch], y_all[batch], seg,
+                        config.penalty)
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(
                     f"non-finite gradient at epoch {epoch}, step {step}"
@@ -336,21 +299,12 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     phi0 = basis.T @ rng_theta[:p]
     params = np.concatenate([phi0, rng_theta[p:]])
     opt = _make_optimizer(config.optimizer, params.size)
-    gamma = config.penalty.gamma
-
-    def objective(pv):
-        phi = pv[:p - q]
-        b = pv[p - q:]
-        w = ad.matmul(basis, phi)
-        logits = ad.matmul(x_all, w) + b[0]
-        losses = md.per_sample_loss(model_spec, logits, y_all)
-        obj = ad.vmean(losses)
-        if gamma > 0.0:
-            obj = obj + gamma * ad.vsum(phi * phi)  # ||P phi||^2 == ||phi||^2
-        return obj
-
+    ridge_only = PenaltyConfig(gamma=config.penalty.gamma)
     for it in range(config.epochs):
-        g = ad.grad(objective, params)
+        theta = np.concatenate([basis @ params[:p - q], params[p - q:]])
+        g = ad.grad(model_spec, theta, x_all, y_all, None, ridge_only)
+        # w = P phi, so d/d phi = P^T d/dw (and ||P phi||^2 == ||phi||^2)
+        g = np.concatenate([basis.T @ g[:p], g[p:]])
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient at iteration {it}")
         params = opt.step(params, g)

@@ -8,7 +8,6 @@ from condvar import models as md
 from condvar.models import (
     ModelSpec,
     forward,
-    gradient,
     init_params,
     load_checkpoint,
     logistic_loss,
@@ -16,6 +15,7 @@ from condvar.models import (
     save_checkpoint,
     softmax_cross_entropy,
 )
+from condvar.penalties import PenaltyConfig
 
 
 def test_linear_forward_dot_product():
@@ -90,36 +90,22 @@ def test_softmax_cross_entropy_label_range():
 
 def test_gradient_logistic_at_zero():
     spec = ModelSpec("linear", (2, 1))
-    x = np.array([1.0, 2.0])
-
-    def objective(tv):
-        logit = md.forward(spec, tv, x[None, :])
-        return ad.vmean(logistic_loss(np.array([1.0]), logit))
-
-    g = gradient(objective, np.zeros(3))
+    x = np.array([[1.0, 2.0]])
+    g = ad.grad(spec, np.zeros(3), x, np.array([1]), None, PenaltyConfig())
     assert np.allclose(g, [-0.5, -1.0, -0.5], atol=1e-12)
 
 
-def test_gradient_of_squared_norm():
-    theta = np.array([1.0, -2.0, 3.0])
-    g = gradient(lambda tv: ad.vsum(tv * tv), theta)
-    assert np.allclose(g, 2.0 * theta, atol=1e-14)
-
-
-def test_gradient_rejects_non_var_objective():
-    with pytest.raises(TypeError):
-        gradient(lambda tv: float(np.sum(tv.value)), np.zeros(2))
-
-
-def _finite_difference(objective, theta, h=1e-5):
-    fd = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
+def _finite_difference(f, at, h=1e-5):
+    fd = np.zeros_like(at)
+    for i in np.ndindex(at.shape):
+        e = np.zeros_like(at)
         e[i] = h
-        up = float(objective(ad.Var(theta + e)).value)
-        dn = float(objective(ad.Var(theta - e)).value)
-        fd[i] = (up - dn) / (2.0 * h)
+        fd[i] = (f(at + e) - f(at - e)) / (2.0 * h)
     return fd
+
+
+def _max_rel(g, fd):
+    return (np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)).max()
 
 
 @pytest.mark.parametrize("kind,sizes,activation", [
@@ -134,15 +120,22 @@ def test_gradient_matches_finite_differences(kind, sizes, activation):
     theta = init_params(spec, 5) + 0.1 * rng.standard_normal(param_count(spec))
     x = rng.standard_normal((12, sizes[0]))
     y = rng.integers(0, max(sizes[-1], 2), 12)
-
-    def objective(tv):
-        logits = md.forward(spec, tv, x)
-        return ad.vmean(md.per_sample_loss(spec, logits, y))
-
-    g = gradient(objective, theta)
-    fd = _finite_difference(objective, theta)
-    rel = np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)
-    assert rel.max() < 1e-5
+    seg = np.array([0, 0, 0, 1, 1, 2, 3, 3, 4, 5, 5, 5])
+    for target in ("prediction", "loss"):
+        for nu in (1.0, 0.5):
+            for lam, gamma in ((0.0, 0.0), (0.8, 1e-2)):
+                cfg = PenaltyConfig(target, nu, lam, gamma)
+                g = ad.grad(spec, theta, x, y, seg, cfg)
+                fd = _finite_difference(lambda t: ad.objective(spec, t, x, y, seg, cfg), theta)
+                assert _max_rel(g, fd) < 1e-5, (target, nu, lam)
+    # input gradient for an arbitrary logit gradient
+    g_logits = rng.standard_normal(forward(spec, theta, x).shape)
+    g_theta, g_x = md.backward(spec, theta, x, g_logits)
+    fd_x = _finite_difference(lambda a: float(np.sum(forward(spec, theta, a) * g_logits)), x)
+    fd_theta = _finite_difference(
+        lambda t: float(np.sum(forward(spec, t, x) * g_logits)), theta)
+    assert _max_rel(g_x, fd_x) < 1e-5
+    assert _max_rel(g_theta, fd_theta) < 1e-5
 
 
 def test_param_flatten_round_trip():

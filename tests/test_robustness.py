@@ -9,6 +9,7 @@ from condvar import (
     divergence_probe,
     estimate_conditional_covariance,
     first_order_gap,
+    gen_example2,
     invariance_defect,
     loss_under_shift,
     mahalanobis_cost,
@@ -18,6 +19,8 @@ from condvar import (
 )
 from condvar import models as md
 from condvar.models import logistic_loss
+from condvar.robustness import _group_shift_gradients
+from condvar.scm import rerender
 
 
 def scm_instance(n=90, seed=3, style_sd=1.0, id_count=12, q=2):
@@ -152,6 +155,62 @@ def test_gradient_allocation_agrees_with_exhaustive_tiny():
     # with the exhaustive reference on top (it may split budgets unevenly)
     assert abs(grad_val - ex_val) <= 1e-3 * abs(ex_val)
     assert ex_val >= grad_val - 1e-12
+
+
+def test_uniform_ball_ascent_reaches_endpoint_oracle_for_q_above_3():
+    # q = 4 runs the projected ascent, not a direction grid. For a linear
+    # model the shifted logit is logit + a . delta with a = W^T w, and each
+    # group's loss is convex in s = a . delta, so its maximum on the budget
+    # ellipsoid is at one of the endpoints delta = +-sqrt(xi) Sigma a / sqrt(a^T Sigma a).
+    spec = LinearScmSpec(p=7, q=4, r=2, id_count=1, id_sampler="round_robin",
+                         style_class_mean=(1.0, 0.5, -0.5, 0.0),
+                         style_cov=tuple(tuple(r) for r in np.eye(4)), structure_seed=2)
+    ds = sample_linear_scm(spec, 8, InterventionSpec("none"), seed=4)
+    gi = build_group_index(ds.dataset)
+    assert gi.m == 2
+    model = ModelSpec("linear", (7, 1))
+    theta = linear_theta(spec, ds, seed=1)
+    rng = np.random.default_rng(6)
+    root = rng.standard_normal((4, 4))
+    sigma = root @ root.T + np.eye(4)
+    xi = 0.8
+    _c, w_mat = spec.matrices()
+    a = w_mat.T @ theta[:7]
+    end = np.sqrt(xi) * sigma @ a / np.sqrt(a @ sigma @ a)
+
+    def group_loss(members, delta):
+        x = ds.dataset.features[members] + w_mat @ delta
+        y_pm = 2.0 * ds.dataset.labels[members] - 1.0
+        return float(np.mean(logistic_loss(y_pm, x @ theta[:7] + theta[7])))
+
+    res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball")
+    for j, members in enumerate(gi.groups):
+        oracle = max(group_loss(members, end), group_loss(members, -end))
+        assert group_loss(members, res.assignment[j]) == pytest.approx(oracle, rel=1e-9)
+        assert mahalanobis_cost(res.assignment[j], sigma) == pytest.approx(xi, rel=1e-9)
+
+
+@pytest.mark.parametrize("render", ["linear", "polar"])
+def test_shift_gradients_match_central_differences(render):
+    if render == "linear":
+        _spec, ds, gi = scm_instance(n=40)
+    else:
+        ds, _test = gen_example2(40, 12, seed=1)
+        gi = build_group_index(ds.dataset)
+    model = ModelSpec("mlp", (ds.dataset.p, 5, 1))
+    theta = md.init_params(model, 3)
+    g = _group_shift_gradients(model, theta, ds, gi)
+    fd = np.zeros_like(g)
+    for k in range(ds.q):
+        e = np.zeros(ds.q)
+        e[k] = 1e-5
+        diff = 0.0
+        for sign in (1.0, -1.0):
+            shifted = rerender(ds, sign * e)
+            logits = md.forward(model, theta, shifted.features)
+            diff = diff + sign * md.per_sample_loss(model, logits, shifted.labels)
+        fd[:, k] = np.bincount(gi.seg, diff / 2e-5) / gi.sizes
+    assert np.max(np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)) < 1e-5
 
 
 def test_exhaustive_tiny_rejects_many_groups():

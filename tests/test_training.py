@@ -20,7 +20,7 @@ from condvar import (
     pooled_objective,
     train,
 )
-from condvar.training import DivergenceError, _objective_graph, evaluate_lambda_grid
+from condvar.training import DivergenceError, evaluate_lambda_grid
 
 
 def toy_dataset(n=30, p=3, seed=0, grouped_pairs=5):
@@ -112,17 +112,13 @@ def test_objective_gradient_with_penalty_matches_fd():
     for target in ("prediction", "loss"):
         for nu in (1.0, 0.5):
             cfg = PenaltyConfig(target, nu, 0.9, 1e-3)
-
-            def objective(tv):
-                return _objective_graph(tv, spec, x, y, seg, cfg)
-
-            g = md.gradient(objective, theta)
+            g = ad.grad(spec, theta, x, y, seg, cfg)
             fd = np.zeros_like(theta)
             for i in range(theta.size):
                 e = np.zeros_like(theta)
                 e[i] = 1e-5
-                fd[i] = (float(objective(ad.Var(theta + e)).value)
-                         - float(objective(ad.Var(theta - e)).value)) / 2e-5
+                fd[i] = (ad.objective(spec, theta + e, x, y, seg, cfg)
+                         - ad.objective(spec, theta - e, x, y, seg, cfg)) / 2e-5
             rel = np.abs(g - fd) / np.maximum(np.abs(g), 1e-8)
             assert rel.max() < 1e-5
 
@@ -201,6 +197,26 @@ def test_train_ungrouped_identical_to_pooled_any_lambda():
     r_pool = train(ds, index, spec, base)
     r_core = train(ds, index, spec, heavy)
     assert np.array_equal(r_pool.theta, r_core.theta)
+
+
+@pytest.mark.parametrize("target", ["prediction", "loss"])
+@pytest.mark.parametrize("spec", [ModelSpec("linear", (3, 1)), ModelSpec("mlp", (3, 4, 1))])
+def test_train_nu_half_zero_variance_groups_identical_to_pooled(spec, target):
+    # every group is a pair of identical rows, so each group variance is
+    # exactly 0 and sqrt'(0) = 0 must keep the penalty out of every step
+    rng = np.random.default_rng(11)
+    feats = np.repeat(rng.standard_normal((15, 3)), 2, axis=0)
+    labels = np.repeat(rng.integers(0, 2, 15), 2)
+    ids = [f"d{j // 2}" for j in range(30)]
+    ds = Dataset.from_arrays(feats, labels, ids)
+    index = build_group_index(ds)
+    assert index.m == 15
+    thetas = [
+        train(ds, index, spec, TrainConfig(PenaltyConfig(target, 0.5, lam, 1e-4),
+                                           OptimizerConfig("adam", 0.05), 8, 6, 2)).theta
+        for lam in (0.0, 5.0)
+    ]
+    assert np.array_equal(thetas[0], thetas[1])
 
 
 def test_train_sgd_momentum_runs():
