@@ -98,28 +98,11 @@ def _sample_losses(spec, theta, features, labels) -> np.ndarray:
     return np.asarray(md.per_sample_loss(spec, md.forward(spec, theta, features), labels))
 
 
-def _mean_loss(spec, theta, features, labels) -> float:
-    return float(np.mean(_sample_losses(spec, theta, features, labels)))
-
-
 def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                      assignment, group_index: GroupIndex | None = None) -> float:
     """Mean loss after re-rendering under the given shift assignment."""
     shifted = rerender(style_dataset, assignment, group_index)
-    return _mean_loss(spec, theta, shifted.features, shifted.labels)
-
-
-def _group_features(style_dataset, members, delta) -> np.ndarray:
-    from .scm import _render
-
-    style = style_dataset.style[members] + delta
-    return _render(style_dataset.render_kind, style_dataset.core[members], style,
-                   style_dataset.core_matrix, style_dataset.style_matrix)
-
-
-def _group_loss(spec, theta, style_dataset, members, delta) -> float:
-    feats = _group_features(style_dataset, members, delta)
-    return _mean_loss(spec, theta, feats, style_dataset.dataset.labels[members])
+    return float(np.mean(_sample_losses(spec, theta, shifted.features, shifted.labels)))
 
 
 def _sphere_directions(q: int):
@@ -138,43 +121,49 @@ def _sphere_directions(q: int):
     return None  # high dimension: caller runs random-restart ascent
 
 
-def _ascent_directions(q: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((64, q))
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
+def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
+                    seed) -> tuple:
+    """Best shift on every group's sphere delta^T Sigma_j^-1 delta = budget_j,
+    all groups at once: returns the group mean losses there, (m,), and the
+    shifts, (m, q). A candidate is one unit direction u_j per group, shifted
+    as sqrt(budget_j) L_j u_j with L_j the Cholesky factor of Sigma_j. For
+    q <= 3 the candidates are a direction grid shared by all groups; above
+    that, 64 random restarts per group (seeded seed + j), each refined by 200
+    steps of projected gradient ascent. Each group keeps its first strict
+    maximum. Candidates are rendered one at a time, so memory stays at one
+    re-rendered dataset."""
+    seg, m, q = group_index.seg, group_index.m, style_dataset.q
+    labels = style_dataset.dataset.labels
+    chols = _chol(sigmas)
+    scale = np.sqrt(budgets)[:, None]
 
+    def shift(u):
+        return scale * np.einsum("jab,jb->ja", chols, u)
 
-def _maximize_group(spec, theta, style_dataset, members, sigma, xi, seed) -> tuple:
-    """Best shift on the sphere delta^T Sigma^-1 delta = xi for one group."""
-    q = style_dataset.q
-    chol = _chol(sigma)
-    scale = np.sqrt(xi)
-    dirs = _sphere_directions(q)
-    if dirs is not None:
-        best_val, best_delta = -np.inf, np.zeros(q)
-        for u in dirs:
-            delta = scale * (chol @ u)
-            val = _group_loss(spec, theta, style_dataset, members, delta)
-            if val > best_val:
-                best_val, best_delta = val, delta
-        return best_val, best_delta
-    # q > 3: projected gradient ascent from random restarts, 200 steps
-    labels = style_dataset.dataset.labels[members]
-    best_val, best_delta = -np.inf, np.zeros(q)
-    step = 0.1 * scale
-    for u0 in _ascent_directions(q, seed):
-        u = u0.copy()
-        for _ in range(200):
-            delta = scale * (chol @ u)
-            feats = _group_features(style_dataset, members, delta)
-            g = _style_gradients(spec, theta, style_dataset, feats, labels).mean(axis=0)
-            g_u = scale * (chol.T @ g)
-            u = u + step * g_u / max(np.linalg.norm(g_u), 1e-12)
-            u /= np.linalg.norm(u)
-        delta = scale * (chol @ u)
-        val = _group_loss(spec, theta, style_dataset, members, delta)
-        if val > best_val:
-            best_val, best_delta = val, delta
+    def render(delta):
+        return style_dataset.render(style_dataset.style + delta[seg])
+
+    grid = _sphere_directions(q)
+    if grid is None:
+        # the only per-group step: each group draws its restarts from seed + j
+        starts = np.stack([np.random.default_rng(seed + j).standard_normal((64, q))
+                           for j in range(m)], axis=1)
+        starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+    else:
+        starts = np.broadcast_to(grid[:, None, :], (len(grid), m, q))
+    best_val, best_delta = np.full(m, -np.inf), np.zeros((m, q))
+    for u in starts:
+        if grid is None:
+            for _ in range(200):
+                g = _style_gradients(spec, theta, style_dataset, render(shift(u)), labels)
+                g_u = scale * np.einsum("jba,jb->ja", chols, segment_means(g, seg, m))
+                norms = np.maximum(np.linalg.norm(g_u, axis=1, keepdims=True), 1e-12)
+                u = u + 0.1 * scale * g_u / norms
+                u = u / np.linalg.norm(u, axis=1, keepdims=True)
+        delta = shift(u)
+        val = segment_means(_sample_losses(spec, theta, render(delta), labels), seg, m)
+        better = val > best_val
+        best_val[better], best_delta[better] = val[better], delta[better]
     return best_val, best_delta
 
 
@@ -207,32 +196,35 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     Mahalanobis-squared size across groups is xi.
 
     methods
-      'uniform_ball'        per-group search on the budget sphere via a dense
-                            direction grid (q <= 3) or random-restart ascent
+      'uniform_ball'        every group searched on its budget sphere at once,
+                            over a dense direction grid (q <= 3) or by
+                            random-restart projected ascent
       'gradient_allocation' first-order optimal deterministic allocation
                             delta_j ~ Sigma_j grad_j / sqrt(grad^T Sigma grad)
       'exhaustive_tiny'     reference oracle for at most 3 groups: grid over
-                            budget splits, then per-group direction search
+                            budget splits, each split searched like
+                            'uniform_ball'
 
     Every returned value is a lower bound on the true supremum.
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
+    if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
+        raise ValueError(f"unknown method {method!r}")
     m, q = group_index.m, style_dataset.q
+    if method == "exhaustive_tiny" and m > 3:
+        raise ValueError("exhaustive_tiny supports at most 3 groups")
     sigmas = _sigma_per_group(sigma, m, q)
     zero = np.zeros((m, q))
     if xi == 0.0:
         value = loss_under_shift(spec, theta, style_dataset, zero, group_index)
         return WorstCaseResult(value, zero, method)
+    if method == "exhaustive_tiny":
+        return _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed)
     if method == "uniform_ball":
-        assignment = np.empty((m, q))
-        for j, g in enumerate(group_index.groups):
-            _, assignment[j] = _maximize_group(
-                spec, theta, style_dataset, g, sigmas[j], xi, seed + j
-            )
-        value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
-        return WorstCaseResult(value, assignment, method)
-    if method == "gradient_allocation":
+        _, assignment = _search_spheres(spec, theta, style_dataset, group_index,
+                                        sigmas, np.full(m, xi), seed)
+    else:
         grads = _group_shift_gradients(spec, theta, style_dataset, group_index)
         sg = np.einsum("jab,jb->ja", sigmas, grads)
         norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
@@ -242,13 +234,8 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
             # nonzero-gradient groups share the whole average budget equally
             per_group_budget = xi * m / active.sum()
             assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
-        value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
-        return WorstCaseResult(value, assignment, method)
-    if method == "exhaustive_tiny":
-        if m > 3:
-            raise ValueError("exhaustive_tiny supports at most 3 groups")
-        return _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi)
-    raise ValueError(f"unknown method {method!r}")
+    value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
+    return WorstCaseResult(value, assignment, method)
 
 
 def _budget_splits(n_groups: int, steps: int = 10):
@@ -265,30 +252,17 @@ def _budget_splits(n_groups: int, steps: int = 10):
     return out
 
 
-def _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi):
-    m, q = group_index.m, style_dataset.q
-    n = group_index.n
-    weights = group_index.sizes / n
-    base = [
-        _group_loss(spec, theta, style_dataset, g, np.zeros(q))
-        for g in group_index.groups
-    ]
-    best_val, best_assign = -np.inf, np.zeros((m, q))
+def _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed):
+    m = group_index.m
+    weights = group_index.sizes / group_index.n
+    best_val, best_assign = -np.inf, np.zeros((m, style_dataset.q))
     for split in _budget_splits(m):
-        assignment = np.zeros((m, q))
-        total = 0.0
-        for j, g in enumerate(group_index.groups):
-            budget = split[j] * m * xi  # average over groups stays at xi
-            if budget == 0.0:
-                total += weights[j] * base[j]
-                continue
-            val, delta = _maximize_group(
-                spec, theta, style_dataset, g, sigmas[j], budget, seed=j
-            )
-            assignment[j] = delta
-            total += weights[j] * val
+        # average budget over groups stays at xi
+        vals, assignment = _search_spheres(spec, theta, style_dataset, group_index,
+                                           sigmas, split * m * xi, seed)
+        total = float(np.sum(weights * vals))
         if total > best_val:
-            best_val, best_assign = total, assignment.copy()
+            best_val, best_assign = total, assignment
     return WorstCaseResult(best_val, best_assign, "exhaustive_tiny")
 
 

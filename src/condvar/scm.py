@@ -255,19 +255,13 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpe
     if spec.id_sampler == "uniform":
         idents = rng.integers(0, spec.id_count, size=n)
     else:
+        # the k-th sample of each class gets id k mod id_count
         idents = np.empty(n, dtype=int)
-        counters = [0, 0]
-        for i in range(n):
-            cls = labels[i]
-            idents[i] = counters[cls] % spec.id_count
-            counters[cls] += 1
-    core = np.empty((n, spec.r))
-    cache: dict = {}
-    for i in range(n):
-        key = (int(y_pm[i]), int(idents[i]))
-        if key not in cache:
-            cache[key] = spec.core_latent(*key)
-        core[i] = cache[key]
+        for cls in (0, 1):
+            rows = labels == cls
+            idents[rows] = np.arange(rows.sum()) % spec.id_count
+    keys, inverse = np.unique(np.column_stack([y_pm, idents]), axis=0, return_inverse=True)
+    core = np.array([spec.core_latent(int(y), int(i)) for y, i in keys])[inverse.reshape(-1)]
     mean = np.outer(y_pm, np.asarray(spec.style_class_mean))
     chol = np.linalg.cholesky(np.asarray(spec.style_cov))
     noise = rng.standard_normal((n, spec.q)) @ chol.T

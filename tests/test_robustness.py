@@ -18,9 +18,10 @@ from condvar import (
     worst_case_loss,
 )
 from condvar import models as md
+from condvar.data import Dataset, GroupIndex
 from condvar.models import logistic_loss
-from condvar.robustness import _group_shift_gradients
-from condvar.scm import rerender
+from condvar.robustness import _group_shift_gradients, _sphere_directions
+from condvar.scm import StyleAwareDataset, rerender
 
 
 def scm_instance(n=90, seed=3, style_sd=1.0, id_count=12, q=2):
@@ -190,6 +191,85 @@ def test_uniform_ball_ascent_reaches_endpoint_oracle_for_q_above_3():
         assert mahalanobis_cost(res.assignment[j], sigma) == pytest.approx(xi, rel=1e-9)
 
 
+@pytest.mark.parametrize("q,render", [(1, "linear"), (2, "linear"), (3, "linear"),
+                                      (1, "polar")])
+def test_uniform_ball_grid_matches_per_group_oracle(q, render):
+    # reference: a plain loop over groups and grid directions, each group's
+    # mean loss taken from a full re-render through ds.render
+    if render == "linear":
+        _spec, ds, gi = scm_instance(n=30, id_count=4, q=q)
+    else:
+        ds, _test = gen_example2(30, 10, seed=2)
+        gi = build_group_index(ds.dataset)
+    model = ModelSpec("mlp", (ds.dataset.p, 5, 1))
+    theta = md.init_params(model, 4) + 0.3 * np.random.default_rng(5).standard_normal(
+        md.param_count(model))
+    rng = np.random.default_rng(q)
+    root = rng.standard_normal((q, q))
+    sigma = root @ root.T + 0.5 * np.eye(q)
+    xi = 0.7
+    chol = np.linalg.cholesky(sigma)
+    labels = ds.dataset.labels
+
+    def group_loss(members, delta):
+        logits = md.forward(model, theta, ds.render(ds.style + delta))
+        return float(np.mean(md.per_sample_loss(model, logits, labels)[members]))
+
+    res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball")
+    for j, members in enumerate(gi.groups):
+        oracle = max(group_loss(members, np.sqrt(xi) * chol @ u) for u in _sphere_directions(q))
+        assert group_loss(members, res.assignment[j]) == pytest.approx(oracle, rel=1e-12)
+        assert mahalanobis_cost(res.assignment[j], sigma) == pytest.approx(xi, rel=1e-12)
+
+
+def per_group_sigma_instance(q, model):
+    spec = LinearScmSpec(p=7, q=q, r=2, id_count=2, style_class_mean=tuple([1.0] * q),
+                         style_cov=tuple(tuple(r) for r in np.eye(q)), structure_seed=2)
+    ds = sample_linear_scm(spec, 16, InterventionSpec("none"), seed=3)
+    gi = build_group_index(ds.dataset)
+    theta = md.init_params(model, 2) + 0.3 * np.random.default_rng(8).standard_normal(
+        md.param_count(model))
+    roots = np.random.default_rng(9).standard_normal((gi.m, q, q))
+    return ds, gi, theta, roots @ roots.transpose(0, 2, 1) + 0.5 * np.eye(q)
+
+
+def test_uniform_ball_per_group_sigma():
+    # m copies of a shared sigma search exactly what the shared sigma does;
+    # distinct per-group sigmas put each group on its own budget ellipsoid
+    model = ModelSpec("linear", (7, 1))
+    ds, gi, theta, sigmas = per_group_sigma_instance(2, model)
+    xi = 0.6
+    shared = worst_case_loss(model, theta, ds, gi, sigmas[0], xi, method="uniform_ball")
+    copies = worst_case_loss(model, theta, ds, gi, np.repeat(sigmas[:1], gi.m, axis=0), xi,
+                             method="uniform_ball")
+    assert copies.value == shared.value
+    assert np.array_equal(copies.assignment, shared.assignment)
+    res = worst_case_loss(model, theta, ds, gi, sigmas, xi, method="uniform_ball")
+    for delta, sigma_j in zip(res.assignment, sigmas):
+        assert mahalanobis_cost(delta, sigma_j) == pytest.approx(xi, rel=1e-9)
+    assert res.value >= loss_under_shift(model, theta, ds, np.zeros(2))
+
+
+def test_uniform_ball_ascent_matches_single_group_searches():
+    # reference: each group searched alone, on a dataset of its own rows,
+    # with its own sigma and the restart seed (seed + j) it gets in the
+    # joint search; the joint ascent must reach the same group losses
+    model = ModelSpec("mlp", (7, 4, 1))
+    ds, gi, theta, sigmas = per_group_sigma_instance(4, model)
+    gi = GroupIndex(np.minimum(gi.seg, 1))  # two groups keep the reference cheap
+    xi, seed = 0.6, 5
+    res = worst_case_loss(model, theta, ds, gi, sigmas[:2], xi, method="uniform_ball", seed=seed)
+    for j, members in enumerate(gi.groups):
+        part = StyleAwareDataset(
+            Dataset(ds.dataset.features[members], ds.dataset.labels[members]),
+            ds.core[members], ds.style[members], "linear", ds.core_matrix, ds.style_matrix)
+        alone = worst_case_loss(model, theta, part, GroupIndex(np.zeros(len(members), int)),
+                                sigmas[j], xi, method="uniform_ball", seed=seed + j)
+        joint = loss_under_shift(model, theta, part, res.assignment[j])
+        assert joint == pytest.approx(alone.value, rel=1e-9)
+        assert mahalanobis_cost(res.assignment[j], sigmas[j]) == pytest.approx(xi, rel=1e-9)
+
+
 @pytest.mark.parametrize("render", ["linear", "polar"])
 def test_shift_gradients_match_central_differences(render):
     if render == "linear":
@@ -219,6 +299,15 @@ def test_exhaustive_tiny_rejects_many_groups():
     with pytest.raises(ValueError):
         worst_case_loss(model, linear_theta(spec, ds), ds, gi, np.eye(2), 0.1,
                         method="exhaustive_tiny")
+
+
+@pytest.mark.parametrize("method", ["bogus", "exhaustive_tiny"])
+def test_worst_case_rejects_bad_method_even_at_zero_budget(method):
+    spec, ds, gi = scm_instance(n=40)
+    assert gi.m > 3
+    with pytest.raises(ValueError):
+        worst_case_loss(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds, gi,
+                        np.eye(2), 0.0, method=method)
 
 
 def test_exhaustive_tiny_dominates_uniform_ball():

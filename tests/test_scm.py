@@ -66,6 +66,21 @@ def test_round_robin_groups_are_balanced():
     assert sizes.max() - sizes.min() <= 2  # class imbalance only
 
 
+@pytest.mark.parametrize("sampler", ["round_robin", "uniform"])
+def test_ids_and_core_latents_follow_the_sampling_rule(sampler):
+    # per-row reference: the k-th sample of a class gets id k mod id_count
+    # (round robin), and every row's core latent is core_latent(y, id)
+    spec = small_spec(id_sampler=sampler, id_count=7)
+    ds = sample_linear_scm(spec, 120, InterventionSpec("none"), seed=6)
+    seen = [0, 0]
+    for i, cls in enumerate(ds.dataset.labels):
+        ident = int(ds.dataset.ids[i][1:])
+        if sampler == "round_robin":
+            assert ident == seen[cls] % 7
+        seen[cls] += 1
+        assert np.array_equal(ds.core[i], spec.core_latent(2 * cls - 1, ident))
+
+
 def test_rerender_zero_is_identity():
     spec = small_spec()
     ds = sample_linear_scm(spec, 50, InterventionSpec("none"), seed=1)
