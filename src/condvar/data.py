@@ -144,8 +144,11 @@ class GroupIndex:
         return tuple(np.split(members, np.cumsum(self.sizes)[:-1]))
 
     def nontrivial(self) -> list:
-        """Groups with at least two members."""
-        return [self.groups[j] for j in np.flatnonzero(self.sizes >= 2)]
+        """Groups with at least two members, as ``groups`` lists them; only
+        these are sliced out of the member order."""
+        members = np.argsort(self.seg, kind="stable")
+        ends = np.cumsum(self.sizes)
+        return [members[ends[j] - self.sizes[j]:ends[j]] for j in np.flatnonzero(self.sizes >= 2)]
 
 
 def build_group_index(dataset: Dataset) -> GroupIndex:

@@ -17,37 +17,43 @@ __all__ = ["decision_boundary_svg", "zero_contour_segments"]
 _CLASS_COLORS = ["#1f4e9c", "#d1372c", "#2c8c4b", "#8c2cb5", "#b58a2c"]
 _BOUNDARY_COLORS = ["#000000", "#e69f00", "#56b4e9", "#009e73", "#cc79a7"]
 _GRID = 400
+# cell corner offsets in marching order: (0,0), (1,0), (1,1), (0,1) as (ix, iy)
+_CORNER_DX = np.array([0, 1, 1, 0])
+_CORNER_DY = np.array([0, 0, 1, 1])
 
 
-def zero_contour_segments(grid_vals: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list:
+def zero_contour_segments(grid_vals: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Marching squares on ``grid_vals[iy, ix]``: line segments of the zero
-    level set, with crossings linearly interpolated along cell edges."""
+    level set, with crossings linearly interpolated along cell edges.
 
-    def cross(v0, v1, p0, p1):
-        t = v0 / (v0 - v1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-
-    segments = []
-    ny, nx = grid_vals.shape
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            corners = [
-                (grid_vals[iy, ix], (xs[ix], ys[iy])),
-                (grid_vals[iy, ix + 1], (xs[ix + 1], ys[iy])),
-                (grid_vals[iy + 1, ix + 1], (xs[ix + 1], ys[iy + 1])),
-                (grid_vals[iy + 1, ix], (xs[ix], ys[iy + 1])),
-            ]
-            pts = []
-            for k in range(4):
-                v0, p0 = corners[k]
-                v1, p1 = corners[(k + 1) % 4]
-                if (v0 > 0.0) != (v1 > 0.0):
-                    pts.append(cross(v0, v1, p0, p1))
-            if len(pts) >= 2:
-                segments.append((pts[0], pts[1]))
-            if len(pts) == 4:  # saddle cell: join the remaining pair too
-                segments.append((pts[2], pts[3]))
-    return segments
+    Returns an (s, 2, 2) array of segments ``[[x0, y0], [x1, y1]]``. Cells
+    come in row-major order; a cell's crossings are taken along its edges
+    bottom, right, top, left (corners (ix, iy) -> (ix+1, iy) -> (ix+1, iy+1)
+    -> (ix, iy+1) -> back), and its first two crossings form its segment.
+    A saddle cell (four crossings) adds the segment of its last two,
+    directly after the first. A corner counts as inside when its value is
+    > 0, so NaN and exact zeros count as outside.
+    """
+    vals = np.asarray(grid_vals)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    pos = vals > 0.0
+    cut = np.stack([
+        pos[:-1, :-1] != pos[:-1, 1:],   # bottom
+        pos[:-1, 1:] != pos[1:, 1:],     # right
+        pos[1:, 1:] != pos[1:, :-1],     # top
+        pos[1:, :-1] != pos[:-1, :-1],   # left
+    ], axis=-1)
+    # a closed cycle of four corners changes sign 0, 2 or 4 times, so the
+    # crossings, cell by cell and edge by edge, pair up into segments
+    cell, edge = np.divmod(np.flatnonzero(cut), 4)
+    iy, ix = np.divmod(cell, vals.shape[1] - 1)
+    iy0, ix0 = iy + _CORNER_DY[edge], ix + _CORNER_DX[edge]
+    iy1, ix1 = iy + _CORNER_DY[(edge + 1) % 4], ix + _CORNER_DX[(edge + 1) % 4]
+    v0, v1 = vals[iy0, ix0], vals[iy1, ix1]
+    t = v0 / (v0 - v1)
+    x = xs[ix0] + t * (xs[ix1] - xs[ix0])
+    y = ys[iy0] + t * (ys[iy1] - ys[iy0])
+    return np.stack([x, y], axis=-1).reshape(-1, 2, 2)
 
 
 def _fmt(v: float) -> str:

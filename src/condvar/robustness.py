@@ -238,31 +238,35 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     return WorstCaseResult(value, assignment, method)
 
 
-def _budget_splits(n_groups: int, steps: int = 10):
-    fr = np.linspace(0.0, 1.0, steps + 1)
+def _budget_splits(n_groups: int, steps: int):
+    """Every way to share ``steps`` budget units among the groups, as index
+    tuples into the share grid linspace(0, 1, steps + 1)."""
     if n_groups == 1:
-        return [np.array([1.0])]
+        return [(steps,)]
     if n_groups == 2:
-        return [np.array([a, 1.0 - a]) for a in fr]
-    out = []
-    for a in fr:
-        for b in fr:
-            if a + b <= 1.0 + 1e-12:
-                out.append(np.array([a, b, max(0.0, 1.0 - a - b)]))
-    return out
+        return [(i, steps - i) for i in range(steps + 1)]
+    return [(i, j, steps - i - j) for i in range(steps + 1) for j in range(steps + 1 - i)]
 
 
 def _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed):
-    m = group_index.m
+    m, q = group_index.m, style_dataset.q
     weights = group_index.sizes / group_index.n
-    best_val, best_assign = -np.inf, np.zeros((m, style_dataset.q))
-    for split in _budget_splits(m):
-        # average budget over groups stays at xi
-        vals, assignment = _search_spheres(spec, theta, style_dataset, group_index,
-                                           sigmas, split * m * xi, seed)
-        total = float(np.sum(weights * vals))
+    steps = 10
+    splits = np.array(_budget_splits(m, steps))
+    fr = np.linspace(0.0, 1.0, steps + 1)
+    # a group's value depends only on its own budget, so one search per share
+    # level (every group at share fr[k], average budget kept at xi) fills a
+    # (level, group) table that every split reads from
+    vals, shifts = np.zeros((len(fr), m)), np.zeros((len(fr), m, q))
+    for k in np.unique(splits):
+        vals[k], shifts[k] = _search_spheres(spec, theta, style_dataset, group_index,
+                                             sigmas, np.full(m, fr[k] * m * xi), seed)
+    groups = np.arange(m)
+    best_val, best_assign = -np.inf, np.zeros((m, q))
+    for split in splits:
+        total = float(np.sum(weights * vals[split, groups]))
         if total > best_val:
-            best_val, best_assign = total, assignment
+            best_val, best_assign = total, shifts[split, groups]
     return WorstCaseResult(best_val, best_assign, "exhaustive_tiny")
 
 

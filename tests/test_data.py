@@ -60,6 +60,19 @@ def test_group_index_invariants_on_random_instances():
                 assert len(g) == 1
 
 
+def test_nontrivial_matches_groups_filter_on_random_segments():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 60))
+        seg = rng.permutation(n) if trial % 4 == 0 else rng.integers(-5, n // 2 + 1, n)
+        got = GroupIndex(seg).nontrivial()  # before the cached groups view exists
+        expected = [g for g in GroupIndex(seg).groups if len(g) >= 2]
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        if trial % 4 == 0:
+            assert got == []
+
+
 def test_group_index_rejects_non_partition():
     with pytest.raises(ValueError):
         GroupIndex.from_groups((np.array([0, 1]), np.array([1, 2])), 3)

@@ -20,7 +20,12 @@ from condvar import (
 from condvar import models as md
 from condvar.data import Dataset, GroupIndex
 from condvar.models import logistic_loss
-from condvar.robustness import _group_shift_gradients, _sphere_directions
+from condvar.robustness import (
+    _budget_splits,
+    _group_shift_gradients,
+    _search_spheres,
+    _sphere_directions,
+)
 from condvar.scm import StyleAwareDataset, rerender
 
 
@@ -319,6 +324,61 @@ def test_exhaustive_tiny_dominates_uniform_ball():
         uni = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball").value
         exh = worst_case_loss(model, theta, ds, gi, sigma, xi, method="exhaustive_tiny").value
         assert exh >= uni - 1e-10
+
+
+def _float_splits(m):
+    fr = np.linspace(0.0, 1.0, 11)
+    if m == 1:
+        return [np.array([1.0])]
+    if m == 2:
+        return [np.array([a, 1.0 - a]) for a in fr]
+    return [np.array([a, b, max(0.0, 1.0 - a - b)]) for a in fr for b in fr if a + b <= 1.0 + 1e-12]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_budget_splits_index_the_share_grid(m):
+    shares = np.linspace(0.0, 1.0, 11)[np.array(_budget_splits(m, 10))]
+    want = np.array(_float_splits(m))
+    assert shares.shape == want.shape
+    assert np.array_equal(shares[:, :-1], want[:, :-1])
+    np.testing.assert_allclose(shares[:, -1], want[:, -1], rtol=0, atol=1.5e-16)
+
+
+def _exhaustive_by_split(model, theta, ds, gi, sigmas, xi, seed):
+    # reference: one full search per budget split, scored by its weighted total
+    best = -np.inf
+    for split in _float_splits(gi.m):
+        vals, _ = _search_spheres(model, theta, ds, gi, sigmas, split * gi.m * xi, seed)
+        best = max(best, float(np.sum(gi.sizes / gi.n * vals)))
+    return best
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exhaustive_tiny_matches_per_split_search(q, m):
+    model = ModelSpec("mlp", (7, 4, 1))
+    ds, gi, theta, sigmas = per_group_sigma_instance(q, model)
+    gi = GroupIndex(np.minimum(gi.seg, m - 1))
+    assert gi.m == m
+    xi = 0.7
+    want = _exhaustive_by_split(model, theta, ds, gi, sigmas[:m], xi, seed=0)
+    res = worst_case_loss(model, theta, ds, gi, sigmas[:m], xi, method="exhaustive_tiny")
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert loss_under_shift(model, theta, ds, res.assignment, gi) == pytest.approx(want, rel=1e-12)
+    spent = sum(mahalanobis_cost(d, s) for d, s in zip(res.assignment, sigmas[:m]))
+    assert spent == pytest.approx(m * xi, rel=1e-9)
+
+
+def test_exhaustive_tiny_keeps_first_split_on_ties():
+    # a zero-parameter model has the same loss under every shift, so every
+    # split ties and the first one, (0, 1) of the budget, must be kept
+    model = ModelSpec("mlp", (7, 4, 1))
+    ds, gi, _theta, sigmas = per_group_sigma_instance(1, model)
+    gi = GroupIndex(np.minimum(gi.seg, 1))
+    res = worst_case_loss(model, np.zeros(md.param_count(model)), ds, gi, sigmas[:2], 0.7,
+                          method="exhaustive_tiny")
+    assert np.array_equal(res.assignment[0], [0.0])
+    assert mahalanobis_cost(res.assignment[1], sigmas[1]) == pytest.approx(1.4, rel=1e-12)
 
 
 # ---- divergence probe ---------------------------------------------------------
