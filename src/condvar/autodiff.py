@@ -5,8 +5,11 @@
     + lam * mean over batch groups of Var_j^nu   (variance of logits or losses)
 
 ``objective`` evaluates it and ``grad`` differentiates it by the chain
-rule: the loss and penalty derivatives give d/d logits, and
-``models.backward`` carries that to the parameters. Both read the skip
+rule: the loss and penalty derivatives give d/d logits, and the backward
+chain of ``models`` carries that to the parameters, reusing the layer
+inputs that the forward pass of the same call kept. ``grad`` is the
+training step's one call per batch; it takes its arguments as given,
+because ``train`` checks them once per run. Both functions read the skip
 rule, the 1/m group weighting and the bias-free ridge from this module.
 The module keeps its name because ``perfbench/spans.py`` traces ``grad``
 to count training steps.
@@ -60,12 +63,14 @@ def objective(spec: md.ModelSpec, theta, x, labels, seg,
     return float(obj)
 
 
-def grad(spec: md.ModelSpec, theta, x, labels, seg,
+def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, labels, seg,
          penalty: PenaltyConfig) -> np.ndarray:
-    """d objective / d theta, same arguments as ``objective``."""
-    theta = np.asarray(theta, dtype=float)
+    """d objective / d theta, same arguments as ``objective`` except that
+    ``theta`` must be a float vector of ``param_count(spec)`` entries and
+    ``x`` an (n, input_dim) float batch: they are not checked here."""
     n = len(labels)
-    logits = md.forward(spec, theta, x)
+    hs = list(md._layer_inputs(spec, theta, x))
+    logits = md._output(spec, theta, hs[-1])
     d_loss = md.loss_gradient(spec, logits, labels)
     g_logits = d_loss / n
     m = _penalized_groups(seg, penalty)
@@ -75,7 +80,7 @@ def grad(spec: md.ModelSpec, theta, x, labels, seg,
         losses = md.per_sample_loss(spec, logits, labels)
         g_losses = penalty.lam / m * penalty_gradient(losses, seg, m, penalty.nu)
         g_logits = g_logits + d_loss * g_losses.reshape((n,) + (1,) * (d_loss.ndim - 1))
-    g_theta, _ = md.backward(spec, theta, x, g_logits)
+    g_theta, _ = md._chain(spec, theta, hs, g_logits.reshape(n, spec.output_dim))
     if penalty.gamma > 0.0:
         for wsl in md.weight_slices(spec):
             g_theta[wsl] += 2.0 * penalty.gamma * theta[wsl]

@@ -138,17 +138,21 @@ class GroupIndex:
         return int(self.sizes.max())
 
     @cached_property
+    def members(self) -> np.ndarray:
+        """Every index, grouped: group 0's members ascending, then group 1's..."""
+        return _frozen(np.argsort(self.seg, kind="stable"))
+
+    @cached_property
     def groups(self) -> tuple:
         """Member indices of each group, ascending, in group order."""
-        members = np.argsort(self.seg, kind="stable")
-        return tuple(np.split(members, np.cumsum(self.sizes)[:-1]))
+        return tuple(np.split(self.members, np.cumsum(self.sizes)[:-1]))
 
     def nontrivial(self) -> list:
         """Groups with at least two members, as ``groups`` lists them; only
         these are sliced out of the member order."""
-        members = np.argsort(self.seg, kind="stable")
         ends = np.cumsum(self.sizes)
-        return [members[ends[j] - self.sizes[j]:ends[j]] for j in np.flatnonzero(self.sizes >= 2)]
+        return [self.members[ends[j] - self.sizes[j]:ends[j]]
+                for j in np.flatnonzero(self.sizes >= 2)]
 
 
 def build_group_index(dataset: Dataset) -> GroupIndex:
@@ -209,37 +213,77 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write(f"{ident},{label},{feats}\n")
 
 
+def _parse_rows(rows: list, p: int) -> np.ndarray:
+    """Labels and features of ``rows`` (CSV lines of p + 2 fields) in one
+    ``np.loadtxt`` call: a record array with an int64 field ``y`` and a
+    float64 field ``x`` of shape (p,). Raises ValueError on any field
+    that does not parse."""
+    dtype = np.dtype([("y", np.int64), ("x", np.float64, (p,))])
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", usecols=range(1, p + 2),
+                      comments=None, ndmin=1)
+
+
+def _first_unparsable(rows: list, p: int) -> tuple:
+    """(index, error) of the first row that ``_parse_rows`` rejects, found
+    by bisection with the same parser; some row must be rejected."""
+    lo, hi = 0, len(rows)  # the first bad row is in rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(rows[lo:mid], p)
+            lo = mid
+        except ValueError:
+            hi = mid
+    try:
+        _parse_rows(rows[lo:hi], p)
+    except ValueError as exc:
+        return lo, exc
+    raise AssertionError("every row parses")
+
+
 def load_csv(path) -> Dataset:
+    """Read a file in ``save_csv``'s format; blank lines are skipped.
+
+    Every rejection raises DataFormatError naming the file's real line
+    number. Rows are checked in file order for their field count and for
+    numbers that do not parse (labels must be integer literals; numpy's
+    parser rejects Python-only spellings such as ``1_0``), then for a
+    negative label or a non-finite feature.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
+        lines = fh.read().split("\n")
+    numbers = [no for no, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbers:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[numbers[0] - 1].split(",")
     if len(header) < 3 or header[0] != "id" or header[1] != "y":
         raise DataFormatError(f"{path}: expected header 'id,y,x0,...'")
     expected = ["id", "y"] + [f"x{j}" for j in range(len(header) - 2)]
     if header != expected:
         raise DataFormatError(f"{path}: malformed header {header!r}")
     p = len(header) - 2
-    if len(lines) < 2:
+    numbers = numbers[1:]
+    if not numbers:
         raise DataFormatError(f"{path}: no data rows")
-    ids, labels, feats = [], [], []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != p + 2:
-            raise DataFormatError(f"{path}:{ln_no}: expected {p + 2} fields, got {len(parts)}")
-        ids.append(parts[0] if parts[0] != "" else None)
-        try:
-            labels.append(int(parts[1]))
-            feats.append([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{ln_no}: non-numeric value ({exc})") from None
-    labels = np.asarray(labels, dtype=int)
-    feats = np.asarray(feats, dtype=float)
+    rows = [lines[no - 1] for no in numbers]
+    fields = np.array([ln.count(",") + 1 for ln in rows])
+    wrong = np.flatnonzero(fields != p + 2)
+    good = rows[:wrong[0]] if wrong.size else rows
+    try:
+        table = _parse_rows(good, p) if good else None
+    except ValueError:
+        i, exc = _first_unparsable(good, p)
+        reason = str(exc).split(" at row ")[0]
+        raise DataFormatError(f"{path}:{numbers[i]}: non-numeric value ({reason})") from None
+    if wrong.size:
+        i = wrong[0]
+        raise DataFormatError(f"{path}:{numbers[i]}: expected {p + 2} fields, got {fields[i]}")
+    labels, feats = table["y"], table["x"]
     negative = labels < 0
     bad = np.flatnonzero(negative | ~np.isfinite(feats).all(axis=1))
     if bad.size:
         i = bad[0]
         what = f"negative label {labels[i]}" if negative[i] else "non-finite feature"
-        raise DataFormatError(f"{path}:{i + 2}: {what}")
+        raise DataFormatError(f"{path}:{numbers[i]}: {what}")
+    ids = [ln.partition(",")[0] or None for ln in rows]
     return Dataset(feats, labels, ids)

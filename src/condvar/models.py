@@ -4,13 +4,16 @@ Parameters live in one flat vector with a frozen layout (layer-major,
 weights before biases) so checkpoints stay readable across versions.
 ``forward`` computes the logits and ``backward`` chains a logit gradient
 back to the parameters and the inputs; the losses carry their closed-form
-derivative in ``loss_gradient``.
+derivative in ``loss_gradient``. The training gradient (``autodiff.grad``)
+keeps the layer inputs of its forward pass and hands them to the same
+backward chain, so each step runs every layer once in each direction.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +62,21 @@ class ModelSpec:
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
 
+    # the flat-vector layout is derived once per spec: every pass reads it
+    @cached_property
+    def _layout(self) -> tuple:
+        out, pos = [], 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            w = slice(pos, pos + fan_in * fan_out)
+            b = slice(w.stop, w.stop + fan_out)
+            out.append((w, (fan_in, fan_out), b))
+            pos = b.stop
+        return tuple(out)
+
+    @cached_property
+    def _weights(self) -> tuple:
+        return tuple(w for w, _, _ in self._layout)
+
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
@@ -80,27 +98,16 @@ class ModelSpec:
 
 
 def param_count(spec: ModelSpec) -> int:
-    sizes = spec.layer_sizes
-    return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
+    return spec._layout[-1][2].stop
 
 
-def param_slices(spec: ModelSpec):
+def param_slices(spec: ModelSpec) -> tuple:
     """Per layer: (weight_slice, weight_shape, bias_slice)."""
-    sizes = spec.layer_sizes
-    out = []
-    pos = 0
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        w = slice(pos, pos + fan_in * fan_out)
-        pos += fan_in * fan_out
-        b = slice(pos, pos + fan_out)
-        pos += fan_out
-        out.append((w, (fan_in, fan_out), b))
-    return out
+    return spec._layout
 
 
-def weight_slices(spec: ModelSpec):
-    return [w for w, _, _ in param_slices(spec)]
+def weight_slices(spec: ModelSpec) -> tuple:
+    return spec._weights
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -134,11 +141,34 @@ def _layer_inputs(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
     activation, each computed in one buffer."""
     h = x
     yield h
-    for wsl, wshape, bsl in param_slices(spec)[:-1]:
+    for wsl, wshape, bsl in spec._layout[:-1]:
         h = h @ theta[wsl].reshape(wshape)
         h += theta[bsl]
         h = np.tanh(h, out=h) if spec.activation == "tanh" else np.maximum(h, 0.0, out=h)
         yield h
+
+
+def _output(spec: ModelSpec, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Logits from the input of the last layer: (n,) or (n, K)."""
+    wsl, wshape, bsl = spec._layout[-1]
+    h = h @ theta[wsl].reshape(wshape) + theta[bsl]
+    return h.reshape(-1) if spec.output_dim == 1 else h
+
+
+def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple:
+    """Carry the logit gradient ``g`` (n, K) back through the layers whose
+    inputs are ``hs``. Returns g_theta and the gradient with respect to the
+    first layer's output (before any activation)."""
+    g_theta = np.empty_like(theta)
+    for i in reversed(range(len(hs))):
+        wsl, wshape, bsl = spec._layout[i]
+        g_theta[wsl] = (hs[i].T @ g).reshape(-1)
+        g_theta[bsl] = g.sum(axis=0)
+        if i > 0:  # hs[i] is the activation of layer i - 1
+            g = g @ theta[wsl].reshape(wshape).T
+            h = hs[i]
+            g = g * (1.0 - h * h) if spec.activation == "tanh" else g * (h > 0.0)
+    return g_theta, g
 
 
 def forward(spec: ModelSpec, theta, x):
@@ -150,10 +180,7 @@ def forward(spec: ModelSpec, theta, x):
     theta, x, single = _checked(spec, theta, x)
     for h in _layer_inputs(spec, theta, x):  # only the last one is kept
         pass
-    wsl, wshape, bsl = param_slices(spec)[-1]
-    h = h @ theta[wsl].reshape(wshape) + theta[bsl]
-    if spec.output_dim == 1:
-        h = h.reshape(-1)
+    h = _output(spec, theta, h)
     return h[0] if single else h
 
 
@@ -166,29 +193,16 @@ def backward(spec: ModelSpec, theta, x, g_logits):
     subgradient of relu at its kink is 0.
     """
     theta, x, single = _checked(spec, theta, x)
-    hs = list(_layer_inputs(spec, theta, x))
     g = np.asarray(g_logits, dtype=float).reshape(len(x), spec.output_dim)
-    g_theta = np.empty_like(theta)
-    layers = param_slices(spec)
-    for i in reversed(range(len(layers))):
-        wsl, wshape, bsl = layers[i]
-        g_theta[wsl] = (hs[i].T @ g).reshape(-1)
-        g_theta[bsl] = g.sum(axis=0)
-        g = g @ theta[wsl].reshape(wshape).T
-        if i > 0:  # hs[i] is the activation of layer i - 1
-            h = hs[i]
-            g = g * (1.0 - h * h) if spec.activation == "tanh" else g * (h > 0.0)
+    g_theta, g = _chain(spec, theta, list(_layer_inputs(spec, theta, x)), g)
+    wsl, wshape, _ = spec._layout[0]
+    g = g @ theta[wsl].reshape(wshape).T
     return g_theta, (g[0] if single else g)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     # max(0, z) + log1p(exp(-|z|)) is stable for any magnitude
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
-        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
@@ -199,7 +213,7 @@ def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
 def logistic_loss(y, logit):
     """log(1 + exp(-y * logit)) for y in {-1, +1}; overflow-safe; vectorizes."""
     yv = np.asarray(y, dtype=float)
-    if not np.all(np.isin(yv, (-1.0, 1.0))):
+    if not np.all((yv == 1.0) | (yv == -1.0)):
         raise ValueError("logistic_loss expects labels in {-1, +1}")
     return _softplus(-yv * np.asarray(logit, dtype=float))
 
@@ -240,7 +254,10 @@ def loss_gradient(spec: ModelSpec, logits, labels) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     if spec.output_dim == 1:
         y = 2.0 * labels - 1.0
-        return -y * _sigmoid(-y * logits)
+        # -y * (1 / (1 + exp(y z))): with y = +-1 the sign moves through the
+        # division exactly, so one division gives the same bits
+        with np.errstate(over="ignore"):  # exp = inf gives the limit 0
+            return -y / (1.0 + np.exp(y * logits))
     e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     g = e / e.sum(axis=1, keepdims=True)
     g[np.arange(len(labels)), labels] -= 1.0

@@ -77,6 +77,8 @@ def segment_sum(x, seg, m: int) -> np.ndarray:
     """Row sums per segment: out[j] = sum of x[i] over seg[i] == j, for x of
     shape (n,) or (n, K) and seg in [0, m). Rows are added in index order."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.bincount(seg, x, m)
     rows = x.reshape(len(seg), -1)
     k = rows.shape[1]
     flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
@@ -114,19 +116,14 @@ def penalty_gradient(values, seg, m: int, nu: float) -> np.ndarray:
     per coordinate, times 1/2 Var_j^(-1/2) at nu = 1/2. A zero-variance
     segment gets gradient 0 (the subgradient sqrt'(0) = 0), so exactly
     duplicated rows add nothing to a training step."""
-    dev = values - segment_means(values, seg, m)[seg]
-    scale = 2.0 / np.bincount(seg, minlength=m).reshape((m,) + (1,) * (dev.ndim - 1))
+    sizes = np.bincount(seg, minlength=m).reshape((m,) + (1,) * (values.ndim - 1))
+    dev = values - (segment_sum(values, seg, m) / sizes)[seg]
+    scale = 2.0 / sizes
     if nu == 0.5:
-        var = segment_means(dev * dev, seg, m)
+        var = segment_sum(dev * dev, seg, m) / sizes
         positive = var > 0.0
         scale = scale * np.where(positive, 0.5 / np.sqrt(np.where(positive, var, 1.0)), 0.0)
     return dev * scale[seg]
-
-
-def group_variances(values, group_index: GroupIndex) -> np.ndarray:
-    """Population within-group variance per group (singletons give 0)."""
-    values = _check_values(values, group_index)
-    return _segment_variances(values, group_index.seg, group_index.m)
 
 
 def conditional_penalty(values, group_index: GroupIndex, nu: float = 1.0) -> float:

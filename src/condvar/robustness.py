@@ -131,7 +131,8 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     that, 64 random restarts per group (seeded seed + j), each refined by 200
     steps of projected gradient ascent. Each group keeps its first strict
     maximum. Candidates are rendered one at a time, so memory stays at one
-    re-rendered dataset."""
+    re-rendered dataset. When every budget is 0 the only shift is 0, and
+    the unshifted group mean losses are returned without a search."""
     seg, m, q = group_index.seg, group_index.m, style_dataset.q
     labels = style_dataset.dataset.labels
     chols = _chol(sigmas)
@@ -142,6 +143,10 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
 
     def render(delta):
         return style_dataset.render(style_dataset.style + delta[seg])
+
+    if not np.any(budgets):
+        zero = np.zeros((m, q))
+        return segment_means(_sample_losses(spec, theta, render(zero), labels), seg, m), zero
 
     grid = _sphere_directions(q)
     if grid is None:

@@ -5,6 +5,12 @@ Minibatches never split a group, so the within-group variances inside a
 batch are computed from complete groups. When a batch contains no group of
 size >= 2 (or lam == 0) the penalty branch is skipped entirely, which makes
 penalized training on ungrouped data bit-identical to pooled training.
+
+Each epoch gathers its rows once, in shuffled-group order, into one buffer
+of features, labels and batch-local group ids, so every batch is a slice
+of it. A training step is one ``autodiff.grad`` call on that slice, a
+finite check and an in-place optimizer update; the inputs are checked once
+per ``train`` call.
 """
 
 from __future__ import annotations
@@ -148,30 +154,33 @@ def core_objective(spec: md.ModelSpec, theta, x, labels, local_groups,
 
 # ---- batching ------------------------------------------------------------
 
-def _group_batches(group_index: GroupIndex, batch_size: int, seed: int,
-                   epoch: int) -> list:
-    """Batches as (row indices, batch-local segment ids) pairs: groups are
-    shuffled as units and packed greedily in that order."""
-    if group_index.m and group_index.max_size() > batch_size:
+def _epoch_batches(group_index: GroupIndex, batch_size: int, seed: int,
+                   epoch: int) -> tuple:
+    """(rows, seg, bounds): every row in batch order, the batch-local group
+    id of each, and each batch's (start, stop) in both. Groups are shuffled
+    as units and packed greedily in that order; a group's rows keep their
+    ascending index order."""
+    m = group_index.m
+    if m and group_index.max_size() > batch_size:
         raise ValueError(
             f"largest group ({group_index.max_size()}) exceeds batch size {batch_size}"
         )
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(epoch)])
-    order = rng.permutation(group_index.m)
-    rank = np.empty(group_index.m, dtype=np.intp)
-    rank[order] = np.arange(group_index.m)
-    row_rank = rank[group_index.seg]
-    rows = np.argsort(row_rank, kind="stable")
-    filled = np.concatenate([[0], np.cumsum(group_index.sizes[order])])
-    batches = []
-    start = 0  # in shuffled-group units
-    while start < group_index.m:
+    order = rng.permutation(m)
+    sizes = group_index.sizes[order]
+    filled = np.concatenate([[0], np.cumsum(sizes)])
+    # group order[k] fills rows filled[k]:filled[k + 1] from its block of members
+    block = (np.cumsum(group_index.sizes) - group_index.sizes)[order]
+    rows = group_index.members[np.repeat(block - filled[:-1], sizes) + np.arange(group_index.n)]
+    starts = []  # each batch's first group, in shuffled-group units
+    start = 0
+    while start < m:
+        starts.append(start)
         # greedy packing: the longest run of whole groups that fits
-        stop = int(np.searchsorted(filled, filled[start] + batch_size, side="right")) - 1
-        idx = rows[filled[start]:filled[stop]]
-        batches.append((idx, row_rank[idx] - start))
-        start = stop
-    return batches
+        start = int(filled.searchsorted(filled[start] + batch_size, "right")) - 1
+    rank = np.arange(m) - np.repeat(starts, np.diff(starts + [m]))  # within its batch
+    edges = filled[starts + [m]].tolist()
+    return rows, np.repeat(rank, sizes), list(zip(edges, edges[1:]))
 
 
 def group_aware_minibatches(group_index: GroupIndex, batch_size: int, seed: int,
@@ -179,19 +188,23 @@ def group_aware_minibatches(group_index: GroupIndex, batch_size: int, seed: int,
     """Shuffle groups as units (seeded by (seed, epoch)) and pack them
     greedily into batches of at most ``batch_size`` indices. No group is ever
     split; the last batch may be short."""
-    return [idx for idx, _ in _group_batches(group_index, batch_size, seed, epoch)]
+    rows, _, bounds = _epoch_batches(group_index, batch_size, seed, epoch)
+    return [rows[a:b] for a, b in bounds]
 
 
 # ---- optimizers ----------------------------------------------------------
+
+# Both optimizers update theta and their moments in place.
 
 class _Sgd:
     def __init__(self, cfg: OptimizerConfig, dim: int):
         self.cfg = cfg
         self.vel = np.zeros(dim)
 
-    def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self.vel = self.cfg.momentum * self.vel - self.cfg.lr * g
-        return theta + self.vel
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        self.vel *= self.cfg.momentum
+        self.vel -= self.cfg.lr * g
+        theta += self.vel
 
 
 class _Adam:
@@ -201,14 +214,16 @@ class _Adam:
         self.v = np.zeros(dim)
         self.t = 0
 
-    def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         c = self.cfg
         self.t += 1
-        self.m = c.beta1 * self.m + (1.0 - c.beta1) * g
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * (g * g)
+        self.m *= c.beta1
+        self.m += (1.0 - c.beta1) * g
+        self.v *= c.beta2
+        self.v += (1.0 - c.beta2) * (g * g)
         m_hat = self.m / (1.0 - c.beta1 ** self.t)
         v_hat = self.v / (1.0 - c.beta2 ** self.t)
-        return theta - c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        theta -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
 def _make_optimizer(cfg: OptimizerConfig, dim: int):
@@ -245,19 +260,21 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     x_all = dataset.features
     y_all = dataset.labels
     theta = md.init_params(model_spec, config.seed)
+    md._checked(model_spec, theta, x_all)  # the only check: grad takes batches as given
     opt = _make_optimizer(config.optimizer, theta.size)
     history = []
     step = 0
     for epoch in range(config.epochs):
-        for batch, seg in _group_batches(group_index, config.batch_size,
-                                         config.seed, epoch):
-            g = ad.grad(model_spec, theta, x_all[batch], y_all[batch], seg,
-                        config.penalty)
-            if not np.all(np.isfinite(g)):
+        rows, seg, bounds = _epoch_batches(group_index, config.batch_size,
+                                           config.seed, epoch)
+        x, y = x_all[rows], y_all[rows]
+        for a, b in bounds:
+            g = ad.grad(model_spec, theta, x[a:b], y[a:b], seg[a:b], config.penalty)
+            if not np.isfinite(g).all():
                 raise DivergenceError(
                     f"non-finite gradient at epoch {epoch}, step {step}"
                 )
-            theta = opt.step(theta, g)
+            opt.step(theta, g)
             step += 1
         row = _epoch_diagnostics(model_spec, theta, x_all, y_all, group_index,
                                  config.penalty)
@@ -295,6 +312,7 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     x_all = dataset.features
     y_all = dataset.labels
     rng_theta = md.init_params(model_spec, config.seed)
+    md._checked(model_spec, rng_theta, x_all)
     # start phi at the projection of the usual init
     phi0 = basis.T @ rng_theta[:p]
     params = np.concatenate([phi0, rng_theta[p:]])
@@ -307,7 +325,7 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
         g = np.concatenate([basis.T @ g[:p], g[p:]])
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient at iteration {it}")
-        params = opt.step(params, g)
+        opt.step(params, g)
     w = basis @ params[:p - q]
     return np.concatenate([w, params[p - q:]])
 

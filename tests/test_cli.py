@@ -196,6 +196,14 @@ def test_plot_dimension_error(tmp_path):
     assert run("plot", "--data", other / "train.csv", "--out", tmp_path) == 3
 
 
+@pytest.mark.parametrize("row", ["a,1,abc", "a,1", "a,1,2.0,3.0", "a,1.0,2.0", "a,-1,2.0",
+                                 "a,1,nan", "a,1,1e400", "a,1_0,2.0"])
+def test_train_rejects_bad_csv_row_with_data_exit(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,y,x0\n\n\nb,0,0.5\n{row}\n")
+    assert run("train", "--data", path, "--model", "linear:1", "--out", tmp_path) == 3
+
+
 def test_linear_algebra_failure_exits_numerical(gen_dir, tmp_path, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")

@@ -156,6 +156,53 @@ def test_csv_malformed_inputs(tmp_path, content):
         load_csv(path)
 
 
+# a header, two blank lines and one good row put the bad row on line 5
+BAD_LINE_5 = {
+    "non-numeric feature": ("a,1,abc", "non-numeric value"),
+    "too few fields": ("a,1", "expected 3 fields, got 2"),
+    "too many fields": ("a,1,2.0,3.0", "expected 3 fields, got 4"),
+    "non-integer label": ("a,1.0,2.0", "non-numeric value"),
+    "negative label": ("a,-1,2.0", "negative label -1"),
+    "nan feature": ("a,1,nan", "non-finite feature"),
+    "overflowing feature": ("a,1,1e400", "non-finite feature"),
+    "underscored label": ("a,1_0,2.0", "non-numeric value"),
+    "underscored feature": ("a,1,1_0", "non-numeric value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINE_5))
+def test_csv_rejection_names_real_line(tmp_path, case):
+    row, what = BAD_LINE_5[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,y,x0\n\n  \nb,0,0.5\n{row}\n\nc,1,1.5\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path)
+    assert str(err.value).startswith(f"{path}:5: {what}")
+
+
+def test_csv_reports_first_bad_line_in_file_order(tmp_path):
+    path = tmp_path / "bad.csv"
+    # an unparsable value before a short row, and either before a negative label
+    path.write_text("id,y,x0\na,-1,0.5\n\nb,0,x\nc,1\n")
+    with pytest.raises(DataFormatError, match=r":4: non-numeric value \(.*'x'"):
+        load_csv(path)
+    path.write_text("id,y,x0\na,-1,0.5\n\nc,1\nb,0,x\n")
+    with pytest.raises(DataFormatError, match=":4: expected 3 fields, got 2"):
+        load_csv(path)
+    path.write_text("id,y,x0\na,0,0.5\n\nc,-2,1\nb,0,inf\n")
+    with pytest.raises(DataFormatError, match=":4: negative label -2"):
+        load_csv(path)
+
+
+def test_csv_accepts_padded_and_signed_numbers(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,y,x0,x1\r\n a ,+1, 2.5 ,-.5\n,0,1e-400,5.\n")
+    ds = load_csv(path)
+    assert list(ds.ids) == [" a ", None]
+    assert ds.labels.tolist() == [1, 0]
+    assert ds.features.tolist() == [[2.5, -0.5], [0.0, 5.0]]
+
+
 def test_dataset_validates_dimensions():
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), [0], n_classes=1)

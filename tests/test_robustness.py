@@ -369,6 +369,23 @@ def test_exhaustive_tiny_matches_per_split_search(q, m):
     assert spent == pytest.approx(m * xi, rel=1e-9)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_zero_budget_search_is_the_unshifted_group_loss(q, monkeypatch):
+    # exhaustive_tiny's share-0 level asks for every budget at 0
+    model = ModelSpec("mlp", (7, 4, 1))
+    ds, gi, theta, sigmas = per_group_sigma_instance(q, model)
+    gi = GroupIndex(np.minimum(gi.seg, 1))
+    losses = md.per_sample_loss(model, md.forward(model, theta, ds.render(ds.style)),
+                                ds.dataset.labels)
+    want = [np.mean(losses[gi.seg == j]) for j in range(gi.m)]
+    forward, calls = md.forward, []
+    monkeypatch.setattr(md, "forward", lambda *args: calls.append(1) or forward(*args))
+    vals, shifts = _search_spheres(model, theta, ds, gi, sigmas[:2], np.zeros(2), seed=0)
+    assert len(calls) == 1  # one evaluation, no direction grid or ascent
+    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
+    assert np.array_equal(shifts, np.zeros((2, q)))
+
+
 def test_exhaustive_tiny_keeps_first_split_on_ties():
     # a zero-parameter model has the same loss under every shift, so every
     # split ties and the first one, (0, 1) of the budget, must be kept

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from condvar import (
     build_group_index,
     conditional_penalty,
     core_objective,
+    gen_example1,
+    gen_example2,
     group_aware_minibatches,
     oracle_train_constrained,
     pooled_objective,
     train,
 )
 from condvar.training import DivergenceError, evaluate_lambda_grid
+
+PINNED = Path(__file__).parent / "data" / "pinned_training.json"
 
 
 def toy_dataset(n=30, p=3, seed=0, grouped_pairs=5):
@@ -299,3 +305,72 @@ def test_lambda_grid_report():
     rows = evaluate_lambda_grid(ds, val, ModelSpec("linear", (3, 1)), base, [0.0, 1.0])
     assert [r["lam"] for r in rows] == [0.0, 1.0]
     assert all(np.isfinite(r["val_loss"]) for r in rows)
+
+
+# ---- bitwise pins ------------------------------------------------------------
+
+def _argsort_batches(index, batch_size, seed, epoch):
+    # reference packing: sort every row by the shuffled rank of its group
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(epoch)])
+    order = rng.permutation(index.m)
+    rank = np.empty(index.m, dtype=np.intp)
+    rank[order] = np.arange(index.m)
+    rows = np.argsort(rank[index.seg], kind="stable")
+    filled = np.concatenate([[0], np.cumsum(index.sizes[order])])
+    batches, start = [], 0
+    while start < index.m:
+        stop = int(np.searchsorted(filled, filled[start] + batch_size, side="right")) - 1
+        batches.append(rows[filled[start]:filled[stop]])
+        start = stop
+    return batches
+
+
+@pytest.mark.parametrize("kind", ["random", "singletons", "full_batch_group"])
+def test_minibatches_match_argsort_packing(kind):
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        n = int(rng.integers(1 if kind == "singletons" else 30, 80))
+        seg = rng.permutation(n) if kind == "singletons" else rng.integers(0, n // 3, n)
+        batch_size = max(int(rng.integers(1, 12)), GroupIndex(seg).max_size())
+        if kind == "full_batch_group":
+            seg[rng.choice(n, batch_size, replace=False)] = n
+        index = GroupIndex(seg)
+        assert kind != "full_batch_group" or index.max_size() == batch_size
+        for epoch in range(3):
+            got = group_aware_minibatches(index, batch_size, trial, epoch)
+            want = _argsort_batches(index, batch_size, trial, epoch)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+def _pinned_runs():
+    """(name, dataset, spec, config) for the runs whose results are pinned."""
+    ex1, _ = gen_example1(600, 60, seed=1)
+    ex2, _ = gen_example2(300, 100, seed=2)
+    adam = OptimizerConfig("adam", 0.05)
+    return [
+        ("linear_f1_adam", ex1.dataset, ModelSpec("linear", (2, 1)),
+         TrainConfig(PenaltyConfig("prediction", 1.0, 1.0, 1e-4), adam, 120, 3, 0)),
+        ("mlp_tanh_l_half", ex2.dataset, ModelSpec("mlp", (2, 16, 16, 1), "tanh"),
+         TrainConfig(PenaltyConfig("loss", 0.5, 1.0, 1e-4), OptimizerConfig("adam", 0.01),
+                     120, 3, 0)),
+        ("mlp_relu_f_half_sgd", ex2.dataset, ModelSpec("mlp", (2, 8, 8, 1), "relu"),
+         TrainConfig(PenaltyConfig("prediction", 0.5, 1.0, 1e-4),
+                     OptimizerConfig("sgd", 0.05, momentum=0.9), 50, 3, 1)),
+        ("mlp_softmax_l1", ex1.dataset, ModelSpec("mlp", (2, 8, 2), "tanh"),
+         TrainConfig(PenaltyConfig("loss", 1.0, 1.0, 1e-4), adam, 120, 3, 2)),
+    ]
+
+
+@pytest.mark.parametrize("run", _pinned_runs(), ids=lambda r: r[0])
+def test_training_pinned_bitwise(run):
+    # theta, history and step count recorded with float.hex from the
+    # unfused training step (forward pass rerun in backward, argsort
+    # packing per epoch); any change of arithmetic or reduction order shows
+    name, dataset, spec, cfg = run
+    with open(PINNED, encoding="utf-8") as fh:
+        want = json.load(fh)[name]
+    report = train(dataset, build_group_index(dataset), spec, cfg)
+    assert report.steps == want["steps"]
+    assert [float.hex(float(v)) for v in report.theta] == want["theta"]
+    assert report.history == want["history"]
