@@ -32,11 +32,11 @@ labels = rng.integers(0, 2, N)
 radius = np.where(labels == 1, 2.0, 1.0) + 0.1 * rng.standard_normal(N)
 # rotation bias: class 0 lives on the lower half circle, class 1 on the upper
 angle = rng.uniform(0.0, np.pi, N) + np.where(labels == 1, 0.0, -np.pi)
-train_base = cv.Dataset.from_arrays(polar(radius, angle), labels)
+train_base = cv.Dataset(polar(radius, angle), labels)
 
 # shifted test: every angle rotated by pi
 test_angle = angle + np.pi
-test_ds = cv.Dataset.from_arrays(polar(radius, test_angle), labels)
+test_ds = cv.Dataset(polar(radius, test_angle), labels)
 
 
 def random_rotation(features):

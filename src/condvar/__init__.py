@@ -29,10 +29,7 @@ from .models import (
 from .penalties import (
     DegenerateVarianceError,
     PenaltyConfig,
-    baseline_group_by_label,
-    baseline_unconditional,
     conditional_penalty,
-    variance_decomposition,
     variance_ratio,
 )
 from .robustness import (
@@ -65,11 +62,9 @@ from .training import (
     OptimizerConfig,
     TrainConfig,
     TrainReport,
-    core_objective,
     evaluate_lambda_grid,
     group_aware_minibatches,
     oracle_train_constrained,
-    pooled_objective,
     train,
 )
 

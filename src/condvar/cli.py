@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +157,7 @@ def _cmd_train(args) -> int:
     md.save_checkpoint(out / "checkpoint.json", spec, report.theta, args.seed, report.steps)
     report.save(out / "report.json")
     _manifest(out, "train", {"data": str(args.data), "model": args.model,
-                             **config.to_dict()},
+                             **asdict(config)},
               ["checkpoint.json", "report.json"])
     last = report.history[-1]
     print(f"final loss {last['loss']:.6f} penalty {last['penalty']:.6f} "
@@ -169,7 +170,6 @@ def _cmd_train(args) -> int:
 def _evaluate(spec, theta, dataset) -> dict:
     logits = md.forward(spec, theta, dataset.features)
     losses = md.per_sample_loss(spec, logits, dataset.labels)
-    preds = md.predict_labels(spec, theta, dataset.features)
     groups = build_group_index(dataset)
     pen = conditional_penalty(logits, groups, 1.0)
     try:
@@ -178,7 +178,7 @@ def _evaluate(spec, theta, dataset) -> dict:
         ratio = None
     return {
         "n": len(dataset),
-        "error_rate": float(np.mean(preds != dataset.labels)),
+        "error_rate": float(np.mean(md._decide(spec, logits) != dataset.labels)),
         "mean_loss": float(np.mean(losses)),
         "penalty_value": float(pen),
         "variance_ratio": ratio,

@@ -67,10 +67,6 @@ class Dataset:
         self.ids = _frozen(ids)
         self.n_classes = int(n_classes)
 
-    @staticmethod
-    def from_arrays(features, labels, ids=None, n_classes=None) -> "Dataset":
-        return Dataset(features, labels, ids, n_classes)
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -142,14 +138,9 @@ class GroupIndex:
         """Every index, grouped: group 0's members ascending, then group 1's..."""
         return _frozen(np.argsort(self.seg, kind="stable"))
 
-    @cached_property
-    def groups(self) -> tuple:
-        """Member indices of each group, ascending, in group order."""
-        return tuple(np.split(self.members, np.cumsum(self.sizes)[:-1]))
-
     def nontrivial(self) -> list:
-        """Groups with at least two members, as ``groups`` lists them; only
-        these are sliced out of the member order."""
+        """Member indices, ascending, of each group with at least two
+        members, in group order."""
         ends = np.cumsum(self.sizes)
         return [self.members[ends[j] - self.sizes[j]:ends[j]]
                 for j in np.flatnonzero(self.sizes >= 2)]

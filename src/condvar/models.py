@@ -12,10 +12,12 @@ backward chain, so each step runs every layer once in each direction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .data import DataFormatError
 
 __all__ = [
     "ModelSpec",
@@ -84,13 +86,6 @@ class ModelSpec:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layer_sizes": list(self.layer_sizes),
-            "activation": self.activation,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
@@ -194,10 +189,15 @@ def backward(spec: ModelSpec, theta, x, g_logits):
     """
     theta, x, single = _checked(spec, theta, x)
     g = np.asarray(g_logits, dtype=float).reshape(len(x), spec.output_dim)
-    g_theta, g = _chain(spec, theta, list(_layer_inputs(spec, theta, x)), g)
-    wsl, wshape, _ = spec._layout[0]
-    g = g @ theta[wsl].reshape(wshape).T
+    g_theta, g = _chain_to_inputs(spec, theta, list(_layer_inputs(spec, theta, x)), g)
     return g_theta, (g[0] if single else g)
+
+
+def _chain_to_inputs(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple:
+    """``_chain`` carried through the first layer's weights: (g_theta, g_x)."""
+    g_theta, g = _chain(spec, theta, hs, g)
+    wsl, wshape, _ = spec._layout[0]
+    return g_theta, g @ theta[wsl].reshape(wshape).T
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -265,7 +265,12 @@ def loss_gradient(spec: ModelSpec, logits, labels) -> np.ndarray:
 
 
 def predict_labels(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    logits = forward(spec, theta, x)
+    return _decide(spec, forward(spec, theta, x))
+
+
+def _decide(spec: ModelSpec, logits) -> np.ndarray:
+    """Class labels from logits: a single logit above 0 is class 1,
+    K logits give their argmax."""
     if spec.output_dim == 1:
         return (np.asarray(logits) > 0.0).astype(int)
     return np.argmax(logits, axis=-1).astype(int)
@@ -273,7 +278,7 @@ def predict_labels(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndar
 
 def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: int):
     payload = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "flat_params": [float(v) for v in np.asarray(theta).ravel()],
         "seed": int(seed),
         "step": int(step),
@@ -284,10 +289,18 @@ def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: i
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    spec = ModelSpec.from_dict(payload["spec"])
-    theta = np.asarray(payload["flat_params"], dtype=float)
+    """(spec, theta, seed, step) from a ``save_checkpoint`` file; a file
+    that is not one raises DataFormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        spec = ModelSpec.from_dict(payload["spec"])
+        theta = np.asarray(payload["flat_params"], dtype=float)
+        seed, step = int(payload["seed"]), int(payload["step"])
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: checkpoint lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint ({exc})") from None
     if theta.shape != (param_count(spec),):
-        raise ValueError("checkpoint parameter count does not match its model spec")
-    return spec, theta, int(payload["seed"]), int(payload["step"])
+        raise DataFormatError(f"{path}: checkpoint parameter count does not match its model spec")
+    return spec, theta, seed, step

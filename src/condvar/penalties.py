@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GroupIndex
+from .data import GroupIndex
 
 __all__ = [
     "PenaltyConfig",
     "DegenerateVarianceError",
     "conditional_penalty",
     "variance_ratio",
-    "variance_decomposition",
-    "baseline_group_by_label",
-    "baseline_unconditional",
 ]
 
 
@@ -50,18 +47,6 @@ class PenaltyConfig:
             raise ValueError("lam must be finite and >= 0")
         if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError("gamma must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return {"target": self.target, "nu": self.nu, "lam": self.lam, "gamma": self.gamma}
-
-    @staticmethod
-    def from_dict(d: dict) -> "PenaltyConfig":
-        return PenaltyConfig(
-            d.get("target", "prediction"),
-            float(d.get("nu", 1.0)),
-            float(d.get("lam", 0.0)),
-            float(d.get("gamma", 0.0)),
-        )
 
 
 def _check_values(values, group_index: GroupIndex) -> np.ndarray:
@@ -164,37 +149,3 @@ def variance_ratio(values, group_index: GroupIndex) -> float:
     within = _segment_variances(values, seg, m)
     numer = float(np.mean(within.reshape(m, -1).sum(axis=1)))
     return numer / denom
-
-
-def variance_decomposition(values, group_index: GroupIndex):
-    """Split the population variance of ``values`` into the size-weighted
-    within-group mean and the between-group-mean part.
-
-    Returns (total, within_mean, between) with total == within_mean + between
-    up to rounding. The within term here weights groups by n_j / n, unlike
-    ``conditional_penalty`` which weights groups uniformly; the two coincide
-    when all groups have equal size.
-    """
-    values = _check_values(values, group_index)
-    if values.ndim != 1:
-        raise ValueError("variance_decomposition takes one value per sample")
-    seg, m = group_index.seg, group_index.m
-    grand = values.mean()
-    total = float(np.mean((values - grand) ** 2))
-    weights = group_index.sizes / group_index.n
-    within = float(np.sum(weights * _segment_variances(values, seg, m)))
-    between = float(np.sum(weights * (segment_means(values, seg, m) - grand) ** 2))
-    return total, within, between
-
-
-def baseline_group_by_label(dataset: Dataset) -> GroupIndex:
-    """One group per class label: the grouping-by-class baseline."""
-    return GroupIndex(dataset.labels)
-
-
-def baseline_unconditional(values) -> float:
-    """Population variance of the values: the unconditional-variance baseline."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("need at least one value")
-    return float(np.mean((values - values.mean()) ** 2))

@@ -17,6 +17,8 @@ __all__ = ["decision_boundary_svg", "zero_contour_segments"]
 _CLASS_COLORS = ["#1f4e9c", "#d1372c", "#2c8c4b", "#8c2cb5", "#b58a2c"]
 _BOUNDARY_COLORS = ["#000000", "#e69f00", "#56b4e9", "#009e73", "#cc79a7"]
 _GRID = 400
+_WIDTH = _HEIGHT = 640    # pixels
+_MAX_POINTS = 2000        # samples drawn, evenly spaced by index
 # cell corner offsets in marching order: (0,0), (1,0), (1,1), (0,1) as (ix, iy)
 _CORNER_DX = np.array([0, 1, 1, 0])
 _CORNER_DY = np.array([0, 0, 1, 1])
@@ -60,9 +62,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | None = None,
-                          width: int = 640, height: int = 640,
-                          max_points: int = 2000) -> str:
+def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | None = None) -> str:
     """SVG scatter of a 2-d dataset with one decision boundary per
     (spec, theta) checkpoint. Grouped pairs are joined by grey segments.
 
@@ -83,21 +83,21 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     lo, hi = lo - pad, hi + pad
 
     def to_px(pt):
-        x = (pt[0] - lo[0]) / (hi[0] - lo[0]) * (width - 20) + 10
-        y = height - ((pt[1] - lo[1]) / (hi[1] - lo[1]) * (height - 20) + 10)
+        x = (pt[0] - lo[0]) / (hi[0] - lo[0]) * (_WIDTH - 20) + 10
+        y = _HEIGHT - ((pt[1] - lo[1]) / (hi[1] - lo[1]) * (_HEIGHT - 20) + 10)
         return x, y
 
     # deterministic thinning: evenly spaced sample indices
-    if len(dataset) > max_points:
-        keep = np.linspace(0, len(dataset) - 1, max_points).astype(int)
+    if len(dataset) > _MAX_POINTS:
+        keep = np.linspace(0, len(dataset) - 1, _MAX_POINTS).astype(int)
     else:
         keep = np.arange(len(dataset))
     keep_set = set(int(i) for i in keep)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     # grouped pairs first so markers draw on top
     gi = build_group_index(dataset)

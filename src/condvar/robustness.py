@@ -176,9 +176,12 @@ def _style_gradients(spec, theta, style_dataset, features, labels) -> np.ndarray
     """d loss_i / d style_i for samples rendered as ``features``, (n, q):
     the input gradient chained through the render, W for a linear render
     and d x / d angle = r (-sin a, cos a) = (-x_1, x_0) for the polar one,
-    whose other style coordinates do not reach the features."""
-    logits = md.forward(spec, theta, features)
-    _, gx = md.backward(spec, theta, features, md.loss_gradient(spec, logits, labels))
+    whose other style coordinates do not reach the features. The layers run
+    once: the backward chain reuses the inputs the forward pass kept."""
+    theta, features, _ = md._checked(spec, theta, features)
+    hs = list(md._layer_inputs(spec, theta, features))
+    g = md.loss_gradient(spec, md._output(spec, theta, hs[-1]), labels)
+    _, gx = md._chain_to_inputs(spec, theta, hs, g.reshape(len(features), spec.output_dim))
     if style_dataset.render_kind == "linear":
         return gx @ style_dataset.style_matrix
     out = np.zeros((len(gx), style_dataset.q))
@@ -318,7 +321,7 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     return FirstOrderGap(lhs, rhs, abs(lhs - rhs), xi, pen)
 
 
-def invariance_defect(theta, style_matrix, spec: md.ModelSpec | None = None) -> float:
+def invariance_defect(theta, style_matrix) -> float:
     """||W^T w|| / ||w|| for a linear model's weight vector w (0 when w = 0).
 
     ``theta`` may be the bare weight vector (length p) or the flat [w, b]

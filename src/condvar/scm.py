@@ -13,11 +13,11 @@ fixed linear direction, and one where style is the polar angle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, DataFormatError
 
 __all__ = [
     "LinearScmSpec",
@@ -104,19 +104,6 @@ class LinearScmSpec:
             [self.structure_seed & 0xFFFFFFFF, 7919, int(y_pm) + 2, int(ident)]
         )
         return base + self.core_id_scale * rng.standard_normal(self.r)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "r": self.r,
-            "class_balance": self.class_balance,
-            "id_count": self.id_count,
-            "id_sampler": self.id_sampler,
-            "core_class_mean": self.core_class_mean,
-            "core_id_scale": self.core_id_scale,
-            "style_class_mean": list(self.style_class_mean),
-            "style_cov": [list(row) for row in self.style_cov],
-            "structure_seed": self.structure_seed,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "LinearScmSpec":
@@ -281,17 +268,20 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpe
     )
 
 
-# ---- teaching example 1: style along a fixed linear direction -------------
+# ---- the two teaching examples ----------------------------------------------
 
-def _example1_spec() -> dict:
-    # class centers at (0, +/-1.2); isotropic sd 0.25 split between the core
-    # direction (0.6, 0.8) and the style direction (0.8, -0.6); isotropy makes
-    # the pooled boundary horizontal, i.e. reliant on the style coordinate
-    return {
-        "center": 1.2,
-        "core_sd": 0.25,
-        "style_sd": 0.25,
-    }
+# class centers at (0, +/-1.2); isotropic sd 0.25 split between the core
+# direction (0.6, 0.8) and the style direction (0.8, -0.6); isotropy makes
+# the pooled boundary horizontal, i.e. reliant on the style coordinate
+_EXAMPLE1 = {"center": 1.2, "core_sd": 0.25, "style_sd": 0.25}
+_EXAMPLE2 = {
+    "radius0": 1.0,
+    "radius1": 2.0,
+    "radius_sd": 0.1,
+    # class 0 angles fill the lower half circle, class 1 the upper half
+    "angle0_low": -np.pi, "angle0_high": 0.0,
+    "angle1_low": 0.0, "angle1_high": np.pi,
+}
 
 
 def gen_example1(n: int, c: int, test_shift: float = 4.0, seed: int = 0):
@@ -304,62 +294,17 @@ def gen_example1(n: int, c: int, test_shift: float = 4.0, seed: int = 0):
     with a style component. c sample pairs share (Y, ID): same core
     coordinate, independently redrawn style.
     """
-    params = _example1_spec()
-    train = _sample_example1(n, c, 0.0, seed, params)
-    test = _sample_example1(n, c, float(test_shift), seed + 1, params)
-    extra = {"n": n, "c": c, "test_shift": float(test_shift), "seed": seed}
-    for part, shifted in ((train, 0.0), (test, float(test_shift))):
-        part.generator = "example1"
-        part.generator_params = dict(extra, applied_shift=shifted, **params)
-    return train, test
-
-
-def _sample_example1(n, c, class1_style_shift, seed, params):
-    if not 0 <= 2 * c <= n:
-        raise ValueError("need 0 <= c <= n / 2")
-    rng = np.random.default_rng(seed)
-    center, core_sd, style_sd = params["center"], params["core_sd"], params["style_sd"]
-    core_mu = 0.8 * center   # projection of (0, center) on the core direction
-    style_mu = -0.6 * center  # projection on the style direction
-    n_single = n - 2 * c
-    y_pm = np.concatenate([
-        np.where(rng.random(n_single) < 0.5, 1, -1),
-        np.repeat(np.where(rng.random(c) < 0.5, 1, -1), 2),
-    ])
-    ids = [None] * n_single + [f"g{j}" for j in range(c) for _ in range(2)]
-    core_vals = np.concatenate([
-        y_pm[:n_single] * core_mu + core_sd * rng.standard_normal(n_single),
-        np.repeat(y_pm[n_single::2] * core_mu + core_sd * rng.standard_normal(c), 2),
-    ])
-    style_vals = y_pm * style_mu + style_sd * rng.standard_normal(n)
-    style_vals = style_vals + np.where(y_pm == 1, class1_style_shift, 0.0)
-    labels = ((y_pm + 1) // 2).astype(int)
-    core = core_vals[:, None]
-    style = style_vals[:, None]
-    c_mat = _EXAMPLE1_CORE_DIRECTION[:, None]
-    w_mat = EXAMPLE1_STYLE_DIRECTION[:, None]
-    feats = _render("linear", core, style, c_mat, w_mat)
-    return StyleAwareDataset(
-        dataset=Dataset(feats, labels, ids, n_classes=2),
-        core=core,
-        style=style,
-        render_kind="linear",
-        core_matrix=c_mat,
-        style_matrix=w_mat,
+    center, style_sd = _EXAMPLE1["center"], _EXAMPLE1["style_sd"]
+    return _gen_paired(
+        "example1", _EXAMPLE1, n, c, test_shift, seed,
+        # the projections of (0, center) on the core and the style direction
+        core_mean=lambda y_pm: y_pm * (0.8 * center),
+        core_sd=_EXAMPLE1["core_sd"],
+        draw_style=lambda rng, y_pm: (y_pm * (-0.6 * center)
+                                      + style_sd * rng.standard_normal(len(y_pm))),
+        render_kind="linear", core_matrix=_EXAMPLE1_CORE_DIRECTION[:, None],
+        style_matrix=EXAMPLE1_STYLE_DIRECTION[:, None],
     )
-
-
-# ---- teaching example 2: radius is core, polar angle is style -------------
-
-def _example2_params() -> dict:
-    return {
-        "radius0": 1.0,
-        "radius1": 2.0,
-        "radius_sd": 0.1,
-        # class 0 angles fill the lower half circle, class 1 the upper half
-        "angle0_low": -np.pi, "angle0_high": 0.0,
-        "angle1_low": 0.0, "angle1_high": np.pi,
-    }
 
 
 def gen_example2(n: int, c: int, test_shift: float = np.pi, seed: int = 0):
@@ -370,45 +315,53 @@ def gen_example2(n: int, c: int, test_shift: float = np.pi, seed: int = 0):
     class-1 angles by ``test_shift`` (default pi). c pairs share (Y, ID) and
     radius while their angles are drawn independently.
     """
-    params = _example2_params()
-    train = _sample_example2(n, c, 0.0, seed, params)
-    test = _sample_example2(n, c, float(test_shift), seed + 1, params)
-    extra = {"n": n, "c": c, "test_shift": float(test_shift), "seed": seed}
-    for part, shifted in ((train, 0.0), (test, float(test_shift))):
-        part.generator = "example2"
-        part.generator_params = dict(extra, applied_shift=shifted, **params)
-    return train, test
+    par = _EXAMPLE2
+
+    def angles(rng, y_pm):
+        up = y_pm == 1
+        return rng.uniform(np.where(up, par["angle1_low"], par["angle0_low"]),
+                           np.where(up, par["angle1_high"], par["angle0_high"]))
+
+    return _gen_paired(
+        "example2", par, n, c, test_shift, seed,
+        core_mean=lambda y_pm: np.where(y_pm == 1, par["radius1"], par["radius0"]),
+        core_sd=par["radius_sd"], draw_style=angles, render_kind="polar",
+    )
 
 
-def _sample_example2(n, c, class1_angle_shift, seed, params):
+def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_style,
+                render_kind, core_matrix=None, style_matrix=None) -> tuple:
+    """(train, test) of a 2-d teaching example, drawn from seeds seed and
+    seed + 1 in one order: the +-1 labels, then one core value
+    core_mean(y) + core_sd * z per single and per pair (the n - 2c singles
+    come first, then c pairs that share (Y, ID) and their core value), then
+    draw_style(rng, y) for every row. The test split shifts class 1's
+    style by ``test_shift``."""
     if not 0 <= 2 * c <= n:
         raise ValueError("need 0 <= c <= n / 2")
-    rng = np.random.default_rng(seed)
     n_single = n - 2 * c
-    y_pm = np.concatenate([
-        np.where(rng.random(n_single) < 0.5, 1, -1),
-        np.repeat(np.where(rng.random(c) < 0.5, 1, -1), 2),
-    ])
-    labels = ((y_pm + 1) // 2).astype(int)
     ids = [None] * n_single + [f"g{j}" for j in range(c) for _ in range(2)]
-    mu_r = np.where(labels == 1, params["radius1"], params["radius0"])
-    radius = np.empty(n)
-    radius[:n_single] = mu_r[:n_single] + params["radius_sd"] * rng.standard_normal(n_single)
-    paired = mu_r[n_single::2] + params["radius_sd"] * rng.standard_normal(c)
-    radius[n_single:] = np.repeat(paired, 2)
-    low = np.where(labels == 1, params["angle1_low"], params["angle0_low"])
-    high = np.where(labels == 1, params["angle1_high"], params["angle0_high"])
-    angle = rng.uniform(low, high)
-    angle = angle + np.where(y_pm == 1, class1_angle_shift, 0.0)
-    core = radius[:, None]
-    style = angle[:, None]
-    feats = _render("polar", core, style, None, None)
-    return StyleAwareDataset(
-        dataset=Dataset(feats, labels, ids, n_classes=2),
-        core=core,
-        style=style,
-        render_kind="polar",
-    )
+    extra = {"n": n, "c": c, "test_shift": float(test_shift), "seed": seed}
+    splits = []
+    for split_seed, shift in ((seed, 0.0), (seed + 1, float(test_shift))):
+        rng = np.random.default_rng(split_seed)
+        y_pm = np.concatenate([
+            np.where(rng.random(n_single) < 0.5, 1, -1),
+            np.repeat(np.where(rng.random(c) < 0.5, 1, -1), 2),
+        ])
+        mean = core_mean(y_pm)
+        core = np.concatenate([
+            mean[:n_single] + core_sd * rng.standard_normal(n_single),
+            np.repeat(mean[n_single::2] + core_sd * rng.standard_normal(c), 2),
+        ])[:, None]
+        style = (draw_style(rng, y_pm) + np.where(y_pm == 1, shift, 0.0))[:, None]
+        feats = _render(render_kind, core, style, core_matrix, style_matrix)
+        splits.append(StyleAwareDataset(
+            Dataset(feats, (y_pm + 1) // 2, ids, n_classes=2), core, style, render_kind,
+            core_matrix, style_matrix, generator=name,
+            generator_params=dict(extra, applied_shift=shift, **params),
+        ))
+    return tuple(splits)
 
 
 # ---- latent sidecar ---------------------------------------------------------
@@ -425,29 +378,37 @@ def save_latents(style_dataset: StyleAwareDataset, path) -> None:
         payload["core_matrix"] = np.asarray(style_dataset.core_matrix, dtype=float).tolist()
         payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
     if style_dataset.scm is not None:
-        payload["scm"] = style_dataset.scm.to_dict()
+        payload["scm"] = asdict(style_dataset.scm)
     # one dumps call runs the C encoder; json.dump always takes the Python one
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
-    """Reattach latents from a sidecar file to a loaded Dataset."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    kind = payload["render_kind"]
-    ds = StyleAwareDataset(
-        dataset=dataset,
-        core=np.asarray(payload["core"], dtype=float),
-        style=np.asarray(payload["style"], dtype=float),
-        render_kind=kind,
-        core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
-        style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
-        scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
-        generator=payload.get("generator", "custom"),
-        generator_params=payload.get("generator_params", {}),
-    )
-    recon = ds.render(ds.style)
-    if not np.allclose(recon, dataset.features, rtol=0, atol=1e-9):
-        raise ValueError("latent sidecar does not reproduce the dataset features")
+    """Reattach latents from a sidecar file to a loaded Dataset. A file that
+    is not a sidecar, or one that does not re-render ``dataset``'s
+    features, raises DataFormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        kind = payload["render_kind"]
+        ds = StyleAwareDataset(
+            dataset=dataset,
+            core=np.asarray(payload["core"], dtype=float),
+            style=np.asarray(payload["style"], dtype=float),
+            render_kind=kind,
+            core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
+            style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
+            scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
+            generator=payload.get("generator", "custom"),
+            generator_params=payload.get("generator_params", {}),
+        )
+        recon = ds.render(ds.style)
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: latent sidecar lacks field {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed latent sidecar ({exc})") from None
+    if recon.shape != dataset.features.shape or not np.allclose(
+            recon, dataset.features, rtol=0, atol=1e-9):
+        raise DataFormatError(f"{path}: latent sidecar does not reproduce the dataset features")
     return ds

@@ -16,7 +16,7 @@ per ``train`` call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "DivergenceError",
-    "pooled_objective",
-    "core_objective",
     "group_aware_minibatches",
     "train",
     "oracle_train_constrained",
@@ -58,27 +56,6 @@ class OptimizerConfig:
         if not self.lr > 0:
             raise ValueError("lr must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerConfig":
-        return OptimizerConfig(
-            d.get("kind", "adam"),
-            float(d.get("lr", 1e-2)),
-            float(d.get("momentum", 0.0)),
-            float(d.get("beta1", 0.9)),
-            float(d.get("beta2", 0.999)),
-            float(d.get("eps", 1e-8)),
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -93,25 +70,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "penalty": self.penalty.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(
-            PenaltyConfig.from_dict(d.get("penalty", {})),
-            OptimizerConfig.from_dict(d.get("optimizer", {})),
-            int(d.get("batch_size", 120)),
-            int(d.get("epochs", 10)),
-            int(d.get("seed", 0)),
-        )
 
 
 @dataclass
@@ -133,23 +91,6 @@ class TrainReport:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-
-# ---- objectives ------------------------------------------------------------
-
-def pooled_objective(spec: md.ModelSpec, theta, x, labels, gamma: float = 0.0) -> float:
-    """Mean loss over the batch plus gamma * ||weights||^2."""
-    return ad.objective(spec, theta, x, labels, None, PenaltyConfig(gamma=gamma))
-
-
-def core_objective(spec: md.ModelSpec, theta, x, labels, local_groups,
-                   penalty: PenaltyConfig) -> float:
-    """Pooled objective plus lam * conditional variance penalty computed over
-    the groups contained in this batch; ``local_groups`` lists the row
-    positions of each group and must partition the batch. With lam == 0
-    this is bit-identical to ``pooled_objective``."""
-    seg = GroupIndex.from_groups(local_groups, len(labels)).seg
-    return ad.objective(spec, theta, x, labels, seg, penalty)
 
 
 # ---- batching ------------------------------------------------------------
@@ -238,12 +179,11 @@ def _epoch_diagnostics(spec, theta, x, labels, group_index, penalty) -> dict:
     values = logits if penalty.target == "prediction" else losses
     pen = conditional_penalty(values, group_index, penalty.nu)
     ridge = ad.ridge(spec, theta)
-    preds = md.predict_labels(spec, theta, x)
     return {
         "loss": float(np.mean(losses)),
         "penalty": float(pen),
         "ridge": ridge,
-        "train_error": float(np.mean(preds != labels)),
+        "train_error": float(np.mean(md._decide(spec, logits) != labels)),
     }
 
 
@@ -342,17 +282,13 @@ def evaluate_lambda_grid(train_set: Dataset, val_set: Dataset,
     groups = build_group_index(train_set)
     rows = []
     for lam in lambdas:
-        pen = PenaltyConfig(base_config.penalty.target, base_config.penalty.nu,
-                            float(lam), base_config.penalty.gamma)
-        cfg = TrainConfig(pen, base_config.optimizer, base_config.batch_size,
-                          base_config.epochs, base_config.seed)
-        report = train(train_set, groups, model_spec, cfg)
+        pen = replace(base_config.penalty, lam=float(lam))
+        report = train(train_set, groups, model_spec, replace(base_config, penalty=pen))
         logits = md.forward(model_spec, report.theta, val_set.features)
         losses = md.per_sample_loss(model_spec, logits, val_set.labels)
-        preds = md.predict_labels(model_spec, report.theta, val_set.features)
         rows.append({
             "lam": float(lam),
             "val_loss": float(np.mean(losses)),
-            "val_error": float(np.mean(preds != val_set.labels)),
+            "val_error": float(np.mean(md._decide(model_spec, logits) != val_set.labels)),
         })
     return rows

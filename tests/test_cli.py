@@ -165,6 +165,48 @@ def test_shift_eval_missing_latents(gen_dir, trained_dir, tmp_path):
     assert code == 3
 
 
+def _drop_core(path):
+    payload = json.loads(path.read_text())
+    del payload["core"]
+    path.write_text(json.dumps(payload))
+
+
+def _other_seed(path):
+    assert run("gen", "example1", "--n", 400, "--c", 40, "--seed", 4,
+               "--out", path.parent / "seed4") == 0
+    path.write_bytes((path.parent / "seed4" / "train_latents.json").read_bytes())
+
+
+@pytest.mark.parametrize("spoil", [_drop_core, lambda p: p.write_text("{not json"), _other_seed],
+                         ids=["missing_core", "not_json", "other_seed"])
+def test_shift_eval_malformed_sidecar_exits_data(gen_dir, trained_dir, tmp_path, capsys, spoil):
+    side = tmp_path / "latents.json"
+    side.write_bytes((gen_dir / "train_latents.json").read_bytes())
+    spoil(side)
+    code = run("shift_eval", "--checkpoint", trained_dir / "checkpoint.json",
+               "--data", gen_dir / "train.csv", "--latents", side, "--out", tmp_path / "out")
+    assert code == 3
+    assert f"data error: {side}: " in capsys.readouterr().err
+
+
+def _drop_flat_params(path):
+    payload = json.loads(path.read_text())
+    del payload["flat_params"]
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("spoil", [_drop_flat_params, lambda p: p.write_text("{not json")],
+                         ids=["missing_flat_params", "not_json"])
+def test_malformed_checkpoint_exits_data(gen_dir, trained_dir, tmp_path, capsys, spoil):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_bytes((trained_dir / "checkpoint.json").read_bytes())
+    spoil(ckpt)
+    code = run("eval", "--checkpoint", ckpt, "--data", gen_dir / "test.csv",
+               "--out", tmp_path / "out")
+    assert code == 3
+    assert f"data error: {ckpt}: " in capsys.readouterr().err
+
+
 def test_plot_svg(gen_dir, trained_dir, tmp_path):
     out = tmp_path / "plot"
     code = run("plot", "--data", gen_dir / "train.csv",

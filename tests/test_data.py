@@ -15,7 +15,7 @@ from condvar import (
 def make_dataset(labels, ids, p=2, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((len(labels), p))
-    return Dataset.from_arrays(feats, labels, ids, n_classes=max(labels) + 1)
+    return Dataset(feats, labels, ids, n_classes=max(labels) + 1)
 
 
 def test_grouping_by_label_and_id():
@@ -23,8 +23,7 @@ def test_grouping_by_label_and_id():
     gi = build_group_index(ds)
     assert gi.m == 4
     assert gi.c == 1
-    as_lists = [sorted(int(i) for i in g) for g in gi.groups]
-    assert as_lists == [[0, 1], [2], [3], [4]]
+    assert gi.seg.tolist() == [0, 0, 1, 2, 3]
 
 
 def test_all_ids_absent_gives_singletons():
@@ -50,10 +49,12 @@ def test_group_index_invariants_on_random_instances():
         ids = [None if rng.random() < 0.4 else f"i{rng.integers(0, 6)}" for _ in range(n)]
         ds = make_dataset(labels, ids)
         gi = build_group_index(ds)
-        flat = np.sort(np.concatenate(gi.groups))
-        assert np.array_equal(flat, np.arange(n))
-        assert gi.c == sum(len(g) - 1 for g in gi.groups)
-        for g in gi.groups:
+        assert gi.seg.shape == (n,)
+        assert np.array_equal(np.unique(gi.seg), np.arange(gi.m))
+        assert gi.c == sum(gi.sizes - 1)
+        for j in range(gi.m):
+            g = np.flatnonzero(gi.seg == j)
+            assert len(g) == gi.sizes[j]
             keys = {(ds.labels[i], ds.ids[i]) for i in g}
             assert len(keys) == 1
             if ds.ids[g[0]] is None:
@@ -65,8 +66,10 @@ def test_nontrivial_matches_groups_filter_on_random_segments():
     for trial in range(40):
         n = int(rng.integers(1, 60))
         seg = rng.permutation(n) if trial % 4 == 0 else rng.integers(-5, n // 2 + 1, n)
-        got = GroupIndex(seg).nontrivial()  # before the cached groups view exists
-        expected = [g for g in GroupIndex(seg).groups if len(g) >= 2]
+        gi = GroupIndex(seg)
+        got = gi.nontrivial()
+        members = (np.flatnonzero(gi.seg == j) for j in range(gi.m))
+        expected = [g for g in members if len(g) >= 2]
         assert len(got) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         if trial % 4 == 0:
@@ -85,7 +88,7 @@ def test_augment_identity_transform_groups_of_two():
     out = augment_with_groups(ds, lambda f: f, 1, [1])
     gi = build_group_index(out)
     assert len(out) == 4
-    sizes = sorted(len(g) for g in gi.groups)
+    sizes = sorted(gi.sizes.tolist())
     assert sizes == [1, 1, 2]
     pair = gi.nontrivial()[0]
     f0, f1 = out.features[pair[0]], out.features[pair[1]]
@@ -101,7 +104,7 @@ def test_augment_count_increases_grouped_observations():
 
 
 def test_augment_rotation_by_pi():
-    ds = Dataset.from_arrays(np.array([[1.0, 0.0]]), [0], n_classes=1)
+    ds = Dataset(np.array([[1.0, 0.0]]), [0], n_classes=1)
     rot = np.array([[-1.0, 0.0], [0.0, -1.0]])
     out = augment_with_groups(ds, lambda f: rot @ f, 1, [0])
     gi = build_group_index(out)
@@ -129,7 +132,7 @@ def test_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(12)
     feats = rng.standard_normal((100, 5)) * np.exp(rng.uniform(-8, 8, (100, 5)))
     ids = [None if i % 3 else f"g{i % 7}" for i in range(100)]
-    ds = Dataset.from_arrays(feats, rng.integers(0, 3, 100), ids)
+    ds = Dataset(feats, rng.integers(0, 3, 100), ids)
     path = tmp_path / "rt.csv"
     save_csv(ds, path)
     back = load_csv(path)

@@ -6,11 +6,8 @@ from condvar import (
     DegenerateVarianceError,
     GroupIndex,
     PenaltyConfig,
-    baseline_group_by_label,
-    baseline_unconditional,
     build_group_index,
     conditional_penalty,
-    variance_decomposition,
     variance_ratio,
 )
 
@@ -34,8 +31,8 @@ def random_grouping(rng, n):
 def two_pass_oracle(values, group_index, nu):
     """Independent reference: explicit two-pass variance per group."""
     total = 0.0
-    for g in group_index.groups:
-        v = [float(values[i]) for i in g]
+    for j in range(group_index.m):
+        v = [float(values[i]) for i in np.flatnonzero(group_index.seg == j)]
         mean = sum(v) / len(v)
         var = sum((x - mean) ** 2 for x in v) / len(v)
         total += var ** nu
@@ -119,61 +116,24 @@ def test_variance_ratio_preconditions():
         variance_ratio(np.zeros(2), gi([[0], [1]], 2))  # no non-singleton
 
 
-def test_variance_decomposition_trivial_cases():
-    index = gi([[0, 1], [2]], 3)
-    assert variance_decomposition(np.full(3, 2.5), index) == (0.0, 0.0, 0.0)
-    singles = gi([[0], [1], [2]], 3)
-    total, within, between = variance_decomposition(np.array([1.0, 2.0, 4.0]), singles)
-    assert within == 0.0
-    assert total == pytest.approx(between, rel=1e-15)
-
-
-def test_variance_decomposition_identity_random():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(2, 50))
-        index = random_grouping(rng, n)
-        values = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 4)
-        total, within, between = variance_decomposition(values, index)
-        assert total == pytest.approx(within + between, rel=1e-12, abs=1e-15)
-        # cross-check total against the unconditional baseline
-        assert total == pytest.approx(baseline_unconditional(values), rel=1e-12, abs=1e-15)
-
-
 def test_penalty_equals_decomposition_for_equal_sizes():
     rng = np.random.default_rng(5)
     n, size = 24, 4
     perm = rng.permutation(n)
     index = gi([perm[i:i + size] for i in range(0, n, size)], n)
     values = rng.standard_normal(n)
-    _, within, _ = variance_decomposition(values, index)
+    # the size-weighted mean of the within-group variances
+    within = sum(size / n * np.var(values[index.seg == j]) for j, size in enumerate(index.sizes))
     assert conditional_penalty(values, index, 1.0) == pytest.approx(within, rel=1e-12)
-
-
-def test_baseline_group_by_label():
-    rng = np.random.default_rng(2)
-    labels = [1, 0, 1, 1, 0, 1, 0, 1, 0, 0]
-    ds = Dataset.from_arrays(rng.standard_normal((10, 2)), labels)
-    index = baseline_group_by_label(ds)
-    assert index.m == 2
-    assert sorted(len(g) for g in index.groups) == [5, 5]
-    labels3 = rng.integers(0, 3, 30)
-    ds3 = Dataset.from_arrays(rng.standard_normal((30, 2)), labels3)
-    assert baseline_group_by_label(ds3).m == 3
 
 
 def test_baseline_grouping_composes_with_penalty():
     rng = np.random.default_rng(9)
-    ds = Dataset.from_arrays(rng.standard_normal((20, 2)), rng.integers(0, 2, 20))
-    index = baseline_group_by_label(ds)
+    ds = Dataset(rng.standard_normal((20, 2)), rng.integers(0, 2, 20))
+    index = GroupIndex(ds.labels)  # one group per class label
     values = rng.standard_normal(20)
-    want = np.mean([np.var(values[g]) for g in index.groups])
+    want = np.mean([np.var(values[ds.labels == k]) for k in np.unique(ds.labels)])
     assert conditional_penalty(values, index, 1.0) == pytest.approx(want, rel=1e-12)
-
-
-def test_baseline_unconditional():
-    assert baseline_unconditional(np.full(5, 3.3)) == 0.0
-    assert baseline_unconditional(np.array([0.0, 2.0])) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_penalty_config_validation():
@@ -185,8 +145,6 @@ def test_penalty_config_validation():
         PenaltyConfig(lam=-1.0)
     with pytest.raises(ValueError):
         PenaltyConfig(gamma=float("nan"))
-    cfg = PenaltyConfig("loss", 0.5, 2.0, 1e-3)
-    assert PenaltyConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_grouping_then_penalty_consistency_with_build_group_index():
@@ -194,7 +152,7 @@ def test_grouping_then_penalty_consistency_with_build_group_index():
     feats = rng.standard_normal((12, 2))
     ids = ["a", "a", "b", "b", None, None, "c", "c", "c", None, "d", "d"]
     labels = [0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1]
-    ds = Dataset.from_arrays(feats, labels, ids)
+    ds = Dataset(feats, labels, ids)
     index = build_group_index(ds)
     values = rng.standard_normal(12)
     assert conditional_penalty(values, index, 1.0) == pytest.approx(
