@@ -121,6 +121,11 @@ def _sphere_directions(q: int):
     return None  # high dimension: caller runs random-restart ascent
 
 
+# candidates stacked per pass of _search_spheres: K of them take
+# K * n * (widest of p, q and the model's layers) * 8 bytes, at most this many
+_CHUNK_BYTES = 256 * 1024
+
+
 def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
                     seed) -> tuple:
     """Best shift on every group's sphere delta^T Sigma_j^-1 delta = budget_j,
@@ -130,23 +135,36 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     q <= 3 the candidates are a direction grid shared by all groups; above
     that, 64 random restarts per group (seeded seed + j), each refined by 200
     steps of projected gradient ascent. Each group keeps its first strict
-    maximum. Candidates are rendered one at a time, so memory stays at one
-    re-rendered dataset. When every budget is 0 the only shift is 0, and
-    the unshifted group mean losses are returned without a search."""
+    maximum. Candidates are rendered, stepped and scored K at a time as one
+    (K n)-row batch over K m segments, with K as large as _CHUNK_BYTES
+    allows (at least 1). When every budget is 0 the only shift is 0, and the
+    unshifted group mean losses are returned without a search."""
     seg, m, q = group_index.seg, group_index.m, style_dataset.q
-    labels = style_dataset.dataset.labels
+    n, p = style_dataset.dataset.features.shape
     chols = _chol(sigmas)
     scale = np.sqrt(budgets)[:, None]
+    k = max(1, _CHUNK_BYTES // (8 * n * max(p, q, *spec.layer_sizes)))
+    labels = np.tile(style_dataset.dataset.labels, k)
+    seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
-    def shift(u):
-        return scale * np.einsum("jab,jb->ja", chols, u)
+    def shift(u):  # (K, m, q) unit directions -> shifts
+        return scale * np.einsum("jab,kjb->kja", chols, u)
 
-    def render(delta):
-        return style_dataset.render(style_dataset.style + delta[seg])
+    def render(delta):  # (K, m, q) shifts -> (K n, p) features
+        style = style_dataset.style + np.take(delta, seg, axis=1)
+        return style_dataset.render(style).reshape(-1, p)
+
+    def group_means(values):  # (K n, ...) -> (K, m, ...)
+        kk = len(values) // n
+        means = segment_means(values, seg_k[:kk * n], kk * m)
+        return means.reshape((kk, m) + values.shape[1:])
+
+    def group_losses(delta):
+        return group_means(_sample_losses(spec, theta, render(delta), labels[:len(delta) * n]))
 
     if not np.any(budgets):
-        zero = np.zeros((m, q))
-        return segment_means(_sample_losses(spec, theta, render(zero), labels), seg, m), zero
+        zero = np.zeros((1, m, q))
+        return group_losses(zero)[0], zero[0]
 
     grid = _sphere_directions(q)
     if grid is None:
@@ -156,17 +174,21 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
         starts /= np.linalg.norm(starts, axis=2, keepdims=True)
     else:
         starts = np.broadcast_to(grid[:, None, :], (len(grid), m, q))
-    best_val, best_delta = np.full(m, -np.inf), np.zeros((m, q))
-    for u in starts:
-        if grid is None:
-            for _ in range(200):
-                g = _style_gradients(spec, theta, style_dataset, render(shift(u)), labels)
-                g_u = scale * np.einsum("jba,jb->ja", chols, segment_means(g, seg, m))
-                norms = np.maximum(np.linalg.norm(g_u, axis=1, keepdims=True), 1e-12)
-                u = u + 0.1 * scale * g_u / norms
-                u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    best_val, best_delta, groups = np.full(m, -np.inf), np.zeros((m, q)), np.arange(m)
+    for lo in range(0, len(starts), k):
+        u = starts[lo:lo + k]
+        for _ in range(0 if grid is not None else 200):
+            g = _style_gradients(spec, theta, style_dataset, render(shift(u)),
+                                 labels[:len(u) * n])
+            g_u = scale * np.einsum("jba,kjb->kja", chols, group_means(g))
+            norms = np.maximum(np.linalg.norm(g_u, axis=2, keepdims=True), 1e-12)
+            u = u + 0.1 * scale * g_u / norms
+            u = u / np.linalg.norm(u, axis=2, keepdims=True)
         delta = shift(u)
-        val = segment_means(_sample_losses(spec, theta, render(delta), labels), seg, m)
+        val = group_losses(delta)
+        val[np.isnan(val)] = -np.inf  # NaN never beats the best, as under ">"
+        top = np.argmax(val, axis=0)  # first maximum within the chunk
+        val, delta = val[top, groups], delta[top, groups]
         better = val > best_val
         best_val[better], best_delta[better] = val[better], delta[better]
     return best_val, best_delta
@@ -197,6 +219,11 @@ def _group_shift_gradients(spec, theta, style_dataset, group_index) -> np.ndarra
     return segment_means(per_sample, group_index.seg, group_index.m)
 
 
+def _check_budget(xi) -> None:
+    if not (np.isfinite(xi) and xi >= 0):
+        raise ValueError(f"xi must be finite and >= 0, got {xi}")
+
+
 def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                     group_index: GroupIndex, sigma, xi: float,
                     method: str = "gradient_allocation", seed: int = 0) -> WorstCaseResult:
@@ -215,8 +242,7 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
 
     Every returned value is a lower bound on the true supremum.
     """
-    if xi < 0:
-        raise ValueError("xi must be >= 0")
+    _check_budget(xi)
     if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
         raise ValueError(f"unknown method {method!r}")
     m, q = group_index.m, style_dataset.q
@@ -290,6 +316,8 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     if direction.shape != (style_dataset.q,) or not np.any(direction != 0.0):
         raise ValueError("direction must be a nonzero length-q vector")
     magnitudes = np.asarray(sorted(float(v) for v in magnitudes))
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError("magnitudes must be finite")
     unshifted = loss_under_shift(spec, theta, style_dataset,
                                  np.zeros(style_dataset.q))
     losses = np.asarray([
@@ -307,8 +335,7 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                     group_index: GroupIndex, sigma, xi: float) -> FirstOrderGap:
     """Compare the worst-case loss at budget xi against its first-order
     expansion: unshifted loss + sqrt(xi) * conditional sd of the loss."""
-    if xi < 0:
-        raise ValueError("xi must be >= 0")
+    _check_budget(xi)
     ds = style_dataset.dataset
     losses = _sample_losses(spec, theta, ds.features, ds.labels)
     unshifted = float(np.mean(losses))

@@ -187,17 +187,21 @@ class StyleAwareDataset:
         return self.style.shape[1]
 
     def render(self, style: np.ndarray) -> np.ndarray:
-        """Features for the stored cores under the given style latents."""
+        """Features for the stored cores under the given style latents:
+        (n, p) for style (n, q), and (K, n, p) for a stack (K, n, q) of K
+        candidate styles, whose core term is computed once."""
         return _render(self.render_kind, self.core, style,
                        self.core_matrix, self.style_matrix)
 
 
 def _render(kind, core, style, core_matrix, style_matrix) -> np.ndarray:
     if kind == "linear":
-        return core @ core_matrix.T + style @ style_matrix.T
+        feats = style @ style_matrix.T
+        feats += core @ core_matrix.T  # in place: no second (K, n, p) buffer
+        return feats
     radius = core[:, 0]
-    angle = style[:, 0]
-    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    angle = style[..., 0]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
 def expand_assignment(assignment, n: int, q: int, group_index=None) -> np.ndarray:

@@ -53,8 +53,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and positive")
 
 
 @dataclass(frozen=True)

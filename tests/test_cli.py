@@ -118,6 +118,15 @@ def test_train_config_errors(gen_dir, tmp_path):
                "--lambda", 1.0, "--batch-size", 1, "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+def test_train_rejects_non_finite_lr(gen_dir, tmp_path, capsys, lr):
+    code = run("train", "--data", gen_dir / "train.csv", "--model", "linear:2",
+               "--lr", lr, "--out", tmp_path)
+    assert code == 2
+    assert "config error: lr must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 def test_eval_metrics(gen_dir, trained_dir, tmp_path):
     out = tmp_path / "eval"
     code = run("eval", "--checkpoint", trained_dir / "checkpoint.json",
@@ -156,6 +165,34 @@ def test_shift_eval_report(gen_dir, trained_dir, tmp_path):
     assert report["worst_case"] == sorted(report["worst_case"])
     assert report["divergence"]["verdict"] in ("bounded", "unbounded")
     assert "invariance_defect" in report
+
+
+def _shift_eval_exit(gen_dir, trained_dir, out, *flags):
+    code = run("shift_eval", "--checkpoint", trained_dir / "checkpoint.json",
+               "--data", gen_dir / "train.csv", "--latents", gen_dir / "train_latents.json",
+               *flags, "--out", out)
+    assert not (out / "robustness.json").exists()
+    return code
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_shift_eval_rejects_non_finite_xi(gen_dir, trained_dir, tmp_path, capsys, value):
+    assert _shift_eval_exit(gen_dir, trained_dir, tmp_path, "--xi", 0.0, value) == 2
+    assert "config error: xi must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_shift_eval_rejects_non_finite_fo_xi(gen_dir, trained_dir, tmp_path, capsys, value):
+    assert _shift_eval_exit(gen_dir, trained_dir, tmp_path, "--fo-xi", value) == 2
+    assert "config error: xi must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_shift_eval_rejects_non_finite_magnitudes(gen_dir, trained_dir, tmp_path, capsys,
+                                                  value):
+    assert _shift_eval_exit(gen_dir, trained_dir, tmp_path,
+                            "--magnitudes", 0.0, 1.0, value) == 2
+    assert "config error: magnitudes must be finite" in capsys.readouterr().err
 
 
 def test_shift_eval_missing_latents(gen_dir, trained_dir, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,16 @@ from condvar import (
     worst_case_loss,
 )
 from condvar import models as md
+from condvar import robustness as rb
 from condvar.data import Dataset, GroupIndex
 from condvar.models import logistic_loss
+from condvar.penalties import segment_means
 from condvar.robustness import (
     _budget_splits,
     _group_shift_gradients,
     _search_spheres,
     _sphere_directions,
+    _style_gradients,
 )
 from condvar.scm import StyleAwareDataset, rerender
 
@@ -399,6 +404,132 @@ def test_exhaustive_tiny_keeps_first_split_on_ties():
                           method="exhaustive_tiny")
     assert np.array_equal(res.assignment[0], [0.0])
     assert mahalanobis_cost(res.assignment[1], sigmas[1]) == pytest.approx(1.4, rel=1e-12)
+
+
+# ---- batched search against one candidate per pass --------------------------
+
+def _one_candidate_search(model, theta, ds, gi, sigmas, budgets, seed):
+    # reference: every candidate (a grid direction, or one restart of every
+    # group with its 200 ascent steps) rendered and scored on its own, each
+    # group keeping its first strict maximum
+    seg, m, q = gi.seg, gi.m, ds.q
+    chols = np.linalg.cholesky(sigmas)
+    scale = np.sqrt(budgets)[:, None]
+    labels = ds.dataset.labels
+
+    def shift(u):
+        return scale * np.einsum("jab,jb->ja", chols, u)
+
+    def features(u):
+        return ds.render(ds.style + shift(u)[seg])
+
+    grid = _sphere_directions(q)
+    if grid is None:
+        draws = [np.random.default_rng(seed + j).standard_normal((64, q)) for j in range(m)]
+        starts = [np.array([d[r] / np.linalg.norm(d[r]) for d in draws]) for r in range(64)]
+    else:
+        starts = [np.broadcast_to(u, (m, q)) for u in grid]
+    best_val, best_delta = np.full(m, -np.inf), np.zeros((m, q))
+    for u in starts:
+        for _ in range(0 if grid is not None else 200):
+            g = _style_gradients(model, theta, ds, features(u), labels)
+            g_u = scale * np.einsum("jba,jb->ja", chols, segment_means(g, seg, m))
+            norms = np.maximum(np.linalg.norm(g_u, axis=1, keepdims=True), 1e-12)
+            u = u + 0.1 * scale * g_u / norms
+            u = u / np.linalg.norm(u, axis=1, keepdims=True)
+        logits = md.forward(model, theta, features(u))
+        val = segment_means(md.per_sample_loss(model, logits, labels), seg, m)
+        better = val > best_val
+        best_val[better], best_delta[better] = val[better], shift(u)[better]
+    return best_val, best_delta
+
+
+def _force_chunk(monkeypatch, k, model, ds):
+    # the budget that makes _search_spheres stack exactly k candidates
+    n, p = ds.dataset.features.shape
+    monkeypatch.setattr(rb, "_CHUNK_BYTES", k * 8 * n * max(p, ds.q, *model.layer_sizes))
+
+
+def _grid_instance(q, render):
+    if render == "linear":
+        _spec, ds, gi = scm_instance(n=30, id_count=4, q=q)
+    else:
+        ds, _test = gen_example2(30, 10, seed=2)
+        gi = build_group_index(ds.dataset)
+    model = ModelSpec("mlp", (ds.dataset.p, 5, 1))
+    theta = md.init_params(model, 4) + 0.3 * np.random.default_rng(5).standard_normal(
+        md.param_count(model))
+    roots = np.random.default_rng(q).standard_normal((gi.m, q, q))
+    sigmas = roots @ roots.transpose(0, 2, 1) + 0.5 * np.eye(q)
+    budgets = np.linspace(0.2, 1.4, gi.m)
+    return model, theta, ds, gi, sigmas, budgets
+
+
+@pytest.mark.parametrize("k", [1, 7, 2000])
+@pytest.mark.parametrize("q,render", [(2, "linear"), (3, "linear"), (1, "polar")])
+def test_grid_search_equals_one_candidate_loop(q, render, k, monkeypatch):
+    # k = 7 leaves a partial last chunk (720 % 7, 2000 % 7); 2000 holds every grid
+    model, theta, ds, gi, sigmas, budgets = _grid_instance(q, render)
+    want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi, sigmas, budgets, 0)
+    _force_chunk(monkeypatch, k, model, ds)
+    vals, shifts = _search_spheres(model, theta, ds, gi, sigmas, budgets, 0)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(shifts, want_shifts)
+
+
+@pytest.fixture(scope="module")
+def ascent_reference():
+    model = ModelSpec("mlp", (7, 4, 1))
+    ds, gi, theta, sigmas = per_group_sigma_instance(4, model)
+    args = (model, theta, ds, GroupIndex(np.minimum(gi.seg, 2)), sigmas[:3],
+            np.array([0.3, 0.6, 1.1]), 5)
+    return args, _one_candidate_search(*args)
+
+
+@pytest.mark.parametrize("k", [5, 64])
+def test_stacked_ascent_matches_per_restart_loop(k, ascent_reference, monkeypatch):
+    # k = 5 leaves a partial last chunk of the 64 restarts; 64 steps them all at once
+    args, (want_vals, want_shifts) = ascent_reference
+    _force_chunk(monkeypatch, k, args[0], args[2])
+    vals, shifts = _search_spheres(*args)
+    np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(shifts, want_shifts, rtol=1e-12, atol=1e-15)
+
+
+def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
+    # a zero-parameter model has the same loss under every shift, so every
+    # candidate ties and each group must keep grid[0]'s shift across chunks
+    model, _theta, ds, gi, sigmas, budgets = _grid_instance(2, "linear")
+    _force_chunk(monkeypatch, 7, model, ds)
+    vals, shifts = _search_spheres(model, np.zeros(md.param_count(model)), ds, gi, sigmas,
+                                   budgets, 0)
+    first = np.sqrt(budgets)[:, None] * np.einsum("jab,b->ja", np.linalg.cholesky(sigmas),
+                                                   _sphere_directions(2)[0])
+    assert np.all(vals == np.log(2.0))
+    assert np.array_equal(shifts, first)
+
+
+def test_search_memory_stays_within_the_chunk_budget():
+    # shift_search's shape: n = 400, p = 10, q = 2, m = 50 groups, a linear model
+    spec = LinearScmSpec(p=10, q=2, r=4, id_count=25, id_sampler="round_robin",
+                         style_class_mean=(1.0, 1.0), style_cov=((1.0, 0.0), (0.0, 1.0)))
+    ds = sample_linear_scm(spec, 400, InterventionSpec("none"), seed=0)
+    gi = build_group_index(ds.dataset)
+    assert (len(ds.dataset), gi.m) == (400, 50)
+    model = ModelSpec("linear", (10, 1))
+    theta = linear_theta(spec, ds)
+    sigmas = np.broadcast_to(np.eye(2), (gi.m, 2, 2))
+    tracemalloc.start()
+    try:
+        _search_spheres(model, theta, ds, gi, sigmas, np.full(gi.m, 1.0), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak follows the budget (the rendered chunk is the largest array),
+    # and 1 MiB caps it well inside the 10 % (about 4 MB) by which
+    # shift_search's peak RSS may grow; a 1 MiB budget reads 1.9 MB here
+    assert peak <= 4 * rb._CHUNK_BYTES
+    assert peak <= 1 << 20
 
 
 # ---- divergence probe ---------------------------------------------------------
