@@ -186,8 +186,8 @@ def _evaluate(spec, theta, dataset) -> dict:
     }
 
 
-def _load_checkpoint_for(args, dataset):
-    spec, theta, _seed, _step = md.load_checkpoint(args.checkpoint)
+def _load_checkpoint_for(path, dataset):
+    spec, theta, _seed, _step = md.load_checkpoint(path)
     if spec.input_dim != dataset.p:
         raise DataFormatError(
             f"checkpoint expects {spec.input_dim} features but data has {dataset.p}"
@@ -199,7 +199,7 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_csv(args.data)
-    spec, theta = _load_checkpoint_for(args, dataset)
+    spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
     metrics = _evaluate(spec, theta, dataset)
     _write_json(out / "metrics.json", metrics)
     _manifest(out, "eval", {"checkpoint": str(args.checkpoint), "data": str(args.data)},
@@ -217,7 +217,7 @@ def _cmd_shift_eval(args) -> int:
     if not Path(args.latents).exists():
         raise DataFormatError(f"latent sidecar {args.latents} not found")
     style_ds = scm.load_style_dataset(dataset, args.latents)
-    spec, theta = _load_checkpoint_for(args, dataset)
+    spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
     groups = build_group_index(dataset)
     cov = rb.estimate_conditional_covariance(style_ds, groups)
     sigma = cov.pooled
@@ -273,10 +273,7 @@ def _cmd_plot(args) -> int:
     dataset = load_csv(args.data)
     if dataset.p != 2:
         raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")
-    checkpoints = []
-    for path in args.checkpoints:
-        spec, theta, _seed, _step = md.load_checkpoint(path)
-        checkpoints.append((spec, theta))
+    checkpoints = [_load_checkpoint_for(path, dataset) for path in args.checkpoints]
     labels = args.labels if args.labels else [Path(p).stem for p in args.checkpoints]
     if len(labels) != len(checkpoints):
         raise ConfigError("need exactly one label per checkpoint")

@@ -191,17 +191,18 @@ def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, sele
 
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
-    written with shortest round-trip precision so load(save(d)) == d bitwise."""
+    written with shortest round-trip precision so load(save(d)) == d bitwise.
+    Every id is checked before the file is opened, so an id holding a comma
+    or a newline raises DataFormatError and leaves the path untouched."""
+    ids = ["" if ident is None else str(ident) for ident in dataset.ids]
+    if any("," in ident or "\n" in ident for ident in ids):
+        raise DataFormatError("id tokens may not contain commas or newlines")
+    cols = ",".join(f"x{j}" for j in range(dataset.p))
+    body = "".join(f"{ident},{label},{','.join(map(repr, row))}\n" for ident, label, row
+                   in zip(ids, dataset.labels.tolist(), dataset.features.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ",".join(f"x{j}" for j in range(dataset.p))
         fh.write(f"id,y,{cols}\n")
-        for ident, label, row in zip(dataset.ids, dataset.labels.tolist(),
-                                     dataset.features.tolist()):
-            ident = "" if ident is None else str(ident)
-            if "," in ident or "\n" in ident:
-                raise DataFormatError("id tokens may not contain commas or newlines")
-            feats = ",".join(map(repr, row))
-            fh.write(f"{ident},{label},{feats}\n")
+        fh.write(body)
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:

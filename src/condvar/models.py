@@ -166,6 +166,12 @@ def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple
     return g_theta, g
 
 
+# batched evaluations outside training (the worst-case search candidates,
+# the boundary-plot grid) take as many rows at a time as keep the widest
+# layer buffer, 8 bytes a float, within this many bytes
+_CHUNK_BYTES = 256 * 1024
+
+
 def forward(spec: ModelSpec, theta, x):
     """Logits for ``x``; accepts a single sample (p,) or a batch (n, p).
 

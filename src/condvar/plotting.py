@@ -3,6 +3,14 @@
 SVG is written by hand so the bytes depend only on the inputs: samples
 colored by class, grouped pairs joined by segments, and one traced contour
 per checkpoint (marching squares on a 400 x 400 logit grid).
+
+The grid is evaluated a block of grid rows at a time, each block as large
+as keeps the model's widest layer buffer (400 points a row, 8 bytes a
+float) within ``models._CHUNK_BYTES`` (256 KiB), at least one row: 5 rows
+for a 2-16-16-1 MLP, 40 for a linear model. Only the finished (400, 400)
+logit grid is kept whole. A grid point's logit does not depend on the
+points evaluated beside it, so neither do the SVG bytes; the tests pin them
+at blocks of 1, 7 and 400 rows.
 """
 
 from __future__ import annotations
@@ -58,16 +66,13 @@ def zero_contour_segments(grid_vals: np.ndarray, xs: np.ndarray, ys: np.ndarray)
     return np.stack([x, y], axis=-1).reshape(-1, 2, 2)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | None = None) -> str:
     """SVG scatter of a 2-d dataset with one decision boundary per
     (spec, theta) checkpoint. Grouped pairs are joined by grey segments.
 
     ``checkpoints`` is a list of (ModelSpec, theta) tuples; ``labels`` names
-    them in the legend. Raises on non-2-d data.
+    them in the legend. Raises on non-2-d data and, before evaluating any
+    model, on a checkpoint with more than two outputs.
     """
     if dataset.p != 2:
         raise ValueError(f"plotting needs 2-d features, got p = {dataset.p}")
@@ -75,65 +80,61 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
         labels = [f"model {k}" for k in range(len(checkpoints))]
     if len(labels) != len(checkpoints):
         raise ValueError("need one label per checkpoint")
+    if any(spec.output_dim > 2 for spec, _theta in checkpoints):
+        raise ValueError("boundary plots support single-logit or two-class models")
     feats = dataset.features
-    lab = dataset.labels
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
     pad = 0.08 * np.maximum(hi - lo, 1e-9)
     lo, hi = lo - pad, hi + pad
 
-    def to_px(pt):
-        x = (pt[0] - lo[0]) / (hi[0] - lo[0]) * (_WIDTH - 20) + 10
-        y = _HEIGHT - ((pt[1] - lo[1]) / (hi[1] - lo[1]) * (_HEIGHT - 20) + 10)
-        return x, y
+    def to_px(pts):  # (..., 2) data coordinates -> (..., 2) pixel coordinates
+        px = (pts - lo) / (hi - lo) * np.array([_WIDTH - 20, _HEIGHT - 20]) + 10
+        px[..., 1] = _HEIGHT - px[..., 1]
+        return px
+
+    def lines(segs, stroke, width):  # (s, 2, 2) data-coordinate segments -> <line> tags
+        return [f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                f'stroke="{stroke}" stroke-width="{width}"/>'
+                for x1, y1, x2, y2 in to_px(segs).reshape(-1, 4).tolist()]
 
     # deterministic thinning: evenly spaced sample indices
     if len(dataset) > _MAX_POINTS:
         keep = np.linspace(0, len(dataset) - 1, _MAX_POINTS).astype(int)
     else:
         keep = np.arange(len(dataset))
-    keep_set = set(int(i) for i in keep)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-    # grouped pairs first so markers draw on top
+    # grouped pairs first so markers draw on top: in each group with a drawn
+    # sample, every member is joined to the next one in index order
     gi = build_group_index(dataset)
-    for g in gi.nontrivial():
-        if not any(int(i) in keep_set for i in g):
-            continue
-        pts = [to_px(feats[i]) for i in g]
-        for a, b in zip(pts[:-1], pts[1:]):
-            parts.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" '
-                f'y2="{_fmt(b[1])}" stroke="#999999" stroke-width="0.8"/>'
-            )
-    for i in keep:
-        x, y = to_px(feats[i])
-        color = _CLASS_COLORS[lab[i] % len(_CLASS_COLORS)]
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.6" fill="{color}" fill-opacity="0.55"/>')
+    drawn = np.zeros(gi.m, dtype=bool)
+    drawn[gi.seg[keep]] = True
+    a, b = gi.members[:-1], gi.members[1:]
+    link = (gi.seg[a] == gi.seg[b]) & drawn[gi.seg[a]]
+    parts += lines(np.stack([feats[a[link]], feats[b[link]]], axis=1), "#999999", "0.8")
+    for (x, y), label in zip(to_px(feats[keep]).tolist(), dataset.labels[keep].tolist()):
+        color = _CLASS_COLORS[label % len(_CLASS_COLORS)]
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="{color}" fill-opacity="0.55"/>')
 
     xs = np.linspace(lo[0], hi[0], _GRID)
     ys = np.linspace(lo[1], hi[1], _GRID)
-    gx, gy = np.meshgrid(xs, ys)
-    grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
+    vals = np.empty((_GRID, _GRID))
     for k, (spec, theta) in enumerate(checkpoints):
-        logits = np.asarray(md.forward(spec, theta, grid_pts))
-        if logits.ndim == 2:
-            if logits.shape[1] != 2:
-                raise ValueError("boundary plots support single-logit or two-class models")
-            vals = (logits[:, 1] - logits[:, 0]).reshape(_GRID, _GRID)
-        else:
-            vals = logits.reshape(_GRID, _GRID)
+        rows = max(1, md._CHUNK_BYTES // (8 * _GRID * max(spec.layer_sizes)))
+        for r in range(0, _GRID, rows):
+            block = ys[r:r + rows]
+            pts = np.column_stack([np.tile(xs, len(block)), np.repeat(block, _GRID)])
+            logits = md.forward(spec, theta, pts)
+            if logits.ndim == 2:
+                logits = logits[:, 1] - logits[:, 0]
+            vals[r:r + rows] = logits.reshape(len(block), _GRID)
         color = _BOUNDARY_COLORS[k % len(_BOUNDARY_COLORS)]
-        for a, b in zero_contour_segments(vals, xs, ys):
-            pa, pb = to_px(a), to_px(b)
-            parts.append(
-                f'<line x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" x2="{_fmt(pb[0])}" '
-                f'y2="{_fmt(pb[1])}" stroke="{color}" stroke-width="1.4"/>'
-            )
+        parts += lines(zero_contour_segments(vals, xs, ys), color, "1.4")
     for k, text in enumerate(labels):
         color = _BOUNDARY_COLORS[k % len(_BOUNDARY_COLORS)]
         y = 18 + 16 * k

@@ -121,11 +121,6 @@ def _sphere_directions(q: int):
     return None  # high dimension: caller runs random-restart ascent
 
 
-# candidates stacked per pass of _search_spheres: K of them take
-# K * n * (widest of p, q and the model's layers) * 8 bytes, at most this many
-_CHUNK_BYTES = 256 * 1024
-
-
 def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
                     seed) -> tuple:
     """Best shift on every group's sphere delta^T Sigma_j^-1 delta = budget_j,
@@ -136,14 +131,15 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     that, 64 random restarts per group (seeded seed + j), each refined by 200
     steps of projected gradient ascent. Each group keeps its first strict
     maximum. Candidates are rendered, stepped and scored K at a time as one
-    (K n)-row batch over K m segments, with K as large as _CHUNK_BYTES
-    allows (at least 1). When every budget is 0 the only shift is 0, and the
-    unshifted group mean losses are returned without a search."""
+    (K n)-row batch over K m segments, K as large as models._CHUNK_BYTES
+    allows for K n (widest of p, q and the model's layer widths) floats, at
+    least 1. When every budget is 0 the only shift is 0, and the unshifted
+    group mean losses are returned without a search."""
     seg, m, q = group_index.seg, group_index.m, style_dataset.q
     n, p = style_dataset.dataset.features.shape
     chols = _chol(sigmas)
     scale = np.sqrt(budgets)[:, None]
-    k = max(1, _CHUNK_BYTES // (8 * n * max(p, q, *spec.layer_sizes)))
+    k = max(1, md._CHUNK_BYTES // (8 * n * max(p, q, *spec.layer_sizes)))
     labels = np.tile(style_dataset.dataset.labels, k)
     seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 

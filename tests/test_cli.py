@@ -275,6 +275,19 @@ def test_plot_dimension_error(tmp_path):
     assert run("plot", "--data", other / "train.csv", "--out", tmp_path) == 3
 
 
+def test_plot_checkpoint_width_mismatch_exits_data(gen_dir, tmp_path):
+    # a linear:3 checkpoint on 2-d data fails as eval fails on it, before any output
+    ckpt = tmp_path / "wide.json"
+    spec = md.ModelSpec("linear", (3, 1))
+    md.save_checkpoint(ckpt, spec, md.init_params(spec, 0), 0, 0)
+    out = tmp_path / "plot"
+    assert run("eval", "--checkpoint", ckpt, "--data", gen_dir / "train.csv",
+               "--out", tmp_path / "eval") == 3
+    assert run("plot", "--data", gen_dir / "train.csv", "--checkpoints", ckpt,
+               "--out", out) == 3
+    assert not (out / "plot.svg").exists()
+
+
 @pytest.mark.parametrize("row", ["a,1,abc", "a,1", "a,1,2.0,3.0", "a,1.0,2.0", "a,-1,2.0",
                                  "a,1,nan", "a,1,1e400", "a,1_0,2.0"])
 def test_train_rejects_bad_csv_row_with_data_exit(tmp_path, row):

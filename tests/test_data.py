@@ -142,6 +142,17 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(ds.features, back.features)
 
 
+@pytest.mark.parametrize("bad_id", ["a,b", "a\nb"])
+def test_csv_save_rejects_bad_id_before_touching_the_file(tmp_path, bad_id):
+    # the bad id sits after valid rows: nothing may be written before the check
+    ds = Dataset([[0.0], [1.0], [2.0]], [0, 1, 0], ["a", "b", bad_id])
+    path = tmp_path / "d.csv"
+    path.write_text("id,y,x0\nold,1,5.0\n")
+    with pytest.raises(DataFormatError, match="commas or newlines"):
+        save_csv(ds, path)
+    assert path.read_text() == "id,y,x0\nold,1,5.0\n"
+
+
 @pytest.mark.parametrize("content", [
     "id,y,x0\na,1\n",                # ragged row
     "id,y,x0\na,1,abc\n",            # non-numeric feature

@@ -1,9 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from condvar import models as md
 from condvar.data import Dataset
-from condvar.plotting import decision_boundary_svg, zero_contour_segments
+from condvar.plotting import _GRID, decision_boundary_svg, zero_contour_segments
 
 
 def _loop_segments(grid_vals, xs, ys):
@@ -119,11 +122,15 @@ def test_boundary_svg_two_class_softmax_draws_boundary():
     assert _boundary_lines(svg) >= 1
 
 
-def test_boundary_svg_rejects_three_classes():
-    spec = md.ModelSpec("linear", (2, 3))
-    theta = md.init_params(spec, 0)
+def test_boundary_svg_rejects_three_classes(monkeypatch):
+    # the three-class checkpoint comes second: no model may be evaluated first
+    calls = []
+    monkeypatch.setattr(md, "forward", lambda *a: calls.append(1))
+    ok, spec = md.ModelSpec("linear", (2, 1)), md.ModelSpec("linear", (2, 3))
     with pytest.raises(ValueError, match="boundary plots support single-logit or two-class models"):
-        decision_boundary_svg(_scatter_dataset(), [(spec, theta)])
+        decision_boundary_svg(_scatter_dataset(), [(ok, md.init_params(ok, 0)),
+                                                   (spec, md.init_params(spec, 0))])
+    assert calls == []
 
 
 def test_boundary_svg_rejects_label_count_mismatch():
@@ -133,3 +140,54 @@ def test_boundary_svg_rejects_label_count_mismatch():
         decision_boundary_svg(_scatter_dataset(), [(spec, theta)], ["a", "b"])
     with pytest.raises(ValueError, match="one label per checkpoint"):
         decision_boundary_svg(_scatter_dataset(), [(spec, theta), (spec, theta)], ["a"])
+
+
+def _mlp(sizes, activation, seed):
+    spec = md.ModelSpec("mlp", sizes, activation)
+    return spec, md.init_params(spec, seed)
+
+
+# each checkpoint with the sha256 of its SVG as the one-batch grid evaluation wrote it
+_PINNED_SVGS = {
+    "single_logit": ((md.ModelSpec("linear", (2, 1)), np.array([-0.7, 1.2, 0.3])),
+                     "e856ab4113753da27bc5a3c19d2acbd44167369e6f8460f90a19bcb1cf027e90"),
+    "softmax": ((md.ModelSpec("linear", (2, 2)), np.array([0.4, 1.0, -0.3, 0.5, 0.2, 0.1])),
+                "297a22ce2f55d899b1cdf6b31530107d882d88099e160656c927209a138fcaf7"),
+    "tanh_mlp": (_mlp((2, 16, 16, 1), "tanh", 3),
+                 "6f5d5ea7c9754a4db6c37a1156fe374a25eb28c429a39bbf8a4e6a5cea50a080"),
+    "relu_mlp": (_mlp((2, 8, 1), "relu", 5),
+                 "c14596ffbbf177898e0787132cf7eb75a608a32d188809ec6d0166428f284abd"),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7, _GRID])
+@pytest.mark.parametrize("name", sorted(_PINNED_SVGS))
+def test_boundary_svg_bytes_do_not_depend_on_the_row_block(name, rows, monkeypatch):
+    # None keeps the default budget; 7 rows leave a partial last block
+    # (400 % 7 = 1); 400 rows evaluate the whole grid in one block
+    (spec, theta), sha256 = _PINNED_SVGS[name]
+    if rows is not None:
+        monkeypatch.setattr(md, "_CHUNK_BYTES", rows * 8 * _GRID * max(spec.layer_sizes))
+    calls = []
+    forward = md.forward
+    monkeypatch.setattr(md, "forward", lambda *a: calls.append(1) or forward(*a))
+    svg = decision_boundary_svg(_scatter_dataset(), [(spec, theta)], [name])
+    if rows is not None:
+        assert len(calls) == -(-_GRID // rows)
+    assert _boundary_lines(svg) > 0
+    assert hashlib.sha256(svg.encode()).hexdigest() == sha256
+
+
+def test_boundary_svg_memory_does_not_grow_with_the_grid_batch():
+    # one 160 000-point batch through 64-wide layers traces about 161 MiB;
+    # row blocks keep the peak near the (400, 400) grid and its contour
+    spec = md.ModelSpec("mlp", (2, 64, 64, 1))
+    theta = md.init_params(spec, 0)
+    dataset = _scatter_dataset()
+    tracemalloc.start()
+    try:
+        decision_boundary_svg(dataset, [(spec, theta)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20

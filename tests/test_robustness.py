@@ -20,7 +20,6 @@ from condvar import (
     worst_case_loss,
 )
 from condvar import models as md
-from condvar import robustness as rb
 from condvar.data import Dataset, GroupIndex
 from condvar.models import logistic_loss
 from condvar.penalties import segment_means
@@ -447,7 +446,7 @@ def _one_candidate_search(model, theta, ds, gi, sigmas, budgets, seed):
 def _force_chunk(monkeypatch, k, model, ds):
     # the budget that makes _search_spheres stack exactly k candidates
     n, p = ds.dataset.features.shape
-    monkeypatch.setattr(rb, "_CHUNK_BYTES", k * 8 * n * max(p, ds.q, *model.layer_sizes))
+    monkeypatch.setattr(md, "_CHUNK_BYTES", k * 8 * n * max(p, ds.q, *model.layer_sizes))
 
 
 def _grid_instance(q, render):
@@ -528,7 +527,7 @@ def test_search_memory_stays_within_the_chunk_budget():
     # the peak follows the budget (the rendered chunk is the largest array),
     # and 1 MiB caps it well inside the 10 % (about 4 MB) by which
     # shift_search's peak RSS may grow; a 1 MiB budget reads 1.9 MB here
-    assert peak <= 4 * rb._CHUNK_BYTES
+    assert peak <= 4 * md._CHUNK_BYTES
     assert peak <= 1 << 20
 
 
