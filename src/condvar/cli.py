@@ -233,15 +233,18 @@ def _cmd_shift_eval(args) -> int:
         for xi in xi_grid
     ]
     fo = rb.first_order_gap(spec, theta, style_ds, groups, sigma, args.fo_xi)
+    linear = rb._linear_in_style(spec, style_ds)
+    exact = linear and args.method == "uniform_ball"
     report = {
         "xi_grid": xi_grid,
         "worst_case": worst,
         "method": args.method,
-        "note": "worst-case values are lower bounds on the supremum",
+        "note": ("worst-case values are exact suprema (linear model, linear render)"
+                 if exact else "worst-case values are lower bounds on the supremum"),
         "unshifted_loss": unshifted,
         "first_order": {"xi": fo.xi, "lhs": fo.lhs, "rhs": fo.rhs, "gap": fo.gap},
     }
-    if style_ds.render_kind == "linear" and spec.kind == "linear" and spec.output_dim == 1:
+    if linear:
         report["invariance_defect"] = rb.invariance_defect(theta, style_ds.style_matrix)
         direction = rb.steepest_style_direction(spec, theta, style_ds, sigma)
     else:

@@ -138,13 +138,6 @@ class GroupIndex:
         """Every index, grouped: group 0's members ascending, then group 1's..."""
         return _frozen(np.argsort(self.seg, kind="stable"))
 
-    def nontrivial(self) -> list:
-        """Member indices, ascending, of each group with at least two
-        members, in group order."""
-        ends = np.cumsum(self.sizes)
-        return [self.members[ends[j] - self.sizes[j]:ends[j]]
-                for j in np.flatnonzero(self.sizes >= 2)]
-
 
 def build_group_index(dataset: Dataset) -> GroupIndex:
     """Group observations sharing the exact (label, id) pair.

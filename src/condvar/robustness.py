@@ -2,9 +2,10 @@
 
 All probes move the style latents of a retained-latent dataset and watch
 the loss. Shift budgets are Mahalanobis-squared sizes measured against the
-conditional style covariance, averaged over groups; worst-case searches
-return certified lower bounds on the true supremum (deterministic per-group
-shifts, finite direction grids).
+conditional style covariance, averaged over groups. Worst-case searches
+return lower bounds on the true supremum (deterministic per-group shifts,
+finite direction grids or ascent), except 'uniform_ball' for a single-logit
+linear model on a linear render, whose value is the exact supremum.
 """
 
 from __future__ import annotations
@@ -121,20 +122,31 @@ def _sphere_directions(q: int):
     return None  # high dimension: caller runs random-restart ascent
 
 
+def _linear_in_style(spec, style_dataset) -> bool:
+    """Whether a style shift delta moves every logit by the same a^T delta,
+    a = W^T w: a single-logit linear model on a linear render."""
+    return (style_dataset.render_kind == "linear" and spec.kind == "linear"
+            and spec.output_dim == 1)
+
+
 def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
                     seed) -> tuple:
     """Best shift on every group's sphere delta^T Sigma_j^-1 delta = budget_j,
     all groups at once: returns the group mean losses there, (m,), and the
     shifts, (m, q). A candidate is one unit direction u_j per group, shifted
-    as sqrt(budget_j) L_j u_j with L_j the Cholesky factor of Sigma_j. For
-    q <= 3 the candidates are a direction grid shared by all groups; above
-    that, 64 random restarts per group (seeded seed + j), each refined by 200
-    steps of projected gradient ascent. Each group keeps its first strict
-    maximum. Candidates are rendered, stepped and scored K at a time as one
-    (K n)-row batch over K m segments, K as large as models._CHUNK_BYTES
-    allows for K n (widest of p, q and the model's layer widths) floats, at
-    least 1. When every budget is 0 the only shift is 0, and the unshifted
-    group mean losses are returned without a search."""
+    as sqrt(budget_j) L_j u_j with L_j the Cholesky factor of Sigma_j.
+    When a shift moves every logit by a^T delta (``_linear_in_style``), a
+    group's mean loss is convex in s = a^T delta, which spans an interval on
+    the sphere, so the two candidates u_j = +-L_j^T a / ||L_j^T a|| at its
+    ends hold the exact maximum (when a = 0 every shift ties: u_j = +-e_1).
+    Otherwise, for q <= 3 the candidates are a direction grid shared by all
+    groups; above that, 64 random restarts per group (seeded seed + j), each
+    refined by 200 steps of projected gradient ascent. Each group keeps its
+    first strict maximum. Candidates are rendered, stepped and scored K at a
+    time as one (K n)-row batch over K m segments, K as large as
+    models._CHUNK_BYTES allows for K n (widest of p, q and the model's layer
+    widths) floats, at least 1. When every budget is 0 the only shift is 0,
+    and the unshifted group mean losses are returned without a search."""
     seg, m, q = group_index.seg, group_index.m, style_dataset.q
     n, p = style_dataset.dataset.features.shape
     chols = _chol(sigmas)
@@ -162,18 +174,25 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
         zero = np.zeros((1, m, q))
         return group_losses(zero)[0], zero[0]
 
-    grid = _sphere_directions(q)
-    if grid is None:
+    steps = 0
+    if _linear_in_style(spec, style_dataset):
+        a = style_dataset.style_matrix.T @ np.asarray(theta, dtype=float)[:p]
+        ends = np.einsum("jba,b->ja", chols, a)  # L_j^T a
+        ends[~np.any(ends, axis=1)] = np.eye(q)[0]
+        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+        starts = np.stack([ends, -ends])
+    elif (grid := _sphere_directions(q)) is not None:
+        starts = np.broadcast_to(grid[:, None, :], (len(grid), m, q))
+    else:
         # the only per-group step: each group draws its restarts from seed + j
         starts = np.stack([np.random.default_rng(seed + j).standard_normal((64, q))
                            for j in range(m)], axis=1)
         starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-    else:
-        starts = np.broadcast_to(grid[:, None, :], (len(grid), m, q))
+        steps = 200
     best_val, best_delta, groups = np.full(m, -np.inf), np.zeros((m, q)), np.arange(m)
     for lo in range(0, len(starts), k):
         u = starts[lo:lo + k]
-        for _ in range(0 if grid is not None else 200):
+        for _ in range(steps):
             g = _style_gradients(spec, theta, style_dataset, render(shift(u)),
                                  labels[:len(u) * n])
             g_u = scale * np.einsum("jba,kjb->kja", chols, group_means(g))
@@ -229,14 +248,17 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     methods
       'uniform_ball'        every group searched on its budget sphere at once,
                             over a dense direction grid (q <= 3) or by
-                            random-restart projected ascent
+                            random-restart projected ascent; exactly, at two
+                            candidates, for a single-logit linear model on a
+                            linear render
       'gradient_allocation' first-order optimal deterministic allocation
                             delta_j ~ Sigma_j grad_j / sqrt(grad^T Sigma grad)
       'exhaustive_tiny'     reference oracle for at most 3 groups: grid over
                             budget splits, each split searched like
                             'uniform_ball'
 
-    Every returned value is a lower bound on the true supremum.
+    Returned values are lower bounds on the true supremum, except the exact
+    'uniform_ball' results, whose note says so.
     """
     _check_budget(xi)
     if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
@@ -265,7 +287,10 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
             per_group_budget = xi * m / active.sum()
             assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
     value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
-    return WorstCaseResult(value, assignment, method)
+    result = WorstCaseResult(value, assignment, method)
+    if method == "uniform_ball" and _linear_in_style(spec, style_dataset):
+        result.note = "exact supremum (linear model, linear render)"
+    return result
 
 
 def _budget_splits(n_groups: int, steps: int):

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condvar
 from condvar import build_group_index, conditional_penalty, load_csv
 from condvar import models as md
 from condvar.cli import main
@@ -93,6 +99,38 @@ def test_train_eval_shift_eval_rerun_byte_identical(gen_dir, tmp_path):
             "train/checkpoint.json", "train/report.json", "eval/metrics.json",
             "shift/robustness.json")])
     assert outputs[0] == outputs[1]
+
+
+_PIPELINE = """
+import sys
+from condvar.cli import main
+out = sys.argv[1]
+for argv in (
+    ["gen", "linear_scm", "--n", "120", "--c", "0", "--p", "6", "--q", "2", "--r", "3",
+     "--id-count", "10", "--seed", "4", "--out", out],
+    ["train", "--data", out + "/train.csv", "--model", "linear:6", "--lambda", "1",
+     "--epochs", "3", "--out", out + "/train"],
+    ["shift_eval", "--checkpoint", out + "/train/checkpoint.json", "--data",
+     out + "/train.csv", "--latents", out + "/train_latents.json", "--method",
+     "uniform_ball", "--xi", "0.1", "1", "--out", out + "/shift"],
+):
+    assert main(argv) == 0
+"""
+
+
+def test_pipeline_byte_identical_across_blas_thread_counts(tmp_path):
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(condvar.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in (
+            "train.csv", "train/checkpoint.json", "shift/robustness.json")])
+        note = json.loads((out / "shift" / "robustness.json").read_text())["note"]
+        assert note == "worst-case values are exact suprema (linear model, linear render)"
+    assert digests[0] == digests[1]
 
 
 def test_train_penalty_variants(gen_dir, tmp_path):

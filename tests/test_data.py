@@ -61,19 +61,19 @@ def test_group_index_invariants_on_random_instances():
                 assert len(g) == 1
 
 
-def test_nontrivial_matches_groups_filter_on_random_segments():
+def test_members_slices_match_groups_filter_on_random_segments():
     rng = np.random.default_rng(11)
     for trial in range(40):
         n = int(rng.integers(1, 60))
         seg = rng.permutation(n) if trial % 4 == 0 else rng.integers(-5, n // 2 + 1, n)
         gi = GroupIndex(seg)
-        got = gi.nontrivial()
-        members = (np.flatnonzero(gi.seg == j) for j in range(gi.m))
-        expected = [g for g in members if len(g) >= 2]
+        ends = np.cumsum(gi.sizes)
+        got = [gi.members[end - size:end] for end, size in zip(ends, gi.sizes)]
+        expected = [np.flatnonzero(gi.seg == j) for j in range(gi.m)]
         assert len(got) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         if trial % 4 == 0:
-            assert got == []
+            assert np.all(gi.sizes == 1)
 
 
 def test_group_index_rejects_non_partition():
@@ -90,7 +90,7 @@ def test_augment_identity_transform_groups_of_two():
     assert len(out) == 4
     sizes = sorted(gi.sizes.tolist())
     assert sizes == [1, 1, 2]
-    pair = gi.nontrivial()[0]
+    pair = np.flatnonzero(gi.sizes[gi.seg] == 2)
     f0, f1 = out.features[pair[0]], out.features[pair[1]]
     assert np.array_equal(f0, f1)
 

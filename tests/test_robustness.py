@@ -20,10 +20,12 @@ from condvar import (
     worst_case_loss,
 )
 from condvar import models as md
+from condvar import robustness as rb
 from condvar.data import Dataset, GroupIndex
 from condvar.models import logistic_loss
 from condvar.penalties import segment_means
 from condvar.robustness import (
+    WorstCaseResult,
     _budget_splits,
     _group_shift_gradients,
     _search_spheres,
@@ -161,17 +163,19 @@ def test_gradient_allocation_agrees_with_exhaustive_tiny():
                                method="gradient_allocation").value
     ex_val = worst_case_loss(model, theta, ds, gi, sigma, xi,
                              method="exhaustive_tiny").value
-    # both are lower bounds; at tiny budgets they agree to 1e-3 relative,
-    # with the exhaustive reference on top (it may split budgets unevenly)
+    # the first-order allocation is a lower bound, and exhaustive_tiny's
+    # per-level values are exact here (linear model, linear render); at tiny
+    # budgets they agree to 1e-3 relative, with the exhaustive reference on
+    # top (it may split budgets unevenly)
     assert abs(grad_val - ex_val) <= 1e-3 * abs(ex_val)
     assert ex_val >= grad_val - 1e-12
 
 
-def test_uniform_ball_ascent_reaches_endpoint_oracle_for_q_above_3():
-    # q = 4 runs the projected ascent, not a direction grid. For a linear
-    # model the shifted logit is logit + a . delta with a = W^T w, and each
-    # group's loss is convex in s = a . delta, so its maximum on the budget
-    # ellipsoid is at one of the endpoints delta = +-sqrt(xi) Sigma a / sqrt(a^T Sigma a).
+def endpoint_instance():
+    # q = 4, two groups and a linear model. The shifted logit is
+    # logit + a . delta with a = W^T w, and each group's loss is convex in
+    # s = a . delta, so its maximum on the budget ellipsoid of size b is at
+    # one of the endpoints delta = +-sqrt(b) Sigma a / sqrt(a^T Sigma a).
     spec = LinearScmSpec(p=7, q=4, r=2, id_count=1, id_sampler="round_robin",
                          style_class_mean=(1.0, 0.5, -0.5, 0.0),
                          style_cov=tuple(tuple(r) for r in np.eye(4)), structure_seed=2)
@@ -183,22 +187,82 @@ def test_uniform_ball_ascent_reaches_endpoint_oracle_for_q_above_3():
     rng = np.random.default_rng(6)
     root = rng.standard_normal((4, 4))
     sigma = root @ root.T + np.eye(4)
-    xi = 0.8
     _c, w_mat = spec.matrices()
     a = w_mat.T @ theta[:7]
-    end = np.sqrt(xi) * sigma @ a / np.sqrt(a @ sigma @ a)
 
     def group_loss(members, delta):
         x = ds.dataset.features[members] + w_mat @ delta
         y_pm = 2.0 * ds.dataset.labels[members] - 1.0
         return float(np.mean(logistic_loss(y_pm, x @ theta[:7] + theta[7])))
 
+    def oracle(members, budget):
+        end = np.sqrt(budget) * sigma @ a / np.sqrt(a @ sigma @ a)
+        return max(group_loss(members, end), group_loss(members, -end))
+
+    return model, theta, ds, gi, sigma, group_loss, oracle
+
+
+def test_uniform_ball_ascent_reaches_endpoint_oracle_for_q_above_3():
+    # q = 4 has no direction grid; on a linear model the search scores the
+    # two endpoints themselves
+    model, theta, ds, gi, sigma, group_loss, oracle = endpoint_instance()
+    xi = 0.8
     res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball")
     for j in range(gi.m):
         members = np.flatnonzero(gi.seg == j)
-        oracle = max(group_loss(members, end), group_loss(members, -end))
-        assert group_loss(members, res.assignment[j]) == pytest.approx(oracle, rel=1e-9)
+        assert group_loss(members, res.assignment[j]) == pytest.approx(oracle(members, xi),
+                                                                       rel=1e-9)
         assert mahalanobis_cost(res.assignment[j], sigma) == pytest.approx(xi, rel=1e-9)
+
+
+def test_exhaustive_tiny_on_linear_model_needs_no_ascent(monkeypatch):
+    # every budget level is solved at its two endpoints, so q = 4 runs no
+    # ascent, and the value is the best split of the per-level endpoint oracle
+    model, theta, ds, gi, sigma, _group_loss, oracle = endpoint_instance()
+    xi, calls = 0.8, []
+    style_gradients = rb._style_gradients
+    monkeypatch.setattr(rb, "_style_gradients",
+                        lambda *args: calls.append(1) or style_gradients(*args))
+    res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="exhaustive_tiny")
+    assert calls == []
+    members = [np.flatnonzero(gi.seg == j) for j in range(gi.m)]
+    weights = gi.sizes / gi.n
+    want = max(sum(w * oracle(g, share * gi.m * xi)
+                   for w, g, share in zip(weights, members, split))
+               for split in _float_splits(gi.m))
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.note == WorstCaseResult.note
+
+
+def test_uniform_ball_with_zero_weights_is_the_unshifted_loss():
+    # w = 0 gives a = 0: the loss ignores style, every shift on the sphere
+    # is a maximiser, and each group still spends exactly its budget
+    model = ModelSpec("linear", (7, 1))
+    ds, gi, _theta, sigmas = per_group_sigma_instance(2, model)
+    theta = np.concatenate([np.zeros(7), [0.3]])
+    xi = 0.6
+    res = worst_case_loss(model, theta, ds, gi, sigmas, xi, method="uniform_ball")
+    assert res.value == loss_under_shift(model, theta, ds, np.zeros(2))
+    assert np.all(np.isfinite(res.assignment))
+    for delta, sigma_j in zip(res.assignment, sigmas):
+        assert mahalanobis_cost(delta, sigma_j) == pytest.approx(xi, rel=1e-12)
+    assert res.note == "exact supremum (linear model, linear render)"
+
+
+def test_gradient_allocation_equals_uniform_ball_on_single_label_groups():
+    # a (label, id) group has one label, so its loss is monotone in
+    # s = a . delta and the first-order direction points at the maximising end
+    spec, ds, gi = scm_instance(n=60)
+    model = ModelSpec("linear", (6, 1))
+    theta = linear_theta(spec, ds)
+    _c, w_mat = spec.matrices()
+    assert np.any(w_mat.T @ theta[:6] != 0.0)
+    sigma = np.array([[0.9, 0.2], [0.2, 0.5]])
+    for xi in (0.1, 1.0, 10.0):
+        uni = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball")
+        grad = worst_case_loss(model, theta, ds, gi, sigma, xi, method="gradient_allocation")
+        assert grad.value == pytest.approx(uni.value, rel=1e-12)
+        np.testing.assert_allclose(grad.assignment, uni.assignment, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("q,render", [(1, "linear"), (2, "linear"), (3, "linear"),
@@ -495,6 +559,51 @@ def test_stacked_ascent_matches_per_restart_loop(k, ascent_reference, monkeypatc
     np.testing.assert_allclose(shifts, want_shifts, rtol=1e-12, atol=1e-15)
 
 
+def _ascent_reach(starts, target, h):
+    # cosine to ``target`` of each restart after the reference's 200 steps
+    # u <- (u + h target) / ||u + h target||, the step it takes whenever its
+    # unit gradient is ``target``
+    c = starts @ target
+    for _ in range(200):
+        c = (c + h) / np.sqrt(1.0 + 2.0 * h * c + h * h)
+    return c
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
+    # A group's loss f is convex in s = a . delta, which spans [-r_j, r_j],
+    # r_j = sqrt(b_j) ||L_j^T a||, and the logistic loss has |f'| <= 1. A
+    # candidate at angle theta from the maximising end reaches s = r_j cos
+    # theta, so the tangent there bounds its shortfall by r_j (1 - cos theta).
+    # The reach cos theta is cos(pi / 720) for the q = 2 grid, read off the
+    # grid for q = 1 and 3, and for the q = 4 ascent taken from its step rule:
+    # each (label, id) group has one label, so f is monotone and every
+    # restart's unit gradient points at the same end.
+    model = ModelSpec("linear", (7, 1))
+    ds, gi, theta, sigmas = per_group_sigma_instance(q, model)
+    budgets = np.linspace(0.2, 1.4, gi.m)
+    exact, _ = _search_spheres(model, theta, ds, gi, sigmas, budgets, 5)
+    ref, _ = _one_candidate_search(model, theta, ds, gi, sigmas, budgets, 5)
+    la = np.einsum("jba,b->ja", np.linalg.cholesky(sigmas), ds.style_matrix.T @ theta[:7])
+    r = np.sqrt(budgets) * np.linalg.norm(la, axis=1)
+    ends = la / np.linalg.norm(la, axis=1, keepdims=True)
+    grid = _sphere_directions(q)
+    if q == 2:
+        reach = np.full(gi.m, np.cos(np.pi / 720))
+    elif grid is not None:
+        reach = np.min([np.max(grid @ (sign * ends).T, axis=0) for sign in (1, -1)], axis=0)
+    else:
+        reach = np.empty(gi.m)
+        for j in range(gi.m):
+            starts = np.random.default_rng(5 + j).standard_normal((64, q))
+            starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+            h = 0.1 * np.sqrt(budgets[j])
+            reach[j] = min(_ascent_reach(starts, sign * ends[j], h).max() for sign in (1, -1))
+    assert np.all(r > 0.0)
+    assert np.all(ref <= exact + 1e-12)
+    assert np.all(exact - ref <= r * (1.0 - reach) + 1e-12)
+
+
 def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
     # a zero-parameter model has the same loss under every shift, so every
     # candidate ties and each group must keep grid[0]'s shift across chunks
@@ -509,26 +618,29 @@ def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
 
 
 def test_search_memory_stays_within_the_chunk_budget():
-    # shift_search's shape: n = 400, p = 10, q = 2, m = 50 groups, a linear model
+    # shift_search's shape: n = 400, p = 10, q = 2, m = 50 groups, a linear
+    # model, searched at its two exact candidates; the two-class linear model
+    # runs the 720-direction grid on the same data
     spec = LinearScmSpec(p=10, q=2, r=4, id_count=25, id_sampler="round_robin",
                          style_class_mean=(1.0, 1.0), style_cov=((1.0, 0.0), (0.0, 1.0)))
     ds = sample_linear_scm(spec, 400, InterventionSpec("none"), seed=0)
     gi = build_group_index(ds.dataset)
     assert (len(ds.dataset), gi.m) == (400, 50)
-    model = ModelSpec("linear", (10, 1))
-    theta = linear_theta(spec, ds)
     sigmas = np.broadcast_to(np.eye(2), (gi.m, 2, 2))
-    tracemalloc.start()
-    try:
-        _search_spheres(model, theta, ds, gi, sigmas, np.full(gi.m, 1.0), 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the peak follows the budget (the rendered chunk is the largest array),
-    # and 1 MiB caps it well inside the 10 % (about 4 MB) by which
-    # shift_search's peak RSS may grow; a 1 MiB budget reads 1.9 MB here
-    assert peak <= 4 * md._CHUNK_BYTES
-    assert peak <= 1 << 20
+    two_class = ModelSpec("linear", (10, 2))
+    for model, theta in ((ModelSpec("linear", (10, 1)), linear_theta(spec, ds)),
+                         (two_class, md.init_params(two_class, 0))):
+        tracemalloc.start()
+        try:
+            _search_spheres(model, theta, ds, gi, sigmas, np.full(gi.m, 1.0), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the peak follows the budget (the rendered chunk is the largest array),
+        # and 1 MiB caps it well inside the 10 % (about 4 MB) by which
+        # shift_search's peak RSS may grow; a 1 MiB budget reads 1.9 MB here
+        assert peak <= 4 * md._CHUNK_BYTES
+        assert peak <= 1 << 20
 
 
 # ---- divergence probe ---------------------------------------------------------
@@ -615,8 +727,8 @@ def test_estimate_conditional_covariance_monte_carlo():
 
 def test_estimate_covariance_identical_styles_flagged():
     spec, ds, gi = scm_instance(n=40, id_count=5)
-    for g in gi.nontrivial():
-        ds.style[g] = ds.style[g[0]]
+    first = gi.members[np.cumsum(gi.sizes) - gi.sizes]  # each group's first member
+    ds.style = ds.style[first[gi.seg]]
     est = estimate_conditional_covariance(ds, gi)
     assert not est.spd
     assert np.allclose(est.pooled, 0.0)

@@ -17,6 +17,11 @@ from condvar import (
 from condvar.scm import EXAMPLE1_STYLE_DIRECTION, expand_assignment
 
 
+def first_member(gi):
+    """Per sample, the first member of its group."""
+    return gi.members[np.cumsum(gi.sizes) - gi.sizes][gi.seg]
+
+
 def small_spec(**kw):
     args = dict(p=6, q=2, r=3, id_count=25,
                 style_class_mean=(1.0, 0.5),
@@ -53,8 +58,7 @@ def test_sampling_deterministic_and_grouped():
     assert np.array_equal(a.dataset.features, b.dataset.features)
     gi = build_group_index(a.dataset)
     assert gi.c > 0  # collisions on 25 ids over 200 draws
-    for g in gi.nontrivial():
-        assert np.allclose(a.core[g] - a.core[g[0]], 0.0)  # shared core latent
+    assert np.allclose(a.core - a.core[first_member(gi)], 0.0)  # shared core latent
 
 
 def test_round_robin_groups_are_balanced():
@@ -161,13 +165,13 @@ def test_example1_structure():
     train, test = gen_example1(1000, 100, test_shift=4.0, seed=0)
     gi = build_group_index(train.dataset)
     assert gi.n == 1000 and gi.c == 100
-    for g in gi.nontrivial():
-        assert len(g) == 2
-        # shared core, feature difference along the style direction
-        assert train.core[g[0], 0] == train.core[g[1], 0]
-        diff = train.dataset.features[g[0]] - train.dataset.features[g[1]]
-        cross = diff[0] * EXAMPLE1_STYLE_DIRECTION[1] - diff[1] * EXAMPLE1_STYLE_DIRECTION[0]
-        assert abs(cross) < 1e-12
+    assert gi.max_size() == 2
+    # shared core, feature difference along the style direction
+    first = first_member(gi)
+    assert np.array_equal(train.core[:, 0], train.core[first, 0])
+    diff = train.dataset.features - train.dataset.features[first]
+    cross = diff[:, 0] * EXAMPLE1_STYLE_DIRECTION[1] - diff[:, 1] * EXAMPLE1_STYLE_DIRECTION[0]
+    assert np.max(np.abs(cross)) < 1e-12
     # test split: class-1 style mean moved by ~test_shift
     lab_tr, lab_te = train.dataset.labels, test.dataset.labels
     shift = test.style[lab_te == 1].mean() - train.style[lab_tr == 1].mean()
@@ -181,8 +185,7 @@ def test_example2_structure():
     assert gi.c == 80
     radii = np.linalg.norm(train.dataset.features, axis=1)
     assert np.allclose(radii, train.core[:, 0], atol=1e-9)
-    for g in gi.nontrivial():
-        assert train.core[g[0], 0] == train.core[g[1], 0]
+    assert np.array_equal(train.core[:, 0], train.core[first_member(gi), 0])
     lab = train.dataset.labels
     assert radii[lab == 1].mean() == pytest.approx(2.0, abs=0.05)
     assert radii[lab == 0].mean() == pytest.approx(1.0, abs=0.05)
