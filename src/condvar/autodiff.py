@@ -28,7 +28,7 @@ __all__ = ["ridge", "objective", "grad"]
 def ridge(spec: md.ModelSpec, theta: np.ndarray) -> float:
     """||weights||^2 summed over the layers; biases are excluded."""
     total = 0.0
-    for wsl in md.weight_slices(spec):
+    for wsl, _, _ in spec.layout:
         w = theta[wsl]
         total = total + np.sum(w * w)
     return float(total)
@@ -82,6 +82,6 @@ def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, labels, seg,
         g_logits = g_logits + d_loss * g_losses.reshape((n,) + (1,) * (d_loss.ndim - 1))
     g_theta, _ = md._chain(spec, theta, hs, g_logits.reshape(n, spec.output_dim))
     if penalty.gamma > 0.0:
-        for wsl in md.weight_slices(spec):
+        for wsl, _, _ in spec.layout:
             g_theta[wsl] += 2.0 * penalty.gamma * theta[wsl]
     return g_theta

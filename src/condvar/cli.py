@@ -21,7 +21,7 @@ from . import __version__
 from . import models as md
 from . import robustness as rb
 from . import scm
-from .data import DataFormatError, build_group_index, load_csv, save_csv
+from .data import DataFormatError, _write_json, build_group_index, load_csv, save_csv
 from .penalties import (
     DegenerateVarianceError,
     PenaltyConfig,
@@ -43,12 +43,6 @@ EXIT_NUMERIC = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _manifest(out_dir: Path, command: str, resolved: dict, outputs: list):
@@ -94,8 +88,6 @@ def _parse_penalty(text: str, lam: float, gamma: float) -> PenaltyConfig:
 # ---- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.generator == "example1":
         shift = 4.0 if args.test_shift is None else args.test_shift
         train_ds, test_ds = scm.gen_example1(args.n, args.c, shift, args.seed)
@@ -103,6 +95,9 @@ def _cmd_gen(args) -> int:
         shift = float(np.pi) if args.test_shift is None else args.test_shift
         train_ds, test_ds = scm.gen_example2(args.n, args.c, shift, args.seed)
     elif args.generator == "linear_scm":
+        if args.c != 0:
+            raise ConfigError("linear_scm groups samples by (Y, ID) collisions; "
+                              "it takes --c 0 and --id-count")
         spec = scm.LinearScmSpec(
             p=args.p, q=args.q, r=args.r,
             id_count=args.id_count,
@@ -120,6 +115,8 @@ def _cmd_gen(args) -> int:
         test_ds = scm.sample_linear_scm(spec, args.n, interv, args.seed + 1)
     else:
         raise ConfigError(f"unknown generator {args.generator!r}")
+    out = Path(args.out)  # created only once both splits are drawn
+    out.mkdir(parents=True, exist_ok=True)
     save_csv(train_ds.dataset, out / "train.csv")
     save_csv(test_ds.dataset, out / "test.csv")
     scm.save_latents(train_ds, out / "train_latents.json")
@@ -219,10 +216,13 @@ def _cmd_shift_eval(args) -> int:
     style_ds = scm.load_style_dataset(dataset, args.latents)
     spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
     groups = build_group_index(dataset)
-    cov = rb.estimate_conditional_covariance(style_ds, groups)
-    sigma = cov.pooled
     if style_ds.scm is not None:
         sigma = np.asarray(style_ds.scm.style_cov)
+    elif groups.c == 0:
+        raise DataFormatError(f"{args.data}: no (label, id) group has two members, "
+                              "so the style covariance cannot be estimated")
+    else:
+        sigma = rb.estimate_conditional_covariance(style_ds, groups).pooled
     if not np.all(np.linalg.eigvalsh(sigma) > 0):
         raise DataFormatError("style covariance is not positive definite")
     unshifted = rb.loss_under_shift(spec, theta, style_ds, np.zeros(style_ds.q))
@@ -246,10 +246,8 @@ def _cmd_shift_eval(args) -> int:
     }
     if linear:
         report["invariance_defect"] = rb.invariance_defect(theta, style_ds.style_matrix)
-        direction = rb.steepest_style_direction(spec, theta, style_ds, sigma)
-    else:
-        direction = np.zeros(style_ds.q)
-        direction[0] = 1.0
+    direction = (rb.steepest_style_direction(spec, theta, style_ds, sigma) if linear
+                 else np.eye(style_ds.q)[0])
     magnitudes = [float(v) for v in args.magnitudes]
     probe = rb.divergence_probe(spec, theta, style_ds, direction, magnitudes)
     report["divergence"] = {
@@ -303,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate synthetic style-aware datasets")
     g.add_argument("generator", choices=["example1", "example2", "linear_scm"])
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--c", type=int, required=True, help="number of grouped sample pairs")
+    g.add_argument("--c", type=int, required=True,
+                   help="number of grouped sample pairs (0 for linear_scm)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--test-shift", type=float, default=None)
     g.add_argument("--p", type=int, default=10)

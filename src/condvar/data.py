@@ -1,4 +1,5 @@
-"""Columnar observations, the (label, id) grouping partition, and CSV ingest.
+"""Columnar observations, the (label, id) grouping partition, CSV ingest,
+and the one writer of the package's indented JSON files.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -8,6 +9,7 @@ conditional variance penalty sees.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,19 +103,6 @@ class GroupIndex:
         rank[np.argsort(first)] = np.arange(len(first))
         object.__setattr__(self, "seg", _frozen(rank[inverse.reshape(-1)]))
 
-    @staticmethod
-    def from_groups(groups, n: int) -> "GroupIndex":
-        """Index from explicit member arrays; they must partition range(n)."""
-        groups = [np.asarray(g, dtype=int).reshape(-1) for g in groups]
-        flat = np.concatenate(groups) if groups else np.empty(0, dtype=int)
-        if len(flat) != n or len(np.unique(flat)) != n:
-            raise ValueError("groups must partition the index range exactly")
-        if n and (flat.min() < 0 or flat.max() >= n):
-            raise ValueError("group indices out of range")
-        seg = np.empty(n, dtype=np.intp)
-        seg[flat] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-        return GroupIndex(seg)
-
     @property
     def n(self) -> int:
         return len(self.seg)
@@ -196,6 +185,14 @@ def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"id,y,{cols}\n")
         fh.write(body)
+
+
+def _write_json(path, payload) -> None:
+    """``payload`` as key-sorted JSON indented by one space, then a newline:
+    the checkpoint, the training report and every file the CLI writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:

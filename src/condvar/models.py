@@ -1,12 +1,14 @@
 """Differentiable classifiers: linear logistic and small fully-connected nets.
 
 Parameters live in one flat vector with a frozen layout (layer-major,
-weights before biases) so checkpoints stay readable across versions.
-``forward`` computes the logits and ``backward`` chains a logit gradient
-back to the parameters and the inputs; the losses carry their closed-form
-derivative in ``loss_gradient``. The training gradient (``autodiff.grad``)
-keeps the layer inputs of its forward pass and hands them to the same
-backward chain, so each step runs every layer once in each direction.
+weights before biases, read from ``ModelSpec.layout``) so checkpoints stay
+readable across versions. ``forward`` computes the logits; the losses
+carry their closed-form derivative in ``loss_gradient``. There is one
+backward chain, the private ``_chain``: it carries a logit gradient back
+through the layers whose inputs a forward pass kept. The training gradient
+(``autodiff.grad``) reads its parameter gradient, and the style gradient of
+the robustness probes carries its result through the first layer's
+weights, so each runs every layer once in each direction.
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataFormatError
+from .data import DataFormatError, _write_json
 
 __all__ = [
     "ModelSpec",
     "param_count",
-    "param_slices",
-    "weight_slices",
     "init_params",
     "forward",
-    "backward",
     "per_sample_loss",
     "logistic_loss",
     "softmax_cross_entropy",
@@ -66,7 +65,8 @@ class ModelSpec:
 
     # the flat-vector layout is derived once per spec: every pass reads it
     @cached_property
-    def _layout(self) -> tuple:
+    def layout(self) -> tuple:
+        """Per layer: (weight_slice, weight_shape, bias_slice)."""
         out, pos = [], 0
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
             w = slice(pos, pos + fan_in * fan_out)
@@ -74,10 +74,6 @@ class ModelSpec:
             out.append((w, (fan_in, fan_out), b))
             pos = b.stop
         return tuple(out)
-
-    @cached_property
-    def _weights(self) -> tuple:
-        return tuple(w for w, _, _ in self._layout)
 
     @property
     def input_dim(self) -> int:
@@ -93,23 +89,14 @@ class ModelSpec:
 
 
 def param_count(spec: ModelSpec) -> int:
-    return spec._layout[-1][2].stop
-
-
-def param_slices(spec: ModelSpec) -> tuple:
-    """Per layer: (weight_slice, weight_shape, bias_slice)."""
-    return spec._layout
-
-
-def weight_slices(spec: ModelSpec) -> tuple:
-    return spec._weights
+    return spec.layout[-1][2].stop
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
     rng = np.random.default_rng(seed)
     theta = np.zeros(param_count(spec))
-    for w, (fan_in, fan_out), _b in param_slices(spec):
+    for w, (fan_in, fan_out), _b in spec.layout:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         theta[w] = rng.uniform(-a, a, size=fan_in * fan_out)
     return theta
@@ -136,7 +123,7 @@ def _layer_inputs(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
     activation, each computed in one buffer."""
     h = x
     yield h
-    for wsl, wshape, bsl in spec._layout[:-1]:
+    for wsl, wshape, bsl in spec.layout[:-1]:
         h = h @ theta[wsl].reshape(wshape)
         h += theta[bsl]
         h = np.tanh(h, out=h) if spec.activation == "tanh" else np.maximum(h, 0.0, out=h)
@@ -145,7 +132,7 @@ def _layer_inputs(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
 
 def _output(spec: ModelSpec, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Logits from the input of the last layer: (n,) or (n, K)."""
-    wsl, wshape, bsl = spec._layout[-1]
+    wsl, wshape, bsl = spec.layout[-1]
     h = h @ theta[wsl].reshape(wshape) + theta[bsl]
     return h.reshape(-1) if spec.output_dim == 1 else h
 
@@ -153,10 +140,12 @@ def _output(spec: ModelSpec, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple:
     """Carry the logit gradient ``g`` (n, K) back through the layers whose
     inputs are ``hs``. Returns g_theta and the gradient with respect to the
-    first layer's output (before any activation)."""
+    first layer's output (before any activation); the gradient with respect
+    to the inputs is that times the first layer's weights, transposed. The
+    subgradient of relu at its kink is 0."""
     g_theta = np.empty_like(theta)
     for i in reversed(range(len(hs))):
-        wsl, wshape, bsl = spec._layout[i]
+        wsl, wshape, bsl = spec.layout[i]
         g_theta[wsl] = (hs[i].T @ g).reshape(-1)
         g_theta[bsl] = g.sum(axis=0)
         if i > 0:  # hs[i] is the activation of layer i - 1
@@ -183,27 +172,6 @@ def forward(spec: ModelSpec, theta, x):
         pass
     h = _output(spec, theta, h)
     return h[0] if single else h
-
-
-def backward(spec: ModelSpec, theta, x, g_logits):
-    """Chain ``g_logits`` (d objective / d logits, shaped like ``forward``'s
-    output for ``x``) back through the layers.
-
-    Returns (g_theta, g_x): the gradient with respect to the flat parameter
-    vector and to the inputs, shaped like ``theta`` and ``x``. The
-    subgradient of relu at its kink is 0.
-    """
-    theta, x, single = _checked(spec, theta, x)
-    g = np.asarray(g_logits, dtype=float).reshape(len(x), spec.output_dim)
-    g_theta, g = _chain_to_inputs(spec, theta, list(_layer_inputs(spec, theta, x)), g)
-    return g_theta, (g[0] if single else g)
-
-
-def _chain_to_inputs(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple:
-    """``_chain`` carried through the first layer's weights: (g_theta, g_x)."""
-    g_theta, g = _chain(spec, theta, hs, g)
-    wsl, wshape, _ = spec._layout[0]
-    return g_theta, g @ theta[wsl].reshape(wshape).T
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -283,15 +251,12 @@ def _decide(spec: ModelSpec, logits) -> np.ndarray:
 
 
 def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: int):
-    payload = {
+    _write_json(path, {
         "spec": asdict(spec),
         "flat_params": [float(v) for v in np.asarray(theta).ravel()],
         "seed": int(seed),
         "step": int(step),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path):

@@ -218,7 +218,9 @@ def _style_gradients(spec, theta, style_dataset, features, labels) -> np.ndarray
     theta, features, _ = md._checked(spec, theta, features)
     hs = list(md._layer_inputs(spec, theta, features))
     g = md.loss_gradient(spec, md._output(spec, theta, hs[-1]), labels)
-    _, gx = md._chain_to_inputs(spec, theta, hs, g.reshape(len(features), spec.output_dim))
+    _, g = md._chain(spec, theta, hs, g.reshape(len(features), spec.output_dim))
+    wsl, wshape, _ = spec.layout[0]
+    gx = g @ theta[wsl].reshape(wshape).T
     if style_dataset.render_kind == "linear":
         return gx @ style_dataset.style_matrix
     out = np.zeros((len(gx), style_dataset.q))
@@ -394,14 +396,15 @@ def steepest_style_direction(spec: md.ModelSpec, theta,
                              style_dataset: StyleAwareDataset, sigma) -> np.ndarray:
     """Sigma-whitened direction of fastest first-order loss growth under a
     global style shift: Sigma g / sqrt(g^T Sigma g) with g the mean shift
-    gradient over all samples."""
+    gradient over all samples. When that growth is zero (a model that
+    ignores style), every direction ties and e_1 is returned."""
     whole = GroupIndex(np.zeros(len(style_dataset.dataset), dtype=int))
     g = _group_shift_gradients(spec, theta, style_dataset, whole)[0]
     sigma = np.asarray(sigma, dtype=float)
     sg = sigma @ g
     denom = np.sqrt(g @ sg)
     if denom == 0.0:
-        raise ValueError("loss gradient along style is zero; no steepest direction")
+        return np.eye(len(g))[0]
     return sg / denom
 
 

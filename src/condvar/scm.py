@@ -121,41 +121,29 @@ class LinearScmSpec:
 class InterventionSpec:
     """Shift applied to style latents at sampling time.
 
-    kind 'none', 'mean_shift' (delta added to every sample),
-    'per_class_shift' (delta_by_class[label] added), or 'random_shift'
-    (Gaussian shift with the given mean and sd drawn per sample).
+    kind 'none', or 'per_class_shift' (delta_by_class[label] added to the
+    style of every sample with that label; equal rows shift every sample
+    alike).
     """
 
     kind: str = "none"
-    delta: tuple = ()
     delta_by_class: tuple = ()   # (delta_for_label0, delta_for_label1, ...)
-    random_sd: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "mean_shift", "per_class_shift", "random_shift"):
+        if self.kind not in ("none", "per_class_shift"):
             raise ValueError(f"unknown intervention kind {self.kind!r}")
-        object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
         object.__setattr__(
             self, "delta_by_class",
             tuple(tuple(float(v) for v in d) for d in self.delta_by_class),
         )
 
-    def draw(self, labels: np.ndarray, q: int, rng) -> np.ndarray:
-        n = len(labels)
+    def draw(self, labels: np.ndarray, q: int) -> np.ndarray:
         if self.kind == "none":
-            return np.zeros((n, q))
-        if self.kind == "mean_shift":
-            d = np.asarray(self.delta)
-            if d.shape != (q,):
-                raise ValueError("mean_shift delta must have length q")
-            return np.tile(d, (n, 1))
-        if self.kind == "per_class_shift":
-            table = np.asarray(self.delta_by_class)
-            if table.ndim != 2 or table.shape[1] != q:
-                raise ValueError("per_class_shift needs one length-q delta per class")
-            return table[labels]
-        shift = np.asarray(self.delta) if self.delta else np.zeros(q)
-        return shift + self.random_sd * rng.standard_normal((n, q))
+            return np.zeros((len(labels), q))
+        table = np.asarray(self.delta_by_class)
+        if table.ndim != 2 or table.shape[1] != q:
+            raise ValueError("per_class_shift needs one length-q delta per class")
+        return table[labels]
 
 
 @dataclass
@@ -256,7 +244,7 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpe
     mean = np.outer(y_pm, np.asarray(spec.style_class_mean))
     chol = np.linalg.cholesky(np.asarray(spec.style_cov))
     noise = rng.standard_normal((n, spec.q)) @ chol.T
-    style = mean + noise + intervention.draw(labels, spec.q, rng)
+    style = mean + noise + intervention.draw(labels, spec.q)
     ids = [f"i{int(ident)}" for ident in idents]
     feats = _render("linear", core, style, c_mat, w_mat)
     return StyleAwareDataset(

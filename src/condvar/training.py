@@ -15,14 +15,13 @@ per ``train`` call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, build_group_index
+from .data import Dataset, GroupIndex, _write_json, build_group_index
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -81,16 +80,8 @@ class TrainReport:
     history: list
     steps: int
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": [float(v) for v in self.theta],
-            "history": self.history,
-        }
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {"theta": [float(v) for v in self.theta], "history": self.history})
 
 
 # ---- batching ------------------------------------------------------------

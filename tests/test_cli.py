@@ -240,6 +240,50 @@ def test_shift_eval_missing_latents(gen_dir, trained_dir, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["gradient_allocation", "uniform_ball"])
+def test_shift_eval_on_a_model_that_ignores_style(tmp_path, method):
+    # w = 0, so the loss gradient along style is zero: the probe runs along e_1
+    assert run("gen", "example1", "--n", 400, "--c", 50, "--seed", 1, "--out", tmp_path) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    md.save_checkpoint(ckpt, md.ModelSpec("linear", (2, 1)), np.array([0.0, 0.0, 0.2]), 0, 0)
+    out = tmp_path / "shift"
+    assert run("shift_eval", "--checkpoint", ckpt, "--data", tmp_path / "train.csv",
+               "--latents", tmp_path / "train_latents.json", "--method", method,
+               "--out", out) == 0
+    report = json.loads((out / "robustness.json").read_text())
+    assert report["worst_case"] == [report["unshifted_loss"]] * len(report["xi_grid"])
+    assert report["divergence"]["verdict"] == "bounded"
+    assert report["divergence"]["direction"] == [1.0]
+    assert report["invariance_defect"] == 0.0
+
+
+def test_shift_eval_on_pair_free_data_exits_data(tmp_path, capsys):
+    assert run("gen", "example1", "--n", 200, "--c", 0, "--seed", 2, "--out", tmp_path) == 0
+    assert run("train", "--data", tmp_path / "train.csv", "--model", "linear:2",
+               "--epochs", 2, "--out", tmp_path / "core") == 0
+    out = tmp_path / "shift"
+    code = run("shift_eval", "--checkpoint", tmp_path / "core" / "checkpoint.json",
+               "--data", tmp_path / "train.csv", "--latents", tmp_path / "train_latents.json",
+               "--out", out)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / 'train.csv'}: ")
+    assert "no (label, id) group has two members" in err
+    assert not (out / "robustness.json").exists()
+
+
+@pytest.mark.parametrize("generator,n,c,message", [
+    ("linear_scm", 50, 500, "linear_scm groups samples by (Y, ID) collisions"),
+    ("example1", 10, 6, "need 0 <= c <= n / 2"),
+])
+def test_gen_rejects_pair_count_and_writes_nothing(tmp_path, capsys, generator, n, c,
+                                                   message):
+    out = tmp_path / "gen"
+    assert run("gen", generator, "--n", n, "--c", c, "--out", out) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _drop_core(path):
     payload = json.loads(path.read_text())
     del payload["core"]

@@ -76,13 +76,6 @@ def test_members_slices_match_groups_filter_on_random_segments():
             assert np.all(gi.sizes == 1)
 
 
-def test_group_index_rejects_non_partition():
-    with pytest.raises(ValueError):
-        GroupIndex.from_groups((np.array([0, 1]), np.array([1, 2])), 3)
-    with pytest.raises(ValueError):
-        GroupIndex.from_groups((np.array([0]),), 2)
-
-
 def test_augment_identity_transform_groups_of_two():
     ds = make_dataset([0, 1, 1], [None, None, None])
     out = augment_with_groups(ds, lambda f: f, 1, [1])

@@ -128,9 +128,13 @@ def test_gradient_matches_finite_differences(kind, sizes, activation):
                 g = ad.grad(spec, theta, x, y, seg, cfg)
                 fd = _finite_difference(lambda t: ad.objective(spec, t, x, y, seg, cfg), theta)
                 assert _max_rel(g, fd) < 1e-5, (target, nu, lam)
-    # input gradient for an arbitrary logit gradient
+    # parameter and input gradients of an arbitrary logit gradient: the
+    # backward chain, then the product with the first layer's weights
     g_logits = rng.standard_normal(forward(spec, theta, x).shape)
-    g_theta, g_x = md.backward(spec, theta, x, g_logits)
+    hs = list(md._layer_inputs(spec, theta, x))
+    g_theta, g_h = md._chain(spec, theta, hs, g_logits.reshape(len(x), spec.output_dim))
+    wsl, wshape, _ = spec.layout[0]
+    g_x = g_h @ theta[wsl].reshape(wshape).T
     fd_x = _finite_difference(lambda a: float(np.sum(forward(spec, theta, a) * g_logits)), x)
     fd_theta = _finite_difference(
         lambda t: float(np.sum(forward(spec, t, x) * g_logits)), theta)
@@ -142,7 +146,7 @@ def test_param_flatten_round_trip():
     spec = ModelSpec("mlp", (3, 4, 2))
     theta = init_params(spec, 9)
     rebuilt = np.zeros_like(theta)
-    for wsl, shape, bsl in md.param_slices(spec):
+    for wsl, shape, bsl in spec.layout:
         rebuilt[wsl] = theta[wsl].reshape(shape).ravel()
         rebuilt[bsl] = theta[bsl]
     assert np.array_equal(rebuilt, theta)
@@ -154,10 +158,10 @@ def test_init_is_seeded_and_bias_free():
     a = init_params(spec, 3)
     b = init_params(spec, 3)
     assert np.array_equal(a, b)
-    for _w, _shape, bsl in md.param_slices(spec):
+    for _w, _shape, bsl in spec.layout:
         assert np.all(a[bsl] == 0.0)
     a_limit = math.sqrt(6.0 / (3 + 4))
-    wsl = md.param_slices(spec)[0][0]
+    wsl = spec.layout[0][0]
     assert np.all(np.abs(a[wsl]) <= a_limit)
 
 

@@ -12,20 +12,16 @@ from condvar import (
 )
 
 
-def gi(groups, n):
-    return GroupIndex.from_groups(tuple(np.asarray(g) for g in groups), n)
-
-
 def random_grouping(rng, n):
     """Random partition of range(n) with a mix of group sizes."""
     perm = rng.permutation(n)
-    groups = []
-    i = 0
+    seg = np.empty(n, dtype=int)
+    i = j = 0
     while i < n:
         size = min(int(rng.integers(1, 6)), n - i)
-        groups.append(perm[i:i + size])
-        i += size
-    return gi(groups, n)
+        seg[perm[i:i + size]] = j
+        i, j = i + size, j + 1
+    return GroupIndex(seg)
 
 
 def two_pass_oracle(values, group_index, nu):
@@ -40,24 +36,24 @@ def two_pass_oracle(values, group_index, nu):
 
 
 def test_worked_example_nu_one():
-    index = gi([[0, 1], [2]], 3)
+    index = GroupIndex(np.array([0, 0, 1]))
     assert conditional_penalty(np.array([1.0, 3.0, 7.0]), index, 1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_worked_example_nu_half():
-    index = gi([[0, 1], [2]], 3)
+    index = GroupIndex(np.array([0, 0, 1]))
     assert conditional_penalty(np.array([1.0, 3.0, 7.0]), index, 0.5) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_all_singletons_vanishes():
-    index = gi([[0], [1], [2], [3]], 4)
+    index = GroupIndex(np.array([0, 1, 2, 3]))
     rng = np.random.default_rng(0)
     assert conditional_penalty(rng.standard_normal(4), index, 1.0) == 0.0
     assert conditional_penalty(rng.standard_normal(4), index, 0.5) == 0.0
 
 
 def test_penalty_validates_inputs():
-    index = gi([[0, 1]], 2)
+    index = GroupIndex(np.array([0, 0]))
     with pytest.raises(ValueError):
         conditional_penalty(np.zeros(3), index, 1.0)
     with pytest.raises(ValueError):
@@ -91,7 +87,7 @@ def test_shift_invariance_and_scaling():
 
 
 def test_zero_iff_constant_within_groups():
-    index = gi([[0, 1], [2, 3], [4]], 5)
+    index = GroupIndex(np.array([0, 0, 1, 1, 2]))
     values = np.array([3.0, 3.0, -1.0, -1.0, 9.0])
     assert conditional_penalty(values, index, 1.0) == 0.0
     values[1] = 3.0001
@@ -99,7 +95,7 @@ def test_zero_iff_constant_within_groups():
 
 
 def test_variance_ratio_worked_examples():
-    index = gi([[0, 1], [2, 3]], 4)
+    index = GroupIndex(np.array([0, 0, 1, 1]))
     # constant within groups, differing means
     assert variance_ratio(np.array([1.0, 1.0, 5.0, 5.0]), index) == 0.0
     # equal group means: degenerate denominator
@@ -111,16 +107,18 @@ def test_variance_ratio_worked_examples():
 
 def test_variance_ratio_preconditions():
     with pytest.raises(ValueError):
-        variance_ratio(np.zeros(2), gi([[0, 1]], 2))  # single group
+        variance_ratio(np.zeros(2), GroupIndex(np.array([0, 0])))  # single group
     with pytest.raises(ValueError):
-        variance_ratio(np.zeros(2), gi([[0], [1]], 2))  # no non-singleton
+        variance_ratio(np.zeros(2), GroupIndex(np.array([0, 1])))  # no non-singleton
 
 
 def test_penalty_equals_decomposition_for_equal_sizes():
     rng = np.random.default_rng(5)
     n, size = 24, 4
     perm = rng.permutation(n)
-    index = gi([perm[i:i + size] for i in range(0, n, size)], n)
+    seg = np.empty(n, dtype=int)
+    seg[perm] = np.arange(n) // size  # perm[i:i + size] is one group
+    index = GroupIndex(seg)
     values = rng.standard_normal(n)
     # the size-weighted mean of the within-group variances
     within = sum(size / n * np.var(values[index.seg == j]) for j, size in enumerate(index.sizes))

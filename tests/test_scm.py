@@ -104,11 +104,12 @@ def test_rerender_inverts():
     assert np.allclose(back.features, ds.dataset.features, atol=1e-12)
 
 
-def test_mean_shift_adds_w_delta_exactly():
+def test_equal_per_class_shifts_add_w_delta_exactly():
     spec = small_spec()
     base = sample_linear_scm(spec, 40, InterventionSpec("none"), seed=9)
     delta = np.array([2.0, -1.0])
-    shifted = sample_linear_scm(spec, 40, InterventionSpec("mean_shift", delta=tuple(delta)), seed=9)
+    interv = InterventionSpec("per_class_shift", delta_by_class=(tuple(delta), tuple(delta)))
+    shifted = sample_linear_scm(spec, 40, interv, seed=9)
     _c, w_mat = spec.matrices()
     assert np.allclose(shifted.dataset.features,
                        base.dataset.features + w_mat @ delta, atol=1e-12)
@@ -128,7 +129,7 @@ def test_invariant_parameters_unchanged_by_rerender():
     assert np.allclose(logits0, logits1, atol=1e-10)
 
 
-def test_per_class_and_random_shift_interventions():
+def test_per_class_shift_intervention():
     spec = small_spec()
     interv = InterventionSpec("per_class_shift",
                               delta_by_class=((0.0, 0.0), (5.0, 5.0)))
@@ -138,8 +139,6 @@ def test_per_class_and_random_shift_interventions():
     diff = ds.style - base.style
     assert np.allclose(diff[lab == 0], 0.0)
     assert np.allclose(diff[lab == 1], 5.0)
-    rnd = sample_linear_scm(spec, 300, InterventionSpec("random_shift", random_sd=1.0), seed=3)
-    assert np.std(rnd.style - base.style) > 0.5
 
 
 def test_style_covariance_matches_spec_monte_carlo():

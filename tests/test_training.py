@@ -76,8 +76,7 @@ def test_core_objective_lambda_zero_bitwise():
     theta = md.init_params(spec, 2)
     x = rng.standard_normal((8, 3))
     y = rng.integers(0, 2, 8)
-    groups = [np.array([0, 1]), np.array([2]), np.array([3, 4, 5]), np.array([6]), np.array([7])]
-    seg = GroupIndex.from_groups(groups, 8).seg
+    seg = GroupIndex(np.array([0, 0, 1, 2, 2, 2, 3, 4])).seg
     cfg = PenaltyConfig("prediction", 1.0, 0.0, 1e-3)
     assert ad.objective(spec, theta, x, y, seg, cfg) == ad.objective(
         spec, theta, x, y, None, PenaltyConfig(gamma=1e-3))
@@ -88,7 +87,7 @@ def test_core_objective_duplicated_sample_penalty_free():
     theta = np.array([1.0, -1.0, 0.2])
     x = np.array([[0.5, 0.25], [0.5, 0.25]])
     y = np.array([1, 1])
-    seg = GroupIndex.from_groups([np.array([0, 1])], 2).seg
+    seg = GroupIndex(np.array([0, 0])).seg
     cfg = PenaltyConfig("prediction", 1.0, 5.0, 0.0)
     assert ad.objective(spec, theta, x, y, seg, cfg) == pytest.approx(
         ad.objective(spec, theta, x, y, None, PenaltyConfig()), rel=1e-15)
@@ -99,7 +98,7 @@ def test_core_objective_adds_lambda_times_penalty():
     theta = np.array([1.0, 0.0])  # logit = x
     x = np.array([[1.0], [3.0], [5.0]])
     y = np.array([1, 1, 0])
-    index = GroupIndex.from_groups((np.array([0, 1]), np.array([2])), 3)
+    index = GroupIndex(np.array([0, 0, 1]))
     cfg = PenaltyConfig("prediction", 1.0, 2.0, 0.0)
     got = ad.objective(spec, theta, x, y, index.seg, cfg)
     base = ad.objective(spec, theta, x, y, None, PenaltyConfig())
@@ -113,8 +112,7 @@ def test_objective_gradient_with_penalty_matches_fd():
     theta = md.init_params(spec, 1) + 0.05 * rng.standard_normal(md.param_count(spec))
     x = rng.standard_normal((9, 3))
     y = rng.integers(0, 2, 9)
-    groups = [np.array([0, 1, 2]), np.array([3, 4]), np.array([5]), np.array([6, 7, 8])]
-    seg = GroupIndex.from_groups(groups, 9).seg
+    seg = GroupIndex(np.array([0, 0, 0, 1, 1, 2, 3, 3, 3])).seg
     for target in ("prediction", "loss"):
         for nu in (1.0, 0.5):
             cfg = PenaltyConfig(target, nu, 0.9, 1e-3)
@@ -132,7 +130,7 @@ def test_objective_gradient_with_penalty_matches_fd():
 # ---- batching ----------------------------------------------------------------
 
 def test_minibatches_keep_groups_whole():
-    index = GroupIndex.from_groups((np.array([0, 1]), np.array([2, 3]), np.array([4])), 5)
+    index = GroupIndex(np.array([0, 0, 1, 1, 2]))
     batches = group_aware_minibatches(index, 3, seed=0, epoch=0)
     seen = np.sort(np.concatenate(batches))
     assert np.array_equal(seen, np.arange(5))
@@ -142,19 +140,19 @@ def test_minibatches_keep_groups_whole():
 
 
 def test_minibatches_single_batch_when_size_allows():
-    index = GroupIndex.from_groups(tuple(np.array([i]) for i in range(6)), 6)
+    index = GroupIndex(np.array([0, 1, 2, 3, 4, 5]))
     batches = group_aware_minibatches(index, 6, seed=1, epoch=0)
     assert len(batches) == 1 and len(batches[0]) == 6
 
 
 def test_minibatch_rejects_oversized_group():
-    index = GroupIndex.from_groups((np.array([0, 1, 2]), np.array([3])), 4)
+    index = GroupIndex(np.array([0, 0, 0, 1]))
     with pytest.raises(ValueError):
         group_aware_minibatches(index, 2, seed=0, epoch=0)
 
 
 def test_minibatches_epoch_dependent_but_seed_deterministic():
-    index = GroupIndex.from_groups(tuple(np.array([i]) for i in range(50)), 50)
+    index = GroupIndex(np.arange(50))  # 50 singletons
     a = group_aware_minibatches(index, 7, seed=3, epoch=0)
     b = group_aware_minibatches(index, 7, seed=3, epoch=0)
     c = group_aware_minibatches(index, 7, seed=3, epoch=1)
