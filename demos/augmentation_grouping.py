@@ -10,7 +10,7 @@ The data: two classes separated by radius, with a rotation bias in
 training (class-dependent angle ranges). A handful of augmented samples
 receive full random rotations.
 
-Run:  python demos/augmentation_grouping.py   (about two minutes)
+Run:  python demos/augmentation_grouping.py   (a few seconds)
 """
 
 import numpy as np

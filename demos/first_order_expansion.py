@@ -9,7 +9,7 @@ This demo evaluates both sides on a balanced-group instance with small
 style noise and prints the remainder at several budgets: the gap shrinks
 linearly in xi, and the sqrt(xi) term carries the growth.
 
-Run:  python demos/first_order_expansion.py   (under a minute)
+Run:  python demos/first_order_expansion.py   (a few seconds)
 """
 
 import numpy as np

@@ -7,7 +7,7 @@ moves class 1 along it; penalizing the within-group variance of the
 logits over paired observations (same label and id, redrawn style) keeps
 the boundary aligned with the core direction.
 
-Run:  python demos/linear_style_shift.py   (about a minute)
+Run:  python demos/linear_style_shift.py   (a few seconds)
 """
 
 import numpy as np

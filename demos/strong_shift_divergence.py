@@ -7,7 +7,7 @@ along the worst style direction. Heavy conditional-variance
 regularization drives that component to numerical zero, and a hard
 subspace-constrained oracle serves as the reference.
 
-Run:  python demos/strong_shift_divergence.py   (a few minutes)
+Run:  python demos/strong_shift_divergence.py   (a few seconds)
 """
 
 import numpy as np

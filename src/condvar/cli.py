@@ -1,10 +1,13 @@
 """Command-line front end: generate, train, evaluate, shift-eval, plot.
 
-Every subcommand is deterministic under a fixed seed and writes a manifest
-with the fully resolved configuration next to its outputs.
+Each subcommand reads every input and computes every result first; only
+then does ``_publish`` create ``--out``, write the subcommand's files and a
+``manifest.json`` that records every parsed flag, with the values the
+subcommand resolved itself laid over them. A failing subcommand writes
+nothing. Every subcommand is deterministic under a fixed seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error, 3 data error (any file that
+cannot be read or written included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +49,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _manifest(out_dir: Path, command: str, resolved: dict, outputs: list):
-    _write_json(out_dir / "manifest.json", {
+def _publish(args, resolved: dict, files: dict) -> None:
+    """Create ``--out``, call each ``{name: writer(path)}`` in order, then
+    write the manifest: every parsed flag, overlaid by ``resolved``."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+    _write_json(out / "manifest.json", {
         "tool": "condvar",
         "version": __version__,
-        "command": command,
-        "config": resolved,
-        "outputs": sorted(outputs),
+        "command": args.command,
+        "config": {**flags, **resolved},
+        "outputs": sorted(files),
     })
 
 
@@ -85,9 +96,11 @@ def _parse_penalty(text: str, lam: float, gamma: float) -> PenaltyConfig:
         ) from None
 
 
+# Each _cmd_* returns (resolved values, {file name: writer(path)}, stdout summary).
+
 # ---- gen -------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     if args.generator == "example1":
         shift = 4.0 if args.test_shift is None else args.test_shift
         train_ds, test_ds = scm.gen_example1(args.n, args.c, shift, args.seed)
@@ -115,27 +128,18 @@ def _cmd_gen(args) -> int:
         test_ds = scm.sample_linear_scm(spec, args.n, interv, args.seed + 1)
     else:
         raise ConfigError(f"unknown generator {args.generator!r}")
-    out = Path(args.out)  # created only once both splits are drawn
-    out.mkdir(parents=True, exist_ok=True)
-    save_csv(train_ds.dataset, out / "train.csv")
-    save_csv(test_ds.dataset, out / "test.csv")
-    scm.save_latents(train_ds, out / "train_latents.json")
-    scm.save_latents(test_ds, out / "test_latents.json")
-    resolved = {
-        "generator": args.generator, "n": args.n, "c": args.c,
-        "seed": args.seed, "test_shift": shift,
+    files = {
+        "train.csv": partial(save_csv, train_ds.dataset),
+        "test.csv": partial(save_csv, test_ds.dataset),
+        "train_latents.json": partial(scm.save_latents, train_ds),
+        "test_latents.json": partial(scm.save_latents, test_ds),
     }
-    _manifest(out, "gen", resolved,
-              ["train.csv", "test.csv", "train_latents.json", "test_latents.json"])
-    print(f"wrote train.csv test.csv train_latents.json test_latents.json to {out}")
-    return 0
+    return {"test_shift": shift}, files, f"wrote {' '.join(files)} to {Path(args.out)}"
 
 
 # ---- train -----------------------------------------------------------------
 
-def _cmd_train(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_train(args) -> tuple:
     dataset = load_csv(args.data)
     spec = _parse_model(args.model)
     if spec.input_dim != dataset.p:
@@ -151,15 +155,15 @@ def _cmd_train(args) -> int:
         args.seed,
     )
     report = train(dataset, build_group_index(dataset), spec, config)
-    md.save_checkpoint(out / "checkpoint.json", spec, report.theta, args.seed, report.steps)
-    report.save(out / "report.json")
-    _manifest(out, "train", {"data": str(args.data), "model": args.model,
-                             **asdict(config)},
-              ["checkpoint.json", "report.json"])
+    files = {
+        "checkpoint.json": lambda path: md.save_checkpoint(path, spec, report.theta,
+                                                           args.seed, report.steps),
+        "report.json": report.save,
+    }
     last = report.history[-1]
-    print(f"final loss {last['loss']:.6f} penalty {last['penalty']:.6f} "
-          f"train error {last['train_error']:.4f}")
-    return 0
+    summary = (f"final loss {last['loss']:.6f} penalty {last['penalty']:.6f} "
+               f"train error {last['train_error']:.4f}")
+    return asdict(config), files, summary
 
 
 # ---- eval ------------------------------------------------------------------
@@ -192,27 +196,18 @@ def _load_checkpoint_for(path, dataset):
     return spec, theta
 
 
-def _cmd_eval(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_eval(args) -> tuple:
     dataset = load_csv(args.data)
     spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
     metrics = _evaluate(spec, theta, dataset)
-    _write_json(out / "metrics.json", metrics)
-    _manifest(out, "eval", {"checkpoint": str(args.checkpoint), "data": str(args.data)},
-              ["metrics.json"])
-    print(json.dumps(metrics, indent=1, sort_keys=True))
-    return 0
+    return ({}, {"metrics.json": lambda path: _write_json(path, metrics)},
+            json.dumps(metrics, indent=1, sort_keys=True))
 
 
 # ---- shift_eval --------------------------------------------------------------
 
-def _cmd_shift_eval(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_shift_eval(args) -> tuple:
     dataset = load_csv(args.data)
-    if not Path(args.latents).exists():
-        raise DataFormatError(f"latent sidecar {args.latents} not found")
     style_ds = scm.load_style_dataset(dataset, args.latents)
     spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
     groups = build_group_index(dataset)
@@ -226,17 +221,16 @@ def _cmd_shift_eval(args) -> int:
     if not np.all(np.linalg.eigvalsh(sigma) > 0):
         raise DataFormatError("style covariance is not positive definite")
     unshifted = rb.loss_under_shift(spec, theta, style_ds, np.zeros(style_ds.q))
-    xi_grid = [float(v) for v in args.xi]
     worst = [
         rb.worst_case_loss(spec, theta, style_ds, groups, sigma, xi,
                            method=args.method).value
-        for xi in xi_grid
+        for xi in args.xi
     ]
     fo = rb.first_order_gap(spec, theta, style_ds, groups, sigma, args.fo_xi)
     linear = rb._linear_in_style(spec, style_ds)
     exact = linear and args.method == "uniform_ball"
     report = {
-        "xi_grid": xi_grid,
+        "xi_grid": args.xi,
         "worst_case": worst,
         "method": args.method,
         "note": ("worst-case values are exact suprema (linear model, linear render)"
@@ -248,29 +242,21 @@ def _cmd_shift_eval(args) -> int:
         report["invariance_defect"] = rb.invariance_defect(theta, style_ds.style_matrix)
     direction = (rb.steepest_style_direction(spec, theta, style_ds, sigma) if linear
                  else np.eye(style_ds.q)[0])
-    magnitudes = [float(v) for v in args.magnitudes]
-    probe = rb.divergence_probe(spec, theta, style_ds, direction, magnitudes)
+    probe = rb.divergence_probe(spec, theta, style_ds, direction, args.magnitudes)
     report["divergence"] = {
         "direction": [float(v) for v in probe.direction],
         "magnitudes": [float(v) for v in probe.magnitudes],
         "losses": [float(v) for v in probe.losses],
         "verdict": probe.verdict,
     }
-    _write_json(out / "robustness.json", report)
-    _manifest(out, "shift_eval", {
-        "checkpoint": str(args.checkpoint), "data": str(args.data),
-        "latents": str(args.latents), "xi_grid": xi_grid, "method": args.method,
-    }, ["robustness.json"])
-    print(json.dumps({"unshifted_loss": unshifted, "worst_case": worst,
-                      "verdict": probe.verdict}, indent=1, sort_keys=True))
-    return 0
+    summary = json.dumps({"unshifted_loss": unshifted, "worst_case": worst,
+                          "verdict": probe.verdict}, indent=1, sort_keys=True)
+    return {}, {"robustness.json": lambda path: _write_json(path, report)}, summary
 
 
 # ---- plot ------------------------------------------------------------------
 
-def _cmd_plot(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_plot(args) -> tuple:
     dataset = load_csv(args.data)
     if dataset.p != 2:
         raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")
@@ -279,14 +265,9 @@ def _cmd_plot(args) -> int:
     if len(labels) != len(checkpoints):
         raise ConfigError("need exactly one label per checkpoint")
     svg = decision_boundary_svg(dataset, checkpoints, labels)
-    target = out / args.name
-    with open(target, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    _manifest(out, "plot", {"data": str(args.data),
-                            "checkpoints": [str(p) for p in args.checkpoints],
-                            "labels": labels}, [args.name])
-    print(f"wrote {target}")
-    return 0
+    return ({"labels": labels},
+            {args.name: lambda path: path.write_text(svg, encoding="utf-8")},
+            f"wrote {Path(args.out) / args.name}")
 
 
 # ---- parser ----------------------------------------------------------------
@@ -365,17 +346,20 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the config exit code
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        resolved, files, summary = args.func(args)
+        _publish(args, resolved, files)
     # LinAlgError and DataFormatError subclass ValueError, so they go first
     except (DivergenceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -414,8 +414,8 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
 
     All groups of size >= 2 contribute, population-normalized, and are
     pooled into one shared estimate (the generators here share one style
-    covariance across groups). Falls back to the generator's covariance
-    when no group is estimable. zeta is the spectral norm of the estimate.
+    covariance across groups). Data with no group of two or more raises
+    ValueError. zeta is the spectral norm of the estimate.
     """
     if not isinstance(style_dataset, StyleAwareDataset):
         raise TypeError("style latents are required")
@@ -426,11 +426,8 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
     dev = styles - segment_means(styles, seg, group_index.m)[seg]
     dev = dev[group_index.sizes[seg] >= 2]
     if len(dev) == 0:
-        if style_dataset.scm is None:
-            raise ValueError("no group has two members and no generator covariance exists")
-        pooled = np.asarray(style_dataset.scm.style_cov, dtype=float)
-    else:
-        pooled = dev.T @ dev / len(dev)
+        raise ValueError("no group has two members; the style covariance is not estimable")
+    pooled = dev.T @ dev / len(dev)
     eigs = np.linalg.eigvalsh((pooled + pooled.T) / 2.0)
     zeta = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     # degenerate (all-identical within groups) estimates must not pass as SPD

@@ -221,8 +221,9 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
                              config: TrainConfig) -> np.ndarray:
     """Fit a linear model constrained to ignore the style subspace: the
     weight vector is forced into the orthogonal complement of
-    col(style_matrix) by optimizing w = P phi with P an orthonormal basis
-    of that complement.
+    col(style_matrix) by writing w = P phi with P an orthonormal basis of
+    that complement, and training (phi, b) with full batches on the
+    projected features x P under the ridge term alone.
 
     Returns the flat parameter vector [w, b] with ||W^T w|| at rounding level.
     """
@@ -231,6 +232,9 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     w_mat = np.asarray(style_matrix, dtype=float)
     if w_mat.ndim != 2 or w_mat.shape[0] != model_spec.input_dim:
         raise ValueError("style matrix must be p x q")
+    if dataset.p != model_spec.input_dim:
+        raise ValueError(f"feature dimension {dataset.p} does not match model input "
+                         f"{model_spec.input_dim}")
     p, q = w_mat.shape
     if q > p:
         raise ValueError("style dimension exceeds feature dimension")
@@ -240,25 +244,13 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     if q == p:
         raise ValueError("style space fills the feature space; only w = 0 is feasible")
     basis = q_full[:, q:]  # p x (p - q), orthonormal complement of col(W)
-    x_all = dataset.features
-    y_all = dataset.labels
-    rng_theta = md.init_params(model_spec, config.seed)
-    md._checked(model_spec, rng_theta, x_all)
-    # start phi at the projection of the usual init
-    phi0 = basis.T @ rng_theta[:p]
-    params = np.concatenate([phi0, rng_theta[p:]])
-    opt = _make_optimizer(config.optimizer, params.size)
-    ridge_only = PenaltyConfig(gamma=config.penalty.gamma)
-    for it in range(config.epochs):
-        theta = np.concatenate([basis @ params[:p - q], params[p - q:]])
-        g = ad.grad(model_spec, theta, x_all, y_all, None, ridge_only)
-        # w = P phi, so d/d phi = P^T d/dw (and ||P phi||^2 == ||phi||^2)
-        g = np.concatenate([basis.T @ g[:p], g[p:]])
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient at iteration {it}")
-        opt.step(params, g)
-    w = basis @ params[:p - q]
-    return np.concatenate([w, params[p - q:]])
+    projected = Dataset(dataset.features @ basis, dataset.labels, n_classes=dataset.n_classes)
+    # ||P phi|| == ||phi||, so the ridge term on phi is the ridge term on w
+    ridge_only = replace(config, penalty=PenaltyConfig(gamma=config.penalty.gamma),
+                         batch_size=len(dataset))
+    phi = train(projected, build_group_index(projected), md.ModelSpec("linear", (p - q, 1)),
+                ridge_only).theta
+    return np.concatenate([basis @ phi[:-1], phi[-1:]])
 
 
 def evaluate_lambda_grid(train_set: Dataset, val_set: Dataset,

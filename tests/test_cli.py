@@ -11,7 +11,7 @@ import pytest
 import condvar
 from condvar import build_group_index, conditional_penalty, load_csv
 from condvar import models as md
-from condvar.cli import main
+from condvar.cli import build_parser, main
 from condvar.training import group_aware_minibatches
 
 
@@ -103,7 +103,7 @@ def test_train_eval_shift_eval_rerun_byte_identical(gen_dir, tmp_path):
 
 _PIPELINE = """
 import sys
-from condvar.cli import main
+from condvar.cli import build_parser, main
 out = sys.argv[1]
 for argv in (
     ["gen", "linear_scm", "--n", "120", "--c", "0", "--p", "6", "--q", "2", "--r", "3",
@@ -385,3 +385,67 @@ def test_linear_algebra_failure_exits_numerical(gen_dir, tmp_path, monkeypatch):
     monkeypatch.setattr("condvar.cli.train", singular)
     assert run("train", "--data", gen_dir / "train.csv", "--model", "linear:2",
                "--out", tmp_path) == 4
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["train", "eval", "shift_eval", "plot"])
+def test_unreadable_data_exits_data_and_creates_no_out(gen_dir, trained_dir, tmp_path, capsys,
+                                                       command, bad):
+    data = tmp_path / "none.csv" if bad == "missing" else tmp_path
+    ckpt = trained_dir / "checkpoint.json"
+    flags = {
+        "train": ["--model", "linear:2"],
+        "eval": ["--checkpoint", ckpt],
+        "shift_eval": ["--checkpoint", ckpt, "--latents", gen_dir / "train_latents.json"],
+        "plot": ["--checkpoints", ckpt],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, "--data", data, *flags, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not out.exists()
+
+
+def test_manifest_lists_every_output_and_records_every_flag(tmp_path):
+    data, ckpt = tmp_path / "gen", tmp_path / "train" / "checkpoint.json"
+    resolved = {"gen": {"test_shift": 4.0},
+                "train": {"penalty": {"target": "prediction", "nu": 1.0, "lam": 0.5,
+                                      "gamma": 1e-3},
+                          "batch_size": 120},
+                "plot": {"labels": ["checkpoint"]}}
+    for argv in (
+        ["gen", "example1", "--n", 200, "--c", 20, "--seed", 2, "--p", 7, "--out", data],
+        ["train", "--data", data / "train.csv", "--model", "linear:2", "--lambda", 0.5,
+         "--gamma", 1e-3, "--lr", 0.02, "--epochs", 2, "--out", tmp_path / "train"],
+        ["eval", "--checkpoint", ckpt, "--data", data / "test.csv", "--out", tmp_path / "eval"],
+        ["shift_eval", "--checkpoint", ckpt, "--data", data / "train.csv",
+         "--latents", data / "train_latents.json", "--xi", 0.5, "--fo-xi", 0.01,
+         "--magnitudes", 0, 5, "--out", tmp_path / "shift"],
+        ["plot", "--data", data / "train.csv", "--checkpoints", ckpt, "--name", "b.svg",
+         "--out", tmp_path / "plot"],
+    ):
+        argv = [str(a) for a in argv]
+        assert main(argv) == 0
+        out = Path(argv[-1])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                             if p.name != "manifest.json")
+        flags = vars(build_parser().parse_args(argv))
+        for key in ("func", "command", "out"):
+            del flags[key]
+        config = manifest["config"]
+        # a flag keeps its parsed value unless the subcommand resolved it
+        overlaid = {"train": {"penalty", "optimizer"}}.get(argv[0], set())
+        assert {k: config[k] for k in flags if k not in overlaid} == {
+            k: resolved.get(argv[0], {}).get(k, v) for k, v in flags.items()
+            if k not in overlaid}
+        assert resolved.get(argv[0], {}).items() <= config.items()
+
+
+def test_gen_manifests_differ_when_only_the_feature_count_does(tmp_path):
+    for p in (6, 8):
+        assert run("gen", "linear_scm", "--n", 60, "--c", 0, "--p", p, "--q", 2, "--r", 3,
+                   "--out", tmp_path / str(p)) == 0
+    six, eight = ((tmp_path / p / "manifest.json").read_bytes() for p in ("6", "8"))
+    assert six != eight
+    assert json.loads(eight)["config"] == {**json.loads(six)["config"], "p": 8}

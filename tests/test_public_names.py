@@ -1,9 +1,9 @@
 """Every public name the package promises, and every package name the demos
 and the README's Python quick start use, resolves.
 
-The demos are not run here (together they take seconds); their source is
-parsed, so deleting or renaming a name they import or reference fails
-this fast test instead of a demo run.
+The demos run in ``test_demos.py``; here their source is parsed, so
+deleting or renaming a name they import or reference fails this fast test
+with the name, not a demo's traceback.
 """
 
 import ast

@@ -743,9 +743,10 @@ def test_zeta_for_diagonal_matrix():
     spec2 = LinearScmSpec(p=6, q=2, r=3, style_class_mean=(0.0, 0.0),
                           style_cov=((4.0, 0.0), (0.0, 1.0)), structure_seed=0)
     ds2 = sample_linear_scm(spec2, 5, InterventionSpec("none"), seed=1)
-    # singleton-only grouping: falls back to the generator covariance
-    est2 = estimate_conditional_covariance(ds2)
-    assert est2.zeta == pytest.approx(4.0)
+    # singleton-only grouping: nothing to estimate from, generator covariance or not
+    assert ds2.scm is not None and build_group_index(ds2.dataset).c == 0
+    with pytest.raises(ValueError, match="no group has two members"):
+        estimate_conditional_covariance(ds2)
 
 
 def test_estimate_covariance_requires_latents():
