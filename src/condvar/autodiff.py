@@ -7,12 +7,18 @@
 ``objective`` evaluates it and ``grad`` differentiates it by the chain
 rule: the loss and penalty derivatives give d/d logits, and the backward
 chain of ``models`` carries that to the parameters, reusing the layer
-inputs that the forward pass of the same call kept. ``grad`` is the
-training step's one call per batch; it takes its arguments as given,
-because ``train`` checks them once per run. Both functions read the skip
-rule, the 1/m group weighting and the bias-free ridge from this module.
-The module keeps its name because ``perfbench/spans.py`` traces ``grad``
-to count training steps.
+inputs that the forward pass of the same call kept. Both functions read
+the skip rule, the 1/m group weighting and the bias-free ridge from this
+module.
+
+``grad`` is the training step's one call per batch, and ``train`` hands
+it the batch prepared: the inputs checked and the labels mapped to the
+losses' targets once per run, each batch's group sizes from the packing
+that made it, and the weight mask that makes the ridge one masked add.
+So a step recomputes nothing that is fixed for the epoch or the run.
+Called with the six arguments of ``objective``, ``grad`` prepares the
+batch itself and gives the same bits. The module keeps its name because
+``perfbench/spans.py`` traces ``grad`` to count training steps.
 """
 
 from __future__ import annotations
@@ -34,16 +40,20 @@ def ridge(spec: md.ModelSpec, theta: np.ndarray) -> float:
     return float(total)
 
 
-def _penalized_groups(seg, penalty: PenaltyConfig) -> int:
-    """The number m of batch groups the penalty averages over, or 0 when the
-    penalty is skipped: lam == 0, no segment ids, or no group of size >= 2.
-    Skipping makes penalized training on ungrouped data bit-identical to
-    pooled training."""
-    if penalty.lam > 0.0 and seg is not None:
-        m = int(seg.max()) + 1
-        if m < len(seg):
-            return m
-    return 0
+def _weight_mask(spec: md.ModelSpec) -> np.ndarray:
+    """True at the entries of theta that are weights, the ridge's support."""
+    mask = np.zeros(md.param_count(spec), dtype=bool)
+    for wsl, _, _ in spec.layout:
+        mask[wsl] = True
+    return mask
+
+
+def _penalized(penalty: PenaltyConfig, sizes, n: int) -> bool:
+    """Whether the penalty applies to a batch of n rows whose groups have
+    ``sizes`` (None for no groups): not when lam == 0 or no group has size
+    >= 2. Skipping makes penalized training on ungrouped data bit-identical
+    to pooled training."""
+    return penalty.lam > 0.0 and sizes is not None and len(sizes) < n
 
 
 def objective(spec: md.ModelSpec, theta, x, labels, seg,
@@ -56,32 +66,49 @@ def objective(spec: md.ModelSpec, theta, x, labels, seg,
     obj = np.mean(losses)
     if penalty.gamma > 0.0:
         obj = obj + penalty.gamma * ridge(spec, theta)
-    m = _penalized_groups(seg, penalty)
-    if m:
+    sizes = None if seg is None else np.bincount(seg)
+    if _penalized(penalty, sizes, len(losses)):
+        m = len(sizes)
         values = logits if penalty.target == "prediction" else losses
         obj = obj + penalty.lam * (penalty_sum(values, seg, m, penalty.nu) / m)
     return float(obj)
 
 
 def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, labels, seg,
-         penalty: PenaltyConfig) -> np.ndarray:
+         penalty: PenaltyConfig, *, sizes=None, mask=None) -> np.ndarray:
     """d objective / d theta, same arguments as ``objective`` except that
     ``theta`` must be a float vector of ``param_count(spec)`` entries and
-    ``x`` an (n, input_dim) float batch: they are not checked here."""
-    n = len(labels)
+    ``x`` an (n, input_dim) float batch: they are not checked here.
+
+    The training step passes the batch prepared, with ``sizes`` the size of
+    each group of ``seg`` and ``mask`` the ``_weight_mask`` of ``spec``;
+    ``labels`` are then the batch's ``models._targets``, and the caller
+    holds ``np.errstate(over="ignore")`` (the logistic derivative's exp
+    overflows to the right limit). Without them ``grad`` prepares the
+    batch itself."""
+    if mask is None:
+        with np.errstate(over="ignore"):
+            return _prepared_grad(spec, theta, x, md._targets(spec, labels), seg,
+                                  None if seg is None else np.bincount(seg), penalty,
+                                  _weight_mask(spec))
+    return _prepared_grad(spec, theta, x, labels, seg, sizes, penalty, mask)
+
+
+def _prepared_grad(spec, theta, x, targets, seg, sizes, penalty, mask) -> np.ndarray:
+    n = len(targets)
     hs = list(md._layer_inputs(spec, theta, x))
     logits = md._output(spec, theta, hs[-1])
-    d_loss = md.loss_gradient(spec, logits, labels)
+    d_loss = md._target_loss_gradient(spec, logits, targets)
     g_logits = d_loss / n
-    m = _penalized_groups(seg, penalty)
-    if m and penalty.target == "prediction":
-        g_logits = g_logits + penalty.lam / m * penalty_gradient(logits, seg, m, penalty.nu)
-    elif m:
-        losses = md.per_sample_loss(spec, logits, labels)
-        g_losses = penalty.lam / m * penalty_gradient(losses, seg, m, penalty.nu)
-        g_logits = g_logits + d_loss * g_losses.reshape((n,) + (1,) * (d_loss.ndim - 1))
+    if _penalized(penalty, sizes, n):
+        weight = penalty.lam / len(sizes)
+        if penalty.target == "prediction":
+            g_logits = g_logits + weight * penalty_gradient(logits, seg, sizes, penalty.nu)
+        else:
+            losses = md._target_losses(spec, logits, targets)
+            g_losses = weight * penalty_gradient(losses, seg, sizes, penalty.nu)
+            g_logits = g_logits + d_loss * g_losses.reshape((n,) + (1,) * (d_loss.ndim - 1))
     g_theta, _ = md._chain(spec, theta, hs, g_logits.reshape(n, spec.output_dim))
     if penalty.gamma > 0.0:
-        for wsl, _, _ in spec.layout:
-            g_theta[wsl] += 2.0 * penalty.gamma * theta[wsl]
+        np.add(g_theta, 2.0 * penalty.gamma * theta, out=g_theta, where=mask)
     return g_theta

@@ -257,6 +257,10 @@ def _cmd_shift_eval(args) -> tuple:
 # ---- plot ------------------------------------------------------------------
 
 def _cmd_plot(args) -> tuple:
+    # the SVG goes beside the manifest, so its name is a plain file name
+    if args.name in ("", ".", "..", "manifest.json") or Path(args.name).name != args.name:
+        raise ConfigError(f"--name must be a plain file name other than manifest.json, "
+                          f"got {args.name!r}")
     dataset = load_csv(args.data)
     if dataset.p != 2:
         raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")

@@ -177,14 +177,17 @@ def save_csv(dataset: Dataset, path) -> None:
     Every id is checked before the file is opened, so an id holding a comma
     or a newline raises DataFormatError and leaves the path untouched."""
     ids = ["" if ident is None else str(ident) for ident in dataset.ids]
-    if any("," in ident or "\n" in ident for ident in ids):
+    joined = "".join(ids)
+    if "," in joined or "\n" in joined:
         raise DataFormatError("id tokens may not contain commas or newlines")
     cols = ",".join(f"x{j}" for j in range(dataset.p))
-    body = "".join(f"{ident},{label},{','.join(map(repr, row))}\n" for ident, label, row
-                   in zip(ids, dataset.labels.tolist(), dataset.features.tolist()))
+    # built column by column; with p = 0 a row still ends in a comma, as the header does
+    features = [map(repr, column) for column in dataset.features.T.tolist()] or [[""] * len(ids)]
+    body = "\n".join(map(",".join, zip(ids, map(str, dataset.labels.tolist()), *features)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"id,y,{cols}\n")
         fh.write(body)
+        fh.write("\n")
 
 
 def _write_json(path, payload) -> None:
@@ -223,28 +226,23 @@ def _first_unparsable(rows: list, p: int) -> tuple:
     raise AssertionError("every row parses")
 
 
-def load_csv(path) -> Dataset:
-    """Read a file in ``save_csv``'s format; blank lines are skipped.
-
-    Every rejection raises DataFormatError naming the file's real line
-    number. Rows are checked in file order for their field count and for
-    numbers that do not parse (labels must be integer literals; numpy's
-    parser rejects Python-only spellings such as ``1_0``), then for a
-    negative label or a non-finite feature.
-    """
+def _read_lines(path) -> tuple:
+    """(the file's lines, its comma count); the text itself is not kept."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    numbers = [no for no, ln in enumerate(lines, start=1) if ln.strip()]
-    if not numbers:
-        raise DataFormatError(f"{path}: empty file")
-    header = lines[numbers[0] - 1].split(",")
-    if len(header) < 3 or header[0] != "id" or header[1] != "y":
-        raise DataFormatError(f"{path}: expected header 'id,y,x0,...'")
-    expected = ["id", "y"] + [f"x{j}" for j in range(len(header) - 2)]
-    if header != expected:
-        raise DataFormatError(f"{path}: malformed header {header!r}")
-    p = len(header) - 2
-    numbers = numbers[1:]
+        text = fh.read()
+    return text.split("\n"), text.count(",")
+
+
+def _data_line_numbers(lines: list) -> list:
+    """The 1-based number of every line after the header that is not blank."""
+    return [no for no, ln in enumerate(lines, start=1) if ln.strip()][1:]
+
+
+def _scan_rows(path, lines: list, p: int) -> tuple:
+    """(rows, table) of the data lines, checked one by one in file order for
+    their field count and for numbers that do not parse; the first bad row
+    raises DataFormatError naming its line."""
+    numbers = _data_line_numbers(lines)
     if not numbers:
         raise DataFormatError(f"{path}: no data rows")
     rows = [lines[no - 1] for no in numbers]
@@ -260,12 +258,50 @@ def load_csv(path) -> Dataset:
     if wrong.size:
         i = wrong[0]
         raise DataFormatError(f"{path}:{numbers[i]}: expected {p + 2} fields, got {fields[i]}")
+    return rows, table
+
+
+def load_csv(path) -> Dataset:
+    """Read a file in ``save_csv``'s format; blank lines are skipped.
+
+    Every rejection raises DataFormatError naming the file's real line
+    number. Rows are checked in file order for their field count and for
+    numbers that do not parse (labels must be integer literals; numpy's
+    parser rejects Python-only spellings such as ``1_0``), then for a
+    negative label or a non-finite feature.
+
+    A well-formed file is read without a loop over its lines: one
+    ``_parse_rows`` call over every line after the header, and one count
+    of its commas. Only when either fails are the lines scanned one by one
+    (``_scan_rows``) to find the first bad row.
+    """
+    lines, commas = _read_lines(path)
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if first is None:
+        raise DataFormatError(f"{path}: empty file")
+    header = lines[first].split(",")
+    if len(header) < 3 or header[0] != "id" or header[1] != "y":
+        raise DataFormatError(f"{path}: expected header 'id,y,x0,...'")
+    expected = ["id", "y"] + [f"x{j}" for j in range(len(header) - 2)]
+    if header != expected:
+        raise DataFormatError(f"{path}: malformed header {header!r}")
+    p = len(header) - 2
+    rows, table = lines[first + 1:], None
+    if commas > p + 1:  # some line besides the header has a comma
+        try:
+            table = _parse_rows(rows, p)  # skips empty lines, rejects short rows
+        except ValueError:
+            pass
+    # every parsed row has at least p + 1 commas, so with the header's p + 1
+    # they account for all of them only if every row has exactly p + 2 fields
+    if table is None or commas != (p + 1) * (len(table) + 1):
+        rows, table = _scan_rows(path, lines, p)
     labels, feats = table["y"], table["x"]
     negative = labels < 0
     bad = np.flatnonzero(negative | ~np.isfinite(feats).all(axis=1))
     if bad.size:
         i = bad[0]
         what = f"negative label {labels[i]}" if negative[i] else "non-finite feature"
-        raise DataFormatError(f"{path}:{numbers[i]}: {what}")
-    ids = [ln.partition(",")[0] or None for ln in rows]
+        raise DataFormatError(f"{path}:{_data_line_numbers(lines)[i]}: {what}")
+    ids = [ln.partition(",")[0] or None for ln in rows if ln]
     return Dataset(feats, labels, ids)

@@ -3,9 +3,10 @@
 Parameters live in one flat vector with a frozen layout (layer-major,
 weights before biases, read from ``ModelSpec.layout``) so checkpoints stay
 readable across versions. ``forward`` computes the logits; the losses
-carry their closed-form derivative in ``loss_gradient``. There is one
-backward chain, the private ``_chain``: it carries a logit gradient back
-through the layers whose inputs a forward pass kept. The training gradient
+carry their closed-form derivative in ``loss_gradient``, and the training
+step reads both from labels mapped once to the losses' ``_targets``. There
+is one backward chain, the private ``_chain``: it carries a logit gradient
+back through the layers whose inputs a forward pass kept. The training gradient
 (``autodiff.grad``) reads its parameter gradient, and the style gradient of
 the robustness probes carries its result through the first layer's
 weights, so each runs every layer once in each direction.
@@ -224,17 +225,41 @@ def loss_gradient(spec: ModelSpec, logits, labels) -> np.ndarray:
     """d per_sample_loss / d logits, row by row, shaped like ``logits`` (a
     batch): -y * sigmoid(-y z) for the logistic loss, softmax(z) - onehot
     for softmax cross-entropy."""
+    with np.errstate(over="ignore"):  # exp = inf gives the limit 0
+        return _target_loss_gradient(spec, np.asarray(logits, dtype=float),
+                                     _targets(spec, labels))
+
+
+# The training step maps the labels of a whole run to targets once and
+# calls the two functions below on a batch of them.
+
+def _targets(spec: ModelSpec, labels) -> np.ndarray:
+    """The labels as the losses read them: y = +-1 floats for a single
+    logit, the class indices for K logits."""
     labels = np.asarray(labels, dtype=int)
-    logits = np.asarray(logits, dtype=float)
+    return 2.0 * labels - 1.0 if spec.output_dim == 1 else labels
+
+
+def _target_losses(spec: ModelSpec, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``per_sample_loss`` of a batch from its ``_targets``, same bits,
+    without ``logistic_loss``'s check of the +-1 labels."""
     if spec.output_dim == 1:
-        y = 2.0 * labels - 1.0
+        return _softplus(-targets * logits)
+    return softmax_cross_entropy(targets, logits)
+
+
+def _target_loss_gradient(spec: ModelSpec, logits: np.ndarray,
+                          targets: np.ndarray) -> np.ndarray:
+    """``loss_gradient`` of a batch from its ``_targets``, same bits. Large
+    margins overflow exp to inf, which gives the right limit 0; the caller
+    decides whether numpy reports that overflow."""
+    if spec.output_dim == 1:
         # -y * (1 / (1 + exp(y z))): with y = +-1 the sign moves through the
         # division exactly, so one division gives the same bits
-        with np.errstate(over="ignore"):  # exp = inf gives the limit 0
-            return -y / (1.0 + np.exp(y * logits))
+        return -targets / (1.0 + np.exp(targets * logits))
     e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     g = e / e.sum(axis=1, keepdims=True)
-    g[np.arange(len(labels)), labels] -= 1.0
+    g[np.arange(len(targets)), targets] -= 1.0
     return g
 
 

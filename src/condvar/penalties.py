@@ -96,12 +96,14 @@ def penalty_sum(values, seg, m: int, nu: float) -> float:
     return np.sum(var)
 
 
-def penalty_gradient(values, seg, m: int, nu: float) -> np.ndarray:
-    """d penalty_sum / d values, shaped like ``values``: 2 (v - mu_j) / n_j
-    per coordinate, times 1/2 Var_j^(-1/2) at nu = 1/2. A zero-variance
-    segment gets gradient 0 (the subgradient sqrt'(0) = 0), so exactly
-    duplicated rows add nothing to a training step."""
-    sizes = np.bincount(seg, minlength=m).reshape((m,) + (1,) * (values.ndim - 1))
+def penalty_gradient(values, seg, sizes: np.ndarray, nu: float) -> np.ndarray:
+    """d penalty_sum / d values, shaped like ``values``, for the m segments
+    whose sizes n_j are ``sizes``: 2 (v - mu_j) / n_j per coordinate, times
+    1/2 Var_j^(-1/2) at nu = 1/2. A zero-variance segment gets gradient 0
+    (the subgradient sqrt'(0) = 0), so exactly duplicated rows add nothing
+    to a training step."""
+    m = len(sizes)
+    sizes = sizes.reshape((m,) + (1,) * (values.ndim - 1))
     dev = values - (segment_sum(values, seg, m) / sizes)[seg]
     scale = 2.0 / sizes
     if nu == 0.5:

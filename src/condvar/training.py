@@ -7,10 +7,12 @@ size >= 2 (or lam == 0) the penalty branch is skipped entirely, which makes
 penalized training on ungrouped data bit-identical to pooled training.
 
 Each epoch gathers its rows once, in shuffled-group order, into one buffer
-of features, labels and batch-local group ids, so every batch is a slice
-of it. A training step is one ``autodiff.grad`` call on that slice, a
-finite check and an in-place optimizer update; the inputs are checked once
-per ``train`` call.
+of features, loss targets and batch-local group ids, so every batch is a
+slice of it, and the packing hands over each batch's group sizes. A
+training step is one ``autodiff.grad`` call on that prepared batch, a
+finite check and an in-place optimizer update. What is fixed for the run
+is prepared once per ``train`` call: the input checks, the labels mapped to
+the losses' targets and the mask of the ridge's weights.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ class TrainReport:
 
 def _epoch_batches(group_index: GroupIndex, batch_size: int, seed: int,
                    epoch: int) -> tuple:
-    """(rows, seg, bounds): every row in batch order, the batch-local group
-    id of each, and each batch's (start, stop) in both. Groups are shuffled
-    as units and packed greedily in that order; a group's rows keep their
-    ascending index order."""
+    """(rows, seg, batches): every row in batch order, the batch-local group
+    id of each, and per batch (start, stop, sizes): its slice of both and
+    the size of each of its groups, in batch-local id order. Groups are
+    shuffled as units and packed greedily in that order; a group's rows
+    keep their ascending index order."""
     m = group_index.m
     if m and group_index.max_size() > batch_size:
         raise ValueError(
@@ -110,9 +113,11 @@ def _epoch_batches(group_index: GroupIndex, batch_size: int, seed: int,
         starts.append(start)
         # greedy packing: the longest run of whole groups that fits
         start = int(filled.searchsorted(filled[start] + batch_size, "right")) - 1
-    rank = np.arange(m) - np.repeat(starts, np.diff(starts + [m]))  # within its batch
-    edges = filled[starts + [m]].tolist()
-    return rows, np.repeat(rank, sizes), list(zip(edges, edges[1:]))
+    cuts = starts + [m]
+    rank = np.arange(m) - np.repeat(starts, np.diff(cuts))  # within its batch
+    edges = filled[cuts].tolist()
+    batches = [(a, b, sizes[i:j]) for a, b, i, j in zip(edges, edges[1:], cuts, cuts[1:])]
+    return rows, np.repeat(rank, sizes), batches
 
 
 def group_aware_minibatches(group_index: GroupIndex, batch_size: int, seed: int,
@@ -120,8 +125,8 @@ def group_aware_minibatches(group_index: GroupIndex, batch_size: int, seed: int,
     """Shuffle groups as units (seeded by (seed, epoch)) and pack them
     greedily into batches of at most ``batch_size`` indices. No group is ever
     split; the last batch may be short."""
-    rows, _, bounds = _epoch_batches(group_index, batch_size, seed, epoch)
-    return [rows[a:b] for a, b in bounds]
+    rows, _, batches = _epoch_batches(group_index, batch_size, seed, epoch)
+    return [rows[a:b] for a, b, _ in batches]
 
 
 # ---- optimizers ----------------------------------------------------------
@@ -192,21 +197,25 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     y_all = dataset.labels
     theta = md.init_params(model_spec, config.seed)
     md._checked(model_spec, theta, x_all)  # the only check: grad takes batches as given
+    targets = md._targets(model_spec, y_all)
+    mask = ad._weight_mask(model_spec)
     opt = _make_optimizer(config.optimizer, theta.size)
     history = []
     step = 0
     for epoch in range(config.epochs):
-        rows, seg, bounds = _epoch_batches(group_index, config.batch_size,
-                                           config.seed, epoch)
-        x, y = x_all[rows], y_all[rows]
-        for a, b in bounds:
-            g = ad.grad(model_spec, theta, x[a:b], y[a:b], seg[a:b], config.penalty)
-            if not np.isfinite(g).all():
-                raise DivergenceError(
-                    f"non-finite gradient at epoch {epoch}, step {step}"
-                )
-            opt.step(theta, g)
-            step += 1
+        rows, seg, batches = _epoch_batches(group_index, config.batch_size,
+                                            config.seed, epoch)
+        x, t = x_all[rows], targets[rows]
+        with np.errstate(over="ignore"):  # exp in the logistic derivative, see grad
+            for a, b, sizes in batches:
+                g = ad.grad(model_spec, theta, x[a:b], t[a:b], seg[a:b], config.penalty,
+                            sizes=sizes, mask=mask)
+                if not np.isfinite(g).all():
+                    raise DivergenceError(
+                        f"non-finite gradient at epoch {epoch}, step {step}"
+                    )
+                opt.step(theta, g)
+                step += 1
         row = _epoch_diagnostics(model_spec, theta, x_all, y_all, group_index,
                                  config.penalty)
         row["epoch"] = epoch

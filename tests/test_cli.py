@@ -370,6 +370,18 @@ def test_plot_checkpoint_width_mismatch_exits_data(gen_dir, tmp_path):
     assert not (out / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "sub/x.svg", "..", ""])
+def test_plot_rejects_a_name_that_is_not_a_plain_file_name(gen_dir, trained_dir, tmp_path,
+                                                           capsys, name):
+    # manifest.json would be overwritten by the manifest; sub/x.svg would leave an empty --out
+    out = tmp_path / "plot"
+    assert run("plot", "--data", gen_dir / "train.csv",
+               "--checkpoints", trained_dir / "checkpoint.json", "--name", name,
+               "--out", out) == 2
+    assert capsys.readouterr().err.startswith("config error: --name must be a plain file name")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row", ["a,1,abc", "a,1", "a,1,2.0,3.0", "a,1.0,2.0", "a,-1,2.0",
                                  "a,1,nan", "a,1,1e400", "a,1_0,2.0"])
 def test_train_rejects_bad_csv_row_with_data_exit(tmp_path, row):

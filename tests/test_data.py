@@ -135,6 +135,57 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(ds.features, back.features)
 
 
+def test_csv_save_writes_pinned_text(tmp_path):
+    # the row-wise formula f"{id},{y},{','.join(map(repr, row))}\n" wrote these bytes
+    feats = [[-0.0, 0.0], [1e-05, 0.0001], [1e16, 5e-324], [1.7976931348623157e+308, 0.1]]
+    ds = Dataset(feats, [0, 1, 2, 1], [None, "é日", " pad ", "g1"])
+    path = tmp_path / "golden.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == (
+        "id,y,x0,x1\n"
+        ",0,-0.0,0.0\n"
+        "é日,1,1e-05,0.0001\n"
+        " pad ,2,1e+16,5e-324\n"
+        "g1,1,1.7976931348623157e+308,0.1\n").encode("utf-8")
+    back = load_csv(path)
+    assert back.features.tobytes() == ds.features.tobytes()  # -0.0 keeps its sign
+    assert list(back.ids) == list(ds.ids)
+
+
+def test_csv_balanced_field_counts_report_the_first_bad_row(tmp_path):
+    # one extra field and a later missing one leave the file's comma total
+    # as if every row had three fields
+    path = tmp_path / "bad.csv"
+    path.write_text("id,y,x0\na,0,0.5\nb,1,0.5,9\n\nc,0\nd,1,2.0\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:3: expected 3 fields, got 4"
+
+
+CLEAN_ROWS = ["id,y,x0,x1", "a,1,0.5,-0.25", ",0,1.0,2.0", "a,1,3.0,4e-300", "b,0,-0.0,7.5"]
+
+
+@pytest.mark.parametrize("layout", ["blank lines and CRLF", "whitespace-only lines"])
+def test_csv_skipped_lines_do_not_change_the_dataset(tmp_path, monkeypatch, layout):
+    clean = tmp_path / "clean.csv"
+    clean.write_text("\n".join(CLEAN_ROWS) + "\n")
+    messy = tmp_path / "messy.csv"
+    if layout == "blank lines and CRLF":
+        text = "\n" + "\r\n\r\n".join(CLEAN_ROWS[:3]) + "\n\n" + "\r\n".join(CLEAN_ROWS[3:])
+    else:
+        text = "  \n" + "\n \t \n".join(CLEAN_ROWS) + "\r\n\x0c\n"
+    messy.write_bytes(text.encode("utf-8"))
+    if layout == "blank lines and CRLF":  # read without the line-by-line scan
+        monkeypatch.setattr("condvar.data._scan_rows", None)
+    got = load_csv(messy)
+    monkeypatch.undo()
+    want = load_csv(clean)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tolist() == want.labels.tolist() == [1, 0, 1, 0]
+    assert list(got.ids) == list(want.ids) == ["a", None, "a", "b"]
+    assert got.n_classes == want.n_classes
+
+
 @pytest.mark.parametrize("bad_id", ["a,b", "a\nb"])
 def test_csv_save_rejects_bad_id_before_touching_the_file(tmp_path, bad_id):
     # the bad id sits after valid rows: nothing may be written before the check

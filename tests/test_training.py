@@ -367,3 +367,29 @@ def test_training_pinned_bitwise(run):
     assert report.steps == want["steps"]
     assert [float.hex(float(v)) for v in report.theta] == want["theta"]
     assert report.history == want["history"]
+
+
+@pytest.mark.parametrize("run", _pinned_runs(), ids=lambda r: r[0])
+def test_training_step_gradient_is_the_six_argument_grad(run, monkeypatch):
+    # train hands grad each batch prepared (loss targets, group sizes,
+    # weight mask); its gradient must be, bit for bit, the one grad computes
+    # from the batch's labels and group ids alone
+    _, dataset, spec, cfg = run
+    grad = ad.grad
+    steps = []
+
+    def both_forms(spec, theta, x, targets, seg, penalty, *, sizes, mask):
+        assert np.array_equal(sizes, np.bincount(seg))
+        if spec.output_dim == 1:
+            assert set(np.unique(targets)) <= {-1.0, 1.0}
+            labels = ((targets + 1.0) / 2.0).astype(int)
+        else:
+            labels = targets
+        got = grad(spec, theta, x, targets, seg, penalty, sizes=sizes, mask=mask)
+        assert got.tobytes() == grad(spec, theta, x, labels, seg, penalty).tobytes()
+        steps.append(len(x))
+        return got
+
+    monkeypatch.setattr(ad, "grad", both_forms)
+    report = train(dataset, build_group_index(dataset), spec, cfg)
+    assert len(steps) == report.steps and sum(steps) == cfg.epochs * len(dataset)
