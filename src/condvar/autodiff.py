@@ -11,14 +11,14 @@ inputs that the forward pass of the same call kept. Both functions read
 the skip rule, the 1/m group weighting and the bias-free ridge from this
 module.
 
-``grad`` is the training step's one call per batch, and ``train`` hands
-it the batch prepared: the inputs checked and the labels mapped to the
-losses' targets once per run, each batch's group sizes from the packing
-that made it, and the weight mask that makes the ridge one masked add.
-So a step recomputes nothing that is fixed for the epoch or the run.
-Called with the six arguments of ``objective``, ``grad`` prepares the
-batch itself and gives the same bits. The module keeps its name because
-``perfbench/spans.py`` traces ``grad`` to count training steps.
+``grad`` is the training step's one call per batch, and takes the batch
+prepared: its labels mapped to the losses' targets (``models._targets``,
+which ``train`` runs once per run) and the size of each of its groups
+(which the epoch's packing hands over). The ridge is one masked add over
+``ModelSpec.weight_mask``. ``objective`` reads labels and prepares its
+own inputs, so it stays the reference that ``grad`` is checked against.
+The module keeps its name because ``perfbench/spans.py`` traces ``grad``
+to count training steps.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ def ridge(spec: md.ModelSpec, theta: np.ndarray) -> float:
         w = theta[wsl]
         total = total + np.sum(w * w)
     return float(total)
-
-
-def _weight_mask(spec: md.ModelSpec) -> np.ndarray:
-    """True at the entries of theta that are weights, the ridge's support."""
-    mask = np.zeros(md.param_count(spec), dtype=bool)
-    for wsl, _, _ in spec.layout:
-        mask[wsl] = True
-    return mask
 
 
 def _penalized(penalty: PenaltyConfig, sizes, n: int) -> bool:
@@ -74,27 +66,15 @@ def objective(spec: md.ModelSpec, theta, x, labels, seg,
     return float(obj)
 
 
-def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, labels, seg,
-         penalty: PenaltyConfig, *, sizes=None, mask=None) -> np.ndarray:
-    """d objective / d theta, same arguments as ``objective`` except that
-    ``theta`` must be a float vector of ``param_count(spec)`` entries and
-    ``x`` an (n, input_dim) float batch: they are not checked here.
-
-    The training step passes the batch prepared, with ``sizes`` the size of
-    each group of ``seg`` and ``mask`` the ``_weight_mask`` of ``spec``;
-    ``labels`` are then the batch's ``models._targets``, and the caller
-    holds ``np.errstate(over="ignore")`` (the logistic derivative's exp
-    overflows to the right limit). Without them ``grad`` prepares the
-    batch itself."""
-    if mask is None:
-        with np.errstate(over="ignore"):
-            return _prepared_grad(spec, theta, x, md._targets(spec, labels), seg,
-                                  None if seg is None else np.bincount(seg), penalty,
-                                  _weight_mask(spec))
-    return _prepared_grad(spec, theta, x, labels, seg, sizes, penalty, mask)
-
-
-def _prepared_grad(spec, theta, x, targets, seg, sizes, penalty, mask) -> np.ndarray:
+def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, targets: np.ndarray,
+         seg, sizes, penalty: PenaltyConfig) -> np.ndarray:
+    """d objective / d theta on one prepared batch: ``theta`` a float
+    vector of ``param_count(spec)`` entries, ``x`` an (n, input_dim) float
+    batch, ``targets`` its ``models._targets``, ``seg`` its group ids as in
+    ``objective`` and ``sizes`` the size of each of those groups (both None
+    for no groups). Nothing is checked here. The caller holds
+    ``np.errstate(over="ignore")``: the logistic derivative's exp overflows
+    to the right limit."""
     n = len(targets)
     hs = list(md._layer_inputs(spec, theta, x))
     logits = md._output(spec, theta, hs[-1])
@@ -110,5 +90,5 @@ def _prepared_grad(spec, theta, x, targets, seg, sizes, penalty, mask) -> np.nda
             g_logits = g_logits + d_loss * g_losses.reshape((n,) + (1,) * (d_loss.ndim - 1))
     g_theta, _ = md._chain(spec, theta, hs, g_logits.reshape(n, spec.output_dim))
     if penalty.gamma > 0.0:
-        np.add(g_theta, 2.0 * penalty.gamma * theta, out=g_theta, where=mask)
+        np.add(g_theta, 2.0 * penalty.gamma * theta, out=g_theta, where=spec.weight_mask)
     return g_theta

@@ -96,6 +96,18 @@ def _parse_penalty(text: str, lam: float, gamma: float) -> PenaltyConfig:
         ) from None
 
 
+def _check_fit(spec, dataset, data_path, what: str) -> None:
+    """Data error naming ``data_path`` unless its ``dataset`` fits the model
+    ``spec`` of a ``what``: the feature width and the labels."""
+    if spec.input_dim != dataset.p:
+        raise DataFormatError(f"{data_path}: {what} expects {spec.input_dim} features "
+                              f"but data has {dataset.p}")
+    try:
+        md._targets(spec, dataset.labels)
+    except ValueError as exc:
+        raise DataFormatError(f"{data_path}: {exc}") from None
+
+
 # Each _cmd_* returns (resolved values, {file name: writer(path)}, stdout summary).
 
 # ---- gen -------------------------------------------------------------------
@@ -142,10 +154,7 @@ def _cmd_gen(args) -> tuple:
 def _cmd_train(args) -> tuple:
     dataset = load_csv(args.data)
     spec = _parse_model(args.model)
-    if spec.input_dim != dataset.p:
-        raise DataFormatError(
-            f"model expects {spec.input_dim} features but data has {dataset.p}"
-        )
+    _check_fit(spec, dataset, args.data, "model")
     penalty = _parse_penalty(args.penalty, args.lam, args.gamma)
     config = TrainConfig(
         penalty,
@@ -187,18 +196,15 @@ def _evaluate(spec, theta, dataset) -> dict:
     }
 
 
-def _load_checkpoint_for(path, dataset):
+def _load_checkpoint_for(path, dataset, data_path):
     spec, theta, _seed, _step = md.load_checkpoint(path)
-    if spec.input_dim != dataset.p:
-        raise DataFormatError(
-            f"checkpoint expects {spec.input_dim} features but data has {dataset.p}"
-        )
+    _check_fit(spec, dataset, data_path, f"checkpoint {path}")
     return spec, theta
 
 
 def _cmd_eval(args) -> tuple:
     dataset = load_csv(args.data)
-    spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
+    spec, theta = _load_checkpoint_for(args.checkpoint, dataset, args.data)
     metrics = _evaluate(spec, theta, dataset)
     return ({}, {"metrics.json": lambda path: _write_json(path, metrics)},
             json.dumps(metrics, indent=1, sort_keys=True))
@@ -209,7 +215,7 @@ def _cmd_eval(args) -> tuple:
 def _cmd_shift_eval(args) -> tuple:
     dataset = load_csv(args.data)
     style_ds = scm.load_style_dataset(dataset, args.latents)
-    spec, theta = _load_checkpoint_for(args.checkpoint, dataset)
+    spec, theta = _load_checkpoint_for(args.checkpoint, dataset, args.data)
     groups = build_group_index(dataset)
     if style_ds.scm is not None:
         sigma = np.asarray(style_ds.scm.style_cov)
@@ -264,7 +270,7 @@ def _cmd_plot(args) -> tuple:
     dataset = load_csv(args.data)
     if dataset.p != 2:
         raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")
-    checkpoints = [_load_checkpoint_for(path, dataset) for path in args.checkpoints]
+    checkpoints = [_load_checkpoint_for(path, dataset, args.data) for path in args.checkpoints]
     labels = args.labels if args.labels else [Path(p).stem for p in args.checkpoints]
     if len(labels) != len(checkpoints):
         raise ConfigError("need exactly one label per checkpoint")

@@ -174,12 +174,16 @@ def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, sele
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
     written with shortest round-trip precision so load(save(d)) == d bitwise.
-    Every id is checked before the file is opened, so an id holding a comma
-    or a newline raises DataFormatError and leaves the path untouched."""
+    Every id is checked before the file is opened, so an id that is empty
+    (it would read back as absent) or holds a comma or a newline raises
+    DataFormatError and leaves the path untouched."""
     ids = ["" if ident is None else str(ident) for ident in dataset.ids]
     joined = "".join(ids)
     if "," in joined or "\n" in joined:
         raise DataFormatError("id tokens may not contain commas or newlines")
+    # an absent id writes "", so any further "" is an id that is empty
+    if ids.count("") > np.count_nonzero(np.equal(dataset.ids, None)):
+        raise DataFormatError("id tokens may not be empty: an empty field means no id")
     cols = ",".join(f"x{j}" for j in range(dataset.p))
     # built column by column; with p = 0 a row still ends in a comma, as the header does
     features = [map(repr, column) for column in dataset.features.T.tolist()] or [[""] * len(ids)]

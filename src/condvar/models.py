@@ -2,14 +2,14 @@
 
 Parameters live in one flat vector with a frozen layout (layer-major,
 weights before biases, read from ``ModelSpec.layout``) so checkpoints stay
-readable across versions. ``forward`` computes the logits; the losses
-carry their closed-form derivative in ``loss_gradient``, and the training
-step reads both from labels mapped once to the losses' ``_targets``. There
-is one backward chain, the private ``_chain``: it carries a logit gradient
-back through the layers whose inputs a forward pass kept. The training gradient
-(``autodiff.grad``) reads its parameter gradient, and the style gradient of
-the robustness probes carries its result through the first layer's
-weights, so each runs every layer once in each direction.
+readable across versions. ``forward`` computes the logits. Labels reach
+every loss and loss derivative through ``_targets``, which checks that
+they fit the model's outputs and maps them to what the losses read.
+There is one backward chain, the private ``_chain``: it carries a logit
+gradient back through the layers whose inputs a forward pass kept. The
+training gradient (``autodiff.grad``) reads its parameter gradient, and
+the style gradient of the robustness probes carries it through the first
+layer's weights, so each runs every layer once in each direction.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "per_sample_loss",
     "logistic_loss",
     "softmax_cross_entropy",
-    "loss_gradient",
     "predict_labels",
     "save_checkpoint",
     "load_checkpoint",
@@ -75,6 +74,14 @@ class ModelSpec:
             out.append((w, (fan_in, fan_out), b))
             pos = b.stop
         return tuple(out)
+
+    @cached_property
+    def weight_mask(self) -> np.ndarray:
+        """True at the weights of the flat vector: the ridge's support."""
+        mask = np.zeros(self.layout[-1][2].stop, dtype=bool)
+        for wsl, _, _ in self.layout:
+            mask[wsl] = True
+        return mask
 
     @property
     def input_dim(self) -> int:
@@ -214,35 +221,25 @@ def softmax_cross_entropy(label, logits):
 def per_sample_loss(spec: ModelSpec, logits, labels):
     """Vector of per-sample losses. Binary single-logit models use the
     logistic loss with labels {0,1} mapped to {-1,+1}; K-output models use
-    softmax cross-entropy."""
-    labels = np.asarray(labels, dtype=int)
-    if spec.output_dim == 1:
-        return logistic_loss(2.0 * labels - 1.0, logits)
-    return softmax_cross_entropy(labels, logits)
+    softmax cross-entropy. Labels that do not fit raise ValueError."""
+    return _target_losses(spec, np.asarray(logits, dtype=float), _targets(spec, labels))
 
-
-def loss_gradient(spec: ModelSpec, logits, labels) -> np.ndarray:
-    """d per_sample_loss / d logits, row by row, shaped like ``logits`` (a
-    batch): -y * sigmoid(-y z) for the logistic loss, softmax(z) - onehot
-    for softmax cross-entropy."""
-    with np.errstate(over="ignore"):  # exp = inf gives the limit 0
-        return _target_loss_gradient(spec, np.asarray(logits, dtype=float),
-                                     _targets(spec, labels))
-
-
-# The training step maps the labels of a whole run to targets once and
-# calls the two functions below on a batch of them.
 
 def _targets(spec: ModelSpec, labels) -> np.ndarray:
     """The labels as the losses read them: y = +-1 floats for a single
-    logit, the class indices for K logits."""
+    logit (labels 0 and 1), the class indices for K logits (labels
+    0..K-1). Any other label raises ValueError."""
     labels = np.asarray(labels, dtype=int)
+    k = max(spec.output_dim, 2)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        bad = labels[(labels < 0) | (labels >= k)].flat[0]
+        raise ValueError(f"label {bad} does not fit {spec.output_dim} model output(s): "
+                         f"labels must lie in 0..{k - 1}")
     return 2.0 * labels - 1.0 if spec.output_dim == 1 else labels
 
 
 def _target_losses(spec: ModelSpec, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``per_sample_loss`` of a batch from its ``_targets``, same bits,
-    without ``logistic_loss``'s check of the +-1 labels."""
+    """Per-sample losses of a batch from its ``_targets``."""
     if spec.output_dim == 1:
         return _softplus(-targets * logits)
     return softmax_cross_entropy(targets, logits)
@@ -250,9 +247,9 @@ def _target_losses(spec: ModelSpec, logits: np.ndarray, targets: np.ndarray) -> 
 
 def _target_loss_gradient(spec: ModelSpec, logits: np.ndarray,
                           targets: np.ndarray) -> np.ndarray:
-    """``loss_gradient`` of a batch from its ``_targets``, same bits. Large
-    margins overflow exp to inf, which gives the right limit 0; the caller
-    decides whether numpy reports that overflow."""
+    """d loss / d logits of a batch from its ``_targets``: -y sigmoid(-y z)
+    or softmax(z) - onehot. Large margins overflow exp to inf, the right
+    limit 0; the caller holds ``np.errstate(over="ignore")`` around it."""
     if spec.output_dim == 1:
         # -y * (1 / (1 + exp(y z))): with y = +-1 the sign moves through the
         # division exactly, so one division gives the same bits

@@ -95,15 +95,12 @@ def _sigma_per_group(sigma, m: int, q: int) -> np.ndarray:
     raise ValueError(f"sigma must be (q, q) shared or (m, q, q) per group, got {arr.shape}")
 
 
-def _sample_losses(spec, theta, features, labels) -> np.ndarray:
-    return np.asarray(md.per_sample_loss(spec, md.forward(spec, theta, features), labels))
-
-
 def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                      assignment, group_index: GroupIndex | None = None) -> float:
     """Mean loss after re-rendering under the given shift assignment."""
     shifted = rerender(style_dataset, assignment, group_index)
-    return float(np.mean(_sample_losses(spec, theta, shifted.features, shifted.labels)))
+    logits = md.forward(spec, theta, shifted.features)
+    return float(np.mean(md.per_sample_loss(spec, logits, shifted.labels)))
 
 
 def _sphere_directions(q: int):
@@ -152,7 +149,7 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     chols = _chol(sigmas)
     scale = np.sqrt(budgets)[:, None]
     k = max(1, md._CHUNK_BYTES // (8 * n * max(p, q, *spec.layer_sizes)))
-    labels = np.tile(style_dataset.dataset.labels, k)
+    targets = np.tile(md._targets(spec, style_dataset.dataset.labels), k)
     seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
     def shift(u):  # (K, m, q) unit directions -> shifts
@@ -168,7 +165,8 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
         return means.reshape((kk, m) + values.shape[1:])
 
     def group_losses(delta):
-        return group_means(_sample_losses(spec, theta, render(delta), labels[:len(delta) * n]))
+        logits = md.forward(spec, theta, render(delta))
+        return group_means(md._target_losses(spec, logits, targets[:len(delta) * n]))
 
     if not np.any(budgets):
         zero = np.zeros((1, m, q))
@@ -194,7 +192,7 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
         u = starts[lo:lo + k]
         for _ in range(steps):
             g = _style_gradients(spec, theta, style_dataset, render(shift(u)),
-                                 labels[:len(u) * n])
+                                 targets[:len(u) * n])
             g_u = scale * np.einsum("jba,kjb->kja", chols, group_means(g))
             norms = np.maximum(np.linalg.norm(g_u, axis=2, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
@@ -209,15 +207,17 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     return best_val, best_delta
 
 
-def _style_gradients(spec, theta, style_dataset, features, labels) -> np.ndarray:
-    """d loss_i / d style_i for samples rendered as ``features``, (n, q):
-    the input gradient chained through the render, W for a linear render
-    and d x / d angle = r (-sin a, cos a) = (-x_1, x_0) for the polar one,
-    whose other style coordinates do not reach the features. The layers run
-    once: the backward chain reuses the inputs the forward pass kept."""
+def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarray:
+    """d loss_i / d style_i for samples rendered as ``features``, with loss
+    ``targets``, (n, q): the input gradient chained through the render, W
+    for a linear render and d x / d angle = r (-sin a, cos a) = (-x_1, x_0)
+    for the polar one, whose other style coordinates do not reach the
+    features. The layers run once: the backward chain reuses the inputs the
+    forward pass kept."""
     theta, features, _ = md._checked(spec, theta, features)
     hs = list(md._layer_inputs(spec, theta, features))
-    g = md.loss_gradient(spec, md._output(spec, theta, hs[-1]), labels)
+    with np.errstate(over="ignore"):  # exp = inf gives the limit 0
+        g = md._target_loss_gradient(spec, md._output(spec, theta, hs[-1]), targets)
     _, g = md._chain(spec, theta, hs, g.reshape(len(features), spec.output_dim))
     wsl, wshape, _ = spec.layout[0]
     gx = g @ theta[wsl].reshape(wshape).T
@@ -232,7 +232,8 @@ def _group_shift_gradients(spec, theta, style_dataset, group_index) -> np.ndarra
     """Gradient of each group's mean loss with respect to its style shift,
     evaluated at zero shift. Shape (m, q)."""
     ds = style_dataset.dataset
-    per_sample = _style_gradients(spec, theta, style_dataset, ds.features, ds.labels)
+    per_sample = _style_gradients(spec, theta, style_dataset, ds.features,
+                                  md._targets(spec, ds.labels))
     return segment_means(per_sample, group_index.seg, group_index.m)
 
 
@@ -360,7 +361,7 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     expansion: unshifted loss + sqrt(xi) * conditional sd of the loss."""
     _check_budget(xi)
     ds = style_dataset.dataset
-    losses = _sample_losses(spec, theta, ds.features, ds.labels)
+    losses = md.per_sample_loss(spec, md.forward(spec, theta, ds.features), ds.labels)
     unshifted = float(np.mean(losses))
     pen = conditional_penalty(losses, group_index, nu=0.5)
     if xi == 0.0:

@@ -84,6 +84,8 @@ class LinearScmSpec:
             raise ValueError("style_cov must be symmetric")
         if np.any(np.linalg.eigvalsh(cov) <= 0):
             raise ValueError("style_cov must be positive definite")
+        if self.id_count < 1:
+            raise ValueError(f"id_count must be >= 1, got {self.id_count}")
         if self.id_sampler not in ("uniform", "round_robin"):
             raise ValueError(f"unknown id sampler {self.id_sampler!r}")
         if not 0.0 < self.class_balance < 1.0:

@@ -11,8 +11,9 @@ of features, loss targets and batch-local group ids, so every batch is a
 slice of it, and the packing hands over each batch's group sizes. A
 training step is one ``autodiff.grad`` call on that prepared batch, a
 finite check and an in-place optimizer update. What is fixed for the run
-is prepared once per ``train`` call: the input checks, the labels mapped to
-the losses' targets and the mask of the ridge's weights.
+is prepared once per ``train`` call, before the first step: the input
+checks and the labels mapped to the losses' targets (``models._targets``,
+which rejects a label the model's outputs cannot take).
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def _make_optimizer(cfg: OptimizerConfig, dim: int):
 
 # ---- training loops --------------------------------------------------------
 
-def _epoch_diagnostics(spec, theta, x, labels, group_index, penalty) -> dict:
+def _epoch_diagnostics(spec, theta, x, labels, targets, group_index, penalty) -> dict:
     logits = md.forward(spec, theta, x)
-    losses = md.per_sample_loss(spec, logits, labels)
+    losses = md._target_losses(spec, logits, targets)
     values = logits if penalty.target == "prediction" else losses
     pen = conditional_penalty(values, group_index, penalty.nu)
     ridge = ad.ridge(spec, theta)
@@ -196,9 +197,8 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     x_all = dataset.features
     y_all = dataset.labels
     theta = md.init_params(model_spec, config.seed)
-    md._checked(model_spec, theta, x_all)  # the only check: grad takes batches as given
+    md._checked(model_spec, theta, x_all)  # the only checks: grad takes batches as given
     targets = md._targets(model_spec, y_all)
-    mask = ad._weight_mask(model_spec)
     opt = _make_optimizer(config.optimizer, theta.size)
     history = []
     step = 0
@@ -208,15 +208,15 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
         x, t = x_all[rows], targets[rows]
         with np.errstate(over="ignore"):  # exp in the logistic derivative, see grad
             for a, b, sizes in batches:
-                g = ad.grad(model_spec, theta, x[a:b], t[a:b], seg[a:b], config.penalty,
-                            sizes=sizes, mask=mask)
+                g = ad.grad(model_spec, theta, x[a:b], t[a:b], seg[a:b], sizes,
+                            config.penalty)
                 if not np.isfinite(g).all():
                     raise DivergenceError(
                         f"non-finite gradient at epoch {epoch}, step {step}"
                     )
                 opt.step(theta, g)
                 step += 1
-        row = _epoch_diagnostics(model_spec, theta, x_all, y_all, group_index,
+        row = _epoch_diagnostics(model_spec, theta, x_all, y_all, targets, group_index,
                                  config.penalty)
         row["epoch"] = epoch
         if not np.isfinite(row["loss"]):

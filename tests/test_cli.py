@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import condvar
-from condvar import build_group_index, conditional_penalty, load_csv
+from condvar import Dataset, build_group_index, conditional_penalty, load_csv, save_csv
 from condvar import models as md
 from condvar.cli import build_parser, main
 from condvar.training import group_aware_minibatches
@@ -282,6 +282,53 @@ def test_gen_rejects_pair_count_and_writes_nothing(tmp_path, capsys, generator, 
     assert run("gen", generator, "--n", n, "--c", c, "--out", out) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_rejects_an_empty_id_pool_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert run("gen", "linear_scm", "--n", 50, "--c", 0, "--p", 6, "--r", 3,
+               "--id-count", 0, "--out", out) == 2
+    assert "config error: id_count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def three_class_csv(gen_dir, tmp_path_factory):
+    # the quick start's training data with one label moved to class 2; its
+    # features, and so the latent sidecar, are unchanged
+    ds = load_csv(gen_dir / "train.csv")
+    labels = ds.labels.copy()
+    labels[5] = 2
+    path = tmp_path_factory.mktemp("three") / "train.csv"
+    save_csv(Dataset(ds.features, labels, ds.ids), path)
+    return path
+
+
+@pytest.mark.parametrize("model", ["mlp:2,4,2", "linear:2"])
+def test_train_rejects_labels_the_model_cannot_take(three_class_csv, tmp_path, capsys,
+                                                    model):
+    out = tmp_path / "train"
+    assert run("train", "--data", three_class_csv, "--model", model, "--out", out) == 3
+    assert f"data error: {three_class_csv}: label 2 does not fit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_checkpoint_commands_reject_labels_the_model_cannot_take(gen_dir, three_class_csv,
+                                                                 tmp_path, capsys, outputs):
+    spec = md.ModelSpec("linear", (2, outputs))
+    ckpt = tmp_path / "checkpoint.json"
+    md.save_checkpoint(ckpt, spec, md.init_params(spec, 0), 0, 0)
+    for command, flags in (
+        ("eval", ["--checkpoint", ckpt]),
+        ("shift_eval", ["--checkpoint", ckpt, "--latents", gen_dir / "train_latents.json"]),
+        ("plot", ["--checkpoints", ckpt]),
+    ):
+        out = tmp_path / command
+        assert run(command, "--data", three_class_csv, *flags, "--out", out) == 3, command
+        err = capsys.readouterr().err
+        assert f"data error: {three_class_csv}: label 2 does not fit" in err, command
+        assert not out.exists(), command
 
 
 def _drop_core(path):

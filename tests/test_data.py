@@ -197,6 +197,21 @@ def test_csv_save_rejects_bad_id_before_touching_the_file(tmp_path, bad_id):
     assert path.read_text() == "id,y,x0\nold,1,5.0\n"
 
 
+def test_csv_save_rejects_an_empty_id_before_touching_the_file(tmp_path):
+    # "" and an absent id would write the same empty field: the two "" rows
+    # form one group, but read back they would be two singletons
+    ds = Dataset(np.zeros((4, 1)), [0, 0, 1, 1], ["", "", "a", None])
+    assert build_group_index(ds).m == 3
+    path = tmp_path / "d.csv"
+    path.write_text("id,y,x0\nold,1,5.0\n")
+    with pytest.raises(DataFormatError, match="may not be empty"):
+        save_csv(ds, path)
+    assert path.read_text() == "id,y,x0\nold,1,5.0\n"
+    # absent ids alone still round-trip
+    save_csv(Dataset(np.zeros((2, 1)), [0, 1], [None, "a"]), path)
+    assert list(load_csv(path).ids) == [None, "a"]
+
+
 @pytest.mark.parametrize("content", [
     "id,y,x0\na,1\n",                # ragged row
     "id,y,x0\na,1,abc\n",            # non-numeric feature

@@ -91,7 +91,7 @@ def test_softmax_cross_entropy_label_range():
 def test_gradient_logistic_at_zero():
     spec = ModelSpec("linear", (2, 1))
     x = np.array([[1.0, 2.0]])
-    g = ad.grad(spec, np.zeros(3), x, np.array([1]), None, PenaltyConfig())
+    g = ad.grad(spec, np.zeros(3), x, md._targets(spec, [1]), None, None, PenaltyConfig())
     assert np.allclose(g, [-0.5, -1.0, -0.5], atol=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_gradient_matches_finite_differences(kind, sizes, activation):
         for nu in (1.0, 0.5):
             for lam, gamma in ((0.0, 0.0), (0.8, 1e-2)):
                 cfg = PenaltyConfig(target, nu, lam, gamma)
-                g = ad.grad(spec, theta, x, y, seg, cfg)
+                g = ad.grad(spec, theta, x, md._targets(spec, y), seg, np.bincount(seg), cfg)
                 fd = _finite_difference(lambda t: ad.objective(spec, t, x, y, seg, cfg), theta)
                 assert _max_rel(g, fd) < 1e-5, (target, nu, lam)
     # parameter and input gradients of an arbitrary logit gradient: the

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from condvar import (
     InterventionSpec,
     LinearScmSpec,
     ModelSpec,
+    TrainConfig,
     build_group_index,
     divergence_probe,
     estimate_conditional_covariance,
@@ -17,6 +20,7 @@ from condvar import (
     mahalanobis_cost,
     sample_linear_scm,
     steepest_style_direction,
+    train,
     worst_case_loss,
 )
 from condvar import models as md
@@ -479,6 +483,7 @@ def _one_candidate_search(model, theta, ds, gi, sigmas, budgets, seed):
     chols = np.linalg.cholesky(sigmas)
     scale = np.sqrt(budgets)[:, None]
     labels = ds.dataset.labels
+    targets = md._targets(model, labels)
 
     def shift(u):
         return scale * np.einsum("jab,jb->ja", chols, u)
@@ -495,7 +500,7 @@ def _one_candidate_search(model, theta, ds, gi, sigmas, budgets, seed):
     best_val, best_delta = np.full(m, -np.inf), np.zeros((m, q))
     for u in starts:
         for _ in range(0 if grid is not None else 200):
-            g = _style_gradients(model, theta, ds, features(u), labels)
+            g = _style_gradients(model, theta, ds, features(u), targets)
             g_u = scale * np.einsum("jba,jb->ja", chols, segment_means(g, seg, m))
             norms = np.maximum(np.linalg.norm(g_u, axis=1, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
@@ -752,3 +757,23 @@ def test_zeta_for_diagonal_matrix():
 def test_estimate_covariance_requires_latents():
     with pytest.raises(TypeError):
         estimate_conditional_covariance("not a style dataset")
+
+
+def test_large_margins_train_and_search_without_warnings():
+    # features scaled so that |margin| > 710: the logistic derivative's exp
+    # overflows to its limit, and every caller of it holds the errstate
+    # that keeps numpy quiet about that
+    spec, ds, gi = scm_instance(n=60)
+    scale = 1e3
+    big = replace(ds, dataset=Dataset(scale * ds.dataset.features, ds.dataset.labels,
+                                      ds.dataset.ids),
+                  core=scale * ds.core, style=scale * ds.style)
+    model = ModelSpec("linear", (spec.p, 1))
+    sigma = np.asarray(spec.style_cov)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = train(big.dataset, gi, model, TrainConfig(epochs=2)).theta
+        assert np.abs(md.forward(model, theta, big.dataset.features)).max() > 710.0
+        for method in ("uniform_ball", "gradient_allocation"):
+            res = worst_case_loss(model, theta, big, gi, sigma, 1.0, method=method)
+            assert np.isfinite(res.value)

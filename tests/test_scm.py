@@ -85,6 +85,15 @@ def test_ids_and_core_latents_follow_the_sampling_rule(sampler):
         assert np.array_equal(ds.core[i], spec.core_latent(2 * cls - 1, ident))
 
 
+@pytest.mark.parametrize("sampler", ["round_robin", "uniform"])
+@pytest.mark.parametrize("id_count", [0, -1])
+def test_spec_rejects_an_id_pool_below_one(sampler, id_count):
+    # round robin would give every sample id i0 (with a divide-by-zero
+    # warning), uniform would fail inside numpy
+    with pytest.raises(ValueError, match="id_count must be >= 1"):
+        small_spec(id_sampler=sampler, id_count=id_count)
+
+
 def test_rerender_zero_is_identity():
     spec = small_spec()
     ds = sample_linear_scm(spec, 50, InterventionSpec("none"), seed=1)

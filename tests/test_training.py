@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,9 @@ from condvar import (
     group_aware_minibatches,
     oracle_train_constrained,
     train,
+    worst_case_loss,
 )
-from condvar.training import DivergenceError, evaluate_lambda_grid
+from condvar.training import DivergenceError, _epoch_batches, evaluate_lambda_grid
 
 PINNED = Path(__file__).parent / "data" / "pinned_training.json"
 
@@ -116,7 +119,7 @@ def test_objective_gradient_with_penalty_matches_fd():
     for target in ("prediction", "loss"):
         for nu in (1.0, 0.5):
             cfg = PenaltyConfig(target, nu, 0.9, 1e-3)
-            g = ad.grad(spec, theta, x, y, seg, cfg)
+            g = ad.grad(spec, theta, x, md._targets(spec, y), seg, np.bincount(seg), cfg)
             fd = np.zeros_like(theta)
             for i in range(theta.size):
                 e = np.zeros_like(theta)
@@ -370,26 +373,69 @@ def test_training_pinned_bitwise(run):
 
 
 @pytest.mark.parametrize("run", _pinned_runs(), ids=lambda r: r[0])
-def test_training_step_gradient_is_the_six_argument_grad(run, monkeypatch):
-    # train hands grad each batch prepared (loss targets, group sizes,
-    # weight mask); its gradient must be, bit for bit, the one grad computes
-    # from the batch's labels and group ids alone
+def test_training_step_hands_grad_the_batch_targets_and_group_sizes(run, monkeypatch):
+    # train maps the labels to the losses' targets once and takes each
+    # batch's group sizes from its packing: every step must see exactly the
+    # targets of the batch's rows and the group sizes its seg counts
     _, dataset, spec, cfg = run
-    grad = ad.grad
-    steps = []
+    index = build_group_index(dataset)
+    want = []
+    for epoch in range(cfg.epochs):
+        rows, seg, batches = _epoch_batches(index, cfg.batch_size, cfg.seed, epoch)
+        want += [(rows[a:b], seg[a:b]) for a, b, _ in batches]
+    grad, steps = ad.grad, []
 
-    def both_forms(spec, theta, x, targets, seg, penalty, *, sizes, mask):
+    def checked(spec_, theta, x, targets, seg, sizes, penalty):
+        rows, want_seg = want[len(steps)]
+        assert x.tobytes() == dataset.features[rows].tobytes()
+        want_targets = md._targets(spec, dataset.labels[rows])
+        assert targets.dtype == want_targets.dtype
+        assert targets.tobytes() == want_targets.tobytes()
+        assert np.array_equal(seg, want_seg)
+        # seg numbers exactly the dataset's groups among the batch's rows
+        pairs = set(zip(index.seg[rows].tolist(), seg.tolist()))
+        assert len(pairs) == len(set(seg.tolist())) == len(set(index.seg[rows].tolist()))
         assert np.array_equal(sizes, np.bincount(seg))
-        if spec.output_dim == 1:
-            assert set(np.unique(targets)) <= {-1.0, 1.0}
-            labels = ((targets + 1.0) / 2.0).astype(int)
-        else:
-            labels = targets
-        got = grad(spec, theta, x, targets, seg, penalty, sizes=sizes, mask=mask)
-        assert got.tobytes() == grad(spec, theta, x, labels, seg, penalty).tobytes()
         steps.append(len(x))
-        return got
+        return grad(spec_, theta, x, targets, seg, sizes, penalty)
 
-    monkeypatch.setattr(ad, "grad", both_forms)
-    report = train(dataset, build_group_index(dataset), spec, cfg)
-    assert len(steps) == report.steps and sum(steps) == cfg.epochs * len(dataset)
+    monkeypatch.setattr(ad, "grad", checked)
+    report = train(dataset, index, spec, cfg)
+    assert len(steps) == report.steps == len(want)
+    assert sum(steps) == cfg.epochs * len(dataset)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("linear", (2, 1)), ModelSpec("mlp", (2, 4, 2))],
+                         ids=["one_logit", "two_logits"])
+def test_a_label_that_does_not_fit_is_rejected_with_one_message(spec, monkeypatch):
+    # label 2 fits neither one logit (labels 0 and 1) nor two (0..1); every
+    # entry point that reads labels rejects it through models._targets
+    style_ds, _ = gen_example1(40, 10, seed=3)
+    labels = style_ds.dataset.labels.copy()
+    labels[7] = 2
+    data = Dataset(style_ds.dataset.features, labels, style_ds.dataset.ids)
+    shifted = replace(style_ds, dataset=data)
+    index = build_group_index(data)
+    theta = md.init_params(spec, 0)
+    with pytest.raises(ValueError) as want:
+        md._targets(spec, labels)
+    assert str(want.value).startswith("label 2 does not fit")
+    calls = []
+    monkeypatch.setattr(ad, "grad", lambda *args: calls.append(args))
+    logits = md.forward(spec, theta, data.features)
+    sigma = np.eye(style_ds.q)
+    attempts = {
+        "per_sample_loss": lambda: md.per_sample_loss(spec, logits, labels),
+        "objective": lambda: ad.objective(spec, theta, data.features, labels, index.seg,
+                                          PenaltyConfig("loss", 1.0, 1.0, 0.0)),
+        "train": lambda: train(data, index, spec, TrainConfig(epochs=1)),
+    }
+    for method in ("uniform_ball", "gradient_allocation"):
+        for xi in (0.0, 1.0):
+            attempts[f"worst_case_loss {method} {xi}"] = partial(
+                worst_case_loss, spec, theta, shifted, index, sigma, xi, method=method)
+    for name, attempt in attempts.items():
+        with pytest.raises(ValueError) as got:
+            attempt()
+        assert str(got.value) == str(want.value), name
+    assert calls == []
