@@ -20,11 +20,9 @@ from .models import (
     forward,
     init_params,
     load_checkpoint,
-    logistic_loss,
     param_count,
     predict_labels,
     save_checkpoint,
-    softmax_cross_entropy,
 )
 from .penalties import (
     DegenerateVarianceError,

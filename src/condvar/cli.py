@@ -223,9 +223,11 @@ def _cmd_shift_eval(args) -> tuple:
         raise DataFormatError(f"{args.data}: no (label, id) group has two members, "
                               "so the style covariance cannot be estimated")
     else:
-        sigma = rb.estimate_conditional_covariance(style_ds, groups).pooled
-    if not np.all(np.linalg.eigvalsh(sigma) > 0):
-        raise DataFormatError("style covariance is not positive definite")
+        cov = rb.estimate_conditional_covariance(style_ds, groups)
+        if not cov.spd:
+            raise DataFormatError(f"{args.latents}: the within-group style covariance "
+                                  "estimated from these latents is not positive definite")
+        sigma = cov.pooled
     unshifted = rb.loss_under_shift(spec, theta, style_ds, np.zeros(style_ds.q))
     worst = [
         rb.worst_case_loss(spec, theta, style_ds, groups, sigma, xi,
@@ -239,8 +241,7 @@ def _cmd_shift_eval(args) -> tuple:
         "xi_grid": args.xi,
         "worst_case": worst,
         "method": args.method,
-        "note": ("worst-case values are exact suprema (linear model, linear render)"
-                 if exact else "worst-case values are lower bounds on the supremum"),
+        "note": rb._EXACT_NOTE if exact else "worst-case values are lower bounds on the supremum",
         "unshifted_loss": unshifted,
         "first_order": {"xi": fo.xi, "lhs": fo.lhs, "rhs": fo.rhs, "gap": fo.gap},
     }

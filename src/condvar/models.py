@@ -28,8 +28,6 @@ __all__ = [
     "init_params",
     "forward",
     "per_sample_loss",
-    "logistic_loss",
-    "softmax_cross_entropy",
     "predict_labels",
     "save_checkpoint",
     "load_checkpoint",
@@ -163,10 +161,17 @@ def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple
     return g_theta, g
 
 
-# batched evaluations outside training (the worst-case search candidates,
-# the boundary-plot grid) take as many rows at a time as keep the widest
-# layer buffer, 8 bytes a float, within this many bytes
+# batched evaluations outside training (the shifted styles of the
+# robustness probes, the boundary-plot grid) take as many rows at a time as
+# keep the widest layer buffer, 8 bytes a float, within this many bytes
 _CHUNK_BYTES = 256 * 1024
+
+
+def _chunk(spec: ModelSpec, rows: int, *widths: int) -> int:
+    """How many blocks of ``rows`` rows one batched evaluation takes: as
+    many as keep a buffer as wide as the widest of the model's layers and
+    ``widths`` within ``_CHUNK_BYTES``, at least 1."""
+    return max(1, _CHUNK_BYTES // (8 * rows * max(*spec.layer_sizes, *widths)))
 
 
 def forward(spec: ModelSpec, theta, x):
@@ -185,37 +190,6 @@ def forward(spec: ModelSpec, theta, x):
 def _softplus(z: np.ndarray) -> np.ndarray:
     # max(0, z) + log1p(exp(-|z|)) is stable for any magnitude
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(z, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True))).squeeze(axis)
-
-
-def logistic_loss(y, logit):
-    """log(1 + exp(-y * logit)) for y in {-1, +1}; overflow-safe; vectorizes."""
-    yv = np.asarray(y, dtype=float)
-    if not np.all((yv == 1.0) | (yv == -1.0)):
-        raise ValueError("logistic_loss expects labels in {-1, +1}")
-    return _softplus(-yv * np.asarray(logit, dtype=float))
-
-
-def softmax_cross_entropy(label, logits):
-    """-log softmax(logits)[label]; log-sum-exp stabilized; vectorizes."""
-    labels = np.asarray(label)
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim == 1:
-        k = logits.shape[0]
-        if labels.ndim != 0:
-            raise ValueError("single logit row needs a scalar label")
-        if not 0 <= int(labels) < k:
-            raise ValueError(f"label {int(labels)} out of range for {k} classes")
-        return _logsumexp(logits, axis=0) - logits[int(labels)]
-    k = logits.shape[1]
-    labels = labels.astype(int)
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError("label out of range")
-    return _logsumexp(logits, axis=1) - logits[np.arange(len(labels)), labels]
 
 
 def per_sample_loss(spec: ModelSpec, logits, labels):
@@ -242,7 +216,10 @@ def _target_losses(spec: ModelSpec, logits: np.ndarray, targets: np.ndarray) -> 
     """Per-sample losses of a batch from its ``_targets``."""
     if spec.output_dim == 1:
         return _softplus(-targets * logits)
-    return softmax_cross_entropy(targets, logits)
+    # -log softmax(z)[y], the log-sum-exp taken about each row's maximum
+    top = np.max(logits, axis=1, keepdims=True)
+    lse = (top + np.log(np.sum(np.exp(logits - top), axis=1, keepdims=True))).squeeze(1)
+    return lse - logits[np.arange(len(targets)), targets]
 
 
 def _target_loss_gradient(spec: ModelSpec, logits: np.ndarray,

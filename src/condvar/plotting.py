@@ -4,13 +4,12 @@ SVG is written by hand so the bytes depend only on the inputs: samples
 colored by class, grouped pairs joined by segments, and one traced contour
 per checkpoint (marching squares on a 400 x 400 logit grid).
 
-The grid is evaluated a block of grid rows at a time, each block as large
-as keeps the model's widest layer buffer (400 points a row, 8 bytes a
-float) within ``models._CHUNK_BYTES`` (256 KiB), at least one row: 5 rows
-for a 2-16-16-1 MLP, 40 for a linear model. Only the finished (400, 400)
-logit grid is kept whole. A grid point's logit does not depend on the
-points evaluated beside it, so neither do the SVG bytes; the tests pin them
-at blocks of 1, 7 and 400 rows.
+The grid is evaluated a block of grid rows at a time, ``models._chunk``
+rows of 400 points each (the model's widest layer buffer within 256 KiB,
+at least one row): 5 rows for a 2-16-16-1 MLP, 40 for a linear model.
+Only the finished (400, 400) logit grid is kept whole. A grid point's
+logit does not depend on the points evaluated beside it, so neither do the
+SVG bytes; the tests pin them at blocks of 1, 7 and 400 rows.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     ys = np.linspace(lo[1], hi[1], _GRID)
     vals = np.empty((_GRID, _GRID))
     for k, (spec, theta) in enumerate(checkpoints):
-        rows = max(1, md._CHUNK_BYTES // (8 * _GRID * max(spec.layer_sizes)))
+        rows = md._chunk(spec, _GRID)
         for r in range(0, _GRID, rows):
             block = ys[r:r + rows]
             pts = np.column_stack([np.tile(xs, len(block)), np.repeat(block, _GRID)])

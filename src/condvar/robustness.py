@@ -4,8 +4,9 @@ All probes move the style latents of a retained-latent dataset and watch
 the loss. Shift budgets are Mahalanobis-squared sizes measured against the
 conditional style covariance, averaged over groups. Worst-case searches
 return lower bounds on the true supremum (deterministic per-group shifts,
-finite direction grids or ascent), except 'uniform_ball' for a single-logit
-linear model on a linear render, whose value is the exact supremum.
+finite direction grids or ascent). 'uniform_ball' for a single-logit
+linear model on a linear render is exact for equal per-group budgets.
+Every probe scores its shifted styles through ``_shifted_losses``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import models as md
 from .data import GroupIndex, build_group_index
 from .penalties import conditional_penalty, segment_means
-from .scm import StyleAwareDataset, rerender
+from .scm import StyleAwareDataset, expand_assignment
 
 __all__ = [
     "ConditionalCovariance",
@@ -42,6 +43,11 @@ class ConditionalCovariance:
     pooled: np.ndarray      # (q, q)
     zeta: float
     spd: bool
+
+
+# uniform_ball's note for a single-logit linear model on a linear render
+_EXACT_NOTE = ("exact for equal per-group budgets (linear model, linear render); "
+               "a lower bound when budgets may differ between groups")
 
 
 @dataclass
@@ -95,12 +101,30 @@ def _sigma_per_group(sigma, m: int, q: int) -> np.ndarray:
     raise ValueError(f"sigma must be (q, q) shared or (m, q, q) per group, got {arr.shape}")
 
 
+def _shifted_losses(spec, theta, style_dataset, targets, shifts) -> np.ndarray:
+    """Per-sample losses, (K, n), under K stacked style shifts: ``shifts``
+    is (K, n, q), or (K, 1, q) for one shift of every sample, and
+    ``targets`` the samples' ``models._targets``. The shifted styles are
+    rendered and scored k at a time as one (k n)-row batch, k from
+    ``models._chunk``; no sample's loss depends on the shifts beside it."""
+    n = len(targets)
+    k = md._chunk(spec, n, style_dataset.q)
+    losses = np.empty((len(shifts), n))
+    for lo in range(0, len(shifts), k):
+        feats = style_dataset.render(style_dataset.style + shifts[lo:lo + k])
+        logits = md.forward(spec, theta, feats.reshape(-1, feats.shape[-1]))
+        losses[lo:lo + len(feats)] = md._target_losses(
+            spec, logits, np.tile(targets, len(feats))).reshape(len(feats), n)
+    return losses
+
+
 def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                      assignment, group_index: GroupIndex | None = None) -> float:
     """Mean loss after re-rendering under the given shift assignment."""
-    shifted = rerender(style_dataset, assignment, group_index)
-    logits = md.forward(spec, theta, shifted.features)
-    return float(np.mean(md.per_sample_loss(spec, logits, shifted.labels)))
+    ds = style_dataset.dataset
+    delta = expand_assignment(assignment, len(ds), style_dataset.q, group_index)
+    return float(np.mean(_shifted_losses(spec, theta, style_dataset,
+                                         md._targets(spec, ds.labels), delta[None])[0]))
 
 
 def _sphere_directions(q: int):
@@ -139,38 +163,29 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     Otherwise, for q <= 3 the candidates are a direction grid shared by all
     groups; above that, 64 random restarts per group (seeded seed + j), each
     refined by 200 steps of projected gradient ascent. Each group keeps its
-    first strict maximum. Candidates are rendered, stepped and scored K at a
-    time as one (K n)-row batch over K m segments, K as large as
-    models._CHUNK_BYTES allows for K n (widest of p, q and the model's layer
-    widths) floats, at least 1. When every budget is 0 the only shift is 0,
-    and the unshifted group mean losses are returned without a search."""
+    first strict maximum. Candidates are stepped and scored K at a time, the
+    evaluator's chunk (``_shifted_losses``), their group means taken over K m
+    segments. When every budget is 0 the only shift is 0, and the unshifted
+    group mean losses are returned without a search."""
     seg, m, q = group_index.seg, group_index.m, style_dataset.q
     n, p = style_dataset.dataset.features.shape
     chols = _chol(sigmas)
     scale = np.sqrt(budgets)[:, None]
-    k = max(1, md._CHUNK_BYTES // (8 * n * max(p, q, *spec.layer_sizes)))
-    targets = np.tile(md._targets(spec, style_dataset.dataset.labels), k)
+    k = md._chunk(spec, n, q)
+    targets = md._targets(spec, style_dataset.dataset.labels)
     seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
     def shift(u):  # (K, m, q) unit directions -> shifts
         return scale * np.einsum("jab,kjb->kja", chols, u)
-
-    def render(delta):  # (K, m, q) shifts -> (K n, p) features
-        style = style_dataset.style + np.take(delta, seg, axis=1)
-        return style_dataset.render(style).reshape(-1, p)
 
     def group_means(values):  # (K n, ...) -> (K, m, ...)
         kk = len(values) // n
         means = segment_means(values, seg_k[:kk * n], kk * m)
         return means.reshape((kk, m) + values.shape[1:])
 
-    def group_losses(delta):
-        logits = md.forward(spec, theta, render(delta))
-        return group_means(md._target_losses(spec, logits, targets[:len(delta) * n]))
-
     if not np.any(budgets):
-        zero = np.zeros((1, m, q))
-        return group_losses(zero)[0], zero[0]
+        losses = _shifted_losses(spec, theta, style_dataset, targets, np.zeros((1, 1, q)))
+        return group_means(losses.reshape(-1))[0], np.zeros((m, q))
 
     steps = 0
     if _linear_in_style(spec, style_dataset):
@@ -191,14 +206,17 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     for lo in range(0, len(starts), k):
         u = starts[lo:lo + k]
         for _ in range(steps):
-            g = _style_gradients(spec, theta, style_dataset, render(shift(u)),
-                                 targets[:len(u) * n])
+            style = style_dataset.style + np.take(shift(u), seg, axis=1)
+            g = _style_gradients(spec, theta, style_dataset,
+                                 style_dataset.render(style).reshape(-1, p),
+                                 np.tile(targets, len(u)))
             g_u = scale * np.einsum("jba,kjb->kja", chols, group_means(g))
             norms = np.maximum(np.linalg.norm(g_u, axis=2, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
             u = u / np.linalg.norm(u, axis=2, keepdims=True)
         delta = shift(u)
-        val = group_losses(delta)
+        val = group_means(_shifted_losses(spec, theta, style_dataset, targets,
+                                          np.take(delta, seg, axis=1)).reshape(-1))
         val[np.isnan(val)] = -np.inf  # NaN never beats the best, as under ">"
         top = np.argmax(val, axis=0)  # first maximum within the chunk
         val, delta = val[top, groups], delta[top, groups]
@@ -254,14 +272,16 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                             random-restart projected ascent; exactly, at two
                             candidates, for a single-logit linear model on a
                             linear render
-      'gradient_allocation' first-order optimal deterministic allocation
-                            delta_j ~ Sigma_j grad_j / sqrt(grad^T Sigma grad)
+      'gradient_allocation' first-order directions delta_j ~ Sigma_j grad_j,
+                            the average budget split equally among the
+                            groups whose gradient is not zero
       'exhaustive_tiny'     reference oracle for at most 3 groups: grid over
                             budget splits, each split searched like
                             'uniform_ball'
 
-    Returned values are lower bounds on the true supremum, except the exact
-    'uniform_ball' results, whose note says so.
+    Returned values are lower bounds on the true supremum; the note
+    ``_EXACT_NOTE`` marks the 'uniform_ball' values that are exact for
+    equal per-group budgets.
     """
     _check_budget(xi)
     if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
@@ -292,7 +312,7 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
     result = WorstCaseResult(value, assignment, method)
     if method == "uniform_ball" and _linear_in_style(spec, style_dataset):
-        result.note = "exact supremum (linear model, linear render)"
+        result.note = _EXACT_NOTE
     return result
 
 
@@ -342,12 +362,11 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     magnitudes = np.asarray(sorted(float(v) for v in magnitudes))
     if not np.all(np.isfinite(magnitudes)):
         raise ValueError("magnitudes must be finite")
-    unshifted = loss_under_shift(spec, theta, style_dataset,
-                                 np.zeros(style_dataset.q))
-    losses = np.asarray([
-        loss_under_shift(spec, theta, style_dataset, mag * direction)
-        for mag in magnitudes
-    ])
+    # the unshifted point and every magnitude, one (1, q) shift each
+    shifts = np.concatenate([[0.0], magnitudes])[:, None, None] * direction
+    targets = md._targets(spec, style_dataset.dataset.labels)
+    losses = _shifted_losses(spec, theta, style_dataset, targets, shifts).mean(axis=1)
+    unshifted, losses = float(losses[0]), losses[1:]
     tail = losses[-3:] if len(losses) >= 3 else losses
     increasing = bool(np.all(np.diff(tail) > 0.0)) if len(tail) >= 2 else False
     big = bool(losses[-1] > 10.0 * unshifted)

@@ -271,6 +271,7 @@ def evaluate_lambda_grid(train_set: Dataset, val_set: Dataset,
     has not yet increased considerably; the report leaves that call to the
     user rather than automating a threshold.
     """
+    md._targets(model_spec, val_set.labels)  # bad labels raise before the first fit
     groups = build_group_index(train_set)
     rows = []
     for lam in lambdas:

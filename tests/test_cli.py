@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,10 @@ import pytest
 import condvar
 from condvar import Dataset, build_group_index, conditional_penalty, load_csv, save_csv
 from condvar import models as md
+from condvar import robustness as rb
+from condvar import scm
 from condvar.cli import build_parser, main
+from condvar.penalties import segment_means
 from condvar.training import group_aware_minibatches
 
 
@@ -129,7 +133,8 @@ def test_pipeline_byte_identical_across_blas_thread_counts(tmp_path):
         digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in (
             "train.csv", "train/checkpoint.json", "shift/robustness.json")])
         note = json.loads((out / "shift" / "robustness.json").read_text())["note"]
-        assert note == "worst-case values are exact suprema (linear model, linear render)"
+        assert note == ("exact for equal per-group budgets (linear model, linear render); "
+                        "a lower bound when budgets may differ between groups")
     assert digests[0] == digests[1]
 
 
@@ -270,6 +275,42 @@ def test_shift_eval_on_pair_free_data_exits_data(tmp_path, capsys):
     assert err.startswith(f"data error: {tmp_path / 'train.csv'}: ")
     assert "no (label, id) group has two members" in err
     assert not (out / "robustness.json").exists()
+
+
+def _styles_spread_by(gen_dir, out, spread):
+    # the quick start's training files with every group's styles moved
+    # towards their mean, to ``spread`` times their deviation from it, and
+    # the features rendered again from them
+    ds = load_csv(gen_dir / "train.csv")
+    style_ds = scm.load_style_dataset(ds, gen_dir / "train_latents.json")
+    groups = build_group_index(ds)
+    means = segment_means(style_ds.style, groups.seg, groups.m)[groups.seg]
+    style = means + spread * (style_ds.style - means)
+    data = Dataset(style_ds.render(style), ds.labels, ds.ids)
+    out.mkdir()
+    save_csv(data, out / "train.csv")
+    scm.save_latents(replace(style_ds, dataset=data, style=style), out / "train_latents.json")
+    return scm.load_style_dataset(data, out / "train_latents.json"), groups
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-7])
+def test_shift_eval_rejects_a_singular_style_covariance(gen_dir, trained_dir, tmp_path,
+                                                        capsys, spread):
+    # identical styles within every group estimate a zero covariance; a
+    # spread of 1e-7 one whose eigenvalue is above 0 but below the
+    # estimate's positive-definiteness floor
+    style_ds, groups = _styles_spread_by(gen_dir, tmp_path / "data", spread)
+    est = rb.estimate_conditional_covariance(style_ds, groups)
+    assert not est.spd
+    assert (np.linalg.eigvalsh(est.pooled).min() > 0.0) == (spread > 0.0)
+    latents, out = tmp_path / "data" / "train_latents.json", tmp_path / "shift"
+    code = run("shift_eval", "--checkpoint", trained_dir / "checkpoint.json",
+               "--data", tmp_path / "data" / "train.csv", "--latents", latents, "--out", out)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {latents}: ")
+    assert "not positive definite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("generator,n,c,message", [

@@ -10,10 +10,9 @@ from condvar.models import (
     forward,
     init_params,
     load_checkpoint,
-    logistic_loss,
     param_count,
+    per_sample_loss,
     save_checkpoint,
-    softmax_cross_entropy,
 )
 from condvar.penalties import PenaltyConfig
 
@@ -54,38 +53,55 @@ def test_forward_dimension_mismatch():
         forward(spec, np.zeros(7), np.zeros((2, 3)))
 
 
+def _logistic(label, logit):
+    # one-logit loss log(1 + exp(-y z)) of labels 0 / 1, y = -1 / +1
+    spec = ModelSpec("linear", (1, 1))
+    return per_sample_loss(spec, np.atleast_1d(np.asarray(logit, dtype=float)),
+                           np.atleast_1d(label))
+
+
+def _cross_entropy(label, logits):
+    # -log softmax(logits)[label] of one row of K logits
+    spec = ModelSpec("linear", (1, len(logits)))
+    return per_sample_loss(spec, np.asarray(logits, dtype=float)[None, :], [label])[0]
+
+
 def test_logistic_loss_values():
-    assert logistic_loss(1, 0.0) == pytest.approx(math.log(2.0), rel=1e-12)
-    assert logistic_loss(1, 50.0) <= 1e-20
+    assert _logistic(1, 0.0)[0] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert _logistic(1, 50.0)[0] <= 1e-20
     # direct evaluation of log(1 + exp(1))
-    assert logistic_loss(-1, 1.0) == pytest.approx(math.log1p(math.exp(1.0)), rel=1e-12)
+    assert _logistic(0, 1.0)[0] == pytest.approx(math.log1p(math.exp(1.0)), rel=1e-12)
 
 
 def test_logistic_loss_positive_and_monotone():
     rng = np.random.default_rng(1)
     z = np.sort(rng.uniform(-30, 30, 50))
-    losses = logistic_loss(np.ones_like(z), z)
+    losses = _logistic(np.ones(len(z), dtype=int), z)
     assert np.all(losses > 0)
     assert np.all(np.diff(losses) <= 0)  # decreasing in y*z
-    assert logistic_loss(-1, -700.0) > 0  # no overflow
+    assert _logistic(0, -700.0)[0] > 0  # no overflow
 
 
 def test_logistic_loss_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        logistic_loss(0, 1.0)
+    # a single logit takes labels 0 and 1 only
+    for label in (-1, 2):
+        with pytest.raises(ValueError):
+            _logistic(label, 1.0)
 
 
 def test_softmax_cross_entropy_values():
-    assert softmax_cross_entropy(0, np.zeros(2)) == pytest.approx(math.log(2.0), rel=1e-12)
-    assert softmax_cross_entropy(1, np.zeros(3)) == pytest.approx(math.log(3.0), rel=1e-12)
+    assert _cross_entropy(0, np.zeros(2)) == pytest.approx(math.log(2.0), rel=1e-12)
+    assert _cross_entropy(1, np.zeros(3)) == pytest.approx(math.log(3.0), rel=1e-12)
     # high-precision log-sum-exp: log(e^10 + e^-10) - 10 = log1p(e^-20)
-    assert softmax_cross_entropy(0, np.array([10.0, -10.0])) == pytest.approx(
+    assert _cross_entropy(0, np.array([10.0, -10.0])) == pytest.approx(
         math.log1p(math.exp(-20.0)), rel=1e-9)
 
 
 def test_softmax_cross_entropy_label_range():
     with pytest.raises(ValueError):
-        softmax_cross_entropy(2, np.zeros(2))
+        _cross_entropy(2, np.zeros(2))
+    with pytest.raises(ValueError):
+        _cross_entropy(-1, np.zeros(3))
 
 
 def test_gradient_logistic_at_zero():

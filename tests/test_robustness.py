@@ -1,6 +1,8 @@
+import json
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from condvar import (
     InterventionSpec,
     LinearScmSpec,
     ModelSpec,
+    OptimizerConfig,
+    PenaltyConfig,
     TrainConfig,
     build_group_index,
     divergence_probe,
     estimate_conditional_covariance,
     first_order_gap,
+    gen_example1,
     gen_example2,
     invariance_defect,
     loss_under_shift,
@@ -26,7 +31,6 @@ from condvar import (
 from condvar import models as md
 from condvar import robustness as rb
 from condvar.data import Dataset, GroupIndex
-from condvar.models import logistic_loss
 from condvar.penalties import segment_means
 from condvar.robustness import (
     WorstCaseResult,
@@ -37,6 +41,8 @@ from condvar.robustness import (
     _style_gradients,
 )
 from condvar.scm import StyleAwareDataset, rerender
+
+PINNED = Path(__file__).parent / "data" / "pinned_robustness.json"
 
 
 def scm_instance(n=90, seed=3, style_sd=1.0, id_count=12, q=2):
@@ -116,7 +122,7 @@ def test_single_sample_matches_logistic_loss():
     _c, w_mat = spec.matrices()
     x = ds.dataset.features[0] + w_mat @ delta
     y_pm = 2.0 * ds.dataset.labels[0] - 1.0
-    want = float(logistic_loss(y_pm, x @ theta[:6] + theta[6]))
+    want = float(np.logaddexp(0.0, -y_pm * (x @ theta[:6] + theta[6])))  # log(1 + e^-yz)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -197,7 +203,7 @@ def endpoint_instance():
     def group_loss(members, delta):
         x = ds.dataset.features[members] + w_mat @ delta
         y_pm = 2.0 * ds.dataset.labels[members] - 1.0
-        return float(np.mean(logistic_loss(y_pm, x @ theta[:7] + theta[7])))
+        return float(np.mean(np.logaddexp(0.0, -y_pm * (x @ theta[:7] + theta[7]))))
 
     def oracle(members, budget):
         end = np.sqrt(budget) * sigma @ a / np.sqrt(a @ sigma @ a)
@@ -250,7 +256,8 @@ def test_uniform_ball_with_zero_weights_is_the_unshifted_loss():
     assert np.all(np.isfinite(res.assignment))
     for delta, sigma_j in zip(res.assignment, sigmas):
         assert mahalanobis_cost(delta, sigma_j) == pytest.approx(xi, rel=1e-12)
-    assert res.note == "exact supremum (linear model, linear render)"
+    assert res.note == ("exact for equal per-group budgets (linear model, linear render); "
+                        "a lower bound when budgets may differ between groups")
 
 
 def test_gradient_allocation_equals_uniform_ball_on_single_label_groups():
@@ -672,6 +679,30 @@ def test_divergence_probe_style_loaded_theta_unbounded():
     assert np.all(np.diff(probe.losses[-3:]) > 0)
 
 
+@pytest.mark.parametrize("k", [1, 4, 6])
+@pytest.mark.parametrize("case", ["linear", "polar_mlp", "three_logit"])
+def test_divergence_probe_stacks_separate_loss_under_shift_calls(case, k, monkeypatch):
+    # the probe scores the unshifted point and its five magnitudes k at a
+    # time (k = 4 leaves a partial last chunk); each loss must equal its own
+    # loss_under_shift call bit for bit
+    if case == "polar_mlp":
+        ds, _test = gen_example2(30, 10, seed=2)
+        model = ModelSpec("mlp", (2, 5, 1))
+        theta = md.init_params(model, 4)
+    else:
+        spec, ds, _gi = scm_instance(n=50)
+        model = ModelSpec("linear", (6, 3 if case == "three_logit" else 1))
+        theta = (md.init_params(model, 1) if case == "three_logit"
+                 else linear_theta(spec, ds))
+    direction = np.linspace(1.0, -0.5, ds.q)
+    magnitudes = [0.0, 0.5, 3.0, 30.0, 300.0]
+    want = [loss_under_shift(model, theta, ds, np.zeros(ds.q))]
+    want += [loss_under_shift(model, theta, ds, mag * direction) for mag in magnitudes]
+    _force_chunk(monkeypatch, k, model, ds)
+    probe = divergence_probe(model, theta, ds, direction, magnitudes)
+    assert [probe.unshifted, *probe.losses.tolist()] == want
+
+
 def test_divergence_probe_rejects_zero_direction():
     spec, ds, gi = scm_instance()
     with pytest.raises(ValueError):
@@ -777,3 +808,64 @@ def test_large_margins_train_and_search_without_warnings():
         for method in ("uniform_ball", "gradient_allocation"):
             res = worst_case_loss(model, theta, big, gi, sigma, 1.0, method=method)
             assert np.isfinite(res.value)
+
+
+# ---- pinned outputs ----------------------------------------------------------------
+
+def _pinned_fits():
+    """(name, style dataset, spec, config) of the fits whose robustness
+    outputs are pinned: example1 with a linear model, example2 with a
+    polar-render MLP and a linear SCM with a 3-logit linear model."""
+    ex1, _ = gen_example1(300, 60, seed=3)
+    ex2, _ = gen_example2(200, 60, seed=4)
+    scm_spec = LinearScmSpec(p=6, q=2, r=3, id_count=10, style_class_mean=(1.0, -0.5),
+                             style_cov=((1.0, 0.3), (0.3, 0.8)), structure_seed=7)
+    lin = sample_linear_scm(scm_spec, 120, InterventionSpec("none"), seed=5)
+    return [
+        ("example1_linear", ex1, ModelSpec("linear", (2, 1)),
+         TrainConfig(PenaltyConfig("prediction", 1.0, 1.0, 1e-4),
+                     OptimizerConfig("adam", 0.05), 60, 3, 0)),
+        ("example2_mlp", ex2, ModelSpec("mlp", (2, 8, 1), "tanh"),
+         TrainConfig(PenaltyConfig("loss", 0.5, 1.0, 1e-4),
+                     OptimizerConfig("adam", 0.02), 60, 3, 1)),
+        ("linear_scm_3logit", lin, ModelSpec("linear", (6, 3)),
+         TrainConfig(PenaltyConfig(), OptimizerConfig("adam", 0.05), 40, 3, 2)),
+    ]
+
+
+def _robustness_outputs(ds, spec, cfg) -> dict:
+    # the generator's covariance where the sidecar has one, as shift_eval
+    # reads it; exhaustive_tiny takes at most 3 groups: groups 2 and up merge
+    gi = build_group_index(ds.dataset)
+    theta = train(ds.dataset, gi, spec, cfg).theta
+    sigma = (np.asarray(ds.scm.style_cov) if ds.scm is not None
+             else estimate_conditional_covariance(ds, gi).pooled)
+    xis = (0.0, 0.3, 2.0)
+    worst = {method: [worst_case_loss(spec, theta, ds, gi, sigma, xi, method=method).value
+                      for xi in xis]
+             for method in ("uniform_ball", "gradient_allocation")}
+    coarse = GroupIndex(np.minimum(gi.seg, 2))
+    worst["exhaustive_tiny"] = [
+        worst_case_loss(spec, theta, ds, coarse, sigma, xi, method="exhaustive_tiny").value
+        for xi in xis]
+    direction = steepest_style_direction(spec, theta, ds, sigma)
+    probe = divergence_probe(spec, theta, ds, direction, [0.0, 1.0, 10.0, 100.0, 1000.0])
+    fo = first_order_gap(spec, theta, ds, gi, sigma, 0.5)
+    return {
+        "worst_case": worst,
+        "divergence": {"unshifted": probe.unshifted, "losses": probe.losses.tolist(),
+                       "verdict": probe.verdict},
+        "first_order_gap": {"lhs": fo.lhs, "rhs": fo.rhs, "gap": fo.gap,
+                            "penalty_value": fo.penalty_value},
+    }
+
+
+@pytest.mark.parametrize("fit", _pinned_fits(), ids=lambda f: f[0])
+def test_robustness_outputs_pinned(fit):
+    # every worst-case value, divergence loss and first-order gap, recorded
+    # before the probes shared one scoring path; any change of arithmetic
+    # or reduction order shows
+    name, *args = fit
+    with open(PINNED, encoding="utf-8") as fh:
+        want = json.load(fh)[name]
+    assert _robustness_outputs(*args) == want

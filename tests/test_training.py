@@ -303,6 +303,24 @@ def test_lambda_grid_report():
     assert all(np.isfinite(r["val_loss"]) for r in rows)
 
 
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_lambda_grid_checks_validation_labels_before_training(outputs, monkeypatch):
+    # a validation label 2 fits neither one nor two logits: the grid raises
+    # the label mapping's error before its first fit takes a step
+    ds = toy_dataset(seed=3, n=40)
+    val = toy_dataset(seed=4, n=20)
+    labels = val.labels.copy()
+    labels[5] = 2
+    val = Dataset(val.features, labels, val.ids)
+    spec = ModelSpec("linear", (3, outputs))
+    calls = []
+    grad = ad.grad
+    monkeypatch.setattr(ad, "grad", lambda *args: calls.append(1) or grad(*args))
+    with pytest.raises(ValueError, match="label 2 does not fit"):
+        evaluate_lambda_grid(ds, val, spec, TrainConfig(epochs=2), [0.0, 1.0])
+    assert calls == []
+
+
 # ---- bitwise pins ------------------------------------------------------------
 
 def _argsort_batches(index, batch_size, seed, epoch):
