@@ -228,35 +228,31 @@ def _cmd_shift_eval(args) -> tuple:
             raise DataFormatError(f"{args.latents}: the within-group style covariance "
                                   "estimated from these latents is not positive definite")
         sigma = cov.pooled
-    unshifted = rb.loss_under_shift(spec, theta, style_ds, np.zeros(style_ds.q))
-    worst = [
-        rb.worst_case_loss(spec, theta, style_ds, groups, sigma, xi,
-                           method=args.method).value
-        for xi in args.xi
-    ]
+    results = [rb.worst_case_loss(spec, theta, style_ds, groups, sigma, xi, method=args.method)
+               for xi in args.xi]
+    worst = [r.value for r in results]
     fo = rb.first_order_gap(spec, theta, style_ds, groups, sigma, args.fo_xi)
-    linear = rb._linear_in_style(spec, style_ds)
-    exact = linear and args.method == "uniform_ball"
+    linear = rb._style_direction(spec, theta, style_ds) is not None
+    direction = (rb.steepest_style_direction(spec, theta, style_ds, sigma) if linear
+                 else np.eye(style_ds.q)[0])
+    probe = rb.divergence_probe(spec, theta, style_ds, direction, args.magnitudes)
     report = {
         "xi_grid": args.xi,
         "worst_case": worst,
         "method": args.method,
-        "note": rb._EXACT_NOTE if exact else "worst-case values are lower bounds on the supremum",
-        "unshifted_loss": unshifted,
+        "note": results[-1].note,
+        "unshifted_loss": probe.unshifted,
         "first_order": {"xi": fo.xi, "lhs": fo.lhs, "rhs": fo.rhs, "gap": fo.gap},
+        "divergence": {
+            "direction": [float(v) for v in probe.direction],
+            "magnitudes": [float(v) for v in probe.magnitudes],
+            "losses": [float(v) for v in probe.losses],
+            "verdict": probe.verdict,
+        },
     }
     if linear:
         report["invariance_defect"] = rb.invariance_defect(theta, style_ds.style_matrix)
-    direction = (rb.steepest_style_direction(spec, theta, style_ds, sigma) if linear
-                 else np.eye(style_ds.q)[0])
-    probe = rb.divergence_probe(spec, theta, style_ds, direction, args.magnitudes)
-    report["divergence"] = {
-        "direction": [float(v) for v in probe.direction],
-        "magnitudes": [float(v) for v in probe.magnitudes],
-        "losses": [float(v) for v in probe.losses],
-        "verdict": probe.verdict,
-    }
-    summary = json.dumps({"unshifted_loss": unshifted, "worst_case": worst,
+    summary = json.dumps({"unshifted_loss": probe.unshifted, "worst_case": worst,
                           "verdict": probe.verdict}, indent=1, sort_keys=True)
     return {}, {"robustness.json": lambda path: _write_json(path, report)}, summary
 

@@ -4,13 +4,14 @@ All probes move the style latents of a retained-latent dataset and watch
 the loss. Shift budgets are Mahalanobis-squared sizes measured against the
 conditional style covariance, averaged over groups. Worst-case searches
 return lower bounds on the true supremum (deterministic per-group shifts,
-finite direction grids or ascent). 'uniform_ball' for a single-logit
-linear model on a linear render is exact for equal per-group budgets.
-Every probe scores its shifted styles through ``_shifted_losses``.
+finite direction grids or ascent). 'uniform_ball' is exact for equal
+per-group budgets, at every budget, when ``_style_direction`` finds the
+model linear in style. Every probe scores through ``_shifted_losses``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,12 @@ _EXACT_NOTE = ("exact for equal per-group budgets (linear model, linear render);
 
 @dataclass
 class WorstCaseResult:
+    """The best shift found, its mean loss and ``worst_case_loss``'s note."""
+
     value: float
     assignment: np.ndarray  # (m, q) per-group shifts
     method: str
-    note: str = "lower bound on the supremum (deterministic per-group shifts)"
+    note: str = "worst-case values are lower bounds on the supremum"
 
 
 @dataclass
@@ -143,11 +146,12 @@ def _sphere_directions(q: int):
     return None  # high dimension: caller runs random-restart ascent
 
 
-def _linear_in_style(spec, style_dataset) -> bool:
-    """Whether a style shift delta moves every logit by the same a^T delta,
-    a = W^T w: a single-logit linear model on a linear render."""
-    return (style_dataset.render_kind == "linear" and spec.kind == "linear"
-            and spec.output_dim == 1)
+def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
+    """a = W^T w when a style shift delta moves every logit by a^T delta (a
+    single-logit linear model, weights w, on a linear render W), else None."""
+    if (style_dataset.render_kind, spec.kind, spec.output_dim) == ("linear", "linear", 1):
+        return style_dataset.style_matrix.T @ np.asarray(theta, dtype=float)[:spec.input_dim]
+    return None
 
 
 def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
@@ -156,7 +160,7 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     all groups at once: returns the group mean losses there, (m,), and the
     shifts, (m, q). A candidate is one unit direction u_j per group, shifted
     as sqrt(budget_j) L_j u_j with L_j the Cholesky factor of Sigma_j.
-    When a shift moves every logit by a^T delta (``_linear_in_style``), a
+    When a shift moves every logit by a^T delta (``_style_direction``), a
     group's mean loss is convex in s = a^T delta, which spans an interval on
     the sphere, so the two candidates u_j = +-L_j^T a / ||L_j^T a|| at its
     ends hold the exact maximum (when a = 0 every shift ties: u_j = +-e_1).
@@ -188,8 +192,7 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
         return group_means(losses.reshape(-1))[0], np.zeros((m, q))
 
     steps = 0
-    if _linear_in_style(spec, style_dataset):
-        a = style_dataset.style_matrix.T @ np.asarray(theta, dtype=float)[:p]
+    if (a := _style_direction(spec, theta, style_dataset)) is not None:
         ends = np.einsum("jba,b->ja", chols, a)  # L_j^T a
         ends[~np.any(ends, axis=1)] = np.eye(q)[0]
         ends /= np.linalg.norm(ends, axis=1, keepdims=True)
@@ -279,9 +282,9 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                             budget splits, each split searched like
                             'uniform_ball'
 
-    Returned values are lower bounds on the true supremum; the note
-    ``_EXACT_NOTE`` marks the 'uniform_ball' values that are exact for
-    equal per-group budgets.
+    Returned values are lower bounds on the true supremum. The note, set
+    here for every xi, 0 included, is ``_EXACT_NOTE`` for the exact
+    'uniform_ball' values, else the ``WorstCaseResult`` default.
     """
     _check_budget(xi)
     if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
@@ -290,13 +293,11 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     if method == "exhaustive_tiny" and m > 3:
         raise ValueError("exhaustive_tiny supports at most 3 groups")
     sigmas = _sigma_per_group(sigma, m, q)
-    zero = np.zeros((m, q))
     if xi == 0.0:
-        value = loss_under_shift(spec, theta, style_dataset, zero, group_index)
-        return WorstCaseResult(value, zero, method)
-    if method == "exhaustive_tiny":
+        assignment = np.zeros((m, q))  # every method's only shift
+    elif method == "exhaustive_tiny":
         return _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed)
-    if method == "uniform_ball":
+    elif method == "uniform_ball":
         _, assignment = _search_spheres(spec, theta, style_dataset, group_index,
                                         sigmas, np.full(m, xi), seed)
     else:
@@ -310,20 +311,17 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
             per_group_budget = xi * m / active.sum()
             assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
     value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
-    result = WorstCaseResult(value, assignment, method)
-    if method == "uniform_ball" and _linear_in_style(spec, style_dataset):
-        result.note = _EXACT_NOTE
-    return result
+    linear = _style_direction(spec, theta, style_dataset) is not None
+    note = _EXACT_NOTE if method == "uniform_ball" and linear else WorstCaseResult.note
+    return WorstCaseResult(value, assignment, method, note)
 
 
 def _budget_splits(n_groups: int, steps: int):
     """Every way to share ``steps`` budget units among the groups, as index
-    tuples into the share grid linspace(0, 1, steps + 1)."""
-    if n_groups == 1:
-        return [(steps,)]
-    if n_groups == 2:
-        return [(i, steps - i) for i in range(steps + 1)]
-    return [(i, j, steps - i - j) for i in range(steps + 1) for j in range(steps + 1 - i)]
+    tuples into the share grid linspace(0, 1, steps + 1), in lexicographic
+    order ((steps + 1)^n_groups candidates: meant for n_groups <= 3)."""
+    return [s for s in itertools.product(range(steps + 1), repeat=n_groups)
+            if sum(s) == steps]
 
 
 def _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed):
@@ -380,7 +378,8 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     expansion: unshifted loss + sqrt(xi) * conditional sd of the loss."""
     _check_budget(xi)
     ds = style_dataset.dataset
-    losses = md.per_sample_loss(spec, md.forward(spec, theta, ds.features), ds.labels)
+    losses = _shifted_losses(spec, theta, style_dataset, md._targets(spec, ds.labels),
+                             np.zeros((1, 1, style_dataset.q)))[0]
     unshifted = float(np.mean(losses))
     pen = conditional_penalty(losses, group_index, nu=0.5)
     if xi == 0.0:

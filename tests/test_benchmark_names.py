@@ -3,14 +3,18 @@
 ``perfbench/spans.py`` wraps functions by module and name and
 ``perfbench/run.py`` measures the data's shape through the batching API,
 so deleting or renaming one of them breaks only the benchmark. These tests
-catch that inside the fast suite, and check that the benchmark's count of
-training steps (``autodiff.grad`` calls inside ``train``) is the real one.
+catch that inside the fast suite, check that the benchmark's count of
+training steps (``autodiff.grad`` calls inside ``train``) is the real one,
+and run each workload at its tiny size through the benchmark's readers of
+the written reports.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import condvar.cli  # noqa: F401  (loads every module that spans.py wraps)
 from condvar import ModelSpec, PenaltyConfig, build_group_index, gen_example1, training
@@ -53,3 +57,35 @@ def test_traced_training_records_one_grad_call_per_step(monkeypatch):
                                for epoch in range(2))
     assert tracer.summary()["autodiff.grad"][0] == report.steps
     assert tracer.calls_within("autodiff.grad", "training.train") == report.steps
+
+
+def _perfbench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in ("spans", "workloads", name):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    return importlib.import_module(name)
+
+
+# (q, m, shift method) of each workload's tiny run: example1 and example2
+# put n - c samples in groups, linear_scm's 60 samples fill all 2 x 5 (Y, ID) groups
+TINY_SHAPES = {"quickstart": (1, 300, "gradient_allocation"),
+               "polar_mlp": (1, 100, "uniform_ball"),
+               "shift_search": (2, 10, "uniform_ball")}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SHAPES))
+def test_benchmark_reads_the_reports_of_a_tiny_run(monkeypatch, tmp_path, name):
+    # the benchmark's own readers on the files its pipeline writes, so a
+    # report it cannot read fails here and not in a benchmark run
+    run = _perfbench_module(monkeypatch, "run")
+    w = run.workloads.WORKLOADS[name]
+    for step, argv in w.build(0, str(tmp_path), w.tiny):
+        assert condvar.cli.main(argv) == 0, step
+    shape = run.measure_shape(tmp_path)
+    assert (shape["q"], shape["m"], shape["shift_method"]) == TINY_SHAPES[name]
+    quality = run.measure_quality(tmp_path)
+    worst = list(quality["worst_case_by_xi"].values())
+    assert len(worst) >= 2
+    assert all(b >= a for a, b in zip(worst, worst[1:]))
+    # the benchmark's own floor: the unshifted loss less a rounding margin
+    assert min(worst) >= quality["unshifted_loss"] * (1.0 - 1e-12)

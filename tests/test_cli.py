@@ -262,6 +262,89 @@ def test_shift_eval_on_a_model_that_ignores_style(tmp_path, method):
     assert report["invariance_defect"] == 0.0
 
 
+def _shift_eval_inputs(data_dir, ckpt):
+    """The model, style dataset, groups and covariance that shift_eval reads."""
+    dataset = load_csv(data_dir / "train.csv")
+    style_ds = scm.load_style_dataset(dataset, data_dir / "train_latents.json")
+    spec, theta, _seed, _step = md.load_checkpoint(ckpt)
+    groups = build_group_index(dataset)
+    sigma = (np.asarray(style_ds.scm.style_cov) if style_ds.scm is not None
+             else rb.estimate_conditional_covariance(style_ds, groups).pooled)
+    return spec, theta, style_ds, groups, sigma
+
+
+@pytest.mark.parametrize("method", ["uniform_ball", "gradient_allocation"])
+def test_shift_eval_writes_the_note_worst_case_loss_returns(gen_dir, trained_dir, tmp_path,
+                                                            method):
+    ckpt = trained_dir / "checkpoint.json"
+    assert run("shift_eval", "--checkpoint", ckpt, "--data", gen_dir / "train.csv",
+               "--latents", gen_dir / "train_latents.json", "--method", method,
+               "--xi", 0.0, "--out", tmp_path) == 0
+    note = json.loads((tmp_path / "robustness.json").read_text())["note"]
+    spec, theta, style_ds, groups, sigma = _shift_eval_inputs(gen_dir, ckpt)
+    assert note == rb.worst_case_loss(spec, theta, style_ds, groups, sigma, 0.0,
+                                      method=method).note
+    assert (note == rb._EXACT_NOTE) == (method == "uniform_ball")
+
+
+def test_shift_eval_exhaustive_tiny_matches_the_library(tmp_path):
+    # three pairs and no singletons: three groups, the most exhaustive_tiny takes
+    assert run("gen", "example1", "--n", 6, "--c", 3, "--seed", 1, "--out", tmp_path) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    md.save_checkpoint(ckpt, md.ModelSpec("linear", (2, 1)), np.array([0.8, -1.1, 0.2]), 0, 0)
+    out = tmp_path / "shift"
+    assert run("shift_eval", "--checkpoint", ckpt, "--data", tmp_path / "train.csv",
+               "--latents", tmp_path / "train_latents.json", "--method", "exhaustive_tiny",
+               "--out", out) == 0
+    report = json.loads((out / "robustness.json").read_text())
+    spec, theta, style_ds, groups, sigma = _shift_eval_inputs(tmp_path, ckpt)
+    assert groups.m == 3
+    assert report["worst_case"] == [
+        rb.worst_case_loss(spec, theta, style_ds, groups, sigma, xi,
+                           method="exhaustive_tiny").value
+        for xi in report["xi_grid"]]
+
+
+def test_shift_eval_exhaustive_tiny_rejects_more_than_three_groups(tmp_path, capsys):
+    # three pairs and four singletons: seven groups
+    assert run("gen", "example1", "--n", 10, "--c", 3, "--seed", 1, "--out", tmp_path) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    md.save_checkpoint(ckpt, md.ModelSpec("linear", (2, 1)), np.array([0.8, -1.1, 0.2]), 0, 0)
+    assert build_group_index(load_csv(tmp_path / "train.csv")).m == 7
+    out = tmp_path / "shift"
+    capsys.readouterr()
+    assert run("shift_eval", "--checkpoint", ckpt, "--data", tmp_path / "train.csv",
+               "--latents", tmp_path / "train_latents.json", "--method", "exhaustive_tiny",
+               "--out", out) == 2
+    assert "exhaustive_tiny supports at most 3 groups" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["linear", "polar_mlp", "three_logit"])
+def test_shift_eval_unshifted_loss_is_the_zero_shift_loss(tmp_path, case):
+    # the report's unshifted_loss is the divergence probe's unshifted point,
+    # bit for bit the library's zero-shift loss and the worst case at xi = 0
+    gen, model = {
+        "linear": (["example1", "--n", 200, "--c", 40], md.ModelSpec("linear", (2, 1))),
+        "polar_mlp": (["example2", "--n", 200, "--c", 40], md.ModelSpec("mlp", (2, 5, 1))),
+        "three_logit": (["linear_scm", "--n", 120, "--c", 0, "--p", 6, "--q", 2, "--r", 3,
+                         "--id-count", 10], md.ModelSpec("linear", (6, 3))),
+    }[case]
+    assert run("gen", *gen, "--seed", 2, "--out", tmp_path) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    theta = np.random.default_rng(3).standard_normal(md.param_count(model))
+    md.save_checkpoint(ckpt, model, theta, 0, 0)
+    out = tmp_path / "shift"
+    assert run("shift_eval", "--checkpoint", ckpt, "--data", tmp_path / "train.csv",
+               "--latents", tmp_path / "train_latents.json", "--out", out) == 0
+    report = json.loads((out / "robustness.json").read_text())
+    spec, theta, style_ds, _groups, _sigma = _shift_eval_inputs(tmp_path, ckpt)
+    assert report["unshifted_loss"] == rb.loss_under_shift(spec, theta, style_ds,
+                                                           np.zeros(style_ds.q))
+    assert report["xi_grid"][0] == 0.0
+    assert report["worst_case"][0] == report["unshifted_loss"]
+
+
 def test_shift_eval_on_pair_free_data_exits_data(tmp_path, capsys):
     assert run("gen", "example1", "--n", 200, "--c", 0, "--seed", 2, "--out", tmp_path) == 0
     assert run("train", "--data", tmp_path / "train.csv", "--model", "linear:2",

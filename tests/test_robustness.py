@@ -260,6 +260,44 @@ def test_uniform_ball_with_zero_weights_is_the_unshifted_loss():
                         "a lower bound when budgets may differ between groups")
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.6])
+def test_uniform_ball_note_on_a_linear_fit_holds_at_every_budget(xi):
+    # at xi = 0 the only shift is 0, which the exact search also returns
+    spec, ds, gi = scm_instance()
+    res = worst_case_loss(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds, gi,
+                          np.eye(2), xi, method="uniform_ball")
+    assert res.note == rb._EXACT_NOTE
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.6])
+@pytest.mark.parametrize("case", ["gradient_allocation", "exhaustive_tiny", "uniform_ball_mlp"])
+def test_inexact_cases_keep_the_default_note_at_every_budget(case, xi):
+    spec, ds, gi = scm_instance()
+    model, theta, method = ModelSpec("linear", (6, 1)), linear_theta(spec, ds), case
+    if case == "exhaustive_tiny":
+        gi = GroupIndex(np.minimum(gi.seg, 2))
+    elif case == "uniform_ball_mlp":
+        model, method = ModelSpec("mlp", (6, 4, 1)), "uniform_ball"
+        theta = md.init_params(model, 1)
+    res = worst_case_loss(model, theta, ds, gi, np.eye(2), xi, method=method)
+    assert res.note == WorstCaseResult.note == "worst-case values are lower bounds on the supremum"
+
+
+def test_style_direction_is_w_transpose_w_for_single_logit_linear_fits_only():
+    spec, ds, _gi = scm_instance()
+    theta = linear_theta(spec, ds)
+    _c, w_mat = spec.matrices()
+    assert np.array_equal(rb._style_direction(ModelSpec("linear", (6, 1)), theta, ds),
+                          w_mat.T @ theta[:6])
+    three = ModelSpec("linear", (6, 3))
+    mlp = ModelSpec("mlp", (6, 4, 1))
+    assert rb._style_direction(three, md.init_params(three, 0), ds) is None
+    assert rb._style_direction(mlp, md.init_params(mlp, 0), ds) is None
+    polar, _test = gen_example2(20, 5, seed=1)
+    polar_model = ModelSpec("linear", (2, 1))
+    assert rb._style_direction(polar_model, md.init_params(polar_model, 0), polar) is None
+
+
 def test_gradient_allocation_equals_uniform_ball_on_single_label_groups():
     # a (label, id) group has one label, so its loss is monotone in
     # s = a . delta and the first-order direction points at the maximising end
