@@ -1,10 +1,12 @@
 """Domain-shift robustness probes for style-aware datasets.
 
 All probes move the style latents of a retained-latent dataset and watch
-the loss. Shift budgets are Mahalanobis-squared sizes measured against the
-conditional style covariance, averaged over groups. Worst-case searches
-return lower bounds on the true supremum (deterministic per-group shifts,
-finite direction grids or ascent). 'uniform_ball' is exact for equal
+the loss. Shift budgets are Mahalanobis-squared sizes, averaged over
+groups, measured against one conditional style covariance Sigma: a
+symmetric positive definite q x q matrix shared by every group, which
+``_chol`` alone checks and factors. Worst-case searches return lower
+bounds on the true supremum (deterministic per-group shifts, finite
+direction grids or ascent). 'uniform_ball' is exact for equal
 per-group budgets, at every budget, when ``_style_direction`` finds the
 model linear in style. Every probe scores through ``_shifted_losses``.
 """
@@ -79,29 +81,24 @@ class FirstOrderGap:
     penalty_value: float    # the conditional sd-of-loss term
 
 
-def _chol(sigma: np.ndarray) -> np.ndarray:
+def _chol(sigma, q: int) -> np.ndarray:
+    """The lower Cholesky factor L of the style covariance Sigma = L L^T,
+    after checking that Sigma is one symmetric (to ``np.allclose``, the
+    rule ``LinearScmSpec`` applies) positive definite q x q matrix."""
     sigma = np.asarray(sigma, dtype=float)
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance must be symmetric positive definite") from None
+    if sigma.shape == (q, q) and np.allclose(sigma, sigma.T):
+        try:
+            return np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError(f"sigma must be a symmetric positive definite {q} x {q} matrix")
 
 
 def mahalanobis_cost(delta, sigma) -> float:
     """delta^T sigma^{-1} delta through a Cholesky solve."""
     delta = np.asarray(delta, dtype=float)
-    chol = _chol(sigma)
-    z = np.linalg.solve(chol, delta)
+    z = np.linalg.solve(_chol(sigma, len(delta)), delta)
     return float(z @ z)
-
-
-def _sigma_per_group(sigma, m: int, q: int) -> np.ndarray:
-    arr = np.asarray(sigma, dtype=float)
-    if arr.shape == (q, q):
-        return np.broadcast_to(arr, (m, q, q))
-    if arr.shape == (m, q, q):
-        return arr
-    raise ValueError(f"sigma must be (q, q) shared or (m, q, q) per group, got {arr.shape}")
 
 
 def _shifted_losses(spec, theta, style_dataset, targets, shifts) -> np.ndarray:
@@ -154,16 +151,17 @@ def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
     return None
 
 
-def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
+def _search_spheres(spec, theta, style_dataset, group_index, chol, budgets,
                     seed) -> tuple:
-    """Best shift on every group's sphere delta^T Sigma_j^-1 delta = budget_j,
+    """Best shift on every group's sphere delta^T Sigma^-1 delta = budget_j,
     all groups at once: returns the group mean losses there, (m,), and the
     shifts, (m, q). A candidate is one unit direction u_j per group, shifted
-    as sqrt(budget_j) L_j u_j with L_j the Cholesky factor of Sigma_j.
+    as sqrt(budget_j) L u_j with ``chol`` = L the Cholesky factor of Sigma.
     When a shift moves every logit by a^T delta (``_style_direction``), a
     group's mean loss is convex in s = a^T delta, which spans an interval on
-    the sphere, so the two candidates u_j = +-L_j^T a / ||L_j^T a|| at its
-    ends hold the exact maximum (when a = 0 every shift ties: u_j = +-e_1).
+    the sphere, so the two candidates u = +-L^T a / ||L^T a|| at its ends,
+    one pair for every group, hold the exact maximum (when a = 0 every
+    shift ties: u = +-e_1).
     Otherwise, for q <= 3 the candidates are a direction grid shared by all
     groups; above that, 64 random restarts per group (seeded seed + j), each
     refined by 200 steps of projected gradient ascent. Each group keeps its
@@ -173,14 +171,13 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
     group mean losses are returned without a search."""
     seg, m, q = group_index.seg, group_index.m, style_dataset.q
     n, p = style_dataset.dataset.features.shape
-    chols = _chol(sigmas)
     scale = np.sqrt(budgets)[:, None]
     k = md._chunk(spec, n, q)
     targets = md._targets(spec, style_dataset.dataset.labels)
     seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
     def shift(u):  # (K, m, q) unit directions -> shifts
-        return scale * np.einsum("jab,kjb->kja", chols, u)
+        return scale * np.einsum("ab,kjb->kja", chol, u)
 
     def group_means(values):  # (K n, ...) -> (K, m, ...)
         kk = len(values) // n
@@ -193,10 +190,10 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
 
     steps = 0
     if (a := _style_direction(spec, theta, style_dataset)) is not None:
-        ends = np.einsum("jba,b->ja", chols, a)  # L_j^T a
-        ends[~np.any(ends, axis=1)] = np.eye(q)[0]
-        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-        starts = np.stack([ends, -ends])
+        # one (1, q) row, L^T a, whose pair every group shares
+        end = np.einsum("ba,b->a", chol, a)[None] if np.any(a) else np.eye(q)[:1]
+        end /= np.linalg.norm(end, axis=1, keepdims=True)
+        starts = np.broadcast_to(np.stack([end, -end]), (2, m, q))
     elif (grid := _sphere_directions(q)) is not None:
         starts = np.broadcast_to(grid[:, None, :], (len(grid), m, q))
     else:
@@ -213,7 +210,7 @@ def _search_spheres(spec, theta, style_dataset, group_index, sigmas, budgets,
             g = _style_gradients(spec, theta, style_dataset,
                                  style_dataset.render(style).reshape(-1, p),
                                  np.tile(targets, len(u)))
-            g_u = scale * np.einsum("jba,kjb->kja", chols, group_means(g))
+            g_u = scale * np.einsum("ba,kjb->kja", chol, group_means(g))
             norms = np.maximum(np.linalg.norm(g_u, axis=2, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
             u = u / np.linalg.norm(u, axis=2, keepdims=True)
@@ -275,13 +272,15 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                             random-restart projected ascent; exactly, at two
                             candidates, for a single-logit linear model on a
                             linear render
-      'gradient_allocation' first-order directions delta_j ~ Sigma_j grad_j,
+      'gradient_allocation' first-order directions delta_j ~ Sigma grad_j,
                             the average budget split equally among the
                             groups whose gradient is not zero
       'exhaustive_tiny'     reference oracle for at most 3 groups: grid over
                             budget splits, each split searched like
                             'uniform_ball'
 
+    ``sigma`` is one symmetric positive definite q x q style covariance,
+    shared by every group; any other input raises ValueError at every xi.
     Returned values are lower bounds on the true supremum. The note, set
     here for every xi, 0 included, is ``_EXACT_NOTE`` for the exact
     'uniform_ball' values, else the ``WorstCaseResult`` default.
@@ -292,17 +291,17 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     m, q = group_index.m, style_dataset.q
     if method == "exhaustive_tiny" and m > 3:
         raise ValueError("exhaustive_tiny supports at most 3 groups")
-    sigmas = _sigma_per_group(sigma, m, q)
+    chol = _chol(sigma, q)
     if xi == 0.0:
         assignment = np.zeros((m, q))  # every method's only shift
     elif method == "exhaustive_tiny":
-        return _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed)
+        return _exhaustive_tiny(spec, theta, style_dataset, group_index, chol, xi, seed)
     elif method == "uniform_ball":
         _, assignment = _search_spheres(spec, theta, style_dataset, group_index,
-                                        sigmas, np.full(m, xi), seed)
+                                        chol, np.full(m, xi), seed)
     else:
         grads = _group_shift_gradients(spec, theta, style_dataset, group_index)
-        sg = np.einsum("jab,jb->ja", sigmas, grads)
+        sg = np.einsum("ab,jb->ja", np.asarray(sigma, dtype=float), grads)
         norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
         active = norms > 0.0
         assignment = np.zeros((m, q))
@@ -324,7 +323,7 @@ def _budget_splits(n_groups: int, steps: int):
             if sum(s) == steps]
 
 
-def _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed):
+def _exhaustive_tiny(spec, theta, style_dataset, group_index, chol, xi, seed):
     m, q = group_index.m, style_dataset.q
     weights = group_index.sizes / group_index.n
     steps = 10
@@ -336,7 +335,7 @@ def _exhaustive_tiny(spec, theta, style_dataset, group_index, sigmas, xi, seed):
     vals, shifts = np.zeros((len(fr), m)), np.zeros((len(fr), m, q))
     for k in np.unique(splits):
         vals[k], shifts[k] = _search_spheres(spec, theta, style_dataset, group_index,
-                                             sigmas, np.full(m, fr[k] * m * xi), seed)
+                                             chol, np.full(m, fr[k] * m * xi), seed)
     groups = np.arange(m)
     best_val, best_assign = -np.inf, np.zeros((m, q))
     for split in splits:
@@ -382,12 +381,10 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                              np.zeros((1, 1, style_dataset.q)))[0]
     unshifted = float(np.mean(losses))
     pen = conditional_penalty(losses, group_index, nu=0.5)
-    if xi == 0.0:
-        return FirstOrderGap(unshifted, unshifted, 0.0, 0.0, pen)
     lhs = worst_case_loss(spec, theta, style_dataset, group_index, sigma, xi,
                           method="gradient_allocation").value
     rhs = unshifted + np.sqrt(xi) * pen
-    return FirstOrderGap(lhs, rhs, abs(lhs - rhs), xi, pen)
+    return FirstOrderGap(lhs, rhs, abs(lhs - rhs), float(xi), pen)
 
 
 def invariance_defect(theta, style_matrix) -> float:
@@ -417,10 +414,10 @@ def steepest_style_direction(spec: md.ModelSpec, theta,
     global style shift: Sigma g / sqrt(g^T Sigma g) with g the mean shift
     gradient over all samples. When that growth is zero (a model that
     ignores style), every direction ties and e_1 is returned."""
+    _chol(sigma, style_dataset.q)  # the check only: the direction reads Sigma itself
     whole = GroupIndex(np.zeros(len(style_dataset.dataset), dtype=int))
     g = _group_shift_gradients(spec, theta, style_dataset, whole)[0]
-    sigma = np.asarray(sigma, dtype=float)
-    sg = sigma @ g
+    sg = np.asarray(sigma, dtype=float) @ g
     denom = np.sqrt(g @ sg)
     if denom == 0.0:
         return np.eye(len(g))[0]

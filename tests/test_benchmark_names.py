@@ -6,10 +6,12 @@ so deleting or renaming one of them breaks only the benchmark. These tests
 catch that inside the fast suite, check that the benchmark's count of
 training steps (``autodiff.grad`` calls inside ``train``) is the real one,
 and run each workload at its tiny size through the benchmark's readers of
-the written reports.
+the written reports, whose bytes are pinned.
 """
 
+import hashlib
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import condvar.cli  # noqa: F401  (loads every module that spans.py wraps)
 from condvar import ModelSpec, PenaltyConfig, build_group_index, gen_example1, training
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PINNED = Path(__file__).parent / "data" / "pinned_tiny_outputs.json"
 
 
 def _spans(monkeypatch):
@@ -73,10 +76,19 @@ TINY_SHAPES = {"quickstart": (1, 300, "gradient_allocation"),
                "shift_search": (2, 10, "uniform_ball")}
 
 
+def _output_hashes(out: Path) -> dict:
+    # sha256 of every file a run wrote, by path under ``out``; each
+    # manifest.json records wall times and the environment, so it is left out
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"}
+
+
 @pytest.mark.parametrize("name", sorted(TINY_SHAPES))
 def test_benchmark_reads_the_reports_of_a_tiny_run(monkeypatch, tmp_path, name):
     # the benchmark's own readers on the files its pipeline writes, so a
-    # report it cannot read fails here and not in a benchmark run
+    # report it cannot read fails here and not in a benchmark run; the
+    # files themselves must match the pinned bytes
     run = _perfbench_module(monkeypatch, "run")
     w = run.workloads.WORKLOADS[name]
     for step, argv in w.build(0, str(tmp_path), w.tiny):
@@ -89,3 +101,5 @@ def test_benchmark_reads_the_reports_of_a_tiny_run(monkeypatch, tmp_path, name):
     assert all(b >= a for a, b in zip(worst, worst[1:]))
     # the benchmark's own floor: the unshifted loss less a rounding margin
     assert min(worst) >= quality["unshifted_loss"] * (1.0 - 1e-12)
+    with open(PINNED, encoding="utf-8") as fh:
+        assert _output_hashes(tmp_path) == json.load(fh)[name]

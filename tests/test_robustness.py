@@ -78,6 +78,39 @@ def test_mahalanobis_rejects_non_spd():
         mahalanobis_cost(np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+_SIGMA_PROBES = {
+    "uniform_ball": lambda a, s: worst_case_loss(*a, s, 1.0, method="uniform_ball"),
+    "gradient_allocation": lambda a, s: worst_case_loss(*a, s, 1.0, method="gradient_allocation"),
+    "exhaustive_tiny": lambda a, s: worst_case_loss(*a, s, 1.0, method="exhaustive_tiny"),
+    "first_order_gap": lambda a, s: first_order_gap(*a, s, 1.0),
+    "steepest_style_direction": lambda a, s: steepest_style_direction(*a[:3], s),
+    "mahalanobis_cost": lambda a, s: mahalanobis_cost(np.array([0.3, -0.2]), s),
+}
+
+
+def _sigma_probe_args():
+    spec, ds, gi = scm_instance()
+    groups = GroupIndex(np.minimum(gi.seg, 2))  # m = 3, within exhaustive_tiny's reach
+    return ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds, groups
+
+
+@pytest.mark.parametrize("sigma", [np.array([[1.0, 5.0], [0.0, 1.0]]),
+                                   np.stack([np.eye(2)] * 3)],
+                         ids=["asymmetric", "per_group_stack"])
+@pytest.mark.parametrize("probe", sorted(_SIGMA_PROBES))
+def test_every_probe_rejects_a_sigma_that_is_not_one_symmetric_matrix(probe, sigma):
+    # an asymmetric Sigma has no one reading (its Cholesky factor sees the
+    # lower triangle, Sigma g all of it), and an (m, q, q) stack, m = 3
+    # here, is not one Sigma
+    with pytest.raises(ValueError, match="symmetric positive definite 2 x 2"):
+        _SIGMA_PROBES[probe](_sigma_probe_args(), sigma)
+
+
+@pytest.mark.parametrize("probe", sorted(_SIGMA_PROBES))
+def test_every_probe_accepts_a_sigma_symmetric_to_rounding(probe):
+    _SIGMA_PROBES[probe](_sigma_probe_args(), np.array([[1.0, 0.3 + 1e-12], [0.3, 0.8]]))
+
+
 def test_mahalanobis_cross_check_against_eigen_factorization():
     rng = np.random.default_rng(4)
     for _ in range(30):
@@ -248,14 +281,14 @@ def test_uniform_ball_with_zero_weights_is_the_unshifted_loss():
     # w = 0 gives a = 0: the loss ignores style, every shift on the sphere
     # is a maximiser, and each group still spends exactly its budget
     model = ModelSpec("linear", (7, 1))
-    ds, gi, _theta, sigmas = per_group_sigma_instance(2, model)
+    ds, gi, _theta, sigma = sigma_instance(2, model)
     theta = np.concatenate([np.zeros(7), [0.3]])
     xi = 0.6
-    res = worst_case_loss(model, theta, ds, gi, sigmas, xi, method="uniform_ball")
+    res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball")
     assert res.value == loss_under_shift(model, theta, ds, np.zeros(2))
     assert np.all(np.isfinite(res.assignment))
-    for delta, sigma_j in zip(res.assignment, sigmas):
-        assert mahalanobis_cost(delta, sigma_j) == pytest.approx(xi, rel=1e-12)
+    for delta in res.assignment:
+        assert mahalanobis_cost(delta, sigma) == pytest.approx(xi, rel=1e-12)
     assert res.note == ("exact for equal per-group budgets (linear model, linear render); "
                         "a lower bound when budgets may differ between groups")
 
@@ -346,53 +379,37 @@ def test_uniform_ball_grid_matches_per_group_oracle(q, render):
         assert mahalanobis_cost(res.assignment[j], sigma) == pytest.approx(xi, rel=1e-12)
 
 
-def per_group_sigma_instance(q, model):
+def sigma_instance(q, model):
+    # a small linear SCM, a perturbed model and a non-diagonal Sigma
     spec = LinearScmSpec(p=7, q=q, r=2, id_count=2, style_class_mean=tuple([1.0] * q),
                          style_cov=tuple(tuple(r) for r in np.eye(q)), structure_seed=2)
     ds = sample_linear_scm(spec, 16, InterventionSpec("none"), seed=3)
     gi = build_group_index(ds.dataset)
     theta = md.init_params(model, 2) + 0.3 * np.random.default_rng(8).standard_normal(
         md.param_count(model))
-    roots = np.random.default_rng(9).standard_normal((gi.m, q, q))
-    return ds, gi, theta, roots @ roots.transpose(0, 2, 1) + 0.5 * np.eye(q)
-
-
-def test_uniform_ball_per_group_sigma():
-    # m copies of a shared sigma search exactly what the shared sigma does;
-    # distinct per-group sigmas put each group on its own budget ellipsoid
-    model = ModelSpec("linear", (7, 1))
-    ds, gi, theta, sigmas = per_group_sigma_instance(2, model)
-    xi = 0.6
-    shared = worst_case_loss(model, theta, ds, gi, sigmas[0], xi, method="uniform_ball")
-    copies = worst_case_loss(model, theta, ds, gi, np.repeat(sigmas[:1], gi.m, axis=0), xi,
-                             method="uniform_ball")
-    assert copies.value == shared.value
-    assert np.array_equal(copies.assignment, shared.assignment)
-    res = worst_case_loss(model, theta, ds, gi, sigmas, xi, method="uniform_ball")
-    for delta, sigma_j in zip(res.assignment, sigmas):
-        assert mahalanobis_cost(delta, sigma_j) == pytest.approx(xi, rel=1e-9)
-    assert res.value >= loss_under_shift(model, theta, ds, np.zeros(2))
+    root = np.random.default_rng(9).standard_normal((q, q))
+    return ds, gi, theta, root @ root.T + 0.5 * np.eye(q)
 
 
 def test_uniform_ball_ascent_matches_single_group_searches():
     # reference: each group searched alone, on a dataset of its own rows,
-    # with its own sigma and the restart seed (seed + j) it gets in the
-    # joint search; the joint ascent must reach the same group losses
+    # with the restart seed (seed + j) it gets in the joint search; the
+    # joint ascent must reach the same group losses
     model = ModelSpec("mlp", (7, 4, 1))
-    ds, gi, theta, sigmas = per_group_sigma_instance(4, model)
+    ds, gi, theta, sigma = sigma_instance(4, model)
     gi = GroupIndex(np.minimum(gi.seg, 1))  # two groups keep the reference cheap
     xi, seed = 0.6, 5
-    res = worst_case_loss(model, theta, ds, gi, sigmas[:2], xi, method="uniform_ball", seed=seed)
+    res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="uniform_ball", seed=seed)
     for j in range(gi.m):
         members = np.flatnonzero(gi.seg == j)
         part = StyleAwareDataset(
             Dataset(ds.dataset.features[members], ds.dataset.labels[members]),
             ds.core[members], ds.style[members], "linear", ds.core_matrix, ds.style_matrix)
         alone = worst_case_loss(model, theta, part, GroupIndex(np.zeros(len(members), int)),
-                                sigmas[j], xi, method="uniform_ball", seed=seed + j)
+                                sigma, xi, method="uniform_ball", seed=seed + j)
         joint = loss_under_shift(model, theta, part, res.assignment[j])
         assert joint == pytest.approx(alone.value, rel=1e-9)
-        assert mahalanobis_cost(res.assignment[j], sigmas[j]) == pytest.approx(xi, rel=1e-9)
+        assert mahalanobis_cost(res.assignment[j], sigma) == pytest.approx(xi, rel=1e-9)
 
 
 @pytest.mark.parametrize("render", ["linear", "polar"])
@@ -464,11 +481,11 @@ def test_budget_splits_index_the_share_grid(m):
     np.testing.assert_allclose(shares[:, -1], want[:, -1], rtol=0, atol=1.5e-16)
 
 
-def _exhaustive_by_split(model, theta, ds, gi, sigmas, xi, seed):
+def _exhaustive_by_split(model, theta, ds, gi, sigma, xi, seed):
     # reference: one full search per budget split, scored by its weighted total
-    best = -np.inf
+    best, chol = -np.inf, np.linalg.cholesky(sigma)
     for split in _float_splits(gi.m):
-        vals, _ = _search_spheres(model, theta, ds, gi, sigmas, split * gi.m * xi, seed)
+        vals, _ = _search_spheres(model, theta, ds, gi, chol, split * gi.m * xi, seed)
         best = max(best, float(np.sum(gi.sizes / gi.n * vals)))
     return best
 
@@ -477,15 +494,15 @@ def _exhaustive_by_split(model, theta, ds, gi, sigmas, xi, seed):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_exhaustive_tiny_matches_per_split_search(q, m):
     model = ModelSpec("mlp", (7, 4, 1))
-    ds, gi, theta, sigmas = per_group_sigma_instance(q, model)
+    ds, gi, theta, sigma = sigma_instance(q, model)
     gi = GroupIndex(np.minimum(gi.seg, m - 1))
     assert gi.m == m
     xi = 0.7
-    want = _exhaustive_by_split(model, theta, ds, gi, sigmas[:m], xi, seed=0)
-    res = worst_case_loss(model, theta, ds, gi, sigmas[:m], xi, method="exhaustive_tiny")
+    want = _exhaustive_by_split(model, theta, ds, gi, sigma, xi, seed=0)
+    res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="exhaustive_tiny")
     assert res.value == pytest.approx(want, rel=1e-12)
     assert loss_under_shift(model, theta, ds, res.assignment, gi) == pytest.approx(want, rel=1e-12)
-    spent = sum(mahalanobis_cost(d, s) for d, s in zip(res.assignment, sigmas[:m]))
+    spent = sum(mahalanobis_cost(d, sigma) for d in res.assignment)
     assert spent == pytest.approx(m * xi, rel=1e-9)
 
 
@@ -493,14 +510,15 @@ def test_exhaustive_tiny_matches_per_split_search(q, m):
 def test_zero_budget_search_is_the_unshifted_group_loss(q, monkeypatch):
     # exhaustive_tiny's share-0 level asks for every budget at 0
     model = ModelSpec("mlp", (7, 4, 1))
-    ds, gi, theta, sigmas = per_group_sigma_instance(q, model)
+    ds, gi, theta, sigma = sigma_instance(q, model)
     gi = GroupIndex(np.minimum(gi.seg, 1))
     losses = md.per_sample_loss(model, md.forward(model, theta, ds.render(ds.style)),
                                 ds.dataset.labels)
     want = [np.mean(losses[gi.seg == j]) for j in range(gi.m)]
     forward, calls = md.forward, []
     monkeypatch.setattr(md, "forward", lambda *args: calls.append(1) or forward(*args))
-    vals, shifts = _search_spheres(model, theta, ds, gi, sigmas[:2], np.zeros(2), seed=0)
+    vals, shifts = _search_spheres(model, theta, ds, gi, np.linalg.cholesky(sigma),
+                                   np.zeros(2), seed=0)
     assert len(calls) == 1  # one evaluation, no direction grid or ascent
     np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
     assert np.array_equal(shifts, np.zeros((2, q)))
@@ -510,28 +528,27 @@ def test_exhaustive_tiny_keeps_first_split_on_ties():
     # a zero-parameter model has the same loss under every shift, so every
     # split ties and the first one, (0, 1) of the budget, must be kept
     model = ModelSpec("mlp", (7, 4, 1))
-    ds, gi, _theta, sigmas = per_group_sigma_instance(1, model)
+    ds, gi, _theta, sigma = sigma_instance(1, model)
     gi = GroupIndex(np.minimum(gi.seg, 1))
-    res = worst_case_loss(model, np.zeros(md.param_count(model)), ds, gi, sigmas[:2], 0.7,
+    res = worst_case_loss(model, np.zeros(md.param_count(model)), ds, gi, sigma, 0.7,
                           method="exhaustive_tiny")
     assert np.array_equal(res.assignment[0], [0.0])
-    assert mahalanobis_cost(res.assignment[1], sigmas[1]) == pytest.approx(1.4, rel=1e-12)
+    assert mahalanobis_cost(res.assignment[1], sigma) == pytest.approx(1.4, rel=1e-12)
 
 
 # ---- batched search against one candidate per pass --------------------------
 
-def _one_candidate_search(model, theta, ds, gi, sigmas, budgets, seed):
+def _one_candidate_search(model, theta, ds, gi, chol, budgets, seed):
     # reference: every candidate (a grid direction, or one restart of every
     # group with its 200 ascent steps) rendered and scored on its own, each
     # group keeping its first strict maximum
     seg, m, q = gi.seg, gi.m, ds.q
-    chols = np.linalg.cholesky(sigmas)
     scale = np.sqrt(budgets)[:, None]
     labels = ds.dataset.labels
     targets = md._targets(model, labels)
 
     def shift(u):
-        return scale * np.einsum("jab,jb->ja", chols, u)
+        return scale * np.einsum("ab,jb->ja", chol, u)
 
     def features(u):
         return ds.render(ds.style + shift(u)[seg])
@@ -546,7 +563,7 @@ def _one_candidate_search(model, theta, ds, gi, sigmas, budgets, seed):
     for u in starts:
         for _ in range(0 if grid is not None else 200):
             g = _style_gradients(model, theta, ds, features(u), targets)
-            g_u = scale * np.einsum("jba,jb->ja", chols, segment_means(g, seg, m))
+            g_u = scale * np.einsum("ba,jb->ja", chol, segment_means(g, seg, m))
             norms = np.maximum(np.linalg.norm(g_u, axis=1, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
             u = u / np.linalg.norm(u, axis=1, keepdims=True)
@@ -572,20 +589,20 @@ def _grid_instance(q, render):
     model = ModelSpec("mlp", (ds.dataset.p, 5, 1))
     theta = md.init_params(model, 4) + 0.3 * np.random.default_rng(5).standard_normal(
         md.param_count(model))
-    roots = np.random.default_rng(q).standard_normal((gi.m, q, q))
-    sigmas = roots @ roots.transpose(0, 2, 1) + 0.5 * np.eye(q)
+    root = np.random.default_rng(q).standard_normal((q, q))
+    chol = np.linalg.cholesky(root @ root.T + 0.5 * np.eye(q))
     budgets = np.linspace(0.2, 1.4, gi.m)
-    return model, theta, ds, gi, sigmas, budgets
+    return model, theta, ds, gi, chol, budgets
 
 
 @pytest.mark.parametrize("k", [1, 7, 2000])
 @pytest.mark.parametrize("q,render", [(2, "linear"), (3, "linear"), (1, "polar")])
 def test_grid_search_equals_one_candidate_loop(q, render, k, monkeypatch):
     # k = 7 leaves a partial last chunk (720 % 7, 2000 % 7); 2000 holds every grid
-    model, theta, ds, gi, sigmas, budgets = _grid_instance(q, render)
-    want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi, sigmas, budgets, 0)
+    model, theta, ds, gi, chol, budgets = _grid_instance(q, render)
+    want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi, chol, budgets, 0)
     _force_chunk(monkeypatch, k, model, ds)
-    vals, shifts = _search_spheres(model, theta, ds, gi, sigmas, budgets, 0)
+    vals, shifts = _search_spheres(model, theta, ds, gi, chol, budgets, 0)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(shifts, want_shifts)
 
@@ -593,8 +610,8 @@ def test_grid_search_equals_one_candidate_loop(q, render, k, monkeypatch):
 @pytest.fixture(scope="module")
 def ascent_reference():
     model = ModelSpec("mlp", (7, 4, 1))
-    ds, gi, theta, sigmas = per_group_sigma_instance(4, model)
-    args = (model, theta, ds, GroupIndex(np.minimum(gi.seg, 2)), sigmas[:3],
+    ds, gi, theta, sigma = sigma_instance(4, model)
+    args = (model, theta, ds, GroupIndex(np.minimum(gi.seg, 2)), np.linalg.cholesky(sigma),
             np.array([0.3, 0.6, 1.1]), 5)
     return args, _one_candidate_search(*args)
 
@@ -622,7 +639,7 @@ def _ascent_reach(starts, target, h):
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
     # A group's loss f is convex in s = a . delta, which spans [-r_j, r_j],
-    # r_j = sqrt(b_j) ||L_j^T a||, and the logistic loss has |f'| <= 1. A
+    # r_j = sqrt(b_j) ||L^T a||, and the logistic loss has |f'| <= 1. A
     # candidate at angle theta from the maximising end reaches s = r_j cos
     # theta, so the tangent there bounds its shortfall by r_j (1 - cos theta).
     # The reach cos theta is cos(pi / 720) for the q = 2 grid, read off the
@@ -630,25 +647,26 @@ def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
     # each (label, id) group has one label, so f is monotone and every
     # restart's unit gradient points at the same end.
     model = ModelSpec("linear", (7, 1))
-    ds, gi, theta, sigmas = per_group_sigma_instance(q, model)
+    ds, gi, theta, sigma = sigma_instance(q, model)
     budgets = np.linspace(0.2, 1.4, gi.m)
-    exact, _ = _search_spheres(model, theta, ds, gi, sigmas, budgets, 5)
-    ref, _ = _one_candidate_search(model, theta, ds, gi, sigmas, budgets, 5)
-    la = np.einsum("jba,b->ja", np.linalg.cholesky(sigmas), ds.style_matrix.T @ theta[:7])
-    r = np.sqrt(budgets) * np.linalg.norm(la, axis=1)
-    ends = la / np.linalg.norm(la, axis=1, keepdims=True)
+    chol = np.linalg.cholesky(sigma)
+    exact, _ = _search_spheres(model, theta, ds, gi, chol, budgets, 5)
+    ref, _ = _one_candidate_search(model, theta, ds, gi, chol, budgets, 5)
+    la = chol.T @ (ds.style_matrix.T @ theta[:7])
+    r = np.sqrt(budgets) * np.linalg.norm(la)
+    end = la / np.linalg.norm(la)
     grid = _sphere_directions(q)
     if q == 2:
-        reach = np.full(gi.m, np.cos(np.pi / 720))
+        reach = np.cos(np.pi / 720)
     elif grid is not None:
-        reach = np.min([np.max(grid @ (sign * ends).T, axis=0) for sign in (1, -1)], axis=0)
+        reach = min(np.max(grid @ (sign * end)) for sign in (1, -1))
     else:
         reach = np.empty(gi.m)
         for j in range(gi.m):
             starts = np.random.default_rng(5 + j).standard_normal((64, q))
             starts /= np.linalg.norm(starts, axis=1, keepdims=True)
             h = 0.1 * np.sqrt(budgets[j])
-            reach[j] = min(_ascent_reach(starts, sign * ends[j], h).max() for sign in (1, -1))
+            reach[j] = min(_ascent_reach(starts, sign * end, h).max() for sign in (1, -1))
     assert np.all(r > 0.0)
     assert np.all(ref <= exact + 1e-12)
     assert np.all(exact - ref <= r * (1.0 - reach) + 1e-12)
@@ -657,12 +675,11 @@ def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
 def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
     # a zero-parameter model has the same loss under every shift, so every
     # candidate ties and each group must keep grid[0]'s shift across chunks
-    model, _theta, ds, gi, sigmas, budgets = _grid_instance(2, "linear")
+    model, _theta, ds, gi, chol, budgets = _grid_instance(2, "linear")
     _force_chunk(monkeypatch, 7, model, ds)
-    vals, shifts = _search_spheres(model, np.zeros(md.param_count(model)), ds, gi, sigmas,
+    vals, shifts = _search_spheres(model, np.zeros(md.param_count(model)), ds, gi, chol,
                                    budgets, 0)
-    first = np.sqrt(budgets)[:, None] * np.einsum("jab,b->ja", np.linalg.cholesky(sigmas),
-                                                   _sphere_directions(2)[0])
+    first = np.sqrt(budgets)[:, None] * np.einsum("ab,b->a", chol, _sphere_directions(2)[0])
     assert np.all(vals == np.log(2.0))
     assert np.array_equal(shifts, first)
 
@@ -676,13 +693,12 @@ def test_search_memory_stays_within_the_chunk_budget():
     ds = sample_linear_scm(spec, 400, InterventionSpec("none"), seed=0)
     gi = build_group_index(ds.dataset)
     assert (len(ds.dataset), gi.m) == (400, 50)
-    sigmas = np.broadcast_to(np.eye(2), (gi.m, 2, 2))
     two_class = ModelSpec("linear", (10, 2))
     for model, theta in ((ModelSpec("linear", (10, 1)), linear_theta(spec, ds)),
                          (two_class, md.init_params(two_class, 0))):
         tracemalloc.start()
         try:
-            _search_spheres(model, theta, ds, gi, sigmas, np.full(gi.m, 1.0), 0)
+            _search_spheres(model, theta, ds, gi, np.eye(2), np.full(gi.m, 1.0), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -907,3 +923,54 @@ def test_robustness_outputs_pinned(fit):
     with open(PINNED, encoding="utf-8") as fh:
         want = json.load(fh)[name]
     assert _robustness_outputs(*args) == want
+
+
+def _sigma_fits():
+    """(name, style dataset, spec, config) of small linear-SCM fits searched
+    under their generator's non-diagonal Sigma: a single-logit linear model
+    at q = 2 (the exact pair), MLPs at q = 3 (the direction grid) and q = 4
+    (the ascent)."""
+    covs = {2: ((1.0, 0.4), (0.4, 0.7)),
+            3: ((1.0, 0.3, -0.2), (0.3, 0.8, 0.1), (-0.2, 0.1, 0.6)),
+            4: ((1.0, 0.3, 0.0, -0.2), (0.3, 0.9, 0.2, 0.0), (0.0, 0.2, 0.7, 0.1),
+                (-0.2, 0.0, 0.1, 0.5))}
+    fits = []
+    for q, cov in covs.items():
+        spec = LinearScmSpec(p=q + 3, q=q, r=2, id_count=3,
+                             style_class_mean=tuple(np.linspace(1.0, -0.5, q)),
+                             style_cov=cov, structure_seed=q)
+        ds = sample_linear_scm(spec, 24, InterventionSpec("none"), seed=q)
+        model = (ModelSpec("linear", (q + 3, 1)) if q == 2
+                 else ModelSpec("mlp", (q + 3, 4, 1), "tanh"))
+        cfg = TrainConfig(PenaltyConfig(), OptimizerConfig("adam", 0.05), 8, 5, q)
+        fits.append((f"sigma_q{q}_{model.kind}", ds, model, cfg))
+    return fits
+
+
+def _worst_case_outputs(ds, spec, cfg) -> dict:
+    # every method's values and assignments; exhaustive_tiny on groups 2 and
+    # up merged, or at q = 4, where each budget level is a 64-restart
+    # ascent, on all groups merged into one
+    gi = build_group_index(ds.dataset)
+    theta = train(ds.dataset, gi, spec, cfg).theta
+    sigma = np.asarray(ds.scm.style_cov)
+    tiny = GroupIndex(np.minimum(gi.seg, 2 if ds.q < 4 else 0))
+    out = {}
+    for method in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
+        groups = tiny if method == "exhaustive_tiny" else gi
+        res = [worst_case_loss(spec, theta, ds, groups, sigma, xi, method=method, seed=3)
+               for xi in (0.0, 0.3, 2.0)]
+        out[method] = {"values": [r.value for r in res],
+                       "assignments": [r.assignment.tolist() for r in res]}
+    return out
+
+
+@pytest.mark.parametrize("fit", _sigma_fits(), ids=lambda f: f[0])
+def test_worst_case_under_a_non_diagonal_sigma_pinned(fit):
+    # values and assignments bit for bit, recorded before Sigma was checked
+    # and factored in one place; the exact pair (q = 2), the grid (q = 3)
+    # and the ascent (q = 4) each read the off-diagonal terms
+    name, *args = fit
+    with open(PINNED, encoding="utf-8") as fh:
+        want = json.load(fh)[name]
+    assert _worst_case_outputs(*args) == want
