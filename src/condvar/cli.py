@@ -113,6 +113,11 @@ def _check_fit(spec, dataset, data_path, what: str) -> None:
 # ---- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> tuple:
+    for flag, value in (("--test-shift", args.test_shift), ("--style-mean", args.style_mean)):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    if not 0.0 < args.style_sd < np.inf:
+        raise ConfigError(f"--style-sd must be finite and > 0, got {args.style_sd}")
     if args.generator == "example1":
         shift = 4.0 if args.test_shift is None else args.test_shift
         train_ds, test_ds = scm.gen_example1(args.n, args.c, shift, args.seed)

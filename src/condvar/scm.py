@@ -8,11 +8,20 @@ what every robustness probe in this package consumes.
 
 Two 2-d teaching generators are included: one where style acts along a
 fixed linear direction, and one where style is the polar angle.
+
+The latent sidecar is one standard JSON object (no NaN or Infinity): the
+generator and its parameters, the render kind, core and style latents as
+one list per row, a linear render's matrices and any SCM spec. It is
+encoded and decoded with the cyclic garbage collector paused: a JSON tree
+holds no reference cycle, so reference counting frees all of it, and the
+collections its 2n row lists would start could only scan it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -360,22 +369,57 @@ def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_s
 
 # ---- latent sidecar ---------------------------------------------------------
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector; on exit, re-enable it only if it was on."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def save_latents(style_dataset: StyleAwareDataset, path) -> None:
-    payload = {
-        "generator": style_dataset.generator,
-        "generator_params": style_dataset.generator_params,
-        "render_kind": style_dataset.render_kind,
-        "core": style_dataset.core.tolist(),
-        "style": style_dataset.style.tolist(),
-    }
-    if style_dataset.render_kind == "linear":
-        payload["core_matrix"] = np.asarray(style_dataset.core_matrix, dtype=float).tolist()
-        payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
-    if style_dataset.scm is not None:
-        payload["scm"] = asdict(style_dataset.scm)
-    # one dumps call runs the C encoder; json.dump always takes the Python one
+    """Write the latent sidecar (module docstring). Its text is built before
+    the file is opened: a non-finite value raises ValueError and leaves an
+    existing file as it was."""
+    with _gc_paused():
+        payload = {
+            "generator": style_dataset.generator,
+            "generator_params": style_dataset.generator_params,
+            "render_kind": style_dataset.render_kind,
+            "core": style_dataset.core.tolist(),
+            "style": style_dataset.style.tolist(),
+        }
+        if style_dataset.render_kind == "linear":
+            payload["core_matrix"] = np.asarray(style_dataset.core_matrix, dtype=float).tolist()
+            payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
+        if style_dataset.scm is not None:
+            payload["scm"] = asdict(style_dataset.scm)
+        # one dumps call runs the C encoder; json.dump always takes the Python one
+        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        del payload  # the row lists die inside the pause
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(text)
+
+
+def _read_latents(dataset: Dataset, path) -> StyleAwareDataset:
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    kind = payload["render_kind"]
+    return StyleAwareDataset(
+        dataset=dataset,
+        core=np.asarray(payload["core"], dtype=float),
+        style=np.asarray(payload["style"], dtype=float),
+        render_kind=kind,
+        core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
+        style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
+        scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
+        generator=payload.get("generator", "custom"),
+        generator_params=payload.get("generator_params", {}),
+    )
 
 
 def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
@@ -383,20 +427,8 @@ def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
     is not a sidecar, or one that does not re-render ``dataset``'s
     features, raises DataFormatError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        kind = payload["render_kind"]
-        ds = StyleAwareDataset(
-            dataset=dataset,
-            core=np.asarray(payload["core"], dtype=float),
-            style=np.asarray(payload["style"], dtype=float),
-            render_kind=kind,
-            core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
-            style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
-            scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
-            generator=payload.get("generator", "custom"),
-            generator_params=payload.get("generator_params", {}),
-        )
+        with _gc_paused():
+            ds = _read_latents(dataset, path)  # the parsed payload dies inside the pause
         recon = ds.render(ds.style)
     except KeyError as exc:
         raise DataFormatError(f"{path}: latent sidecar lacks field {exc}") from None

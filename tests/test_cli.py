@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -408,6 +409,22 @@ def test_gen_rejects_pair_count_and_writes_nothing(tmp_path, capsys, generator, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generator,flag,value", [
+    ("example1", "--test-shift", "nan"), ("example2", "--test-shift", "inf"),
+    ("linear_scm", "--test-shift", "nan"), ("linear_scm", "--test-shift", "-inf"),
+    ("linear_scm", "--style-mean", "nan"), ("linear_scm", "--style-mean", "inf"),
+    ("linear_scm", "--style-sd", "nan"), ("linear_scm", "--style-sd", "inf"),
+    ("linear_scm", "--style-sd", "-1"), ("linear_scm", "--style-sd", "0"),
+])
+def test_gen_rejects_an_out_of_range_flag_and_writes_nothing(tmp_path, capsys, generator,
+                                                             flag, value):
+    out = tmp_path / "gen"
+    c = 0 if generator == "linear_scm" else 10
+    assert run("gen", generator, "--n", 50, "--c", c, f"{flag}={value}", "--out", out) == 2
+    assert f"config error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_rejects_an_empty_id_pool_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "gen"
     assert run("gen", "linear_scm", "--n", 50, "--c", 0, "--p", 6, "--r", 3,
@@ -455,10 +472,24 @@ def test_checkpoint_commands_reject_labels_the_model_cannot_take(gen_dir, three_
         assert not out.exists(), command
 
 
-def _drop_core(path):
-    payload = json.loads(path.read_text())
-    del payload["core"]
-    path.write_text(json.dumps(payload))
+def _edit_sidecar(edit):
+    def spoil(path):
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(payload)))
+    return spoil
+
+
+def _drop(field):
+    return _edit_sidecar(lambda payload: {k: v for k, v in payload.items() if k != field})
+
+
+def _set(field, value):
+    return _edit_sidecar(lambda payload: {**payload, field: value(payload[field])})
+
+
+def _row(k, value):
+    # replaces style row k; a NaN goes out as json.dumps's NaN token
+    return _set("style", lambda rows: rows[:k] + [value] + rows[k + 1:])
 
 
 def _other_seed(path):
@@ -467,16 +498,24 @@ def _other_seed(path):
     path.write_bytes((path.parent / "seed4" / "train_latents.json").read_bytes())
 
 
-@pytest.mark.parametrize("spoil", [_drop_core, lambda p: p.write_text("{not json"), _other_seed],
-                         ids=["missing_core", "not_json", "other_seed"])
+@pytest.mark.parametrize("spoil", [
+    _drop("core"), lambda p: p.write_text("{not json"), _other_seed,
+    _row(7, [0.1, 0.2]), _row(7, ["abc"]), _edit_sidecar(lambda payload: [payload]),
+    _drop("style"), _set("style", lambda rows: rows[:-1]), _set("render_kind", lambda _: "cubic"),
+    _row(7, [float("nan")]),
+], ids=["missing_core", "not_json", "other_seed", "ragged_row", "non_numeric", "top_level_list",
+        "missing_style", "short_style", "unknown_render_kind", "nan_latent"])
 def test_shift_eval_malformed_sidecar_exits_data(gen_dir, trained_dir, tmp_path, capsys, spoil):
     side = tmp_path / "latents.json"
     side.write_bytes((gen_dir / "train_latents.json").read_bytes())
     spoil(side)
+    out = tmp_path / "out"
     code = run("shift_eval", "--checkpoint", trained_dir / "checkpoint.json",
-               "--data", gen_dir / "train.csv", "--latents", side, "--out", tmp_path / "out")
+               "--data", gen_dir / "train.csv", "--latents", side, "--out", out)
     assert code == 3
     assert f"data error: {side}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert gc.isenabled()
 
 
 def _drop_flat_params(path):
