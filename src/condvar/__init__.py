@@ -34,6 +34,7 @@ from .robustness import (
     ConditionalCovariance,
     DivergenceProbe,
     FirstOrderGap,
+    RobustnessReport,
     WorstCaseResult,
     divergence_probe,
     estimate_conditional_covariance,
@@ -41,6 +42,7 @@ from .robustness import (
     invariance_defect,
     loss_under_shift,
     mahalanobis_cost,
+    report,
     steepest_style_direction,
     worst_case_loss,
 )

@@ -233,32 +233,11 @@ def _cmd_shift_eval(args) -> tuple:
             raise DataFormatError(f"{args.latents}: the within-group style covariance "
                                   "estimated from these latents is not positive definite")
         sigma = cov.pooled
-    results = [rb.worst_case_loss(spec, theta, style_ds, groups, sigma, xi, method=args.method)
-               for xi in args.xi]
-    worst = [r.value for r in results]
-    fo = rb.first_order_gap(spec, theta, style_ds, groups, sigma, args.fo_xi)
-    linear = rb._style_direction(spec, theta, style_ds) is not None
-    direction = (rb.steepest_style_direction(spec, theta, style_ds, sigma) if linear
-                 else np.eye(style_ds.q)[0])
-    probe = rb.divergence_probe(spec, theta, style_ds, direction, args.magnitudes)
-    report = {
-        "xi_grid": args.xi,
-        "worst_case": worst,
-        "method": args.method,
-        "note": results[-1].note,
-        "unshifted_loss": probe.unshifted,
-        "first_order": {"xi": fo.xi, "lhs": fo.lhs, "rhs": fo.rhs, "gap": fo.gap},
-        "divergence": {
-            "direction": [float(v) for v in probe.direction],
-            "magnitudes": [float(v) for v in probe.magnitudes],
-            "losses": [float(v) for v in probe.losses],
-            "verdict": probe.verdict,
-        },
-    }
-    if linear:
-        report["invariance_defect"] = rb.invariance_defect(theta, style_ds.style_matrix)
-    summary = json.dumps({"unshifted_loss": probe.unshifted, "worst_case": worst,
-                          "verdict": probe.verdict}, indent=1, sort_keys=True)
+    report = rb.report(spec, theta, style_ds, groups, sigma, args.xi, args.method,
+                       args.fo_xi, args.magnitudes).to_json()
+    summary = json.dumps({"unshifted_loss": report["unshifted_loss"],
+                          "worst_case": report["worst_case"],
+                          "verdict": report["divergence"]["verdict"]}, indent=1, sort_keys=True)
     return {}, {"robustness.json": lambda path: _write_json(path, report)}, summary
 
 

@@ -260,13 +260,16 @@ def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: i
 
 def load_checkpoint(path):
     """(spec, theta, seed, step) from a ``save_checkpoint`` file; a file
-    that is not one raises DataFormatError naming it."""
+    that is not one, non-finite parameters or a negative step included,
+    raises DataFormatError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         spec = ModelSpec.from_dict(payload["spec"])
         theta = np.asarray(payload["flat_params"], dtype=float)
         seed, step = int(payload["seed"]), int(payload["step"])
+        if not np.all(np.isfinite(theta)) or step < 0:
+            raise ValueError("parameters must be finite and the step >= 0")
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint lacks field {exc}") from None
     except (TypeError, ValueError) as exc:

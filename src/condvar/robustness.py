@@ -9,12 +9,18 @@ bounds on the true supremum (deterministic per-group shifts, finite
 direction grids or ascent). 'uniform_ball' is exact for equal
 per-group budgets, at every budget, when ``_style_direction`` finds the
 model linear in style. Every probe scores through ``_shifted_losses``.
+
+``report`` runs every probe of one fit on one ``_Fit``, which computes each
+input they share once, and returns one ``RobustnessReport``, whose
+``to_json`` is the CLI's ``robustness.json``; each public probe runs on a
+``_Fit`` of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +34,7 @@ __all__ = [
     "WorstCaseResult",
     "DivergenceProbe",
     "FirstOrderGap",
+    "RobustnessReport",
     "mahalanobis_cost",
     "loss_under_shift",
     "worst_case_loss",
@@ -36,6 +43,7 @@ __all__ = [
     "invariance_defect",
     "estimate_conditional_covariance",
     "steepest_style_direction",
+    "report",
 ]
 
 
@@ -81,6 +89,32 @@ class FirstOrderGap:
     penalty_value: float    # the conditional sd-of-loss term
 
 
+@dataclass
+class RobustnessReport:
+    """One fit's style-shift robustness, from ``report``; ``to_json`` is the
+    ``robustness.json`` that ``shift_eval`` writes."""
+
+    xi_grid: list
+    worst_case: list        # a WorstCaseResult per budget in xi_grid
+    method: str
+    first_order: FirstOrderGap
+    divergence: DivergenceProbe
+    invariance_defect: float | None  # a model linear in style only
+
+    def to_json(self) -> dict:
+        fo, probe = self.first_order, self.divergence
+        out = {"xi_grid": self.xi_grid, "worst_case": [r.value for r in self.worst_case],
+               "method": self.method, "note": self.worst_case[-1].note,
+               "unshifted_loss": probe.unshifted,
+               "first_order": {"xi": fo.xi, "lhs": fo.lhs, "rhs": fo.rhs, "gap": fo.gap},
+               "divergence": {"direction": probe.direction.tolist(),
+                              "magnitudes": probe.magnitudes.tolist(),
+                              "losses": probe.losses.tolist(), "verdict": probe.verdict}}
+        if self.invariance_defect is not None:
+            out["invariance_defect"] = self.invariance_defect
+        return out
+
+
 def _chol(sigma, q: int) -> np.ndarray:
     """The lower Cholesky factor L of the style covariance Sigma = L L^T,
     after checking that Sigma is one symmetric (to ``np.allclose``, the
@@ -101,30 +135,27 @@ def mahalanobis_cost(delta, sigma) -> float:
     return float(z @ z)
 
 
-def _shifted_losses(spec, theta, style_dataset, targets, shifts) -> np.ndarray:
-    """Per-sample losses, (K, n), under K stacked style shifts: ``shifts``
-    is (K, n, q), or (K, 1, q) for one shift of every sample, and
-    ``targets`` the samples' ``models._targets``. The shifted styles are
-    rendered and scored k at a time as one (k n)-row batch, k from
-    ``models._chunk``; no sample's loss depends on the shifts beside it."""
-    n = len(targets)
-    k = md._chunk(spec, n, style_dataset.q)
+def _shifted_losses(fit, shifts) -> np.ndarray:
+    """Per-sample losses of a ``_Fit``, (K, n), under K stacked style shifts:
+    ``shifts`` is (K, n, q), or (K, 1, q) for one shift of every sample. The
+    shifted styles are rendered and scored k at a time as one (k n)-row
+    batch, k from ``models._chunk``; no sample's loss depends on the shifts
+    beside it."""
+    spec, ds, n = fit.spec, fit.data, len(fit.targets)
+    k = md._chunk(spec, n, ds.q)
     losses = np.empty((len(shifts), n))
     for lo in range(0, len(shifts), k):
-        feats = style_dataset.render(style_dataset.style + shifts[lo:lo + k])
-        logits = md.forward(spec, theta, feats.reshape(-1, feats.shape[-1]))
+        feats = ds.render(ds.style + shifts[lo:lo + k])
+        logits = md.forward(spec, fit.theta, feats.reshape(-1, feats.shape[-1]))
         losses[lo:lo + len(feats)] = md._target_losses(
-            spec, logits, np.tile(targets, len(feats))).reshape(len(feats), n)
+            spec, logits, np.tile(fit.targets, len(feats))).reshape(len(feats), n)
     return losses
 
 
 def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                      assignment, group_index: GroupIndex | None = None) -> float:
     """Mean loss after re-rendering under the given shift assignment."""
-    ds = style_dataset.dataset
-    delta = expand_assignment(assignment, len(ds), style_dataset.q, group_index)
-    return float(np.mean(_shifted_losses(spec, theta, style_dataset,
-                                         md._targets(spec, ds.labels), delta[None])[0]))
+    return _Fit(spec, theta, style_dataset, groups=group_index).mean_loss(assignment)
 
 
 def _sphere_directions(q: int):
@@ -151,13 +182,12 @@ def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
     return None
 
 
-def _search_spheres(spec, theta, style_dataset, group_index, chol, budgets,
-                    seed) -> tuple:
+def _search_spheres(fit, budgets, seed) -> tuple:
     """Best shift on every group's sphere delta^T Sigma^-1 delta = budget_j,
-    all groups at once: returns the group mean losses there, (m,), and the
-    shifts, (m, q). A candidate is one unit direction u_j per group, shifted
-    as sqrt(budget_j) L u_j with ``chol`` = L the Cholesky factor of Sigma.
-    When a shift moves every logit by a^T delta (``_style_direction``), a
+    all of ``fit.groups`` at once: returns the group mean losses there, (m,),
+    and the shifts, (m, q). A candidate is one unit direction u_j per group,
+    shifted as sqrt(budget_j) L u_j with L = ``fit.chol``.
+    When a shift moves every logit by a^T delta (``fit.a``), a
     group's mean loss is convex in s = a^T delta, which spans an interval on
     the sphere, so the two candidates u = +-L^T a / ||L^T a|| at its ends,
     one pair for every group, hold the exact maximum (when a = 0 every
@@ -167,13 +197,12 @@ def _search_spheres(spec, theta, style_dataset, group_index, chol, budgets,
     refined by 200 steps of projected gradient ascent. Each group keeps its
     first strict maximum. Candidates are stepped and scored K at a time, the
     evaluator's chunk (``_shifted_losses``), their group means taken over K m
-    segments. When every budget is 0 the only shift is 0, and the unshifted
-    group mean losses are returned without a search."""
-    seg, m, q = group_index.seg, group_index.m, style_dataset.q
-    n, p = style_dataset.dataset.features.shape
+    segments. When every budget is 0 the only shift is 0, and the group
+    means of the fit's unshifted losses are returned without a search."""
+    ds, chol, seg, m, q = fit.data, fit.chol, fit.groups.seg, fit.groups.m, fit.data.q
+    n, p = ds.dataset.features.shape
     scale = np.sqrt(budgets)[:, None]
-    k = md._chunk(spec, n, q)
-    targets = md._targets(spec, style_dataset.dataset.labels)
+    k = md._chunk(fit.spec, n, q)
     seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
     def shift(u):  # (K, m, q) unit directions -> shifts
@@ -185,11 +214,10 @@ def _search_spheres(spec, theta, style_dataset, group_index, chol, budgets,
         return means.reshape((kk, m) + values.shape[1:])
 
     if not np.any(budgets):
-        losses = _shifted_losses(spec, theta, style_dataset, targets, np.zeros((1, 1, q)))
-        return group_means(losses.reshape(-1))[0], np.zeros((m, q))
+        return segment_means(fit.unshifted, seg, m), np.zeros((m, q))
 
     steps = 0
-    if (a := _style_direction(spec, theta, style_dataset)) is not None:
+    if (a := fit.a) is not None:
         # one (1, q) row, L^T a, whose pair every group shares
         end = np.einsum("ba,b->a", chol, a)[None] if np.any(a) else np.eye(q)[:1]
         end /= np.linalg.norm(end, axis=1, keepdims=True)
@@ -206,17 +234,15 @@ def _search_spheres(spec, theta, style_dataset, group_index, chol, budgets,
     for lo in range(0, len(starts), k):
         u = starts[lo:lo + k]
         for _ in range(steps):
-            style = style_dataset.style + np.take(shift(u), seg, axis=1)
-            g = _style_gradients(spec, theta, style_dataset,
-                                 style_dataset.render(style).reshape(-1, p),
-                                 np.tile(targets, len(u)))
+            style = ds.style + np.take(shift(u), seg, axis=1)
+            g = _style_gradients(fit.spec, fit.theta, ds, ds.render(style).reshape(-1, p),
+                                 np.tile(fit.targets, len(u)))
             g_u = scale * np.einsum("ba,kjb->kja", chol, group_means(g))
             norms = np.maximum(np.linalg.norm(g_u, axis=2, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
             u = u / np.linalg.norm(u, axis=2, keepdims=True)
         delta = shift(u)
-        val = group_means(_shifted_losses(spec, theta, style_dataset, targets,
-                                          np.take(delta, seg, axis=1)).reshape(-1))
+        val = group_means(_shifted_losses(fit, np.take(delta, seg, axis=1)).reshape(-1))
         val[np.isnan(val)] = -np.inf  # NaN never beats the best, as under ">"
         top = np.argmax(val, axis=0)  # first maximum within the chunk
         val, delta = val[top, groups], delta[top, groups]
@@ -246,18 +272,100 @@ def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarra
     return out
 
 
-def _group_shift_gradients(spec, theta, style_dataset, group_index) -> np.ndarray:
-    """Gradient of each group's mean loss with respect to its style shift,
-    evaluated at zero shift. Shape (m, q)."""
-    ds = style_dataset.dataset
-    per_sample = _style_gradients(spec, theta, style_dataset, ds.features,
-                                  md._targets(spec, ds.labels))
-    return segment_means(per_sample, group_index.seg, group_index.m)
+class _Fit:
+    """The probes of one fit and what they share: the factor of ``sigma``
+    (checked before any model evaluation), the loss targets and a, set here,
+    and the zero-shift per-sample losses and style gradients, (n,) and
+    (n, q), each computed once, on first use."""
+
+    def __init__(self, spec, theta, style_dataset, sigma=None, groups=None):
+        self.spec, self.theta, self.data = spec, theta, style_dataset
+        self.sigma, self.groups = sigma, groups
+        self.chol = None if sigma is None else _chol(sigma, style_dataset.q)
+        self.targets = md._targets(spec, style_dataset.dataset.labels)
+        self.a = _style_direction(spec, theta, style_dataset)
+
+    @cached_property
+    def unshifted(self) -> np.ndarray:
+        return _shifted_losses(self, np.zeros((1, 1, self.data.q)))[0]
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        return _style_gradients(self.spec, self.theta, self.data, self.data.dataset.features,
+                                self.targets)
+
+    def mean_loss(self, assignment) -> float:
+        delta = expand_assignment(assignment, len(self.data.dataset), self.data.q, self.groups)
+        losses = _shifted_losses(self, delta[None])[0] if np.any(delta) else self.unshifted
+        return float(np.mean(losses))
+
+    def worst_case(self, xi, method, seed) -> WorstCaseResult:
+        m, q = self.groups.m, self.data.q
+        if xi == 0.0:
+            assignment = np.zeros((m, q))  # every method's only shift
+        elif method == "exhaustive_tiny":
+            return _exhaustive_tiny(self, xi, seed)
+        elif method == "uniform_ball":
+            _, assignment = _search_spheres(self, np.full(m, xi), seed)
+        else:
+            grads = segment_means(self.gradients, self.groups.seg, m)  # (m, q)
+            sg = np.einsum("ab,jb->ja", np.asarray(self.sigma, dtype=float), grads)
+            norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
+            active = norms > 0.0
+            assignment = np.zeros((m, q))
+            if active.any():
+                # nonzero-gradient groups share the whole average budget equally
+                per_group_budget = xi * m / active.sum()
+                assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
+        exact = method == "uniform_ball" and self.a is not None
+        return WorstCaseResult(self.mean_loss(assignment), assignment, method,
+                               _EXACT_NOTE if exact else WorstCaseResult.note)
+
+    def first_order(self, xi) -> FirstOrderGap:
+        unshifted = float(np.mean(self.unshifted))
+        pen = conditional_penalty(self.unshifted, self.groups, nu=0.5)
+        lhs = self.worst_case(xi, "gradient_allocation", 0).value
+        rhs = unshifted + np.sqrt(xi) * pen
+        return FirstOrderGap(lhs, rhs, abs(lhs - rhs), float(xi), pen)
+
+    def steepest(self) -> np.ndarray:
+        whole = np.zeros(len(self.data.dataset), dtype=int)  # one segment: every sample
+        g = segment_means(self.gradients, whole, 1)[0]
+        sg = np.asarray(self.sigma, dtype=float) @ g
+        denom = np.sqrt(g @ sg)
+        return np.eye(len(g))[0] if denom == 0.0 else sg / denom
+
+    def divergence(self, direction, magnitudes) -> DivergenceProbe:
+        # a zero magnitude reads the shared zero-shift losses
+        unshifted, moved = float(np.mean(self.unshifted)), magnitudes != 0.0
+        losses = np.full(len(magnitudes), unshifted)
+        if moved.any():
+            shifts = magnitudes[moved, None, None] * direction
+            losses[moved] = _shifted_losses(self, shifts).mean(axis=1)
+        tail = losses[-3:]
+        increasing = bool(np.all(np.diff(tail) > 0.0)) if len(tail) >= 2 else False
+        big = bool(losses[-1] > 10.0 * unshifted)
+        verdict = "unbounded" if (big and increasing) else "bounded"
+        return DivergenceProbe(direction, magnitudes, losses, unshifted, verdict)
 
 
 def _check_budget(xi) -> None:
     if not (np.isfinite(xi) and xi >= 0):
         raise ValueError(f"xi must be finite and >= 0, got {xi}")
+
+
+def _check_method(method, m: int) -> None:
+    if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exhaustive_tiny" and m > 3:
+        raise ValueError("exhaustive_tiny supports at most 3 groups")
+
+
+def _checked_magnitudes(magnitudes) -> np.ndarray:
+    magnitudes = np.asarray(sorted(float(v) for v in magnitudes))
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError("magnitudes must be finite")
+    return magnitudes
 
 
 def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
@@ -286,33 +394,8 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     'uniform_ball' values, else the ``WorstCaseResult`` default.
     """
     _check_budget(xi)
-    if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
-        raise ValueError(f"unknown method {method!r}")
-    m, q = group_index.m, style_dataset.q
-    if method == "exhaustive_tiny" and m > 3:
-        raise ValueError("exhaustive_tiny supports at most 3 groups")
-    chol = _chol(sigma, q)
-    if xi == 0.0:
-        assignment = np.zeros((m, q))  # every method's only shift
-    elif method == "exhaustive_tiny":
-        return _exhaustive_tiny(spec, theta, style_dataset, group_index, chol, xi, seed)
-    elif method == "uniform_ball":
-        _, assignment = _search_spheres(spec, theta, style_dataset, group_index,
-                                        chol, np.full(m, xi), seed)
-    else:
-        grads = _group_shift_gradients(spec, theta, style_dataset, group_index)
-        sg = np.einsum("ab,jb->ja", np.asarray(sigma, dtype=float), grads)
-        norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
-        active = norms > 0.0
-        assignment = np.zeros((m, q))
-        if active.any():
-            # nonzero-gradient groups share the whole average budget equally
-            per_group_budget = xi * m / active.sum()
-            assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
-    value = loss_under_shift(spec, theta, style_dataset, assignment, group_index)
-    linear = _style_direction(spec, theta, style_dataset) is not None
-    note = _EXACT_NOTE if method == "uniform_ball" and linear else WorstCaseResult.note
-    return WorstCaseResult(value, assignment, method, note)
+    _check_method(method, group_index.m)
+    return _Fit(spec, theta, style_dataset, sigma, group_index).worst_case(xi, method, seed)
 
 
 def _budget_splits(n_groups: int, steps: int):
@@ -323,9 +406,9 @@ def _budget_splits(n_groups: int, steps: int):
             if sum(s) == steps]
 
 
-def _exhaustive_tiny(spec, theta, style_dataset, group_index, chol, xi, seed):
-    m, q = group_index.m, style_dataset.q
-    weights = group_index.sizes / group_index.n
+def _exhaustive_tiny(fit, xi, seed):
+    m, q = fit.groups.m, fit.data.q
+    weights = fit.groups.sizes / fit.groups.n
     steps = 10
     splits = np.array(_budget_splits(m, steps))
     fr = np.linspace(0.0, 1.0, steps + 1)
@@ -334,8 +417,7 @@ def _exhaustive_tiny(spec, theta, style_dataset, group_index, chol, xi, seed):
     # (level, group) table that every split reads from
     vals, shifts = np.zeros((len(fr), m)), np.zeros((len(fr), m, q))
     for k in np.unique(splits):
-        vals[k], shifts[k] = _search_spheres(spec, theta, style_dataset, group_index,
-                                             chol, np.full(m, fr[k] * m * xi), seed)
+        vals[k], shifts[k] = _search_spheres(fit, np.full(m, fr[k] * m * xi), seed)
     groups = np.arange(m)
     best_val, best_assign = -np.inf, np.zeros((m, q))
     for split in splits:
@@ -356,19 +438,8 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (style_dataset.q,) or not np.any(direction != 0.0):
         raise ValueError("direction must be a nonzero length-q vector")
-    magnitudes = np.asarray(sorted(float(v) for v in magnitudes))
-    if not np.all(np.isfinite(magnitudes)):
-        raise ValueError("magnitudes must be finite")
-    # the unshifted point and every magnitude, one (1, q) shift each
-    shifts = np.concatenate([[0.0], magnitudes])[:, None, None] * direction
-    targets = md._targets(spec, style_dataset.dataset.labels)
-    losses = _shifted_losses(spec, theta, style_dataset, targets, shifts).mean(axis=1)
-    unshifted, losses = float(losses[0]), losses[1:]
-    tail = losses[-3:] if len(losses) >= 3 else losses
-    increasing = bool(np.all(np.diff(tail) > 0.0)) if len(tail) >= 2 else False
-    big = bool(losses[-1] > 10.0 * unshifted)
-    verdict = "unbounded" if (big and increasing) else "bounded"
-    return DivergenceProbe(direction, magnitudes, losses, unshifted, verdict)
+    return _Fit(spec, theta, style_dataset).divergence(direction,
+                                                       _checked_magnitudes(magnitudes))
 
 
 def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
@@ -376,15 +447,7 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     """Compare the worst-case loss at budget xi against its first-order
     expansion: unshifted loss + sqrt(xi) * conditional sd of the loss."""
     _check_budget(xi)
-    ds = style_dataset.dataset
-    losses = _shifted_losses(spec, theta, style_dataset, md._targets(spec, ds.labels),
-                             np.zeros((1, 1, style_dataset.q)))[0]
-    unshifted = float(np.mean(losses))
-    pen = conditional_penalty(losses, group_index, nu=0.5)
-    lhs = worst_case_loss(spec, theta, style_dataset, group_index, sigma, xi,
-                          method="gradient_allocation").value
-    rhs = unshifted + np.sqrt(xi) * pen
-    return FirstOrderGap(lhs, rhs, abs(lhs - rhs), float(xi), pen)
+    return _Fit(spec, theta, style_dataset, sigma, group_index).first_order(xi)
 
 
 def invariance_defect(theta, style_matrix) -> float:
@@ -414,14 +477,30 @@ def steepest_style_direction(spec: md.ModelSpec, theta,
     global style shift: Sigma g / sqrt(g^T Sigma g) with g the mean shift
     gradient over all samples. When that growth is zero (a model that
     ignores style), every direction ties and e_1 is returned."""
-    _chol(sigma, style_dataset.q)  # the check only: the direction reads Sigma itself
-    whole = GroupIndex(np.zeros(len(style_dataset.dataset), dtype=int))
-    g = _group_shift_gradients(spec, theta, style_dataset, whole)[0]
-    sg = np.asarray(sigma, dtype=float) @ g
-    denom = np.sqrt(g @ sg)
-    if denom == 0.0:
-        return np.eye(len(g))[0]
-    return sg / denom
+    return _Fit(spec, theta, style_dataset, sigma).steepest()
+
+
+def report(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
+           group_index: GroupIndex, sigma, xis, method: str, fo_xi: float,
+           magnitudes) -> RobustnessReport:
+    """The worst case by ``method`` at every budget in ``xis``, the first-order
+    gap at ``fo_xi``, the divergence probe at ``magnitudes`` along the steepest
+    style direction and the invariance defect (for a model linear in style;
+    else along e_1, with no defect), all on one ``_Fit``, every input checked
+    before the model first runs."""
+    if len(xis) == 0:
+        raise ValueError("xis must hold at least one budget")
+    for xi in (*xis, fo_xi):
+        _check_budget(xi)
+    _check_method(method, group_index.m)
+    magnitudes = _checked_magnitudes(magnitudes)
+    fit = _Fit(spec, theta, style_dataset, sigma, group_index)
+    linear = fit.a is not None
+    direction = fit.steepest() if linear else np.eye(style_dataset.q)[0]
+    return RobustnessReport(
+        [float(xi) for xi in xis], [fit.worst_case(xi, method, 0) for xi in xis], method,
+        fit.first_order(fo_xi), fit.divergence(direction, magnitudes),
+        invariance_defect(theta, style_dataset.style_matrix) if linear else None)
 
 
 def estimate_conditional_covariance(style_dataset: StyleAwareDataset,

@@ -239,6 +239,73 @@ def test_shift_eval_rejects_non_finite_magnitudes(gen_dir, trained_dir, tmp_path
     assert "config error: magnitudes must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--fo-xi", "nan"], ["--xi", 0.0, 1.0, "inf"],
+                                   ["--magnitudes", 1.0, "nan"]],
+                         ids=["fo_xi", "last_xi", "magnitude"])
+def test_shift_eval_checks_its_flags_before_the_model_runs(gen_dir, trained_dir, tmp_path,
+                                                           monkeypatch, flags):
+    calls = []
+    for module, name in ((md, "forward"), (rb, "_style_gradients")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    assert _shift_eval_exit(gen_dir, trained_dir, tmp_path, *flags) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["gradient_allocation", "uniform_ball"])
+def test_shift_eval_writes_the_library_report(gen_dir, trained_dir, tmp_path, method):
+    ckpt = trained_dir / "checkpoint.json"
+    xis, fo_xi, magnitudes = [0.0, 0.2, 1.5], 0.01, [0.0, 2.0, 20.0]
+    assert run("shift_eval", "--checkpoint", ckpt, "--data", gen_dir / "train.csv",
+               "--latents", gen_dir / "train_latents.json", "--method", method,
+               "--xi", *xis, "--fo-xi", fo_xi, "--magnitudes", *magnitudes,
+               "--out", tmp_path) == 0
+    want = rb.report(*_shift_eval_inputs(gen_dir, ckpt), xis, method, fo_xi, magnitudes)
+    written = json.loads((tmp_path / "robustness.json").read_text())
+    assert written == json.loads(json.dumps(want.to_json()))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["quickstart", "polar_mlp", "shift_search"])
+def test_shift_eval_scores_zero_shift_once_and_takes_one_gradient_pass(tmp_path, monkeypatch,
+                                                                       name):
+    # the benchmark's tiny pipelines: quickstart runs gradient_allocation,
+    # polar_mlp uniform_ball's grid on an MLP and shift_search its exact pair
+    # on a linear model. Every probe of one shift_eval shares one zero-shift
+    # scoring (the worst case at xi = 0, the first-order terms, the
+    # divergence probe's unshifted point and its magnitude 0) and one
+    # style-gradient pass over the n samples (gradient_allocation at every
+    # xi, the first-order left-hand side, the steepest direction).
+    # exhaustive_tiny's zero share level reads the same zero-shift losses
+    # (test_robustness.py).
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    w = workloads.WORKLOADS[name]
+    gradient_rows, zero_shifts = [], []
+    style_gradients, shifted_losses = rb._style_gradients, rb._shifted_losses
+
+    def count_gradients(spec, theta, style_dataset, features, targets):
+        gradient_rows.append(len(features))
+        return style_gradients(spec, theta, style_dataset, features, targets)
+
+    def count_scorings(fit, shifts):
+        zero_shifts.append(sum(not np.any(shift) for shift in shifts))
+        return shifted_losses(fit, shifts)
+
+    # no other step of the pipeline reaches either function
+    monkeypatch.setattr(rb, "_style_gradients", count_gradients)
+    monkeypatch.setattr(rb, "_shifted_losses", count_scorings)
+    for step, argv in w.build(0, str(tmp_path), w.tiny):
+        assert main(argv) == 0, step
+    assert zero_shifts, "shift_eval scored no shift"
+    assert gradient_rows == [len(load_csv(tmp_path / "train.csv"))]
+    assert sum(zero_shifts) == 1
+
+
 def test_shift_eval_missing_latents(gen_dir, trained_dir, tmp_path):
     code = run("shift_eval", "--checkpoint", trained_dir / "checkpoint.json",
                "--data", gen_dir / "train.csv",
@@ -534,6 +601,29 @@ def test_malformed_checkpoint_exits_data(gen_dir, trained_dir, tmp_path, capsys,
                "--out", tmp_path / "out")
     assert code == 3
     assert f"data error: {ckpt}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spoil", ["nan", "inf", "negative_step"])
+@pytest.mark.parametrize("command", ["eval", "shift_eval", "plot"])
+def test_non_finite_or_negative_step_checkpoint_exits_data(gen_dir, trained_dir, tmp_path,
+                                                           capsys, command, spoil):
+    ckpt = tmp_path / "checkpoint.json"
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    if spoil == "negative_step":
+        payload["step"] = -1
+    else:
+        payload["flat_params"][0] = float(spoil)
+    ckpt.write_text(json.dumps(payload))
+    flags = {
+        "eval": ["--checkpoint", ckpt, "--data", gen_dir / "test.csv"],
+        "shift_eval": ["--checkpoint", ckpt, "--data", gen_dir / "train.csv",
+                       "--latents", gen_dir / "train_latents.json"],
+        "plot": ["--checkpoints", ckpt, "--data", gen_dir / "train.csv"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *flags, "--out", out) == 3
+    assert f"data error: {ckpt}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_svg(gen_dir, trained_dir, tmp_path):

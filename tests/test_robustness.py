@@ -35,7 +35,7 @@ from condvar.penalties import segment_means
 from condvar.robustness import (
     WorstCaseResult,
     _budget_splits,
-    _group_shift_gradients,
+    _Fit,
     _search_spheres,
     _sphere_directions,
     _style_gradients,
@@ -421,7 +421,7 @@ def test_shift_gradients_match_central_differences(render):
         gi = build_group_index(ds.dataset)
     model = ModelSpec("mlp", (ds.dataset.p, 5, 1))
     theta = md.init_params(model, 3)
-    g = _group_shift_gradients(model, theta, ds, gi)
+    g = segment_means(_Fit(model, theta, ds).gradients, gi.seg, gi.m)
     fd = np.zeros_like(g)
     for k in range(ds.q):
         e = np.zeros(ds.q)
@@ -483,9 +483,9 @@ def test_budget_splits_index_the_share_grid(m):
 
 def _exhaustive_by_split(model, theta, ds, gi, sigma, xi, seed):
     # reference: one full search per budget split, scored by its weighted total
-    best, chol = -np.inf, np.linalg.cholesky(sigma)
+    best, fit = -np.inf, _Fit(model, theta, ds, sigma, gi)
     for split in _float_splits(gi.m):
-        vals, _ = _search_spheres(model, theta, ds, gi, chol, split * gi.m * xi, seed)
+        vals, _ = _search_spheres(fit, split * gi.m * xi, seed)
         best = max(best, float(np.sum(gi.sizes / gi.n * vals)))
     return best
 
@@ -517,8 +517,7 @@ def test_zero_budget_search_is_the_unshifted_group_loss(q, monkeypatch):
     want = [np.mean(losses[gi.seg == j]) for j in range(gi.m)]
     forward, calls = md.forward, []
     monkeypatch.setattr(md, "forward", lambda *args: calls.append(1) or forward(*args))
-    vals, shifts = _search_spheres(model, theta, ds, gi, np.linalg.cholesky(sigma),
-                                   np.zeros(2), seed=0)
+    vals, shifts = _search_spheres(_Fit(model, theta, ds, sigma, gi), np.zeros(2), seed=0)
     assert len(calls) == 1  # one evaluation, no direction grid or ascent
     np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
     assert np.array_equal(shifts, np.zeros((2, q)))
@@ -590,19 +589,20 @@ def _grid_instance(q, render):
     theta = md.init_params(model, 4) + 0.3 * np.random.default_rng(5).standard_normal(
         md.param_count(model))
     root = np.random.default_rng(q).standard_normal((q, q))
-    chol = np.linalg.cholesky(root @ root.T + 0.5 * np.eye(q))
+    sigma = root @ root.T + 0.5 * np.eye(q)
     budgets = np.linspace(0.2, 1.4, gi.m)
-    return model, theta, ds, gi, chol, budgets
+    return model, theta, ds, gi, sigma, budgets
 
 
 @pytest.mark.parametrize("k", [1, 7, 2000])
 @pytest.mark.parametrize("q,render", [(2, "linear"), (3, "linear"), (1, "polar")])
 def test_grid_search_equals_one_candidate_loop(q, render, k, monkeypatch):
     # k = 7 leaves a partial last chunk (720 % 7, 2000 % 7); 2000 holds every grid
-    model, theta, ds, gi, chol, budgets = _grid_instance(q, render)
-    want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi, chol, budgets, 0)
+    model, theta, ds, gi, sigma, budgets = _grid_instance(q, render)
+    want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi,
+                                                   np.linalg.cholesky(sigma), budgets, 0)
     _force_chunk(monkeypatch, k, model, ds)
-    vals, shifts = _search_spheres(model, theta, ds, gi, chol, budgets, 0)
+    vals, shifts = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 0)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(shifts, want_shifts)
 
@@ -613,15 +613,16 @@ def ascent_reference():
     ds, gi, theta, sigma = sigma_instance(4, model)
     args = (model, theta, ds, GroupIndex(np.minimum(gi.seg, 2)), np.linalg.cholesky(sigma),
             np.array([0.3, 0.6, 1.1]), 5)
-    return args, _one_candidate_search(*args)
+    return args, sigma, _one_candidate_search(*args)
 
 
 @pytest.mark.parametrize("k", [5, 64])
 def test_stacked_ascent_matches_per_restart_loop(k, ascent_reference, monkeypatch):
     # k = 5 leaves a partial last chunk of the 64 restarts; 64 steps them all at once
-    args, (want_vals, want_shifts) = ascent_reference
-    _force_chunk(monkeypatch, k, args[0], args[2])
-    vals, shifts = _search_spheres(*args)
+    args, sigma, (want_vals, want_shifts) = ascent_reference
+    model, theta, ds, gi, _chol, budgets, seed = args
+    _force_chunk(monkeypatch, k, model, ds)
+    vals, shifts = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, seed)
     np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
     np.testing.assert_allclose(shifts, want_shifts, rtol=1e-12, atol=1e-15)
 
@@ -650,7 +651,7 @@ def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
     ds, gi, theta, sigma = sigma_instance(q, model)
     budgets = np.linspace(0.2, 1.4, gi.m)
     chol = np.linalg.cholesky(sigma)
-    exact, _ = _search_spheres(model, theta, ds, gi, chol, budgets, 5)
+    exact, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 5)
     ref, _ = _one_candidate_search(model, theta, ds, gi, chol, budgets, 5)
     la = chol.T @ (ds.style_matrix.T @ theta[:7])
     r = np.sqrt(budgets) * np.linalg.norm(la)
@@ -675,9 +676,10 @@ def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
 def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
     # a zero-parameter model has the same loss under every shift, so every
     # candidate ties and each group must keep grid[0]'s shift across chunks
-    model, _theta, ds, gi, chol, budgets = _grid_instance(2, "linear")
+    model, _theta, ds, gi, sigma, budgets = _grid_instance(2, "linear")
+    chol = np.linalg.cholesky(sigma)
     _force_chunk(monkeypatch, 7, model, ds)
-    vals, shifts = _search_spheres(model, np.zeros(md.param_count(model)), ds, gi, chol,
+    vals, shifts = _search_spheres(_Fit(model, np.zeros(md.param_count(model)), ds, sigma, gi),
                                    budgets, 0)
     first = np.sqrt(budgets)[:, None] * np.einsum("ab,b->a", chol, _sphere_directions(2)[0])
     assert np.all(vals == np.log(2.0))
@@ -698,7 +700,7 @@ def test_search_memory_stays_within_the_chunk_budget():
                          (two_class, md.init_params(two_class, 0))):
         tracemalloc.start()
         try:
-            _search_spheres(model, theta, ds, gi, np.eye(2), np.full(gi.m, 1.0), 0)
+            _search_spheres(_Fit(model, theta, ds, np.eye(2), gi), np.full(gi.m, 1.0), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -974,3 +976,93 @@ def test_worst_case_under_a_non_diagonal_sigma_pinned(fit):
     with open(PINNED, encoding="utf-8") as fh:
         want = json.load(fh)[name]
     assert _worst_case_outputs(*args) == want
+
+
+# ---- one report ----------------------------------------------------------------------
+
+_BAD_REPORT_INPUTS = {
+    "xi": {"xis": [0.0, float("nan")]},
+    "no_xi": {"xis": []},
+    "fo_xi": {"fo_xi": -1.0},
+    "magnitudes": {"magnitudes": [1.0, float("inf")]},
+    "method": {"method": "steepest"},
+    "exhaustive_tiny_groups": {"method": "exhaustive_tiny"},
+    "sigma": {"sigma": np.array([[1.0, 5.0], [0.0, 1.0]])},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_REPORT_INPUTS))
+def test_report_checks_every_input_before_the_model_runs(bad, monkeypatch):
+    # a bad last budget, first-order budget or magnitude fails before the
+    # first forward call or style-gradient pass, not after the worst cases
+    spec, ds, gi = scm_instance()
+    assert gi.m > 3
+    args = {"spec": ModelSpec("linear", (6, 1)), "theta": linear_theta(spec, ds),
+            "style_dataset": ds, "group_index": gi, "sigma": np.eye(2), "xis": [0.0, 0.1],
+            "method": "gradient_allocation", "fo_xi": 1e-3, "magnitudes": [0.0, 1.0]}
+    calls = []
+    for module, name in ((md, "forward"), (rb, "_style_gradients")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    with pytest.raises(ValueError):
+        rb.report(**{**args, **_BAD_REPORT_INPUTS[bad]})
+    assert calls == []
+    rb.report(**args)
+    assert {"forward", "_style_gradients"} <= set(calls)
+
+
+@pytest.fixture(scope="module", params=_pinned_fits(), ids=lambda f: f[0])
+def pinned_fit(request):
+    # a pinned fit's model, style dataset, groups and the Sigma shift_eval reads
+    _name, ds, spec, cfg = request.param
+    gi = build_group_index(ds.dataset)
+    theta = train(ds.dataset, gi, spec, cfg).theta
+    sigma = (np.asarray(ds.scm.style_cov) if ds.scm is not None
+             else estimate_conditional_covariance(ds, gi).pooled)
+    return spec, theta, ds, gi, sigma
+
+
+@pytest.mark.parametrize("method", ["uniform_ball", "gradient_allocation", "exhaustive_tiny"])
+def test_every_probe_equals_its_report_field(pinned_fit, method):
+    # report runs every probe on one shared _Fit; each public probe, on its
+    # own, must give the same bits (exhaustive_tiny on groups 2 and up merged)
+    spec, theta, ds, gi, sigma = pinned_fit
+    if method == "exhaustive_tiny":
+        gi = GroupIndex(np.minimum(gi.seg, 2))
+    xis, fo_xi, magnitudes = [0.0, 0.3, 2.0], 0.5, [0.0, 1.0, 10.0, 100.0, 1000.0]
+    got = rb.report(spec, theta, ds, gi, sigma, xis, method, fo_xi, magnitudes)
+    assert got.xi_grid == xis and got.method == method
+    assert len(got.worst_case) == len(xis)
+    for xi, res in zip(xis, got.worst_case):
+        want = worst_case_loss(spec, theta, ds, gi, sigma, xi, method=method)
+        assert (res.value, res.method, res.note) == (want.value, want.method, want.note)
+        assert np.array_equal(res.assignment, want.assignment)
+    assert got.first_order == first_order_gap(spec, theta, ds, gi, sigma, fo_xi)
+    linear = rb._style_direction(spec, theta, ds) is not None
+    direction = steepest_style_direction(spec, theta, ds, sigma) if linear else np.eye(ds.q)[0]
+    want = divergence_probe(spec, theta, ds, direction, magnitudes)
+    for field in ("direction", "magnitudes", "losses"):
+        assert np.array_equal(getattr(got.divergence, field), getattr(want, field))
+    assert (got.divergence.unshifted, got.divergence.verdict) == (want.unshifted, want.verdict)
+    assert got.invariance_defect == (invariance_defect(theta, ds.style_matrix) if linear
+                                     else None)
+
+
+def test_exhaustive_tiny_reads_the_shared_zero_shift_losses(monkeypatch):
+    # every budget split with a zero share searches every group at budget 0;
+    # that level, the worst case at xi = 0, the first-order terms and the
+    # divergence probe's magnitude 0 share one zero-shift scoring
+    spec, ds, gi = scm_instance()
+    groups = GroupIndex(np.minimum(gi.seg, 2))
+    zero_shifts, shifted_losses = [], rb._shifted_losses
+
+    def count_scorings(fit, shifts):
+        zero_shifts.append(sum(not np.any(shift) for shift in shifts))
+        return shifted_losses(fit, shifts)
+
+    monkeypatch.setattr(rb, "_shifted_losses", count_scorings)
+    got = rb.report(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds, groups,
+                    np.eye(2), [0.0, 0.5, 2.0], "exhaustive_tiny", 1e-3, [0.0, 1.0])
+    assert sum(zero_shifts) == 1
+    assert got.worst_case[0].value == got.divergence.unshifted
