@@ -1,13 +1,14 @@
 """Command-line front end: generate, train, evaluate, shift-eval, plot.
 
-Each subcommand reads every input and computes every result first; only
-then does ``_publish`` create ``--out``, write the subcommand's files and a
-``manifest.json`` that records every parsed flag, with the values the
-subcommand resolved itself laid over them. A failing subcommand writes
-nothing. Every subcommand is deterministic under a fixed seed.
+Each subcommand reads every input, computes every result and returns its
+files as texts or JSON payloads. ``_publish`` serializes every payload, and a
+``manifest.json`` of every parsed flag overlaid by the values the subcommand
+resolved itself, as standard JSON; only then does it create ``--out`` and
+write. A failing subcommand writes nothing. Every subcommand is
+deterministic under a fixed seed.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (any file that
-cannot be read or written included), 4 numerical failure.
+cannot be read or written included), 4 numerical failure (non-finite results too).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import __version__
 from . import models as md
 from . import robustness as rb
 from . import scm
-from .data import DataFormatError, _write_json, build_group_index, load_csv, save_csv
+from .data import DataFormatError, _csv_text, _json_text, _write_text, build_group_index, load_csv
 from .penalties import (
     DegenerateVarianceError,
     PenaltyConfig,
@@ -50,20 +50,26 @@ class ConfigError(ValueError):
 
 
 def _publish(args, resolved: dict, files: dict) -> None:
-    """Create ``--out``, call each ``{name: writer(path)}`` in order, then
-    write the manifest: every parsed flag, overlaid by ``resolved``."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, write in files.items():
-        write(out / name)
+    """Serialize the JSON payloads of ``{name: text or payload}`` and the
+    manifest (every flag, overlaid by ``resolved``); a NaN or an infinity is
+    a numerical failure naming its file. Only then create ``--out`` and write."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
-    _write_json(out / "manifest.json", {
+    files = {**files, "manifest.json": {
         "tool": "condvar",
         "version": __version__,
         "command": args.command,
         "config": {**flags, **resolved},
         "outputs": sorted(files),
-    })
+    }}
+    for name, content in files.items():
+        try:
+            files[name] = content if isinstance(content, str) else _json_text(content)
+        except ValueError as exc:
+            raise ArithmeticError(f"{name}: non-finite result ({exc})") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write_text(out / name, text)
 
 
 def _parse_model(text: str) -> md.ModelSpec:
@@ -108,7 +114,7 @@ def _check_fit(spec, dataset, data_path, what: str) -> None:
         raise DataFormatError(f"{data_path}: {exc}") from None
 
 
-# Each _cmd_* returns (resolved values, {file name: writer(path)}, stdout summary).
+# Each _cmd_* returns (resolved values, {file name: text or JSON payload}, stdout summary).
 
 # ---- gen -------------------------------------------------------------------
 
@@ -145,12 +151,10 @@ def _cmd_gen(args) -> tuple:
         test_ds = scm.sample_linear_scm(spec, args.n, interv, args.seed + 1)
     else:
         raise ConfigError(f"unknown generator {args.generator!r}")
-    files = {
-        "train.csv": partial(save_csv, train_ds.dataset),
-        "test.csv": partial(save_csv, test_ds.dataset),
-        "train_latents.json": partial(scm.save_latents, train_ds),
-        "test_latents.json": partial(scm.save_latents, test_ds),
-    }
+    # the sidecars' row lists are gen's largest transient, so they come and go first
+    train_side, test_side = (scm._latents_text(ds) for ds in (train_ds, test_ds))
+    files = {"train.csv": _csv_text(train_ds.dataset), "test.csv": _csv_text(test_ds.dataset),
+             "train_latents.json": train_side, "test_latents.json": test_side}
     return {"test_shift": shift}, files, f"wrote {' '.join(files)} to {Path(args.out)}"
 
 
@@ -170,9 +174,8 @@ def _cmd_train(args) -> tuple:
     )
     report = train(dataset, build_group_index(dataset), spec, config)
     files = {
-        "checkpoint.json": lambda path: md.save_checkpoint(path, spec, report.theta,
-                                                           args.seed, report.steps),
-        "report.json": report.save,
+        "checkpoint.json": md._checkpoint_payload(spec, report.theta, args.seed, report.steps),
+        "report.json": {"theta": report.theta.tolist(), "history": report.history},
     }
     last = report.history[-1]
     summary = (f"final loss {last['loss']:.6f} penalty {last['penalty']:.6f} "
@@ -211,8 +214,7 @@ def _cmd_eval(args) -> tuple:
     dataset = load_csv(args.data)
     spec, theta = _load_checkpoint_for(args.checkpoint, dataset, args.data)
     metrics = _evaluate(spec, theta, dataset)
-    return ({}, {"metrics.json": lambda path: _write_json(path, metrics)},
-            json.dumps(metrics, indent=1, sort_keys=True))
+    return {}, {"metrics.json": metrics}, json.dumps(metrics, indent=1, sort_keys=True)
 
 
 # ---- shift_eval --------------------------------------------------------------
@@ -238,7 +240,7 @@ def _cmd_shift_eval(args) -> tuple:
     summary = json.dumps({"unshifted_loss": report["unshifted_loss"],
                           "worst_case": report["worst_case"],
                           "verdict": report["divergence"]["verdict"]}, indent=1, sort_keys=True)
-    return {}, {"robustness.json": lambda path: _write_json(path, report)}, summary
+    return {}, {"robustness.json": report}, summary
 
 
 # ---- plot ------------------------------------------------------------------
@@ -252,13 +254,14 @@ def _cmd_plot(args) -> tuple:
     if dataset.p != 2:
         raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")
     checkpoints = [_load_checkpoint_for(path, dataset, args.data) for path in args.checkpoints]
+    for path, (spec, _theta) in zip(args.checkpoints, checkpoints):
+        if spec.output_dim > 2:
+            raise DataFormatError(f"{path}: plots need 1 or 2 outputs, not {spec.output_dim}")
     labels = args.labels if args.labels else [Path(p).stem for p in args.checkpoints]
     if len(labels) != len(checkpoints):
         raise ConfigError("need exactly one label per checkpoint")
     svg = decision_boundary_svg(dataset, checkpoints, labels)
-    return ({"labels": labels},
-            {args.name: lambda path: path.write_text(svg, encoding="utf-8")},
-            f"wrote {Path(args.out) / args.name}")
+    return {"labels": labels}, {args.name: svg}, f"wrote {Path(args.out) / args.name}"
 
 
 # ---- parser ----------------------------------------------------------------

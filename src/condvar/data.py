@@ -1,5 +1,5 @@
 """Columnar observations, the (label, id) grouping partition, CSV ingest,
-and the one writer of the package's indented JSON files.
+and the one JSON serializer and the one writer of every file the package writes.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -171,12 +171,8 @@ def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, sele
     )
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
-    written with shortest round-trip precision so load(save(d)) == d bitwise.
-    Every id is checked before the file is opened, so an id that is empty
-    (it would read back as absent) or holds a comma or a newline raises
-    DataFormatError and leaves the path untouched."""
+def _csv_text(dataset: Dataset) -> str:
+    """The text ``save_csv`` writes."""
     ids = ["" if ident is None else str(ident) for ident in dataset.ids]
     joined = "".join(ids)
     if "," in joined or "\n" in joined:
@@ -187,19 +183,27 @@ def save_csv(dataset: Dataset, path) -> None:
     cols = ",".join(f"x{j}" for j in range(dataset.p))
     # built column by column; with p = 0 a row still ends in a comma, as the header does
     features = [map(repr, column) for column in dataset.features.T.tolist()] or [[""] * len(ids)]
-    body = "\n".join(map(",".join, zip(ids, map(str, dataset.labels.tolist()), *features)))
+    rows = map(",".join, zip(ids, map(str, dataset.labels.tolist()), *features))
+    return "\n".join([f"id,y,{cols}", *rows, ""])  # one join: the text is never copied
+
+
+def save_csv(dataset: Dataset, path) -> None:
+    """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
+    written with shortest round-trip precision so load(save(d)) == d bitwise.
+    Every id is checked before the file is opened, so an id that is empty
+    (it would read back as absent) or holds a comma or a newline raises
+    DataFormatError and leaves the path untouched."""
+    _write_text(path, _csv_text(dataset))
+
+
+def _json_text(payload, indent: int | None = 1) -> str:
+    """Standard JSON with sorted keys and a final newline; NaN and infinities raise ValueError."""
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"id,y,{cols}\n")
-        fh.write(body)
-        fh.write("\n")
-
-
-def _write_json(path, payload) -> None:
-    """``payload`` as key-sorted JSON indented by one space, then a newline:
-    the checkpoint, the training report and every file the CLI writes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:

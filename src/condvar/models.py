@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataFormatError, _write_json
+from .data import DataFormatError, _json_text, _write_text
 
 __all__ = [
     "ModelSpec",
@@ -249,13 +249,13 @@ def _decide(spec: ModelSpec, logits) -> np.ndarray:
     return np.argmax(logits, axis=-1).astype(int)
 
 
+def _checkpoint_payload(spec: ModelSpec, theta: np.ndarray, seed: int, step: int) -> dict:
+    return {"spec": asdict(spec), "flat_params": [float(v) for v in np.asarray(theta).ravel()],
+            "seed": int(seed), "step": int(step)}
+
+
 def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: int):
-    _write_json(path, {
-        "spec": asdict(spec),
-        "flat_params": [float(v) for v in np.asarray(theta).ravel()],
-        "seed": int(seed),
-        "step": int(step),
-    })
+    _write_text(path, _json_text(_checkpoint_payload(spec, theta, seed, step)))
 
 
 def load_checkpoint(path):

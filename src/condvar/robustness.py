@@ -342,6 +342,9 @@ class _Fit:
         if moved.any():
             shifts = magnitudes[moved, None, None] * direction
             losses[moved] = _shifted_losses(self, shifts).mean(axis=1)
+        for magnitude, loss in zip(magnitudes, losses):
+            if not np.isfinite(loss):
+                raise ArithmeticError(f"mean loss {loss} at style-shift magnitude {magnitude}")
         tail = losses[-3:]
         increasing = bool(np.all(np.diff(tail) > 0.0)) if len(tail) >= 2 else False
         big = bool(losses[-1] > 10.0 * unshifted)
@@ -433,7 +436,8 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
 
     The verdict is 'unbounded' when the largest-magnitude loss exceeds ten
     times the unshifted loss and the last three points strictly increase;
-    a heuristic, since no finite probe certifies an infinite limit.
+    a heuristic, since no finite probe certifies an infinite limit. A NaN
+    or infinite loss raises ArithmeticError naming its magnitude instead.
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (style_dataset.q,) or not np.any(direction != 0.0):

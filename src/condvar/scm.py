@@ -9,10 +9,10 @@ what every robustness probe in this package consumes.
 Two 2-d teaching generators are included: one where style acts along a
 fixed linear direction, and one where style is the polar angle.
 
-The latent sidecar is one standard JSON object (no NaN or Infinity): the
+The latent sidecar is one line of standard JSON (``data._json_text``): the
 generator and its parameters, the render kind, core and style latents as
-one list per row, a linear render's matrices and any SCM spec. It is
-encoded and decoded with the cyclic garbage collector paused: a JSON tree
+one list per row, a linear render's matrices and any SCM spec. Its text is
+built and parsed with the cyclic garbage collector paused: a JSON tree
 holds no reference cycle, so reference counting frees all of it, and the
 collections its 2n row lists would start could only scan it.
 """
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, DataFormatError
+from .data import Dataset, DataFormatError, _json_text, _write_text
 
 __all__ = [
     "LinearScmSpec",
@@ -381,10 +381,7 @@ def _gc_paused():
             gc.enable()
 
 
-def save_latents(style_dataset: StyleAwareDataset, path) -> None:
-    """Write the latent sidecar (module docstring). Its text is built before
-    the file is opened: a non-finite value raises ValueError and leaves an
-    existing file as it was."""
+def _latents_text(style_dataset: StyleAwareDataset) -> str:
     with _gc_paused():
         payload = {
             "generator": style_dataset.generator,
@@ -398,11 +395,16 @@ def save_latents(style_dataset: StyleAwareDataset, path) -> None:
             payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
         if style_dataset.scm is not None:
             payload["scm"] = asdict(style_dataset.scm)
-        # one dumps call runs the C encoder; json.dump always takes the Python one
-        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        # unindented, dumps runs the C encoder
+        text = _json_text(payload, indent=None)
         del payload  # the row lists die inside the pause
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    return text
+
+
+def save_latents(style_dataset: StyleAwareDataset, path) -> None:
+    """Write the latent sidecar, built before the file is opened: a non-finite
+    value raises ValueError and leaves an existing file as it was."""
+    _write_text(path, _latents_text(style_dataset))
 
 
 def _read_latents(dataset: Dataset, path) -> StyleAwareDataset:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, _write_json, build_group_index
+from .data import Dataset, GroupIndex, build_group_index
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -82,9 +82,6 @@ class TrainReport:
     theta: np.ndarray
     history: list
     steps: int
-
-    def save(self, path) -> None:
-        _write_json(path, {"theta": [float(v) for v in self.theta], "history": self.history})
 
 
 # ---- batching ------------------------------------------------------------

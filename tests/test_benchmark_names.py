@@ -103,3 +103,21 @@ def test_benchmark_reads_the_reports_of_a_tiny_run(monkeypatch, tmp_path, name):
     assert min(worst) >= quality["unshifted_loss"] * (1.0 - 1e-12)
     with open(PINNED, encoding="utf-8") as fh:
         assert _output_hashes(tmp_path) == json.load(fh)[name]
+
+
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SHAPES))
+def test_every_json_file_of_a_tiny_run_is_standard_json(monkeypatch, tmp_path, name):
+    # NaN, Infinity and -Infinity reach parse_constant, which refuses them
+    w = _perfbench_module(monkeypatch, "run").workloads.WORKLOADS[name]
+    for step, argv in w.build(0, str(tmp_path), w.tiny):
+        assert condvar.cli.main(argv) == 0, step
+    written = sorted(tmp_path.rglob("*.json"))
+    assert {path.name for path in written} >= {"manifest.json", "checkpoint.json",
+                                               "report.json", "metrics.json",
+                                               "robustness.json", "train_latents.json"}
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)

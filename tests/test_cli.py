@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -623,6 +624,50 @@ def test_non_finite_or_negative_step_checkpoint_exits_data(gen_dir, trained_dir,
     out = tmp_path / "out"
     assert run(command, *flags, "--out", out) == 3
     assert f"data error: {ckpt}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "shift_eval", "plot"])
+def test_overflowing_checkpoint_fails_numerical_and_writes_nothing(gen_dir, trained_dir, tmp_path,
+                                                                   capsys, command):
+    # a finite parameter whose logits overflow: eval's metrics and every
+    # probed loss come out inf or NaN, which no file may hold; the plot's
+    # pixels stay finite, so it is drawn
+    ckpt = tmp_path / "checkpoint.json"
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    payload["flat_params"][0] = 1e308
+    ckpt.write_text(json.dumps(payload))
+    flags = {
+        "eval": ["--checkpoint", ckpt, "--data", gen_dir / "test.csv"],
+        "shift_eval": ["--checkpoint", ckpt, "--data", gen_dir / "train.csv",
+                       "--latents", gen_dir / "train_latents.json"],
+        "plot": ["--checkpoints", ckpt, "--data", gen_dir / "train.csv"],
+    }[command]
+    out = tmp_path / "out"
+    code = run(command, *flags, "--out", out)
+    err = capsys.readouterr().err
+    if command == "plot":
+        assert code == 0
+        svg = (out / "plot.svg").read_text()
+        coords = [float(v) for v in re.findall(r' (?:x1|y1|x2|y2|cx|cy)="([^"]*)"', svg)]
+        assert len(coords) > 100 and np.all(np.isfinite(coords))
+        return
+    assert code == 4
+    assert err.startswith({"eval": "numerical failure: metrics.json: non-finite result",
+                           "shift_eval": "numerical failure: mean loss inf at style-shift"}[command])
+    assert not out.exists()
+
+
+def test_plot_rejects_a_checkpoint_with_more_than_two_outputs(gen_dir, tmp_path, capsys):
+    ckpt = tmp_path / "three.json"
+    spec = md.ModelSpec("linear", (2, 3))
+    md.save_checkpoint(ckpt, spec, md.init_params(spec, 0), 0, 0)
+    out = tmp_path / "plot"
+    assert run("plot", "--data", gen_dir / "train.csv", "--checkpoints", ckpt,
+               "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {ckpt}: plots need 1 or 2 outputs")
     assert not out.exists()
 
 

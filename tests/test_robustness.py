@@ -766,6 +766,21 @@ def test_divergence_probe_rejects_zero_direction():
                          np.zeros(2), [1.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_losses_give_no_divergence_verdict():
+    # every weight at 1e308 overflows the logits, so the losses are inf or
+    # NaN; a verdict read from them ('bounded') would say nothing
+    spec, ds, gi = scm_instance()
+    model = ModelSpec("linear", (6, 1))
+    theta = np.full(7, 1e308)
+    with pytest.raises(ArithmeticError, match="at style-shift magnitude 0.0"):
+        divergence_probe(model, theta, ds, np.array([1.0, 0.0]), [0.0, 1.0, 10.0])
+    with pytest.raises(ArithmeticError, match="at style-shift magnitude 0.0"):
+        rb.report(model, theta, ds, gi, np.eye(2), [0.0, 1.0], "uniform_ball", 1e-3,
+                  [0.0, 1.0, 10.0])
+
+
 # ---- first order gap -----------------------------------------------------------
 
 def test_first_order_gap_zero_budget_exact():
