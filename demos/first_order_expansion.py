@@ -17,7 +17,7 @@ import numpy as np
 import condvar as cv
 from condvar.penalties import PenaltyConfig
 from condvar.robustness import first_order_gap
-from condvar.scm import InterventionSpec, LinearScmSpec, sample_linear_scm
+from condvar.scm import LinearScmSpec, sample_linear_scm
 from condvar.training import OptimizerConfig, TrainConfig, train
 
 STYLE_SD = 0.1  # spectral norm of the style covariance is 1e-2
@@ -26,7 +26,7 @@ spec = LinearScmSpec(p=6, q=2, r=3, id_count=50, id_sampler="round_robin",
                      style_class_mean=(0.5, 0.5),
                      style_cov=((STYLE_SD ** 2, 0.0), (0.0, STYLE_SD ** 2)),
                      structure_seed=2)
-data = sample_linear_scm(spec, 5000, InterventionSpec("none"), seed=9)
+data = sample_linear_scm(spec, 5000, seed=9)
 groups = cv.build_group_index(data.dataset)
 sizes = groups.sizes
 print(f"m={groups.m} groups, sizes {sizes.min()}..{sizes.max()}")

@@ -19,14 +19,14 @@ from condvar.robustness import (
     invariance_defect,
     steepest_style_direction,
 )
-from condvar.scm import InterventionSpec, LinearScmSpec, sample_linear_scm
+from condvar.scm import LinearScmSpec, sample_linear_scm
 from condvar.training import OptimizerConfig, TrainConfig, oracle_train_constrained, train
 
 spec = LinearScmSpec(p=10, q=2, r=4, id_count=12_500,
                      style_class_mean=(1.0, 1.0),
                      style_cov=((1.0, 0.0), (0.0, 1.0)),
                      structure_seed=21)
-data = sample_linear_scm(spec, 5000, InterventionSpec("none"), seed=5)
+data = sample_linear_scm(spec, 5000, seed=5)
 groups = cv.build_group_index(data.dataset)
 print(f"n={groups.n}, groups m={groups.m}, grouped observations c={groups.c}")
 

@@ -47,7 +47,6 @@ from .robustness import (
     worst_case_loss,
 )
 from .scm import (
-    InterventionSpec,
     LinearScmSpec,
     StyleAwareDataset,
     gen_example1,

@@ -62,14 +62,21 @@ def _publish(args, resolved: dict, files: dict) -> None:
         "outputs": sorted(files),
     }}
     for name, content in files.items():
-        try:
-            files[name] = content if isinstance(content, str) else _json_text(content)
-        except ValueError as exc:
-            raise ArithmeticError(f"{name}: non-finite result ({exc})") from None
+        if not isinstance(content, str):
+            files[name] = _serialized(name, _json_text, content)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         _write_text(out / name, text)
+
+
+def _serialized(name: str, build, content) -> str:
+    """``build(content)``; the ValueError of a NaN or an infinity becomes a
+    numerical failure naming the file ``name``."""
+    try:
+        return build(content)
+    except ValueError as exc:
+        raise ArithmeticError(f"{name}: non-finite result ({exc})") from None
 
 
 def _parse_model(text: str) -> md.ModelSpec:
@@ -122,8 +129,13 @@ def _cmd_gen(args) -> tuple:
     for flag, value in (("--test-shift", args.test_shift), ("--style-mean", args.style_mean)):
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    if not 0.0 < args.style_sd < np.inf:
-        raise ConfigError(f"--style-sd must be finite and > 0, got {args.style_sd}")
+    try:
+        variance = args.style_sd ** 2
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        variance = np.inf
+    if not (args.style_sd > 0.0 and 0.0 < variance < np.inf):
+        raise ConfigError(f"--style-sd must be finite and > 0 with a finite positive square, "
+                          f"got {args.style_sd}")
     if args.generator == "example1":
         shift = 4.0 if args.test_shift is None else args.test_shift
         train_ds, test_ds = scm.gen_example1(args.n, args.c, shift, args.seed)
@@ -138,21 +150,17 @@ def _cmd_gen(args) -> tuple:
             p=args.p, q=args.q, r=args.r,
             id_count=args.id_count,
             style_class_mean=tuple([args.style_mean] * args.q),
-            style_cov=tuple(tuple(row) for row in
-                            (args.style_sd ** 2 * np.eye(args.q))),
+            style_cov=tuple(tuple(row) for row in (variance * np.eye(args.q))),
             structure_seed=args.seed,
         )
         shift = 0.0 if args.test_shift is None else args.test_shift
-        interv = scm.InterventionSpec("none") if shift == 0.0 else scm.InterventionSpec(
-            "per_class_shift",
-            delta_by_class=((0.0,) * args.q, (shift,) * args.q),
-        )
-        train_ds = scm.sample_linear_scm(spec, args.n, scm.InterventionSpec("none"), args.seed)
-        test_ds = scm.sample_linear_scm(spec, args.n, interv, args.seed + 1)
+        train_ds = scm.sample_linear_scm(spec, args.n, args.seed)
+        test_ds = scm.sample_linear_scm(spec, args.n, args.seed + 1, shift)
     else:
         raise ConfigError(f"unknown generator {args.generator!r}")
     # the sidecars' row lists are gen's largest transient, so they come and go first
-    train_side, test_side = (scm._latents_text(ds) for ds in (train_ds, test_ds))
+    train_side, test_side = (_serialized(f"{split}_latents.json", scm._latents_text, ds)
+                             for split, ds in (("train", train_ds), ("test", test_ds)))
     files = {"train.csv": _csv_text(train_ds.dataset), "test.csv": _csv_text(test_ds.dataset),
              "train_latents.json": train_side, "test_latents.json": test_side}
     return {"test_shift": shift}, files, f"wrote {' '.join(files)} to {Path(args.out)}"
@@ -340,8 +348,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the config exit code
         return int(exc.code) if exc.code else 0
     try:
-        resolved, files, summary = args.func(args)
-        _publish(args, resolved, files)
+        # a failure is reported in the one line below; numpy's floating-point
+        # warnings would only print ahead of it
+        with np.errstate(all="ignore"):
+            resolved, files, summary = args.func(args)
+            _publish(args, resolved, files)
     # LinAlgError and DataFormatError subclass ValueError, so they go first
     except (DivergenceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -7,7 +7,9 @@ are retained so features can be re-rendered under shifted style, which is
 what every robustness probe in this package consumes.
 
 Two 2-d teaching generators are included: one where style acts along a
-fixed linear direction, and one where style is the polar angle.
+fixed linear direction, and one where style is the polar angle. Every
+generator takes a test domain's shift the same way: one number added to
+each style coordinate of each class-1 sample.
 
 The latent sidecar is one line of standard JSON (``data._json_text``): the
 generator and its parameters, the render kind, core and style latents as
@@ -30,7 +32,6 @@ from .data import Dataset, DataFormatError, _json_text, _write_text
 
 __all__ = [
     "LinearScmSpec",
-    "InterventionSpec",
     "StyleAwareDataset",
     "sample_linear_scm",
     "gen_example1",
@@ -128,35 +129,6 @@ class LinearScmSpec:
         )
 
 
-@dataclass(frozen=True)
-class InterventionSpec:
-    """Shift applied to style latents at sampling time.
-
-    kind 'none', or 'per_class_shift' (delta_by_class[label] added to the
-    style of every sample with that label; equal rows shift every sample
-    alike).
-    """
-
-    kind: str = "none"
-    delta_by_class: tuple = ()   # (delta_for_label0, delta_for_label1, ...)
-
-    def __post_init__(self):
-        if self.kind not in ("none", "per_class_shift"):
-            raise ValueError(f"unknown intervention kind {self.kind!r}")
-        object.__setattr__(
-            self, "delta_by_class",
-            tuple(tuple(float(v) for v in d) for d in self.delta_by_class),
-        )
-
-    def draw(self, labels: np.ndarray, q: int) -> np.ndarray:
-        if self.kind == "none":
-            return np.zeros((len(labels), q))
-        table = np.asarray(self.delta_by_class)
-        if table.ndim != 2 or table.shape[1] != q:
-            raise ValueError("per_class_shift needs one length-q delta per class")
-        return table[labels]
-
-
 @dataclass
 class StyleAwareDataset:
     """A Dataset plus the latents and render map needed to re-render it."""
@@ -232,10 +204,15 @@ def rerender(style_dataset: StyleAwareDataset, assignment, group_index=None) -> 
     return Dataset(feats, ds.labels, ds.ids, ds.n_classes)
 
 
-def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpec,
-                      seed: int) -> StyleAwareDataset:
+def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
+                      shift: float = 0.0) -> StyleAwareDataset:
     """Ancestral sampling from the partially linear model. Groups arise when
-    the same (Y, ID) pair is drawn more than once."""
+    the same (Y, ID) pair is drawn more than once. ``shift`` is added to
+    every style coordinate of every class-1 sample, the teaching examples'
+    test-split rule; a non-finite shift raises ValueError."""
+    shift = float(shift)
+    if not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
@@ -255,7 +232,8 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpe
     mean = np.outer(y_pm, np.asarray(spec.style_class_mean))
     chol = np.linalg.cholesky(np.asarray(spec.style_cov))
     noise = rng.standard_normal((n, spec.q)) @ chol.T
-    style = mean + noise + intervention.draw(labels, spec.q)
+    # added even at 0, so a -0.0 sum reads +0.0 whatever the shift
+    style = mean + noise + np.where(labels == 1, shift, 0.0)[:, None]
     ids = [f"i{int(ident)}" for ident in idents]
     feats = _render("linear", core, style, c_mat, w_mat)
     return StyleAwareDataset(
@@ -267,7 +245,8 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, intervention: InterventionSpe
         style_matrix=w_mat,
         scm=spec,
         generator="linear_scm",
-        generator_params={"n": n, "seed": seed, "intervention": intervention.kind},
+        generator_params={"n": n, "seed": seed,
+                          "intervention": "none" if shift == 0.0 else "per_class_shift"},
     )
 
 

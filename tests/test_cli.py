@@ -483,6 +483,8 @@ def test_gen_rejects_pair_count_and_writes_nothing(tmp_path, capsys, generator, 
     ("linear_scm", "--style-mean", "nan"), ("linear_scm", "--style-mean", "inf"),
     ("linear_scm", "--style-sd", "nan"), ("linear_scm", "--style-sd", "inf"),
     ("linear_scm", "--style-sd", "-1"), ("linear_scm", "--style-sd", "0"),
+    # finite, but the variance overflows or underflows to 0
+    ("linear_scm", "--style-sd", "1e200"), ("linear_scm", "--style-sd", "1e-200"),
 ])
 def test_gen_rejects_an_out_of_range_flag_and_writes_nothing(tmp_path, capsys, generator,
                                                              flag, value):
@@ -627,8 +629,6 @@ def test_non_finite_or_negative_step_checkpoint_exits_data(gen_dir, trained_dir,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "shift_eval", "plot"])
 def test_overflowing_checkpoint_fails_numerical_and_writes_nothing(gen_dir, trained_dir, tmp_path,
                                                                    capsys, command):
@@ -655,8 +655,22 @@ def test_overflowing_checkpoint_fails_numerical_and_writes_nothing(gen_dir, trai
         assert len(coords) > 100 and np.all(np.isfinite(coords))
         return
     assert code == 4
+    # pyproject turns warnings into errors, so numpy printed none either
     assert err.startswith({"eval": "numerical failure: metrics.json: non-finite result",
                            "shift_eval": "numerical failure: mean loss inf at style-shift"}[command])
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_with_a_non_finite_latent_fails_numerical_and_writes_nothing(tmp_path, capsys):
+    # finite flags whose sum overflows: class 1's test style is 1e308 + 1e308
+    out = tmp_path / "gen"
+    code = run("gen", "linear_scm", "--n", 50, "--c", 0, "--style-mean", 1e308,
+               "--test-shift", 1e308, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical failure: test_latents.json: non-finite result")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

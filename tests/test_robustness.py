@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from condvar import (
-    InterventionSpec,
     LinearScmSpec,
     ModelSpec,
     OptimizerConfig,
@@ -52,7 +51,7 @@ def scm_instance(n=90, seed=3, style_sd=1.0, id_count=12, q=2):
         style_cov=tuple(tuple(row) for row in (style_sd ** 2 * np.eye(q))),
         structure_seed=5,
     )
-    ds = sample_linear_scm(spec, n, InterventionSpec("none"), seed)
+    ds = sample_linear_scm(spec, n, seed)
     return spec, ds, build_group_index(ds.dataset)
 
 
@@ -222,7 +221,7 @@ def endpoint_instance():
     spec = LinearScmSpec(p=7, q=4, r=2, id_count=1, id_sampler="round_robin",
                          style_class_mean=(1.0, 0.5, -0.5, 0.0),
                          style_cov=tuple(tuple(r) for r in np.eye(4)), structure_seed=2)
-    ds = sample_linear_scm(spec, 8, InterventionSpec("none"), seed=4)
+    ds = sample_linear_scm(spec, 8, seed=4)
     gi = build_group_index(ds.dataset)
     assert gi.m == 2
     model = ModelSpec("linear", (7, 1))
@@ -383,7 +382,7 @@ def sigma_instance(q, model):
     # a small linear SCM, a perturbed model and a non-diagonal Sigma
     spec = LinearScmSpec(p=7, q=q, r=2, id_count=2, style_class_mean=tuple([1.0] * q),
                          style_cov=tuple(tuple(r) for r in np.eye(q)), structure_seed=2)
-    ds = sample_linear_scm(spec, 16, InterventionSpec("none"), seed=3)
+    ds = sample_linear_scm(spec, 16, seed=3)
     gi = build_group_index(ds.dataset)
     theta = md.init_params(model, 2) + 0.3 * np.random.default_rng(8).standard_normal(
         md.param_count(model))
@@ -692,7 +691,7 @@ def test_search_memory_stays_within_the_chunk_budget():
     # runs the 720-direction grid on the same data
     spec = LinearScmSpec(p=10, q=2, r=4, id_count=25, id_sampler="round_robin",
                          style_class_mean=(1.0, 1.0), style_cov=((1.0, 0.0), (0.0, 1.0)))
-    ds = sample_linear_scm(spec, 400, InterventionSpec("none"), seed=0)
+    ds = sample_linear_scm(spec, 400, seed=0)
     gi = build_group_index(ds.dataset)
     assert (len(ds.dataset), gi.m) == (400, 50)
     two_class = ModelSpec("linear", (10, 2))
@@ -824,7 +823,7 @@ def test_estimate_conditional_covariance_monte_carlo():
     spec = LinearScmSpec(p=6, q=2, r=3, id_count=50, id_sampler="round_robin",
                          style_class_mean=(1.0, 0.5),
                          style_cov=tuple(tuple(r) for r in cov), structure_seed=1)
-    ds = sample_linear_scm(spec, 100_000, InterventionSpec("none"), seed=3)
+    ds = sample_linear_scm(spec, 100_000, seed=3)
     est = estimate_conditional_covariance(ds)
     assert est.spd
     assert np.max(np.abs(est.pooled - cov)) < 3.0 * np.sqrt(2.0 / 100_000) * 4
@@ -849,7 +848,7 @@ def test_zeta_for_diagonal_matrix():
     assert est.zeta == 0.0
     spec2 = LinearScmSpec(p=6, q=2, r=3, style_class_mean=(0.0, 0.0),
                           style_cov=((4.0, 0.0), (0.0, 1.0)), structure_seed=0)
-    ds2 = sample_linear_scm(spec2, 5, InterventionSpec("none"), seed=1)
+    ds2 = sample_linear_scm(spec2, 5, seed=1)
     # singleton-only grouping: nothing to estimate from, generator covariance or not
     assert ds2.scm is not None and build_group_index(ds2.dataset).c == 0
     with pytest.raises(ValueError, match="no group has two members"):
@@ -891,7 +890,7 @@ def _pinned_fits():
     ex2, _ = gen_example2(200, 60, seed=4)
     scm_spec = LinearScmSpec(p=6, q=2, r=3, id_count=10, style_class_mean=(1.0, -0.5),
                              style_cov=((1.0, 0.3), (0.3, 0.8)), structure_seed=7)
-    lin = sample_linear_scm(scm_spec, 120, InterventionSpec("none"), seed=5)
+    lin = sample_linear_scm(scm_spec, 120, seed=5)
     return [
         ("example1_linear", ex1, ModelSpec("linear", (2, 1)),
          TrainConfig(PenaltyConfig("prediction", 1.0, 1.0, 1e-4),
@@ -956,7 +955,7 @@ def _sigma_fits():
         spec = LinearScmSpec(p=q + 3, q=q, r=2, id_count=3,
                              style_class_mean=tuple(np.linspace(1.0, -0.5, q)),
                              style_cov=cov, structure_seed=q)
-        ds = sample_linear_scm(spec, 24, InterventionSpec("none"), seed=q)
+        ds = sample_linear_scm(spec, 24, seed=q)
         model = (ModelSpec("linear", (q + 3, 1)) if q == 2
                  else ModelSpec("mlp", (q + 3, 4, 1), "tanh"))
         cfg = TrainConfig(PenaltyConfig(), OptimizerConfig("adam", 0.05), 8, 5, q)

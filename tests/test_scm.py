@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from condvar import (
-    InterventionSpec,
     LinearScmSpec,
     build_group_index,
     gen_example1,
@@ -55,8 +54,8 @@ def test_style_matrix_full_rank_and_orthonormal():
 
 def test_sampling_deterministic_and_grouped():
     spec = small_spec()
-    a = sample_linear_scm(spec, 200, InterventionSpec("none"), seed=5)
-    b = sample_linear_scm(spec, 200, InterventionSpec("none"), seed=5)
+    a = sample_linear_scm(spec, 200, seed=5)
+    b = sample_linear_scm(spec, 200, seed=5)
     assert np.array_equal(a.dataset.features, b.dataset.features)
     gi = build_group_index(a.dataset)
     assert gi.c > 0  # collisions on 25 ids over 200 draws
@@ -65,7 +64,7 @@ def test_sampling_deterministic_and_grouped():
 
 def test_round_robin_groups_are_balanced():
     spec = small_spec(id_sampler="round_robin", id_count=10)
-    ds = sample_linear_scm(spec, 400, InterventionSpec("none"), seed=2)
+    ds = sample_linear_scm(spec, 400, seed=2)
     gi = build_group_index(ds.dataset)
     sizes = gi.sizes
     assert sizes.min() >= 2
@@ -77,7 +76,7 @@ def test_ids_and_core_latents_follow_the_sampling_rule(sampler):
     # per-row reference: the k-th sample of a class gets id k mod id_count
     # (round robin), and every row's core latent is core_latent(y, id)
     spec = small_spec(id_sampler=sampler, id_count=7)
-    ds = sample_linear_scm(spec, 120, InterventionSpec("none"), seed=6)
+    ds = sample_linear_scm(spec, 120, seed=6)
     seen = [0, 0]
     for i, cls in enumerate(ds.dataset.labels):
         ident = int(ds.dataset.ids[i][1:])
@@ -98,14 +97,14 @@ def test_spec_rejects_an_id_pool_below_one(sampler, id_count):
 
 def test_rerender_zero_is_identity():
     spec = small_spec()
-    ds = sample_linear_scm(spec, 50, InterventionSpec("none"), seed=1)
+    ds = sample_linear_scm(spec, 50, seed=1)
     back = rerender(ds, np.zeros(2))
     assert np.array_equal(back.features, ds.dataset.features)
 
 
 def test_rerender_inverts():
     spec = small_spec()
-    ds = sample_linear_scm(spec, 30, InterventionSpec("none"), seed=4)
+    ds = sample_linear_scm(spec, 30, seed=4)
     delta = np.array([0.7, -1.3])
     fwd = rerender(ds, delta)
     assert not np.allclose(fwd.features, ds.dataset.features)
@@ -115,20 +114,27 @@ def test_rerender_inverts():
     assert np.allclose(back.features, ds.dataset.features, atol=1e-12)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
 def test_equal_per_class_shifts_add_w_delta_exactly():
+    # class 1's features move by W (s, ..., s); class 0's keep every bit
     spec = small_spec()
-    base = sample_linear_scm(spec, 40, InterventionSpec("none"), seed=9)
-    delta = np.array([2.0, -1.0])
-    interv = InterventionSpec("per_class_shift", delta_by_class=(tuple(delta), tuple(delta)))
-    shifted = sample_linear_scm(spec, 40, interv, seed=9)
+    base = sample_linear_scm(spec, 40, seed=9)
+    shifted = sample_linear_scm(spec, 40, seed=9, shift=2.0)
     _c, w_mat = spec.matrices()
-    assert np.allclose(shifted.dataset.features,
-                       base.dataset.features + w_mat @ delta, atol=1e-12)
+    one = base.dataset.labels == 1
+    assert 0 < one.sum() < 40
+    assert np.array_equal(shifted.dataset.labels, base.dataset.labels)
+    assert np.allclose(shifted.dataset.features[one],
+                       base.dataset.features[one] + w_mat @ np.full(2, 2.0), rtol=0, atol=1e-12)
+    assert _bits(shifted.dataset.features[~one]) == _bits(base.dataset.features[~one])
 
 
 def test_invariant_parameters_unchanged_by_rerender():
     spec = small_spec()
-    ds = sample_linear_scm(spec, 60, InterventionSpec("none"), seed=7)
+    ds = sample_linear_scm(spec, 60, seed=7)
     c_mat, w_mat = spec.matrices()
     rng = np.random.default_rng(0)
     # weight vector orthogonal to col(W): project a random vector
@@ -142,20 +148,28 @@ def test_invariant_parameters_unchanged_by_rerender():
 
 def test_per_class_shift_intervention():
     spec = small_spec()
-    interv = InterventionSpec("per_class_shift",
-                              delta_by_class=((0.0, 0.0), (5.0, 5.0)))
-    ds = sample_linear_scm(spec, 300, interv, seed=3)
-    base = sample_linear_scm(spec, 300, InterventionSpec("none"), seed=3)
+    ds = sample_linear_scm(spec, 300, seed=3, shift=5.0)
+    base = sample_linear_scm(spec, 300, seed=3)
     lab = ds.dataset.labels
-    diff = ds.style - base.style
-    assert np.allclose(diff[lab == 0], 0.0)
-    assert np.allclose(diff[lab == 1], 5.0)
+    assert np.array_equal(lab, base.dataset.labels)
+    assert np.array_equal(ds.dataset.ids, base.dataset.ids)
+    assert _bits(ds.core) == _bits(base.core)
+    assert _bits(ds.style[lab == 0]) == _bits(base.style[lab == 0])
+    assert np.allclose(ds.style[lab == 1] - base.style[lab == 1], 5.0, rtol=0, atol=1e-12)
+    assert ds.generator_params["intervention"] == "per_class_shift"
+    assert base.generator_params["intervention"] == "none"
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+def test_sampler_rejects_a_non_finite_shift(shift):
+    with pytest.raises(ValueError, match="shift must be finite"):
+        sample_linear_scm(small_spec(), 20, seed=0, shift=shift)
 
 
 def test_style_covariance_matches_spec_monte_carlo():
     cov = ((0.8, 0.3), (0.3, 0.6))
     spec = small_spec(style_cov=cov, id_count=200)
-    ds = sample_linear_scm(spec, 100_000, InterventionSpec("none"), seed=12)
+    ds = sample_linear_scm(spec, 100_000, seed=12)
     lab = ds.dataset.labels
     y_pm = 2.0 * lab - 1.0
     centered = ds.style - np.outer(y_pm, spec.style_class_mean)
@@ -166,7 +180,7 @@ def test_style_covariance_matches_spec_monte_carlo():
 
 def test_class_balance_within_three_sigma():
     spec = small_spec(class_balance=0.5)
-    ds = sample_linear_scm(spec, 10_000, InterventionSpec("none"), seed=8)
+    ds = sample_linear_scm(spec, 10_000, seed=8)
     frac = ds.dataset.labels.mean()
     assert abs(frac - 0.5) < 3.0 * 0.5 / np.sqrt(10_000)
 
@@ -209,7 +223,7 @@ def test_example_class_balance():
 
 def test_latent_sidecar_round_trip(tmp_path):
     spec = small_spec()
-    ds = sample_linear_scm(spec, 40, InterventionSpec("none"), seed=6)
+    ds = sample_linear_scm(spec, 40, seed=6)
     csv = tmp_path / "d.csv"
     side = tmp_path / "latents.json"
     save_csv(ds.dataset, csv)
@@ -224,8 +238,8 @@ def test_latent_sidecar_round_trip(tmp_path):
 
 def test_sidecar_rejects_mismatched_data(tmp_path):
     spec = small_spec()
-    ds = sample_linear_scm(spec, 20, InterventionSpec("none"), seed=6)
-    other = sample_linear_scm(spec, 20, InterventionSpec("none"), seed=7)
+    ds = sample_linear_scm(spec, 20, seed=6)
+    other = sample_linear_scm(spec, 20, seed=7)
     csv = tmp_path / "d.csv"
     side = tmp_path / "latents.json"
     save_csv(other.dataset, csv)
@@ -236,7 +250,7 @@ def test_sidecar_rejects_mismatched_data(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_save_latents_rejects_non_finite_and_keeps_the_old_file(tmp_path, bad):
-    ds = sample_linear_scm(small_spec(), 20, InterventionSpec("none"), seed=6)
+    ds = sample_linear_scm(small_spec(), 20, seed=6)
     side = tmp_path / "latents.json"
     save_latents(ds, side)
     before = side.read_bytes()

@@ -20,7 +20,6 @@ from condvar import (
     save_checkpoint,
     save_latents,
 )
-from condvar.scm import InterventionSpec
 
 TRAIN_CONFIG = TrainConfig(PenaltyConfig("loss", 0.5, 2.5, 1e-4),
                            OptimizerConfig("sgd", 0.05, 0.9), 64, 7, 3)
@@ -56,7 +55,7 @@ def test_written_files_carry_pinned_specs(tmp_path):
     assert json.dumps(payload["spec"], sort_keys=True) == MLP_SPEC_JSON
     assert load_checkpoint(tmp_path / "ck.json")[0] == MLP_SPEC
 
-    style_ds = sample_linear_scm(SCM_SPEC, 20, InterventionSpec("none"), 0)
+    style_ds = sample_linear_scm(SCM_SPEC, 20, 0)
     save_latents(style_ds, tmp_path / "lat.json")
     payload = json.loads((tmp_path / "lat.json").read_text())
     assert json.dumps(payload["scm"], sort_keys=True) == SCM_SPEC_JSON
