@@ -149,8 +149,7 @@ def _cmd_gen(args) -> tuple:
         spec = scm.LinearScmSpec(
             p=args.p, q=args.q, r=args.r,
             id_count=args.id_count,
-            style_class_mean=tuple([args.style_mean] * args.q),
-            style_cov=tuple(tuple(row) for row in (variance * np.eye(args.q))),
+            style_class_mean=[args.style_mean] * args.q, style_cov=variance * np.eye(args.q),
             structure_seed=args.seed,
         )
         shift = 0.0 if args.test_shift is None else args.test_shift
@@ -158,9 +157,13 @@ def _cmd_gen(args) -> tuple:
         test_ds = scm.sample_linear_scm(spec, args.n, args.seed + 1, shift)
     else:
         raise ConfigError(f"unknown generator {args.generator!r}")
+    splits = (("train", train_ds), ("test", test_ds))
     # the sidecars' row lists are gen's largest transient, so they come and go first
     train_side, test_side = (_serialized(f"{split}_latents.json", scm._latents_text, ds)
-                             for split, ds in (("train", train_ds), ("test", test_ds)))
+                             for split, ds in splits)
+    for split, ds in splits:  # finite latents can render past the float range
+        if not np.isfinite(ds.dataset.features).all():
+            raise ArithmeticError(f"{split}.csv: non-finite feature (the render overflows)")
     files = {"train.csv": _csv_text(train_ds.dataset), "test.csv": _csv_text(test_ds.dataset),
              "train_latents.json": train_side, "test_latents.json": test_side}
     return {"test_shift": shift}, files, f"wrote {' '.join(files)} to {Path(args.out)}"

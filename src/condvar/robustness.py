@@ -2,13 +2,14 @@
 
 All probes move the style latents of a retained-latent dataset and watch
 the loss. Shift budgets are Mahalanobis-squared sizes, averaged over
-groups, measured against one conditional style covariance Sigma: a
-symmetric positive definite q x q matrix shared by every group, which
-``_chol`` alone checks and factors. Worst-case searches return lower
-bounds on the true supremum (deterministic per-group shifts, finite
-direction grids or ascent). 'uniform_ball' is exact for equal
-per-group budgets, at every budget, when ``_style_direction`` finds the
-model linear in style. Every probe scores through ``_shifted_losses``.
+groups, measured against one conditional style covariance Sigma shared by
+every group. The style model is ``scm``'s: ``scm._chol`` alone checks and
+factors Sigma, and ``scm._render_vjp`` carries every style gradient
+through the render. Worst-case searches return lower bounds on the true
+supremum (deterministic per-group shifts, finite direction grids or
+ascent). 'uniform_ball' is exact for equal per-group budgets, at every
+budget, when ``_style_direction`` finds the model linear in style. Every
+probe scores through ``_shifted_losses``.
 
 ``report`` runs every probe of one fit on one ``_Fit``, which computes each
 input they share once, and returns one ``RobustnessReport``, whose
@@ -27,7 +28,7 @@ import numpy as np
 from . import models as md
 from .data import GroupIndex, build_group_index
 from .penalties import conditional_penalty, segment_means
-from .scm import StyleAwareDataset, expand_assignment
+from .scm import StyleAwareDataset, _chol, _render_vjp, expand_assignment
 
 __all__ = [
     "ConditionalCovariance",
@@ -115,19 +116,6 @@ class RobustnessReport:
         return out
 
 
-def _chol(sigma, q: int) -> np.ndarray:
-    """The lower Cholesky factor L of the style covariance Sigma = L L^T,
-    after checking that Sigma is one symmetric (to ``np.allclose``, the
-    rule ``LinearScmSpec`` applies) positive definite q x q matrix."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape == (q, q) and np.allclose(sigma, sigma.T):
-        try:
-            return np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            pass
-    raise ValueError(f"sigma must be a symmetric positive definite {q} x {q} matrix")
-
-
 def mahalanobis_cost(delta, sigma) -> float:
     """delta^T sigma^{-1} delta through a Cholesky solve."""
     delta = np.asarray(delta, dtype=float)
@@ -178,7 +166,7 @@ def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
     """a = W^T w when a style shift delta moves every logit by a^T delta (a
     single-logit linear model, weights w, on a linear render W), else None."""
     if (style_dataset.render_kind, spec.kind, spec.output_dim) == ("linear", "linear", 1):
-        return style_dataset.style_matrix.T @ np.asarray(theta, dtype=float)[:spec.input_dim]
+        return _render_vjp(style_dataset, None, np.asarray(theta, dtype=float)[:spec.input_dim])
     return None
 
 
@@ -253,23 +241,16 @@ def _search_spheres(fit, budgets, seed) -> tuple:
 
 def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarray:
     """d loss_i / d style_i for samples rendered as ``features``, with loss
-    ``targets``, (n, q): the input gradient chained through the render, W
-    for a linear render and d x / d angle = r (-sin a, cos a) = (-x_1, x_0)
-    for the polar one, whose other style coordinates do not reach the
-    features. The layers run once: the backward chain reuses the inputs the
-    forward pass kept."""
+    ``targets``, (n, q): the input gradient chained through the render by
+    ``scm._render_vjp``. The layers run once: the backward chain reuses the
+    inputs the forward pass kept."""
     theta, features, _ = md._checked(spec, theta, features)
     hs = list(md._layer_inputs(spec, theta, features))
     with np.errstate(over="ignore"):  # exp = inf gives the limit 0
         g = md._target_loss_gradient(spec, md._output(spec, theta, hs[-1]), targets)
     _, g = md._chain(spec, theta, hs, g.reshape(len(features), spec.output_dim))
     wsl, wshape, _ = spec.layout[0]
-    gx = g @ theta[wsl].reshape(wshape).T
-    if style_dataset.render_kind == "linear":
-        return gx @ style_dataset.style_matrix
-    out = np.zeros((len(gx), style_dataset.q))
-    out[:, 0] = gx[:, 1] * features[:, 0] - gx[:, 0] * features[:, 1]
-    return out
+    return _render_vjp(style_dataset, features, g @ theta[wsl].reshape(wshape).T)
 
 
 class _Fit:
@@ -463,12 +444,9 @@ def invariance_defect(theta, style_matrix) -> float:
     w_mat = np.asarray(style_matrix, dtype=float)
     theta = np.asarray(theta, dtype=float)
     p = w_mat.shape[0]
-    if theta.shape == (p,):
-        w = theta
-    elif theta.shape == (p + 1,):
-        w = theta[:p]
-    else:
+    if theta.shape not in ((p,), (p + 1,)):
         raise ValueError(f"parameter vector of length {theta.size} does not fit p = {p}")
+    w = theta[:p]
     norm = np.linalg.norm(w)
     if norm == 0.0:
         return 0.0

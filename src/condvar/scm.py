@@ -3,8 +3,9 @@
 The sampling order is Y -> ID -> (core, style) -> X. Core latents are a
 deterministic function of (Y, ID); style latents get fresh noise per
 observation, so observations sharing (Y, ID) differ only in style. Latents
-are retained so features can be re-rendered under shifted style, which is
-what every robustness probe in this package consumes.
+are retained to re-render features under shifted style. ``_chol`` checks
+and factors every style covariance, the spec's and every probe's, and
+``_render_vjp`` pulls a loss gradient back through ``_render`` to the style.
 
 Two 2-d teaching generators are included: one where style acts along a
 fixed linear direction, and one where style is the polar angle. Every
@@ -48,6 +49,19 @@ EXAMPLE1_STYLE_DIRECTION = np.array([0.8, -0.6])
 _EXAMPLE1_CORE_DIRECTION = np.array([0.6, 0.8])
 
 
+def _chol(sigma, q: int, name: str = "sigma") -> np.ndarray:
+    """Lower Cholesky factor L of a style covariance Sigma = L L^T: the one
+    check, for every given or spec Sigma, that it is a symmetric (to
+    ``np.allclose``) positive definite q x q matrix, else ValueError naming it."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape == (q, q) and np.allclose(sigma, sigma.T):
+        try:
+            return np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError(f"{name} must be a symmetric positive definite {q} x {q} matrix")
+
+
 @dataclass(frozen=True)
 class LinearScmSpec:
     """Partially linear model: X = C core + W style.
@@ -87,13 +101,7 @@ class LinearScmSpec:
             raise ValueError("q and r must be positive")
         if len(self.style_class_mean) != self.q:
             raise ValueError("style_class_mean must have length q")
-        cov = np.asarray(self.style_cov)
-        if cov.shape != (self.q, self.q):
-            raise ValueError("style_cov must be q x q")
-        if not np.allclose(cov, cov.T):
-            raise ValueError("style_cov must be symmetric")
-        if np.any(np.linalg.eigvalsh(cov) <= 0):
-            raise ValueError("style_cov must be positive definite")
+        _chol(self.style_cov, self.q, "style_cov")
         if self.id_count < 1:
             raise ValueError(f"id_count must be >= 1, got {self.id_count}")
         if self.id_sampler not in ("uniform", "round_robin"):
@@ -123,9 +131,7 @@ class LinearScmSpec:
             int(d["p"]), int(d["q"]), int(d["r"]),
             float(d["class_balance"]), int(d["id_count"]), d["id_sampler"],
             float(d["core_class_mean"]), float(d["core_id_scale"]),
-            tuple(d["style_class_mean"]),
-            tuple(tuple(row) for row in d["style_cov"]),
-            int(d["structure_seed"]),
+            d["style_class_mean"], d["style_cov"], int(d["structure_seed"]),
         )
 
 
@@ -173,6 +179,17 @@ def _render(kind, core, style, core_matrix, style_matrix) -> np.ndarray:
     radius = core[:, 0]
     angle = style[..., 0]
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+
+
+def _render_vjp(style_dataset, features, gx) -> np.ndarray:
+    """d loss / d style from gx = d loss / d features at ``features``: gx W
+    for a linear render (any gx shape, features unread); for the polar one,
+    d x / d angle = r (-sin a, cos a) = (-x_1, x_0), into style coordinate 0."""
+    if style_dataset.render_kind == "linear":
+        return gx @ style_dataset.style_matrix
+    out = np.zeros((len(gx), style_dataset.q))
+    out[:, 0] = gx[:, 1] * features[:, 0] - gx[:, 0] * features[:, 1]
+    return out
 
 
 def expand_assignment(assignment, n: int, q: int, group_index=None) -> np.ndarray:
@@ -230,8 +247,7 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
     keys, inverse = np.unique(np.column_stack([y_pm, idents]), axis=0, return_inverse=True)
     core = np.array([spec.core_latent(int(y), int(i)) for y, i in keys])[inverse.reshape(-1)]
     mean = np.outer(y_pm, np.asarray(spec.style_class_mean))
-    chol = np.linalg.cholesky(np.asarray(spec.style_cov))
-    noise = rng.standard_normal((n, spec.q)) @ chol.T
+    noise = rng.standard_normal((n, spec.q)) @ _chol(spec.style_cov, spec.q).T
     # added even at 0, so a -0.0 sum reads +0.0 whatever the shift
     style = mean + noise + np.where(labels == 1, shift, 0.0)[:, None]
     ids = [f"i{int(ident)}" for ident in idents]

@@ -674,6 +674,69 @@ def test_gen_with_a_non_finite_latent_fails_numerical_and_writes_nothing(tmp_pat
     assert not out.exists()
 
 
+def test_gen_whose_render_overflows_fails_numerical_and_writes_nothing(tmp_path, capsys):
+    # the style latents, +-1.75e308, are finite, but seed 0's W has a row whose
+    # two entries sum to 1.045, so that feature renders to inf
+    out = tmp_path / "gen"
+    code = run("gen", "linear_scm", "--n", 50, "--c", 0, "--style-mean", 1.75e308,
+               "--seed", 0, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "numerical failure: train.csv: non-finite feature (the render overflows)\n"
+    assert not out.exists()
+
+
+def test_train_with_a_non_finite_gradient_fails_numerical_and_writes_nothing(tmp_path, capsys):
+    # finite features whose two logits overflow to inf: the softmax
+    # derivative reads inf - inf
+    data = tmp_path / "big.csv"
+    header = ",".join(f"x{j}" for j in range(10))
+    data.write_text(f"id,y,{header}\n" + "".join(f",{i % 2},{','.join(['1e308'] * 10)}\n"
+                                                  for i in range(8)))
+    out = tmp_path / "train"
+    assert run("train", "--data", data, "--model", "linear:10,2", "--out", out) == 4
+    assert capsys.readouterr().err == "numerical failure: non-finite gradient at epoch 0, step 0\n"
+    assert not out.exists()
+
+
+def test_checkpoint_with_the_wrong_parameter_count_exits_data(gen_dir, trained_dir, tmp_path,
+                                                              capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    payload["flat_params"].append(0.0)
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", ckpt, "--data", gen_dir / "test.csv", "--out", out) == 3
+    assert capsys.readouterr().err == (f"data error: {ckpt}: checkpoint parameter count "
+                                       "does not match its model spec\n")
+    assert not out.exists()
+
+
+def test_eval_writes_a_null_variance_ratio_when_the_group_means_coincide(gen_dir, tmp_path):
+    # an all-zero model gives every sample the logit 0: no variance between groups
+    ckpt = tmp_path / "zero.json"
+    spec = md.ModelSpec("linear", (2, 1))
+    md.save_checkpoint(ckpt, spec, np.zeros(md.param_count(spec)), 0, 0)
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", ckpt, "--data", gen_dir / "train.csv", "--out", out) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["variance_ratio"] is None
+    assert metrics["grouped_observations"] > 0
+    assert '"variance_ratio": null' in (out / "metrics.json").read_text()
+
+
+@pytest.mark.parametrize("count, labels", [(1, ["a", "b"]), (2, ["a"])],
+                         ids=["two_for_one", "one_for_two"])
+def test_plot_rejects_a_label_count_that_does_not_match(gen_dir, trained_dir, tmp_path, capsys,
+                                                        count, labels):
+    out = tmp_path / "plot"
+    assert run("plot", "--data", gen_dir / "train.csv",
+               "--checkpoints", *[trained_dir / "checkpoint.json"] * count, "--labels", *labels,
+               "--out", out) == 2
+    assert capsys.readouterr().err == "config error: need exactly one label per checkpoint\n"
+    assert not out.exists()
+
+
 def test_plot_rejects_a_checkpoint_with_more_than_two_outputs(gen_dir, tmp_path, capsys):
     ckpt = tmp_path / "three.json"
     spec = md.ModelSpec("linear", (2, 3))

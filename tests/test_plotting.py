@@ -111,6 +111,14 @@ def _scatter_dataset():
     return Dataset(feats, labels, ids, 2)
 
 
+@pytest.mark.parametrize("n", [1999, 2000, 2001, 4999])
+def test_boundary_svg_draws_at_most_max_points_samples(n):
+    # above _MAX_POINTS (2000) the scatter thins to evenly spaced indices
+    feats = np.random.default_rng(2).standard_normal((n, 2))
+    svg = decision_boundary_svg(Dataset(feats, np.arange(n) % 2, None, 2), [])
+    assert svg.count("<circle") == min(n, 2000)
+
+
 def _boundary_lines(svg):
     return svg.count('stroke-width="1.4"')
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -108,6 +109,51 @@ def test_every_probe_rejects_a_sigma_that_is_not_one_symmetric_matrix(probe, sig
 @pytest.mark.parametrize("probe", sorted(_SIGMA_PROBES))
 def test_every_probe_accepts_a_sigma_symmetric_to_rounding(probe):
     _SIGMA_PROBES[probe](_sigma_probe_args(), np.array([[1.0, 0.3 + 1e-12], [0.3, 0.8]]))
+
+
+# name: (q, Sigma, accepted by the one rule, sha256 of the core, style and
+# features that sample_linear_scm draws with it, as the rule's factor
+# before it moved into scm drew them)
+_SIGMA_TABLE = {
+    "spd": (2, ((1.0, 0.3), (0.3, 0.8)), True,
+            "741a0c262d9e5dcfc2a12cc4a8cd66f0be7ee71ac85a46db84391ae102628b2c"),
+    "asymmetric_beyond_allclose": (2, ((1.0, 0.0), (0.1, 1.0)), False, None),
+    # the factor reads the lower triangle, so the draw is spd's, bit for bit
+    "asymmetric_within_allclose": (2, ((1.0, 0.3 + 1e-12), (0.3, 0.8)), True,
+                                   "741a0c262d9e5dcfc2a12cc4a8cd66f0be7ee71ac85a46db84391ae102628b2c"),
+    "indefinite": (2, ((1.0, 2.0), (2.0, 1.0)), False, None),
+    "singular": (2, ((1.0, 1.0), (1.0, 1.0)), False, None),
+    "wrong_shape": (2, tuple(tuple(r) for r in np.eye(3)), False, None),
+    "q1": (1, ((2.0,),), True,
+           "34708ac286146ccbdb0bda388940ad9b513152fe4e3cb06b4eb988e4929b2ef7"),
+    "q1_zero": (1, ((0.0,),), False, None),
+}
+
+
+@pytest.mark.parametrize("q, cov, accepted, sha", _SIGMA_TABLE.values(), ids=list(_SIGMA_TABLE))
+def test_one_rule_judges_every_style_covariance(q, cov, accepted, sha):
+    spec, ds, gi = scm_instance(n=40, q=q)
+    theta = linear_theta(spec, ds)
+    judges = {
+        "LinearScmSpec": lambda: replace(spec, style_cov=cov),
+        "mahalanobis_cost": lambda: mahalanobis_cost(np.full(q, 0.5), cov),
+        "worst_case_loss": lambda: worst_case_loss(ModelSpec("linear", (6, 1)), theta, ds, gi,
+                                                   np.array(cov), 1.0),
+    }
+    verdicts = {}
+    for name, judge in judges.items():
+        try:
+            judge()
+            verdicts[name] = True
+        except ValueError as exc:
+            assert f"must be a symmetric positive definite {q} x {q} matrix" in str(exc)
+            verdicts[name] = False
+    assert verdicts == dict.fromkeys(judges, accepted)
+    if accepted:
+        drawn = sample_linear_scm(replace(spec, style_cov=cov), 40, 1)
+        digest = hashlib.sha256(drawn.core.tobytes() + drawn.style.tobytes()
+                                + drawn.dataset.features.tobytes()).hexdigest()
+        assert digest == sha
 
 
 def test_mahalanobis_cross_check_against_eigen_factorization():
