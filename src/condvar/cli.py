@@ -268,7 +268,7 @@ def _cmd_plot(args) -> tuple:
     for path, (spec, _theta) in zip(args.checkpoints, checkpoints):
         if spec.output_dim > 2:
             raise DataFormatError(f"{path}: plots need 1 or 2 outputs, not {spec.output_dim}")
-    labels = args.labels if args.labels else [Path(p).stem for p in args.checkpoints]
+    labels = args.labels if args.labels is not None else [Path(p).stem for p in args.checkpoints]
     if len(labels) != len(checkpoints):
         raise ConfigError("need exactly one label per checkpoint")
     svg = decision_boundary_svg(dataset, checkpoints, labels)

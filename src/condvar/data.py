@@ -207,13 +207,13 @@ def _write_text(path, text: str) -> None:
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:
-    """Labels and features of ``rows`` (CSV lines of p + 2 fields) in one
-    ``np.loadtxt`` call: a record array with an int64 field ``y`` and a
-    float64 field ``x`` of shape (p,). Raises ValueError on any field
-    that does not parse."""
-    dtype = np.dtype([("y", np.int64), ("x", np.float64, (p,))])
-    return np.loadtxt(rows, dtype=dtype, delimiter=",", usecols=range(1, p + 2),
-                      comments=None, ndmin=1)
+    """Ids, labels and features of ``rows`` (CSV lines of p + 2 fields) in
+    one ``np.loadtxt`` call: a record array with an object field ``id``
+    holding each id's raw text, an int64 field ``y`` and a float64 field
+    ``x`` of shape (p,). Empty lines are skipped; raises ValueError on a
+    row with another field count or a number that does not parse."""
+    dtype = np.dtype([("id", object), ("y", np.int64), ("x", np.float64, (p,))])
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
 def _first_unparsable(rows: list, p: int) -> tuple:
@@ -234,39 +234,26 @@ def _first_unparsable(rows: list, p: int) -> tuple:
     raise AssertionError("every row parses")
 
 
-def _read_lines(path) -> tuple:
-    """(the file's lines, its comma count); the text itself is not kept."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return text.split("\n"), text.count(",")
-
-
 def _data_line_numbers(lines: list) -> list:
     """The 1-based number of every line after the header that is not blank."""
     return [no for no, ln in enumerate(lines, start=1) if ln.strip()][1:]
 
 
-def _scan_rows(path, lines: list, p: int) -> tuple:
-    """(rows, table) of the data lines, checked one by one in file order for
-    their field count and for numbers that do not parse; the first bad row
-    raises DataFormatError naming its line."""
+def _scan_rows(path, lines: list, p: int) -> np.ndarray:
+    """``_parse_rows`` over the data lines that are not blank; if it rejects
+    one, the first rejected line raises DataFormatError naming it."""
     numbers = _data_line_numbers(lines)
     if not numbers:
         raise DataFormatError(f"{path}: no data rows")
     rows = [lines[no - 1] for no in numbers]
-    fields = np.array([ln.count(",") + 1 for ln in rows])
-    wrong = np.flatnonzero(fields != p + 2)
-    good = rows[:wrong[0]] if wrong.size else rows
     try:
-        table = _parse_rows(good, p) if good else None
+        return _parse_rows(rows, p)
     except ValueError:
-        i, exc = _first_unparsable(good, p)
-        reason = str(exc).split(" at row ")[0]
-        raise DataFormatError(f"{path}:{numbers[i]}: non-numeric value ({reason})") from None
-    if wrong.size:
-        i = wrong[0]
-        raise DataFormatError(f"{path}:{numbers[i]}: expected {p + 2} fields, got {fields[i]}")
-    return rows, table
+        i, exc = _first_unparsable(rows, p)
+    fields = rows[i].count(",") + 1
+    what = (f"expected {p + 2} fields, got {fields}" if fields != p + 2
+            else f"non-numeric value ({str(exc).split(' at row ')[0]})")
+    raise DataFormatError(f"{path}:{numbers[i]}: {what}") from None
 
 
 def load_csv(path) -> Dataset:
@@ -278,12 +265,14 @@ def load_csv(path) -> Dataset:
     parser rejects Python-only spellings such as ``1_0``), then for a
     negative label or a non-finite feature.
 
-    A well-formed file is read without a loop over its lines: one
-    ``_parse_rows`` call over every line after the header, and one count
-    of its commas. Only when either fails are the lines scanned one by one
-    (``_scan_rows``) to find the first bad row.
+    One parser decides every row: ``_parse_rows`` reads the ids, labels
+    and features of every line after the header in one ``np.loadtxt``
+    call. Only when it rejects the file (a bad row, or a blank line that
+    is not empty) are the blank lines dropped and the rest parsed again
+    (``_scan_rows``), bisecting to the first bad row if any.
     """
-    lines, commas = _read_lines(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if first is None:
         raise DataFormatError(f"{path}: empty file")
@@ -295,15 +284,13 @@ def load_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: malformed header {header!r}")
     p = len(header) - 2
     rows, table = lines[first + 1:], None
-    if commas > p + 1:  # some line besides the header has a comma
+    if any(rows):  # loadtxt warns on input with no data; the scan names it
         try:
-            table = _parse_rows(rows, p)  # skips empty lines, rejects short rows
+            table = _parse_rows(rows, p)
         except ValueError:
             pass
-    # every parsed row has at least p + 1 commas, so with the header's p + 1
-    # they account for all of them only if every row has exactly p + 2 fields
-    if table is None or commas != (p + 1) * (len(table) + 1):
-        rows, table = _scan_rows(path, lines, p)
+    if table is None:
+        table = _scan_rows(path, lines, p)
     labels, feats = table["y"], table["x"]
     negative = labels < 0
     bad = np.flatnonzero(negative | ~np.isfinite(feats).all(axis=1))
@@ -311,5 +298,4 @@ def load_csv(path) -> Dataset:
         i = bad[0]
         what = f"negative label {labels[i]}" if negative[i] else "non-finite feature"
         raise DataFormatError(f"{path}:{_data_line_numbers(lines)[i]}: {what}")
-    ids = [ln.partition(",")[0] or None for ln in rows if ln]
-    return Dataset(feats, labels, ids)
+    return Dataset(feats, labels, np.where(table["id"] == "", None, table["id"]))

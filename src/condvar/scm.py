@@ -51,10 +51,10 @@ _EXAMPLE1_CORE_DIRECTION = np.array([0.6, 0.8])
 
 def _chol(sigma, q: int, name: str = "sigma") -> np.ndarray:
     """Lower Cholesky factor L of a style covariance Sigma = L L^T: the one
-    check, for every given or spec Sigma, that it is a symmetric (to
+    check, for every given or spec Sigma, that it is a finite, symmetric (to
     ``np.allclose``) positive definite q x q matrix, else ValueError naming it."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape == (q, q) and np.allclose(sigma, sigma.T):
+    if sigma.shape == (q, q) and np.isfinite(sigma).all() and np.allclose(sigma, sigma.T):
         try:
             return np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:

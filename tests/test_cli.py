@@ -725,8 +725,8 @@ def test_eval_writes_a_null_variance_ratio_when_the_group_means_coincide(gen_dir
     assert '"variance_ratio": null' in (out / "metrics.json").read_text()
 
 
-@pytest.mark.parametrize("count, labels", [(1, ["a", "b"]), (2, ["a"])],
-                         ids=["two_for_one", "one_for_two"])
+@pytest.mark.parametrize("count, labels", [(1, ["a", "b"]), (2, ["a"]), (1, [])],
+                         ids=["two_for_one", "one_for_two", "none_for_one"])
 def test_plot_rejects_a_label_count_that_does_not_match(gen_dir, trained_dir, tmp_path, capsys,
                                                         count, labels):
     out = tmp_path / "plot"

@@ -221,6 +221,8 @@ def test_csv_save_rejects_an_empty_id_before_touching_the_file(tmp_path):
     "id,y,x0\na,-1,2.0\n",           # negative label
     "id,y,x0\na,1,nan\n",            # NaN feature
     "id,y,x0\na,1,inf\n",            # infinite feature
+    "id,y,x0\n",                     # header only
+    "id,y,x0\n\n \t\n",              # only blank lines after the header
 ])
 def test_csv_malformed_inputs(tmp_path, content):
     path = tmp_path / "bad.csv"
@@ -229,9 +231,20 @@ def test_csv_malformed_inputs(tmp_path, content):
         load_csv(path)
 
 
+@pytest.mark.parametrize("content", ["id,y,x0\n", "id,y,x0\n\n \t\n"],
+                         ids=["header_only", "blank_lines_only"])
+def test_csv_with_no_data_rows_says_so(tmp_path, content):
+    path = tmp_path / "empty.csv"
+    path.write_text(content)
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: no data rows"
+
+
 # a header, two blank lines and one good row put the bad row on line 5
 BAD_LINE_5 = {
     "non-numeric feature": ("a,1,abc", "non-numeric value"),
+    "one field": ("a", "expected 3 fields, got 1"),
     "too few fields": ("a,1", "expected 3 fields, got 2"),
     "too many fields": ("a,1,2.0,3.0", "expected 3 fields, got 4"),
     "non-integer label": ("a,1.0,2.0", "non-numeric value"),

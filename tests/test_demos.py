@@ -1,4 +1,5 @@
-"""Every demo runs to completion; together they take a few seconds."""
+"""Every demo runs to completion with warnings as errors and nothing on stderr;
+together they take a few seconds."""
 
 import os
 import subprocess
@@ -17,6 +18,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def test_demo_exits_zero(name, tmp_path):
     # run from tmp_path: linear_style_shift writes its SVG to the working directory
     env = dict(os.environ, PYTHONPATH=str(Path(condvar.__file__).parents[1]))
-    done = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # -W error: a demo obeys the warnings rule that pyproject.toml sets for the tests
+    done = subprocess.run([sys.executable, "-W", "error", str(DEMOS / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

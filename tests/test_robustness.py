@@ -127,6 +127,11 @@ _SIGMA_TABLE = {
     "q1": (1, ((2.0,),), True,
            "34708ac286146ccbdb0bda388940ad9b513152fe4e3cb06b4eb988e4929b2ef7"),
     "q1_zero": (1, ((0.0,),), False, None),
+    # LAPACK factors an infinite diagonal and np.allclose calls inf equal to inf
+    "q1_inf": (1, ((np.inf,),), False, None),
+    "inf_diagonal": (2, ((np.inf, 0.0), (0.0, 1.0)), False, None),
+    "inf_off_diagonal": (2, ((1.0, np.inf), (np.inf, 1.0)), False, None),
+    "nan": (2, ((1.0, np.nan), (np.nan, 1.0)), False, None),
 }
 
 
