@@ -14,8 +14,8 @@ each style coordinate of each class-1 sample.
 
 The latent sidecar is one line of standard JSON (``data._json_text``): the
 generator and its parameters, the render kind, core and style latents as
-one list per row, a linear render's matrices and any SCM spec. Its text is
-built and parsed with the cyclic garbage collector paused: a JSON tree
+one list per row, a linear render's matrices and any SCM spec. It is
+written and read with the cyclic garbage collector paused: a JSON tree
 holds no reference cycle, so reference counting frees all of it, and the
 collections its 2n row lists would start could only scan it.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import gc
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -364,42 +363,47 @@ def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_s
 
 # ---- latent sidecar ---------------------------------------------------------
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic collector; on exit, re-enable it only if it was on."""
+def _with_collector_paused(fn, a, b):
+    """``fn(a, b)`` with the cyclic collector paused; on exit, re-enable it
+    only if it was on. The pause starts before this call allocates
+    anything (a context manager or a ``*args`` tuple would be allocated
+    while the collector is still on), so nothing in ``fn`` can start a
+    collection, and a call whose allocations die inside it leaves the
+    collector's count as it found it."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
+        return fn(a, b)
     finally:
         if was_enabled:
             gc.enable()
 
 
 def _latents_text(style_dataset: StyleAwareDataset) -> str:
-    with _gc_paused():
-        payload = {
-            "generator": style_dataset.generator,
-            "generator_params": style_dataset.generator_params,
-            "render_kind": style_dataset.render_kind,
-            "core": style_dataset.core.tolist(),
-            "style": style_dataset.style.tolist(),
-        }
-        if style_dataset.render_kind == "linear":
-            payload["core_matrix"] = np.asarray(style_dataset.core_matrix, dtype=float).tolist()
-            payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
-        if style_dataset.scm is not None:
-            payload["scm"] = asdict(style_dataset.scm)
-        # unindented, dumps runs the C encoder
-        text = _json_text(payload, indent=None)
-        del payload  # the row lists die inside the pause
-    return text
+    payload = {
+        "generator": style_dataset.generator,
+        "generator_params": style_dataset.generator_params,
+        "render_kind": style_dataset.render_kind,
+        "core": style_dataset.core.tolist(),
+        "style": style_dataset.style.tolist(),
+    }
+    if style_dataset.render_kind == "linear":
+        payload["core_matrix"] = np.asarray(style_dataset.core_matrix, dtype=float).tolist()
+        payload["style_matrix"] = np.asarray(style_dataset.style_matrix, dtype=float).tolist()
+    if style_dataset.scm is not None:
+        payload["scm"] = asdict(style_dataset.scm)
+    # unindented, dumps runs the C encoder
+    return _json_text(payload, indent=None)
+
+
+def _save_latents(style_dataset: StyleAwareDataset, path) -> None:
+    _write_text(path, _latents_text(style_dataset))
 
 
 def save_latents(style_dataset: StyleAwareDataset, path) -> None:
     """Write the latent sidecar, built before the file is opened: a non-finite
     value raises ValueError and leaves an existing file as it was."""
-    _write_text(path, _latents_text(style_dataset))
+    _with_collector_paused(_save_latents, style_dataset, path)
 
 
 def _read_latents(dataset: Dataset, path) -> StyleAwareDataset:
@@ -419,13 +423,9 @@ def _read_latents(dataset: Dataset, path) -> StyleAwareDataset:
     )
 
 
-def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
-    """Reattach latents from a sidecar file to a loaded Dataset. A file that
-    is not a sidecar, or one that does not re-render ``dataset``'s
-    features, raises DataFormatError naming it."""
+def _load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
     try:
-        with _gc_paused():
-            ds = _read_latents(dataset, path)  # the parsed payload dies inside the pause
+        ds = _read_latents(dataset, path)
         recon = ds.render(ds.style)
     except KeyError as exc:
         raise DataFormatError(f"{path}: latent sidecar lacks field {exc}") from None
@@ -435,3 +435,10 @@ def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
             recon, dataset.features, rtol=0, atol=1e-9):
         raise DataFormatError(f"{path}: latent sidecar does not reproduce the dataset features")
     return ds
+
+
+def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
+    """Reattach latents from a sidecar file to a loaded Dataset. A file that
+    is not a sidecar, or one that does not re-render ``dataset``'s
+    features, raises DataFormatError naming it."""
+    return _with_collector_paused(_load_style_dataset, dataset, path)
