@@ -7,6 +7,12 @@ resolved itself, as standard JSON; only then does it create ``--out`` and
 write. A failing subcommand writes nothing. Every subcommand is
 deterministic under a fixed seed.
 
+``main`` pauses the cyclic garbage collector for each whole subcommand,
+parse and writes included, and re-enables it on exit only if it was on.
+A subcommand builds arrays and JSON trees (the sidecars' 2n row lists the
+largest); a JSON tree holds no reference cycle, so reference counting
+frees it, and a collection could only scan it.
+
 Exit codes: 0 success, 2 configuration error, 3 data error (any file that
 cannot be read or written included), 4 numerical failure (non-finite results too).
 """
@@ -14,6 +20,7 @@ cannot be read or written included), 4 numerical failure (non-finite results too
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -136,13 +143,9 @@ def _cmd_gen(args) -> tuple:
     if not (args.style_sd > 0.0 and 0.0 < variance < np.inf):
         raise ConfigError(f"--style-sd must be finite and > 0 with a finite positive square, "
                           f"got {args.style_sd}")
-    if args.generator == "example1":
-        shift = 4.0 if args.test_shift is None else args.test_shift
-        train_ds, test_ds = scm.gen_example1(args.n, args.c, shift, args.seed)
-    elif args.generator == "example2":
-        shift = float(np.pi) if args.test_shift is None else args.test_shift
-        train_ds, test_ds = scm.gen_example2(args.n, args.c, shift, args.seed)
-    elif args.generator == "linear_scm":
+    # a test shift goes to the generator only when given: the generator owns its default
+    shift = () if args.test_shift is None else (args.test_shift,)
+    if args.generator == "linear_scm":
         if args.c != 0:
             raise ConfigError("linear_scm groups samples by (Y, ID) collisions; "
                               "it takes --c 0 and --id-count")
@@ -152,11 +155,11 @@ def _cmd_gen(args) -> tuple:
             style_class_mean=[args.style_mean] * args.q, style_cov=variance * np.eye(args.q),
             structure_seed=args.seed,
         )
-        shift = 0.0 if args.test_shift is None else args.test_shift
         train_ds = scm.sample_linear_scm(spec, args.n, args.seed)
-        test_ds = scm.sample_linear_scm(spec, args.n, args.seed + 1, shift)
+        test_ds = scm.sample_linear_scm(spec, args.n, args.seed + 1, *shift)
     else:
-        raise ConfigError(f"unknown generator {args.generator!r}")
+        gen = scm.gen_example1 if args.generator == "example1" else scm.gen_example2
+        train_ds, test_ds = gen(args.n, args.c, *shift, seed=args.seed)
     splits = (("train", train_ds), ("test", test_ds))
     # the sidecars' row lists are gen's largest transient, so they come and go first
     train_side, test_side = (_serialized(f"{split}_latents.json", scm._latents_text, ds)
@@ -166,7 +169,8 @@ def _cmd_gen(args) -> tuple:
             raise ArithmeticError(f"{split}.csv: non-finite feature (the render overflows)")
     files = {"train.csv": _csv_text(train_ds.dataset), "test.csv": _csv_text(test_ds.dataset),
              "train_latents.json": train_side, "test_latents.json": test_side}
-    return {"test_shift": shift}, files, f"wrote {' '.join(files)} to {Path(args.out)}"
+    resolved = {"test_shift": test_ds.generator_params.get("test_shift", args.test_shift)}
+    return resolved, files, f"wrote {' '.join(files)} to {Path(args.out)}"
 
 
 # ---- train -----------------------------------------------------------------
@@ -344,6 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, collector paused (see above); return its exit code."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

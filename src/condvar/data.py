@@ -198,7 +198,9 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def _json_text(payload, indent: int | None = 1) -> str:
     """Standard JSON with sorted keys and a final newline; NaN and infinities raise ValueError."""
-    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False) + "\n"
+    # every payload is a tree of dicts and lists, never cyclic: no cycle check
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False,
+                      check_circular=False) + "\n"
 
 
 def _write_text(path, text: str) -> None:

@@ -173,8 +173,9 @@ def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
 def _search_spheres(fit, budgets, seed) -> tuple:
     """Best shift on every group's sphere delta^T Sigma^-1 delta = budget_j,
     all of ``fit.groups`` at once: returns the group mean losses there, (m,),
-    and the shifts, (m, q). A candidate is one unit direction u_j per group,
-    shifted as sqrt(budget_j) L u_j with L = ``fit.chol``.
+    the shifts, (m, q), and each sample's loss under its group's shift, (n,).
+    A candidate is one unit direction u_j per group, shifted as
+    sqrt(budget_j) L u_j with L = ``fit.chol``.
     When a shift moves every logit by a^T delta (``fit.a``), a
     group's mean loss is convex in s = a^T delta, which spans an interval on
     the sphere, so the two candidates u = +-L^T a / ||L^T a|| at its ends,
@@ -183,10 +184,11 @@ def _search_spheres(fit, budgets, seed) -> tuple:
     Otherwise, for q <= 3 the candidates are a direction grid shared by all
     groups; above that, 64 random restarts per group (seeded seed + j), each
     refined by 200 steps of projected gradient ascent. Each group keeps its
-    first strict maximum. Candidates are stepped and scored K at a time, the
+    first strict maximum; a group that never finds one keeps the zero shift
+    and its unshifted losses. Candidates are stepped and scored K at a time, the
     evaluator's chunk (``_shifted_losses``), their group means taken over K m
-    segments. When every budget is 0 the only shift is 0, and the group
-    means of the fit's unshifted losses are returned without a search."""
+    segments. When every budget is 0 the only shift is 0, and the fit's
+    unshifted losses and their group means are returned without a search."""
     ds, chol, seg, m, q = fit.data, fit.chol, fit.groups.seg, fit.groups.m, fit.data.q
     n, p = ds.dataset.features.shape
     scale = np.sqrt(budgets)[:, None]
@@ -202,7 +204,7 @@ def _search_spheres(fit, budgets, seed) -> tuple:
         return means.reshape((kk, m) + values.shape[1:])
 
     if not np.any(budgets):
-        return segment_means(fit.unshifted, seg, m), np.zeros((m, q))
+        return segment_means(fit.unshifted, seg, m), np.zeros((m, q)), fit.unshifted
 
     steps = 0
     if (a := fit.a) is not None:
@@ -219,6 +221,7 @@ def _search_spheres(fit, budgets, seed) -> tuple:
         starts /= np.linalg.norm(starts, axis=2, keepdims=True)
         steps = 200
     best_val, best_delta, groups = np.full(m, -np.inf), np.zeros((m, q)), np.arange(m)
+    best_losses = fit.unshifted
     for lo in range(0, len(starts), k):
         u = starts[lo:lo + k]
         for _ in range(steps):
@@ -230,13 +233,15 @@ def _search_spheres(fit, budgets, seed) -> tuple:
             u = u + 0.1 * scale * g_u / norms
             u = u / np.linalg.norm(u, axis=2, keepdims=True)
         delta = shift(u)
-        val = group_means(_shifted_losses(fit, np.take(delta, seg, axis=1)).reshape(-1))
+        losses = _shifted_losses(fit, np.take(delta, seg, axis=1))
+        val = group_means(losses.reshape(-1))
         val[np.isnan(val)] = -np.inf  # NaN never beats the best, as under ">"
         top = np.argmax(val, axis=0)  # first maximum within the chunk
         val, delta = val[top, groups], delta[top, groups]
         better = val > best_val
         best_val[better], best_delta[better] = val[better], delta[better]
-    return best_val, best_delta
+        best_losses = np.where(better[seg], losses[top[seg], np.arange(n)], best_losses)
+    return best_val, best_delta, best_losses
 
 
 def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarray:
@@ -282,12 +287,13 @@ class _Fit:
 
     def worst_case(self, xi, method, seed) -> WorstCaseResult:
         m, q = self.groups.m, self.data.q
+        losses = None  # the search's per-sample losses at its shifts, else scored below
         if xi == 0.0:
             assignment = np.zeros((m, q))  # every method's only shift
         elif method == "exhaustive_tiny":
             return _exhaustive_tiny(self, xi, seed)
         elif method == "uniform_ball":
-            _, assignment = _search_spheres(self, np.full(m, xi), seed)
+            _, assignment, losses = _search_spheres(self, np.full(m, xi), seed)
         else:
             grads = segment_means(self.gradients, self.groups.seg, m)  # (m, q)
             sg = np.einsum("ab,jb->ja", np.asarray(self.sigma, dtype=float), grads)
@@ -299,7 +305,8 @@ class _Fit:
                 per_group_budget = xi * m / active.sum()
                 assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
         exact = method == "uniform_ball" and self.a is not None
-        return WorstCaseResult(self.mean_loss(assignment), assignment, method,
+        value = self.mean_loss(assignment) if losses is None else float(np.mean(losses))
+        return WorstCaseResult(value, assignment, method,
                                _EXACT_NOTE if exact else WorstCaseResult.note)
 
     def first_order(self, xi) -> FirstOrderGap:
@@ -401,7 +408,7 @@ def _exhaustive_tiny(fit, xi, seed):
     # (level, group) table that every split reads from
     vals, shifts = np.zeros((len(fr), m)), np.zeros((len(fr), m, q))
     for k in np.unique(splits):
-        vals[k], shifts[k] = _search_spheres(fit, np.full(m, fr[k] * m * xi), seed)
+        vals[k], shifts[k], _ = _search_spheres(fit, np.full(m, fr[k] * m * xi), seed)
     groups = np.arange(m)
     best_val, best_assign = -np.inf, np.zeros((m, q))
     for split in splits:

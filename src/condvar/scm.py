@@ -14,15 +14,11 @@ each style coordinate of each class-1 sample.
 
 The latent sidecar is one line of standard JSON (``data._json_text``): the
 generator and its parameters, the render kind, core and style latents as
-one list per row, a linear render's matrices and any SCM spec. It is
-written and read with the cyclic garbage collector paused: a JSON tree
-holds no reference cycle, so reference counting frees all of it, and the
-collections its 2n row lists would start could only scan it.
+one list per row, a linear render's matrices and any SCM spec.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -363,22 +359,6 @@ def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_s
 
 # ---- latent sidecar ---------------------------------------------------------
 
-def _with_collector_paused(fn, a, b):
-    """``fn(a, b)`` with the cyclic collector paused; on exit, re-enable it
-    only if it was on. The pause starts before this call allocates
-    anything (a context manager or a ``*args`` tuple would be allocated
-    while the collector is still on), so nothing in ``fn`` can start a
-    collection, and a call whose allocations die inside it leaves the
-    collector's count as it found it."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(a, b)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _latents_text(style_dataset: StyleAwareDataset) -> str:
     payload = {
         "generator": style_dataset.generator,
@@ -396,36 +376,31 @@ def _latents_text(style_dataset: StyleAwareDataset) -> str:
     return _json_text(payload, indent=None)
 
 
-def _save_latents(style_dataset: StyleAwareDataset, path) -> None:
-    _write_text(path, _latents_text(style_dataset))
-
-
 def save_latents(style_dataset: StyleAwareDataset, path) -> None:
     """Write the latent sidecar, built before the file is opened: a non-finite
     value raises ValueError and leaves an existing file as it was."""
-    _with_collector_paused(_save_latents, style_dataset, path)
+    _write_text(path, _latents_text(style_dataset))
 
 
-def _read_latents(dataset: Dataset, path) -> StyleAwareDataset:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    kind = payload["render_kind"]
-    return StyleAwareDataset(
-        dataset=dataset,
-        core=np.asarray(payload["core"], dtype=float),
-        style=np.asarray(payload["style"], dtype=float),
-        render_kind=kind,
-        core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
-        style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
-        scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
-        generator=payload.get("generator", "custom"),
-        generator_params=payload.get("generator_params", {}),
-    )
-
-
-def _load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
+def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
+    """Reattach latents from a sidecar file to a loaded Dataset. A file that
+    is not a sidecar, or one that does not re-render ``dataset``'s
+    features, raises DataFormatError naming it."""
     try:
-        ds = _read_latents(dataset, path)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        kind = payload["render_kind"]
+        ds = StyleAwareDataset(
+            dataset=dataset,
+            core=np.asarray(payload["core"], dtype=float),
+            style=np.asarray(payload["style"], dtype=float),
+            render_kind=kind,
+            core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
+            style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
+            scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
+            generator=payload.get("generator", "custom"),
+            generator_params=payload.get("generator_params", {}),
+        )
         recon = ds.render(ds.style)
     except KeyError as exc:
         raise DataFormatError(f"{path}: latent sidecar lacks field {exc}") from None
@@ -435,10 +410,3 @@ def _load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
             recon, dataset.features, rtol=0, atol=1e-9):
         raise DataFormatError(f"{path}: latent sidecar does not reproduce the dataset features")
     return ds
-
-
-def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
-    """Reattach latents from a sidecar file to a loaded Dataset. A file that
-    is not a sidecar, or one that does not re-render ``dataset``'s
-    features, raises DataFormatError naming it."""
-    return _with_collector_paused(_load_style_dataset, dataset, path)

@@ -281,13 +281,16 @@ def test_shift_eval_scores_zero_shift_once_and_takes_one_gradient_pass(tmp_path,
     # style-gradient pass over the n samples (gradient_allocation at every
     # xi, the first-order left-hand side, the steepest direction).
     # exhaustive_tiny's zero share level reads the same zero-shift losses
-    # (test_robustness.py).
+    # (test_robustness.py). Within one worst case no sample is scored twice
+    # under the same shift: uniform_ball keeps the losses its search scored.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
     w = workloads.WORKLOADS[name]
-    gradient_rows, zero_shifts = [], []
+    gradient_rows, zero_shifts, rescored = [], [], []
+    scored = None  # (sample, shift bytes) of every scoring in the running worst case
     style_gradients, shifted_losses = rb._style_gradients, rb._shifted_losses
+    worst_case = rb._Fit.worst_case
 
     def count_gradients(spec, theta, style_dataset, features, targets):
         gradient_rows.append(len(features))
@@ -295,16 +298,31 @@ def test_shift_eval_scores_zero_shift_once_and_takes_one_gradient_pass(tmp_path,
 
     def count_scorings(fit, shifts):
         zero_shifts.append(sum(not np.any(shift) for shift in shifts))
+        if scored is not None:
+            rows = np.broadcast_to(shifts, (len(shifts), len(fit.targets), fit.data.q))
+            scored.extend((i, row.tobytes()) for shift in rows for i, row in enumerate(shift))
         return shifted_losses(fit, shifts)
 
-    # no other step of the pipeline reaches either function
+    def count_rescorings(fit, xi, method, seed):
+        nonlocal scored
+        scored = []
+        result = worst_case(fit, xi, method, seed)
+        rescored.append((method, xi, len(scored) - len(set(scored))))
+        scored = None
+        return result
+
+    # no other step of the pipeline reaches any of the three
     monkeypatch.setattr(rb, "_style_gradients", count_gradients)
     monkeypatch.setattr(rb, "_shifted_losses", count_scorings)
+    monkeypatch.setattr(rb._Fit, "worst_case", count_rescorings)
     for step, argv in w.build(0, str(tmp_path), w.tiny):
         assert main(argv) == 0, step
     assert zero_shifts, "shift_eval scored no shift"
     assert gradient_rows == [len(load_csv(tmp_path / "train.csv"))]
     assert sum(zero_shifts) == 1
+    assert name == "quickstart" or any(method == "uniform_ball" and xi > 0
+                                       for method, xi, _ in rescored)
+    assert [repeats for _, _, repeats in rescored] == [0] * len(rescored), rescored
 
 
 def test_shift_eval_missing_latents(gen_dir, trained_dir, tmp_path):
@@ -586,6 +604,44 @@ def test_shift_eval_malformed_sidecar_exits_data(gen_dir, trained_dir, tmp_path,
     assert f"data error: {side}: " in capsys.readouterr().err
     assert not out.exists()
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_main_starts_no_collection_and_restores_the_collector(tmp_path, enabled):
+    # at n = 20 000 gen's 2n sidecar row lists alone would start dozens of
+    # collections; main pauses the collector for each whole subcommand. A
+    # collection that fires once main has returned is the deferred one.
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    data, side = tmp_path / "train.csv", tmp_path / "train_latents.json"
+    ckpt = tmp_path / "train" / "checkpoint.json"
+    runs = [
+        (0, ["gen", "example1", "--n", 20_000, "--c", 500, "--out", tmp_path]),
+        (0, ["train", "--data", data, "--model", "linear:2", "--epochs", 1,
+             "--out", tmp_path / "train"]),
+        (0, ["shift_eval", "--checkpoint", ckpt, "--data", data, "--latents", side,
+             "--out", tmp_path / "shift"]),
+        (3, ["train", "--data", tmp_path / "none.csv", "--model", "linear:2",
+             "--out", tmp_path / "none"]),
+        (2, ["gen", "example3", "--n", 10, "--c", 0, "--out", tmp_path / "none"]),
+    ]
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        gc.enable() if enabled else gc.disable()
+        for code, argv in runs:
+            argv = [str(a) for a in argv]
+            before = len(starts)
+            assert main(argv) == code, argv[0]
+            assert len(starts) == before, f"{argv[0]}: collections started while main ran"
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable() if was_enabled else gc.disable()
 
 
 def _drop_flat_params(path):

@@ -535,7 +535,7 @@ def _exhaustive_by_split(model, theta, ds, gi, sigma, xi, seed):
     # reference: one full search per budget split, scored by its weighted total
     best, fit = -np.inf, _Fit(model, theta, ds, sigma, gi)
     for split in _float_splits(gi.m):
-        vals, _ = _search_spheres(fit, split * gi.m * xi, seed)
+        vals, _, _ = _search_spheres(fit, split * gi.m * xi, seed)
         best = max(best, float(np.sum(gi.sizes / gi.n * vals)))
     return best
 
@@ -567,7 +567,7 @@ def test_zero_budget_search_is_the_unshifted_group_loss(q, monkeypatch):
     want = [np.mean(losses[gi.seg == j]) for j in range(gi.m)]
     forward, calls = md.forward, []
     monkeypatch.setattr(md, "forward", lambda *args: calls.append(1) or forward(*args))
-    vals, shifts = _search_spheres(_Fit(model, theta, ds, sigma, gi), np.zeros(2), seed=0)
+    vals, shifts, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), np.zeros(2), seed=0)
     assert len(calls) == 1  # one evaluation, no direction grid or ascent
     np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
     assert np.array_equal(shifts, np.zeros((2, q)))
@@ -652,7 +652,7 @@ def test_grid_search_equals_one_candidate_loop(q, render, k, monkeypatch):
     want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi,
                                                    np.linalg.cholesky(sigma), budgets, 0)
     _force_chunk(monkeypatch, k, model, ds)
-    vals, shifts = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 0)
+    vals, shifts, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 0)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(shifts, want_shifts)
 
@@ -672,7 +672,7 @@ def test_stacked_ascent_matches_per_restart_loop(k, ascent_reference, monkeypatc
     args, sigma, (want_vals, want_shifts) = ascent_reference
     model, theta, ds, gi, _chol, budgets, seed = args
     _force_chunk(monkeypatch, k, model, ds)
-    vals, shifts = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, seed)
+    vals, shifts, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, seed)
     np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
     np.testing.assert_allclose(shifts, want_shifts, rtol=1e-12, atol=1e-15)
 
@@ -701,7 +701,7 @@ def test_exact_search_bounds_grid_and_ascent_within_their_reach(q):
     ds, gi, theta, sigma = sigma_instance(q, model)
     budgets = np.linspace(0.2, 1.4, gi.m)
     chol = np.linalg.cholesky(sigma)
-    exact, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 5)
+    exact, _, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 5)
     ref, _ = _one_candidate_search(model, theta, ds, gi, chol, budgets, 5)
     la = chol.T @ (ds.style_matrix.T @ theta[:7])
     r = np.sqrt(budgets) * np.linalg.norm(la)
@@ -729,7 +729,7 @@ def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
     model, _theta, ds, gi, sigma, budgets = _grid_instance(2, "linear")
     chol = np.linalg.cholesky(sigma)
     _force_chunk(monkeypatch, 7, model, ds)
-    vals, shifts = _search_spheres(_Fit(model, np.zeros(md.param_count(model)), ds, sigma, gi),
+    vals, shifts, _ = _search_spheres(_Fit(model, np.zeros(md.param_count(model)), ds, sigma, gi),
                                    budgets, 0)
     first = np.sqrt(budgets)[:, None] * np.einsum("ab,b->a", chol, _sphere_directions(2)[0])
     assert np.all(vals == np.log(2.0))

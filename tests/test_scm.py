@@ -1,4 +1,3 @@
-import gc
 
 import numpy as np
 import pytest
@@ -258,39 +257,6 @@ def test_save_latents_rejects_non_finite_and_keeps_the_old_file(tmp_path, bad):
     with pytest.raises(ValueError):
         save_latents(ds, side)
     assert side.read_bytes() == before
-
-
-def test_sidecar_io_starts_no_collection_and_restores_the_collector(tmp_path):
-    # at n = 20 000 the sidecar's 2n row lists are enough to start dozens of
-    # collections when the collector runs during its encode and decode
-    train, _ = gen_example1(20_000, 500, seed=0)
-    side = tmp_path / "latents.json"
-    starts = []
-
-    def record(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
-
-    def set_collector(enabled):
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-
-    was_enabled = gc.isenabled()
-    gc.callbacks.append(record)
-    try:
-        for enabled in (True, False):
-            set_collector(enabled)
-            save_latents(train, side)
-            assert starts == [], "collections started while writing"
-            assert gc.isenabled() is enabled
-            load_style_dataset(train.dataset, side)
-            assert starts == [], "collections started while reading"
-            assert gc.isenabled() is enabled
-    finally:
-        gc.callbacks.remove(record)
-        set_collector(was_enabled)
 
 
 def test_expand_assignment_shapes():
