@@ -136,10 +136,7 @@ def _cmd_gen(args) -> tuple:
     for flag, value in (("--test-shift", args.test_shift), ("--style-mean", args.style_mean)):
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    try:
-        variance = args.style_sd ** 2
-    except OverflowError:  # Python's float power raises where numpy's gives inf
-        variance = np.inf
+    variance = np.square(args.style_sd)  # inf past the float range: _run ignores the warning
     if not (args.style_sd > 0.0 and 0.0 < variance < np.inf):
         raise ConfigError(f"--style-sd must be finite and > 0 with a finite positive square, "
                           f"got {args.style_sd}")
@@ -275,7 +272,10 @@ def _cmd_plot(args) -> tuple:
     labels = args.labels if args.labels is not None else [Path(p).stem for p in args.checkpoints]
     if len(labels) != len(checkpoints):
         raise ConfigError("need exactly one label per checkpoint")
-    svg = decision_boundary_svg(dataset, checkpoints, labels)
+    try:
+        svg = decision_boundary_svg(dataset, checkpoints, labels)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{args.name}: {exc}") from None
     return {"labels": labels}, {args.name: svg}, f"wrote {Path(args.out) / args.name}"
 
 

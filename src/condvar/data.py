@@ -1,5 +1,6 @@
 """Columnar observations, the (label, id) grouping partition, CSV ingest,
-and the one JSON serializer and the one writer of every file the package writes.
+the one JSON serializer and the one writer of every file the package writes,
+and the one rule that judges every file it reads (``_reading``).
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -10,6 +11,7 @@ conditional variance penalty sees.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,6 +210,21 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+@contextmanager
+def _reading(path, what: str):
+    """The one read-failure rule: inside it, a missing field raises
+    DataFormatError naming ``path`` as a ``what`` that lacks it, and a value
+    of the wrong kind, shape or range (undecodable text, too deep a nesting
+    and an out-of-range number included) as a malformed ``what``. OSError
+    passes through."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: {what} lacks field {exc}") from None
+    except (IndexError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed {what} ({exc})") from None
+
+
 def _parse_rows(rows: list, p: int) -> np.ndarray:
     """Ids, labels and features of ``rows`` (CSV lines of p + 2 fields) in
     one ``np.loadtxt`` call: a record array with an object field ``id``
@@ -236,68 +253,45 @@ def _first_unparsable(rows: list, p: int) -> tuple:
     raise AssertionError("every row parses")
 
 
-def _data_line_numbers(lines: list) -> list:
-    """The 1-based number of every line after the header that is not blank."""
-    return [no for no, ln in enumerate(lines, start=1) if ln.strip()][1:]
-
-
-def _scan_rows(path, lines: list, p: int) -> np.ndarray:
-    """``_parse_rows`` over the data lines that are not blank; if it rejects
-    one, the first rejected line raises DataFormatError naming it."""
-    numbers = _data_line_numbers(lines)
-    if not numbers:
-        raise DataFormatError(f"{path}: no data rows")
-    rows = [lines[no - 1] for no in numbers]
-    try:
-        return _parse_rows(rows, p)
-    except ValueError:
-        i, exc = _first_unparsable(rows, p)
-    fields = rows[i].count(",") + 1
-    what = (f"expected {p + 2} fields, got {fields}" if fields != p + 2
-            else f"non-numeric value ({str(exc).split(' at row ')[0]})")
-    raise DataFormatError(f"{path}:{numbers[i]}: {what}") from None
-
-
 def load_csv(path) -> Dataset:
     """Read a file in ``save_csv``'s format; blank lines are skipped.
 
-    Every rejection raises DataFormatError naming the file's real line
-    number. Rows are checked in file order for their field count and for
-    numbers that do not parse (labels must be integer literals; numpy's
+    Every rejection raises DataFormatError naming the file, and a bad row
+    its real line number. ``_parse_rows`` reads every line that is not blank
+    in one call; only if it rejects one does the same parser bisect to the
+    first bad row. Rows are checked in file order for their field count and
+    for numbers that do not parse (labels must be integer literals; numpy's
     parser rejects Python-only spellings such as ``1_0``), then for a
     negative label or a non-finite feature.
-
-    One parser decides every row: ``_parse_rows`` reads the ids, labels
-    and features of every line after the header in one ``np.loadtxt``
-    call. Only when it rejects the file (a bad row, or a blank line that
-    is not empty) are the blank lines dropped and the rest parsed again
-    (``_scan_rows``), bisecting to the first bad row if any.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path, "CSV"), open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if first is None:
+    numbers = [no for no, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbers:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[first].split(",")
+    header = lines[numbers.pop(0) - 1].split(",")
     if len(header) < 3 or header[0] != "id" or header[1] != "y":
         raise DataFormatError(f"{path}: expected header 'id,y,x0,...'")
     expected = ["id", "y"] + [f"x{j}" for j in range(len(header) - 2)]
     if header != expected:
         raise DataFormatError(f"{path}: malformed header {header!r}")
+    if not numbers:
+        raise DataFormatError(f"{path}: no data rows")
     p = len(header) - 2
-    rows, table = lines[first + 1:], None
-    if any(rows):  # loadtxt warns on input with no data; the scan names it
-        try:
-            table = _parse_rows(rows, p)
-        except ValueError:
-            pass
-    if table is None:
-        table = _scan_rows(path, lines, p)
+    rows = [lines[no - 1] for no in numbers]
+    try:
+        table = _parse_rows(rows, p)
+    except ValueError:
+        i, exc = _first_unparsable(rows, p)
+        fields = rows[i].count(",") + 1
+        what = (f"expected {p + 2} fields, got {fields}" if fields != p + 2
+                else f"non-numeric value ({str(exc).split(' at row ')[0]})")
+        raise DataFormatError(f"{path}:{numbers[i]}: {what}") from None
     labels, feats = table["y"], table["x"]
     negative = labels < 0
     bad = np.flatnonzero(negative | ~np.isfinite(feats).all(axis=1))
     if bad.size:
         i = bad[0]
         what = f"negative label {labels[i]}" if negative[i] else "non-finite feature"
-        raise DataFormatError(f"{path}:{_data_line_numbers(lines)[i]}: {what}")
+        raise DataFormatError(f"{path}:{numbers[i]}: {what}")
     return Dataset(feats, labels, np.where(table["id"] == "", None, table["id"]))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataFormatError, _json_text, _write_text
+from .data import DataFormatError, _json_text, _reading, _write_text
 
 __all__ = [
     "ModelSpec",
@@ -262,18 +262,13 @@ def load_checkpoint(path):
     """(spec, theta, seed, step) from a ``save_checkpoint`` file; a file
     that is not one, non-finite parameters or a negative step included,
     raises DataFormatError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+    with _reading(path, "checkpoint"), open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
         spec = ModelSpec.from_dict(payload["spec"])
         theta = np.asarray(payload["flat_params"], dtype=float)
         seed, step = int(payload["seed"]), int(payload["step"])
         if not np.all(np.isfinite(theta)) or step < 0:
             raise ValueError("parameters must be finite and the step >= 0")
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: checkpoint lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed checkpoint ({exc})") from None
     if theta.shape != (param_count(spec),):
         raise DataFormatError(f"{path}: checkpoint parameter count does not match its model spec")
     return spec, theta, seed, step

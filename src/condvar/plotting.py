@@ -71,7 +71,8 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
 
     ``checkpoints`` is a list of (ModelSpec, theta) tuples; ``labels`` names
     them in the legend. Raises on non-2-d data and, before evaluating any
-    model, on a checkpoint with more than two outputs.
+    model, on a checkpoint with more than two outputs; ArithmeticError when
+    the padded span of the data overflows the float range.
     """
     if dataset.p != 2:
         raise ValueError(f"plotting needs 2-d features, got p = {dataset.p}")
@@ -84,11 +85,15 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     feats = dataset.features
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
-    pad = 0.08 * np.maximum(hi - lo, 1e-9)
-    lo, hi = lo - pad, hi + pad
+    with np.errstate(over="ignore"):  # an overflow is the inf tested below
+        pad = 0.08 * np.maximum(hi - lo, 1e-9)
+        lo, hi = lo - pad, hi + pad
+        span = hi - lo
+    if not np.isfinite(span).all():
+        raise ArithmeticError("the padded feature span overflows the float range")
 
     def to_px(pts):  # (..., 2) data coordinates -> (..., 2) pixel coordinates
-        px = (pts - lo) / (hi - lo) * np.array([_WIDTH - 20, _HEIGHT - 20]) + 10
+        px = (pts - lo) / span * np.array([_WIDTH - 20, _HEIGHT - 20]) + 10
         px[..., 1] = _HEIGHT - px[..., 1]
         return px
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, DataFormatError, _json_text, _write_text
+from .data import Dataset, DataFormatError, _json_text, _reading, _write_text
 
 __all__ = [
     "LinearScmSpec",
@@ -386,9 +386,8 @@ def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
     """Reattach latents from a sidecar file to a loaded Dataset. A file that
     is not a sidecar, or one that does not re-render ``dataset``'s
     features, raises DataFormatError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+    with _reading(path, "latent sidecar"), open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
         kind = payload["render_kind"]
         ds = StyleAwareDataset(
             dataset=dataset,
@@ -402,10 +401,6 @@ def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
             generator_params=payload.get("generator_params", {}),
         )
         recon = ds.render(ds.style)
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: latent sidecar lacks field {exc}") from None
-    except (IndexError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed latent sidecar ({exc})") from None
     if recon.shape != dataset.features.shape or not np.allclose(
             recon, dataset.features, rtol=0, atol=1e-9):
         raise DataFormatError(f"{path}: latent sidecar does not reproduce the dataset features")

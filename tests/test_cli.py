@@ -895,6 +895,99 @@ def test_unreadable_data_exits_data_and_creates_no_out(gen_dir, trained_dir, tmp
     assert not out.exists()
 
 
+_NESTED = "[" * 200_000  # past the recursion limit of every supported Python
+
+
+def _text(text):
+    return lambda path: path.write_bytes(text)
+
+
+def _json_with(edit):
+    """Spoil a JSON file by ``edit``; an edit may set a value to the string
+    "N", written as the number 1e999, which json.dumps cannot write."""
+    def spoil(path):
+        payload = edit(json.loads(path.read_text()))
+        path.write_text(json.dumps(payload).replace('"N"', "1e999"))
+    return spoil
+
+
+def _put(outer, field, value):
+    """An edit that sets ``payload[outer][field]``, or ``payload[field]``
+    when ``outer`` is None, to ``value``."""
+    def edit(payload):
+        (payload if outer is None else payload[outer])[field] = value
+        return payload
+    return edit
+
+
+@pytest.fixture(scope="module")
+def scm_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scm")
+    assert run("gen", "linear_scm", "--n", 60, "--c", 0, "--p", 2, "--q", 1, "--r", 1,
+               "--id-count", 20, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, spoilt, spoil", [
+    *[(cmd, "data", _text(b"id,y,x0,x1\n\xff,0,1.0,2.0\n"))
+      for cmd in ("train", "eval", "shift_eval", "plot")],
+    ("eval", "checkpoint", _text(_NESTED.encode())),
+    ("shift_eval", "latents", _text(_NESTED.encode())),
+    ("eval", "checkpoint", _json_with(_put(None, "seed", "N"))),
+    ("eval", "checkpoint", _json_with(_put(None, "step", "N"))),
+    ("eval", "checkpoint", _json_with(_put("spec", "layer_sizes", ["N", 1]))),
+    ("eval", "checkpoint", _json_with(_put("flat_params", 0, 10 ** 400))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "id_count", "N"))),
+], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
+        "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
+        "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999"])
+def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
+        gen_dir, trained_dir, scm_dir, tmp_path, capsys, command, spoilt, spoil):
+    # one rule judges every input file: undecodable text, too deep a nesting
+    # and an out-of-range number are data errors naming the file
+    files = {"data": gen_dir / "train.csv", "checkpoint": trained_dir / "checkpoint.json",
+             "latents": gen_dir / "train_latents.json"}
+    if spoilt == "scm_latents":
+        files.update(data=scm_dir / "train.csv", latents=scm_dir / "train_latents.json")
+        spoilt = "latents"
+    bad = tmp_path / files[spoilt].name
+    bad.write_bytes(files[spoilt].read_bytes())
+    spoil(bad)
+    files[spoilt] = bad
+    flags = {
+        "train": ["--data", files["data"], "--model", "linear:2"],
+        "eval": ["--checkpoint", files["checkpoint"], "--data", files["data"]],
+        "shift_eval": ["--checkpoint", files["checkpoint"], "--data", files["data"],
+                       "--latents", files["latents"]],
+        "plot": ["--checkpoints", files["checkpoint"], "--data", files["data"]],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *flags, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1, err[:200]
+    assert not out.exists()
+
+
+def test_plot_fails_numerical_when_the_data_span_overflows(trained_dir, tmp_path, capsys):
+    # the padded span of +-1e308 is inf, which would put nan into every pixel;
+    # that of +-1e300 is finite, and it still draws
+    def plot(bound):
+        data = tmp_path / f"{bound}.csv"
+        data.write_text(f"id,y,x0,x1\n,0,{-bound},{bound}\n,1,{bound},{-bound}\n,0,0.0,0.0\n")
+        return run("plot", "--data", data, "--checkpoints", trained_dir / "checkpoint.json",
+                   "--name", "wide.svg", "--out", tmp_path / f"out{bound}")
+
+    assert plot(1e300) == 0
+    svg = (tmp_path / "out1e+300" / "wide.svg").read_text()
+    coords = [float(v) for v in re.findall(r' (?:x1|y1|x2|y2|cx|cy)="([^"]*)"', svg)]
+    assert len(coords) >= 6 and np.all(np.isfinite(coords))
+    capsys.readouterr()
+    assert plot(1e308) == 4
+    assert capsys.readouterr().err == ("numerical failure: wide.svg: the padded feature span "
+                                       "overflows the float range\n")
+    assert not (tmp_path / "out1e+308").exists()
+
+
 def test_manifest_lists_every_output_and_records_every_flag(tmp_path):
     data, ckpt = tmp_path / "gen", tmp_path / "train" / "checkpoint.json"
     resolved = {"gen": {"test_shift": 4.0},

@@ -166,7 +166,7 @@ CLEAN_ROWS = ["id,y,x0,x1", "a,1,0.5,-0.25", ",0,1.0,2.0", "a,1,3.0,4e-300", "b,
 
 
 @pytest.mark.parametrize("layout", ["blank lines and CRLF", "whitespace-only lines"])
-def test_csv_skipped_lines_do_not_change_the_dataset(tmp_path, monkeypatch, layout):
+def test_csv_skipped_lines_do_not_change_the_dataset(tmp_path, layout):
     clean = tmp_path / "clean.csv"
     clean.write_text("\n".join(CLEAN_ROWS) + "\n")
     messy = tmp_path / "messy.csv"
@@ -175,10 +175,7 @@ def test_csv_skipped_lines_do_not_change_the_dataset(tmp_path, monkeypatch, layo
     else:
         text = "  \n" + "\n \t \n".join(CLEAN_ROWS) + "\r\n\x0c\n"
     messy.write_bytes(text.encode("utf-8"))
-    if layout == "blank lines and CRLF":  # read without the line-by-line scan
-        monkeypatch.setattr("condvar.data._scan_rows", None)
     got = load_csv(messy)
-    monkeypatch.undo()
     want = load_csv(clean)
     assert got.features.tobytes() == want.features.tobytes()
     assert got.labels.tolist() == want.labels.tolist() == [1, 0, 1, 0]
@@ -229,6 +226,14 @@ def test_csv_malformed_inputs(tmp_path, content):
     path.write_text(content)
     with pytest.raises(DataFormatError):
         load_csv(path)
+
+
+def test_csv_that_is_not_utf8_is_a_data_error_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,y,x0\ncafé,0,1.0\n".encode("latin-1"))
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path)
+    assert str(err.value).startswith(f"{path}: malformed CSV ('utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("content", ["id,y,x0\n", "id,y,x0\n\n \t\n"],

@@ -141,6 +141,13 @@ def test_boundary_svg_rejects_three_classes(monkeypatch):
     assert calls == []
 
 
+def test_boundary_svg_rejects_a_span_past_the_float_range():
+    # a warning would fail the test too: pyproject turns warnings into errors
+    ds = Dataset([[-1e308, 0.0], [1e308, 1.0]], [0, 1])
+    with pytest.raises(ArithmeticError, match="span overflows"):
+        decision_boundary_svg(ds, [])
+
+
 def test_boundary_svg_rejects_label_count_mismatch():
     spec = md.ModelSpec("linear", (2, 1))
     theta = md.init_params(spec, 0)
