@@ -128,11 +128,17 @@ def _check_fit(spec, dataset, data_path, what: str) -> None:
         raise DataFormatError(f"{data_path}: {exc}") from None
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 # Each _cmd_* returns (resolved values, {file name: text or JSON payload}, stdout summary).
 
 # ---- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> tuple:
+    _check_seed(args.seed)
     for flag, value in (("--test-shift", args.test_shift), ("--style-mean", args.style_mean)):
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
@@ -173,6 +179,7 @@ def _cmd_gen(args) -> tuple:
 # ---- train -----------------------------------------------------------------
 
 def _cmd_train(args) -> tuple:
+    _check_seed(args.seed)
     dataset = load_csv(args.data)
     spec = _parse_model(args.model)
     _check_fit(spec, dataset, args.data, "model")

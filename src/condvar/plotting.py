@@ -72,7 +72,8 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     ``checkpoints`` is a list of (ModelSpec, theta) tuples; ``labels`` names
     them in the legend. Raises on non-2-d data and, before evaluating any
     model, on a checkpoint with more than two outputs; ArithmeticError when
-    the padded span of the data overflows the float range.
+    the padded span of the data overflows the float range or a traced
+    boundary is not finite.
     """
     if dataset.p != 2:
         raise ValueError(f"plotting needs 2-d features, got p = {dataset.p}")
@@ -137,8 +138,12 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
             if logits.ndim == 2:
                 logits = logits[:, 1] - logits[:, 0]
             vals[r:r + rows] = logits.reshape(len(block), _GRID)
+        segs = zero_contour_segments(vals, xs, ys)
+        if not np.isfinite(segs).all():  # a cell whose corners are +inf and -inf, or NaN
+            raise ArithmeticError(f"the decision boundary of {labels[k]!r} is not finite "
+                                  "(its grid logits overflow)")
         color = _BOUNDARY_COLORS[k % len(_BOUNDARY_COLORS)]
-        parts += lines(zero_contour_segments(vals, xs, ys), color, "1.4")
+        parts += lines(segs, color, "1.4")
     for k, text in enumerate(labels):
         color = _BOUNDARY_COLORS[k % len(_BOUNDARY_COLORS)]
         y = 18 + 16 * k

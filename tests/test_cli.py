@@ -513,6 +513,20 @@ def test_gen_rejects_an_out_of_range_flag_and_writes_nothing(tmp_path, capsys, g
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "example1", "--n", 50, "--c", 10],
+    ["gen", "linear_scm", "--n", 50, "--c", 0],
+    ["train", "--model", "linear:2"],
+], ids=["gen_example1", "gen_linear_scm", "train"])
+def test_negative_seed_is_a_config_error_naming_the_flag(gen_dir, tmp_path, capsys, command):
+    if command[0] == "train":
+        command = [*command, "--data", gen_dir / "train.csv"]
+    out = tmp_path / "out"
+    assert run(*command, "--seed", -1, "--out", out) == 2
+    assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_gen_rejects_an_empty_id_pool_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "gen"
     assert run("gen", "linear_scm", "--n", 50, "--c", 0, "--p", 6, "--r", 3,
@@ -986,6 +1000,19 @@ def test_plot_fails_numerical_when_the_data_span_overflows(trained_dir, tmp_path
     assert capsys.readouterr().err == ("numerical failure: wide.svg: the padded feature span "
                                        "overflows the float range\n")
     assert not (tmp_path / "out1e+308").exists()
+
+
+def test_plot_fails_numerical_when_a_boundary_is_not_finite(tmp_path, capsys):
+    # finite data and parameters whose grid logits overflow to +-inf: a cell
+    # with corners +inf and -inf would put nan into its boundary segment
+    data, ckpt = tmp_path / "wide.csv", tmp_path / "steep.json"
+    data.write_text("id,y,x0,x1\n,0,-1e300,-1e300\n,1,1e300,1e300\n,0,0,1\n")
+    md.save_checkpoint(ckpt, md.ModelSpec("linear", (2, 1)), np.array([1e10, 1e10, 0.0]), 0, 0)
+    out = tmp_path / "out"
+    assert run("plot", "--data", data, "--checkpoints", ckpt, "--out", out) == 4
+    assert capsys.readouterr().err == ("numerical failure: plot.svg: the decision boundary "
+                                       "of 'steep' is not finite (its grid logits overflow)\n")
+    assert not out.exists()
 
 
 def test_manifest_lists_every_output_and_records_every_flag(tmp_path):

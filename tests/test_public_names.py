@@ -1,5 +1,6 @@
 """Every public name the package promises, and every package name the demos
-and the README's Python quick start use, resolves.
+and the README's Python quick start use, resolves; ``condvar`` itself
+publishes exactly the ``__all__`` of the modules it re-exports.
 
 The demos run in ``test_demos.py``; here their source is parsed, so
 deleting or renaming a name they import or reference fails this fast test
@@ -8,6 +9,7 @@ with the name, not a demo's traceback.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -17,6 +19,8 @@ import pytest
 import condvar
 
 ROOT = Path(__file__).resolve().parents[1]
+# the modules whose __all__ the package re-exports, in import order
+REEXPORTED = ["data", "models", "penalties", "robustness", "scm", "training"]
 MODULES = ["condvar"] + [f"condvar.{m.name}" for m in pkgutil.iter_modules(condvar.__path__)]
 
 
@@ -77,6 +81,22 @@ def test_every_name_in_all_exists(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("module", REEXPORTED)
+def test_package_reexports_every_name_in_all(module):
+    mod, missing = importlib.import_module(f"condvar.{module}"), object()
+    wrong = [name for name in mod.__all__
+             if getattr(condvar, name, missing) is not getattr(mod, name)]
+    assert not wrong, f"condvar lacks or rebinds these condvar.{module} names: {wrong}"
+
+
+def test_package_names_are_exactly_the_reexported_all():
+    declared = {name for module in REEXPORTED
+                for name in importlib.import_module(f"condvar.{module}").__all__}
+    public = {name for name, obj in vars(condvar).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == declared
 
 
 def test_demos_and_readme_use_only_names_that_exist():
