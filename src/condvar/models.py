@@ -161,9 +161,10 @@ def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple
     return g_theta, g
 
 
-# batched evaluations outside training (the shifted styles of the
-# robustness probes, the boundary-plot grid) take as many rows at a time as
-# keep the widest layer buffer, 8 bytes a float, within this many bytes
+# every evaluation outside training holds its buffers, 8 bytes a float,
+# within this many bytes: a batch of stacked shifted styles or plot-grid
+# rows its widest layer buffer (``_chunk``), a block of the rows of a pass
+# its buffers for all the layers together (``_row_blocks``)
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -174,17 +175,34 @@ def _chunk(spec: ModelSpec, rows: int, *widths: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * rows * max(*spec.layer_sizes, *widths)))
 
 
+def _row_blocks(spec: ModelSpec, n: int) -> list:
+    """Slices of the n rows of an evaluation whose rows do not depend on
+    each other: blocks of b rows, b the largest power of two, at least 16,
+    whose buffers for all the layers together fit within ``_CHUNK_BYTES``,
+    the last block taking a lone last row. Each row gets the bits of one
+    n-row pass: numpy routes a 1-row product to another kernel, and BLAS's
+    matrix-vector kernel sums output rows in groups of 4 that blocks of
+    2^j >= 16 rows keep aligned."""
+    rows = _CHUNK_BYTES // (8 * sum(spec.layer_sizes))
+    b = 1 << max(4, rows.bit_length() - 1)
+    edges = [0, *range(b, n - 1, b), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def forward(spec: ModelSpec, theta, x):
-    """Logits for ``x``; accepts a single sample (p,) or a batch (n, p).
+    """Logits for ``x``; accepts a single sample (p,) or a batch (n, p),
+    evaluated in ``_row_blocks``.
 
     Single-logit models return shape (n,) (or a scalar for a single
     sample), K-output models return (n, K).
     """
     theta, x, single = _checked(spec, theta, x)
-    for h in _layer_inputs(spec, theta, x):  # only the last one is kept
-        pass
-    h = _output(spec, theta, h)
-    return h[0] if single else h
+    out = np.empty((len(x),) if spec.output_dim == 1 else (len(x), spec.output_dim))
+    for rows in _row_blocks(spec, len(x)):
+        for h in _layer_inputs(spec, theta, x[rows]):  # only the last one is kept
+            pass
+        out[rows] = _output(spec, theta, h)
+    return out[0] if single else out
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

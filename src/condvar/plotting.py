@@ -7,9 +7,12 @@ per checkpoint (marching squares on a 400 x 400 logit grid).
 The grid is evaluated a block of grid rows at a time, ``models._chunk``
 rows of 400 points each (the model's widest layer buffer within 256 KiB,
 at least one row): 5 rows for a 2-16-16-1 MLP, 40 for a linear model.
-Only the finished (400, 400) logit grid is kept whole. A grid point's
-logit does not depend on the points evaluated beside it, so neither do the
-SVG bytes; the tests pin them at blocks of 1, 7 and 400 rows.
+``models.forward`` runs each block by the row rule of every evaluation
+outside training (``models._row_blocks``: all layers' buffers within the
+same 256 KiB, 512 rows for that MLP). Only the finished (400, 400) logit
+grid is kept whole. A grid point's logit does not depend on the points
+evaluated beside it, so neither do the SVG bytes; the tests pin them at
+blocks of 1, 7 and 400 rows.
 """
 
 from __future__ import annotations
@@ -131,14 +134,15 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     vals = np.empty((_GRID, _GRID))
     for k, (spec, theta) in enumerate(checkpoints):
         rows = md._chunk(spec, _GRID)
-        for r in range(0, _GRID, rows):
-            block = ys[r:r + rows]
-            pts = np.column_stack([np.tile(xs, len(block)), np.repeat(block, _GRID)])
-            logits = md.forward(spec, theta, pts)
-            if logits.ndim == 2:
-                logits = logits[:, 1] - logits[:, 0]
-            vals[r:r + rows] = logits.reshape(len(block), _GRID)
-        segs = zero_contour_segments(vals, xs, ys)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite boundary raises below
+            for r in range(0, _GRID, rows):
+                block = ys[r:r + rows]
+                pts = np.column_stack([np.tile(xs, len(block)), np.repeat(block, _GRID)])
+                logits = md.forward(spec, theta, pts)
+                if logits.ndim == 2:
+                    logits = logits[:, 1] - logits[:, 0]
+                vals[r:r + rows] = logits.reshape(len(block), _GRID)
+            segs = zero_contour_segments(vals, xs, ys)
         if not np.isfinite(segs).all():  # a cell whose corners are +inf and -inf, or NaN
             raise ArithmeticError(f"the decision boundary of {labels[k]!r} is not finite "
                                   "(its grid logits overflow)")

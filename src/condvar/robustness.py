@@ -127,8 +127,9 @@ def _shifted_losses(fit, shifts) -> np.ndarray:
     """Per-sample losses of a ``_Fit``, (K, n), under K stacked style shifts:
     ``shifts`` is (K, n, q), or (K, 1, q) for one shift of every sample. The
     shifted styles are rendered and scored k at a time as one (k n)-row
-    batch, k from ``models._chunk``; no sample's loss depends on the shifts
-    beside it."""
+    batch, k from ``models._chunk``, whose rows ``models.forward`` runs in
+    its row blocks; no sample's loss depends on the shifts or rows beside
+    it."""
     spec, ds, n = fit.spec, fit.data, len(fit.targets)
     k = md._chunk(spec, n, ds.q)
     losses = np.empty((len(shifts), n))
@@ -247,15 +248,20 @@ def _search_spheres(fit, budgets, seed) -> tuple:
 def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarray:
     """d loss_i / d style_i for samples rendered as ``features``, with loss
     ``targets``, (n, q): the input gradient chained through the render by
-    ``scm._render_vjp``. The layers run once: the backward chain reuses the
-    inputs the forward pass kept."""
+    ``scm._render_vjp``, computed in ``models._row_blocks``. In each block
+    the layers run once: the backward chain reuses the inputs the forward
+    pass kept."""
     theta, features, _ = md._checked(spec, theta, features)
-    hs = list(md._layer_inputs(spec, theta, features))
-    with np.errstate(over="ignore"):  # exp = inf gives the limit 0
-        g = md._target_loss_gradient(spec, md._output(spec, theta, hs[-1]), targets)
-    _, g = md._chain(spec, theta, hs, g.reshape(len(features), spec.output_dim))
     wsl, wshape, _ = spec.layout[0]
-    return _render_vjp(style_dataset, features, g @ theta[wsl].reshape(wshape).T)
+    out = np.empty((len(features), style_dataset.q))
+    for rows in md._row_blocks(spec, len(features)):
+        x = features[rows]
+        hs = list(md._layer_inputs(spec, theta, x))
+        with np.errstate(over="ignore"):  # exp = inf gives the limit 0
+            g = md._target_loss_gradient(spec, md._output(spec, theta, hs[-1]), targets[rows])
+        _, g = md._chain(spec, theta, hs, g.reshape(len(x), spec.output_dim))
+        out[rows] = _render_vjp(style_dataset, x, g @ theta[wsl].reshape(wshape).T)
+    return out
 
 
 class _Fit:

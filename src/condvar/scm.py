@@ -19,6 +19,7 @@ one list per row, a linear render's matrices and any SCM spec.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -382,6 +383,18 @@ def save_latents(style_dataset: StyleAwareDataset, path) -> None:
     _write_text(path, _latents_text(style_dataset))
 
 
+def _latent_rows(rows) -> np.ndarray:
+    """A sidecar's list of latent rows as an (n, width) float array, read
+    in one flat pass; rows of different lengths raise ValueError, since the
+    flat pass would run them together."""
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        raise ValueError("latent rows must all have one length")
+    (width,) = widths
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, float, len(rows) * width).reshape(len(rows), width)
+
+
 def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
     """Reattach latents from a sidecar file to a loaded Dataset. A file that
     is not a sidecar, or one that does not re-render ``dataset``'s
@@ -391,8 +404,8 @@ def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
         kind = payload["render_kind"]
         ds = StyleAwareDataset(
             dataset=dataset,
-            core=np.asarray(payload["core"], dtype=float),
-            style=np.asarray(payload["style"], dtype=float),
+            core=_latent_rows(payload["core"]),
+            style=_latent_rows(payload["style"]),
             render_kind=kind,
             core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
             style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,

@@ -119,6 +119,13 @@ for argv in (
     ["shift_eval", "--checkpoint", out + "/train/checkpoint.json", "--data",
      out + "/train.csv", "--latents", out + "/train_latents.json", "--method",
      "uniform_ball", "--xi", "0.1", "1", "--out", out + "/shift"],
+    # the MLP's full-data passes over 4 500 rows span three row blocks
+    ["gen", "example2", "--n", "4500", "--c", "1000", "--seed", "4", "--out", out + "/polar"],
+    ["train", "--data", out + "/polar/train.csv", "--model", "mlp:2,16,1", "--lambda", "1",
+     "--penalty", "l,0.5", "--epochs", "1", "--out", out + "/polar/train"],
+    ["shift_eval", "--checkpoint", out + "/polar/train/checkpoint.json", "--data",
+     out + "/polar/train.csv", "--latents", out + "/polar/train_latents.json", "--method",
+     "uniform_ball", "--xi", "0.1", "1", "--out", out + "/polar/shift"],
 ):
     assert main(argv) == 0
 """
@@ -133,7 +140,9 @@ def test_pipeline_byte_identical_across_blas_thread_counts(tmp_path):
         subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env, check=True,
                        capture_output=True, timeout=120)
         digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in (
-            "train.csv", "train/checkpoint.json", "shift/robustness.json")])
+            "train.csv", "train/checkpoint.json", "shift/robustness.json",
+            "polar/train/checkpoint.json", "polar/train/report.json",
+            "polar/shift/robustness.json")])
         note = json.loads((out / "shift" / "robustness.json").read_text())["note"]
         assert note == ("exact for equal per-group budgets (linear model, linear render); "
                         "a lower bound when budgets may differ between groups")
@@ -604,9 +613,13 @@ def _other_seed(path):
     _drop("core"), lambda p: p.write_text("{not json"), _other_seed,
     _row(7, [0.1, 0.2]), _row(7, ["abc"]), _edit_sidecar(lambda payload: [payload]),
     _drop("style"), _set("style", lambda rows: rows[:-1]), _set("render_kind", lambda _: "cubic"),
-    _row(7, [float("nan")]),
+    _row(7, [float("nan")]), _set("core", lambda rows: rows[:3] + [rows[3] * 2] + rows[4:]),
+    _set("style", lambda rows: [rows[0] + rows[1], []] + rows[2:]),
+    _set("style", lambda rows: [[row] for row in rows]),
+    _set("style", lambda rows: [v for row in rows for v in row]),
 ], ids=["missing_core", "not_json", "other_seed", "ragged_row", "non_numeric", "top_level_list",
-        "missing_style", "short_style", "unknown_render_kind", "nan_latent"])
+        "missing_style", "short_style", "unknown_render_kind", "nan_latent", "ragged_core",
+        "ragged_same_total", "three_deep", "flat"])
 def test_shift_eval_malformed_sidecar_exits_data(gen_dir, trained_dir, tmp_path, capsys, spoil):
     side = tmp_path / "latents.json"
     side.write_bytes((gen_dir / "train_latents.json").read_bytes())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,56 @@ def test_forward_dimension_mismatch():
         forward(spec, np.zeros(4), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         forward(spec, np.zeros(7), np.zeros((2, 3)))
+
+
+# a budget of 37 rows gives blocks of 32; 97, 98 and 113 rows in them leave
+# a lone row (taken by the last block), then last blocks of 2 and 17 rows
+_BLOCKED_ROWS = {97: [32, 32, 33], 98: [32, 32, 32, 2], 113: [32, 32, 32, 17]}
+
+
+@pytest.mark.parametrize("n", sorted(_BLOCKED_ROWS))
+@pytest.mark.parametrize("kind,sizes,activation", [
+    ("linear", (10, 1), "tanh"),
+    ("mlp", (2, 16, 16, 1), "tanh"),
+    ("mlp", (3, 9, 3), "relu"),
+])
+def test_forward_in_row_blocks_is_bitwise_one_pass(kind, sizes, activation, n, monkeypatch):
+    spec = ModelSpec(kind, sizes, activation)
+    rng = np.random.default_rng(n)
+    theta = init_params(spec, 1) + 0.1 * rng.standard_normal(param_count(spec))
+    x = rng.standard_normal((n, sizes[0]))
+    want = forward(spec, theta, x)
+    assert [s.stop - s.start for s in md._row_blocks(spec, n)] == [n]
+    monkeypatch.setattr(md, "_CHUNK_BYTES", 37 * 8 * sum(sizes))
+    assert [s.stop - s.start for s in md._row_blocks(spec, n)] == _BLOCKED_ROWS[n]
+    assert forward(spec, theta, x).tobytes() == want.tobytes()
+
+
+def test_row_blocks_are_powers_of_two_of_at_least_16_rows(monkeypatch):
+    spec = ModelSpec("mlp", (2, 16, 16, 1))  # a budget of 936 rows
+    assert [s.stop - s.start for s in md._row_blocks(spec, 4000)] == [512] * 7 + [416]
+    assert [s.stop - s.start for s in md._row_blocks(spec, 4097)] == [512] * 7 + [513]
+    linear = ModelSpec("linear", (10, 1))  # a budget of 2 978 rows
+    assert [s.stop - s.start for s in md._row_blocks(linear, 4001)] == [2048, 1953]
+    assert [s.stop - s.start for s in md._row_blocks(spec, 1)] == [1]
+    assert [s.stop - s.start for s in md._row_blocks(spec, 0)] == [0]
+    monkeypatch.setattr(md, "_CHUNK_BYTES", 8)  # less than one row: 16 rows all the same
+    assert [s.stop - s.start for s in md._row_blocks(spec, 40)] == [16, 16, 8]
+
+
+def test_forward_memory_stays_within_the_chunk_budget():
+    # one 20 000-row pass through 64-wide layers traces about 20 MiB; its
+    # row blocks keep the peak near the (n,) logits and two block buffers
+    spec = ModelSpec("mlp", (2, 64, 64, 1))
+    theta = init_params(spec, 0)
+    x = np.random.default_rng(0).standard_normal((20000, 2))
+    tracemalloc.start()
+    try:
+        forward(spec, theta, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * md._CHUNK_BYTES
 
 
 def _logistic(label, logit):

@@ -761,6 +761,37 @@ def test_search_memory_stays_within_the_chunk_budget():
         assert peak <= 1 << 20
 
 
+@pytest.mark.parametrize("n", [97, 98, 113])
+@pytest.mark.parametrize("render", ["polar", "linear"])
+def test_row_blocks_leave_style_probes_bitwise_unchanged(render, n, monkeypatch):
+    # a budget of 37 rows gives 32-row blocks, which leave a lone last row
+    # (taken by the last block), then last blocks of 2 and 17 rows; each
+    # result must keep the bits of one n-row pass, with the candidates
+    # stacked the same way on both sides
+    if render == "polar":
+        ds, _test = gen_example2(n, n // 4, seed=6)
+        model, method = ModelSpec("mlp", (2, 16, 16, 1)), "uniform_ball"
+    else:
+        _spec, ds, _gi = scm_instance(n=n)
+        model, method = ModelSpec("mlp", (6, 16, 1), "relu"), "gradient_allocation"
+    gi = build_group_index(ds.dataset)
+    rng = np.random.default_rng(n)
+    theta = md.init_params(model, 2) + 0.2 * rng.standard_normal(md.param_count(model))
+    sigma, shifts = np.eye(ds.q), rng.standard_normal((3, n, ds.q))
+    monkeypatch.setattr(md, "_CHUNK_BYTES", 37 * 8 * sum(model.layer_sizes))
+    assert len(md._row_blocks(model, n)) > 2
+
+    def probes():
+        fit = _Fit(model, theta, ds, sigma, gi)
+        gradients = _style_gradients(model, theta, ds, ds.dataset.features, fit.targets)
+        report = rb.report(model, theta, ds, gi, sigma, [0.0, 0.5], method, 0.1, [0.0, 2.0])
+        return gradients.tobytes(), rb._shifted_losses(fit, shifts).tobytes(), report.to_json()
+
+    blocked = probes()
+    monkeypatch.setattr(md, "_row_blocks", lambda spec, rows: [slice(0, rows)])
+    assert blocked == probes()
+
+
 # ---- divergence probe ---------------------------------------------------------
 
 def test_divergence_probe_invariant_flat():
