@@ -88,7 +88,8 @@ def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, targets: np.ndarr
             losses = md._target_losses(spec, logits, targets)
             g_losses = weight * penalty_gradient(losses, seg, sizes, penalty.nu)
             g_logits = g_logits + d_loss * g_losses.reshape((n,) + (1,) * (d_loss.ndim - 1))
-    g_theta, _ = md._chain(spec, theta, hs, g_logits.reshape(n, spec.output_dim))
+    g_theta = np.empty_like(theta)
+    md._chain(spec, theta, hs, g_logits.reshape(n, spec.output_dim), g_theta)
     if penalty.gamma > 0.0:
         np.add(g_theta, 2.0 * penalty.gamma * theta, out=g_theta, where=spec.weight_mask)
     return g_theta

@@ -6,10 +6,10 @@ readable across versions. ``forward`` computes the logits. Labels reach
 every loss and loss derivative through ``_targets``, which checks that
 they fit the model's outputs and maps them to what the losses read.
 There is one backward chain, the private ``_chain``: it carries a logit
-gradient back through the layers whose inputs a forward pass kept. The
-training gradient (``autodiff.grad``) reads its parameter gradient, and
-the style gradient of the robustness probes carries it through the first
-layer's weights, so each runs every layer once in each direction.
+gradient back through the layers whose inputs a forward pass kept, and
+computes the parameter gradient only for training (``autodiff.grad``).
+``_input_gradient`` takes it on to d loss / d input; with ``forward``, it is
+the only code outside training that runs the layers.
 """
 
 from __future__ import annotations
@@ -143,22 +143,21 @@ def _output(spec: ModelSpec, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
     return h.reshape(-1) if spec.output_dim == 1 else h
 
 
-def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray) -> tuple:
+def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray, g_theta=None):
     """Carry the logit gradient ``g`` (n, K) back through the layers whose
-    inputs are ``hs``. Returns g_theta and the gradient with respect to the
-    first layer's output (before any activation); the gradient with respect
-    to the inputs is that times the first layer's weights, transposed. The
-    subgradient of relu at its kink is 0."""
-    g_theta = np.empty_like(theta)
+    inputs are ``hs`` and return it at the first layer's output (before any
+    activation); the parameter gradient is written only into a ``g_theta``
+    that the caller passes. The subgradient of relu at its kink is 0."""
     for i in reversed(range(len(hs))):
         wsl, wshape, bsl = spec.layout[i]
-        g_theta[wsl] = (hs[i].T @ g).reshape(-1)
-        g_theta[bsl] = g.sum(axis=0)
+        if g_theta is not None:
+            g_theta[wsl] = (hs[i].T @ g).reshape(-1)
+            g_theta[bsl] = g.sum(axis=0)
         if i > 0:  # hs[i] is the activation of layer i - 1
             g = g @ theta[wsl].reshape(wshape).T
             h = hs[i]
             g = g * (1.0 - h * h) if spec.activation == "tanh" else g * (h > 0.0)
-    return g_theta, g
+    return g
 
 
 # every evaluation outside training holds its buffers, 8 bytes a float,
@@ -203,6 +202,20 @@ def forward(spec: ModelSpec, theta, x):
             pass
         out[rows] = _output(spec, theta, h)
     return out[0] if single else out
+
+
+def _input_gradient(spec: ModelSpec, theta, x, targets: np.ndarray) -> np.ndarray:
+    """d loss_i / d x_i, (n, input_dim), for the loss ``targets`` (``_targets``),
+    in ``_row_blocks``: the layers run once each way, with no parameter gradient."""
+    theta, x, _ = _checked(spec, theta, x)
+    w_t = theta[spec.layout[0][0]].reshape(spec.layout[0][1]).T
+    out = np.empty_like(x)
+    for rows in _row_blocks(spec, len(x)):
+        hs = list(_layer_inputs(spec, theta, x[rows]))
+        with np.errstate(over="ignore"):  # exp = inf gives the limit 0
+            g = _target_loss_gradient(spec, _output(spec, theta, hs[-1]), targets[rows])
+        out[rows] = _chain(spec, theta, hs, g.reshape(len(g), spec.output_dim)) @ w_t
+    return out
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

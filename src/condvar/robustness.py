@@ -4,7 +4,7 @@ All probes move the style latents of a retained-latent dataset and watch
 the loss. Shift budgets are Mahalanobis-squared sizes, averaged over
 groups, measured against one conditional style covariance Sigma shared by
 every group. The style model is ``scm``'s: ``scm._chol`` alone checks and
-factors Sigma, and ``scm._render_vjp`` carries every style gradient
+factors Sigma, and ``scm._render_vjp`` carries ``models._input_gradient``
 through the render. Worst-case searches return lower bounds on the true
 supremum (deterministic per-group shifts, finite direction grids or
 ascent). 'uniform_ball' is exact for equal per-group budgets, at every
@@ -246,22 +246,8 @@ def _search_spheres(fit, budgets, seed) -> tuple:
 
 
 def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarray:
-    """d loss_i / d style_i for samples rendered as ``features``, with loss
-    ``targets``, (n, q): the input gradient chained through the render by
-    ``scm._render_vjp``, computed in ``models._row_blocks``. In each block
-    the layers run once: the backward chain reuses the inputs the forward
-    pass kept."""
-    theta, features, _ = md._checked(spec, theta, features)
-    wsl, wshape, _ = spec.layout[0]
-    out = np.empty((len(features), style_dataset.q))
-    for rows in md._row_blocks(spec, len(features)):
-        x = features[rows]
-        hs = list(md._layer_inputs(spec, theta, x))
-        with np.errstate(over="ignore"):  # exp = inf gives the limit 0
-            g = md._target_loss_gradient(spec, md._output(spec, theta, hs[-1]), targets[rows])
-        _, g = md._chain(spec, theta, hs, g.reshape(len(x), spec.output_dim))
-        out[rows] = _render_vjp(style_dataset, x, g @ theta[wsl].reshape(wshape).T)
-    return out
+    """d loss_i / d style_i, (n, q): ``models._input_gradient`` through the render."""
+    return _render_vjp(style_dataset, features, md._input_gradient(spec, theta, features, targets))
 
 
 class _Fit:

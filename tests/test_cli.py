@@ -161,6 +161,9 @@ def test_train_config_errors(gen_dir, tmp_path):
     # malformed model
     assert run("train", "--data", gen_dir / "train.csv", "--model", "mlp:",
                "--out", tmp_path) == 2
+    for model in ("linear", "mlp:2,a,1", "mlp:2,0,1"):  # no width, a word, a zero width
+        assert run("train", "--data", gen_dir / "train.csv", "--model", model,
+                   "--out", tmp_path) == 2
     # bad penalty spec
     assert run("train", "--data", gen_dir / "train.csv", "--model", "linear:2",
                "--penalty", "x,3", "--out", tmp_path) == 2
@@ -893,6 +896,13 @@ def test_train_rejects_bad_csv_row_with_data_exit(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"id,y,x0\n\n\nb,0,0.5\n{row}\n")
     assert run("train", "--data", path, "--model", "linear:1", "--out", tmp_path) == 3
+
+
+def test_train_rejects_a_malformed_header_with_data_exit(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,y,x1\na,1,2.0\n")  # features must be named from x0
+    assert run("train", "--data", path, "--model", "linear:1", "--out", tmp_path / "o") == 3
+    assert "malformed header" in capsys.readouterr().err
 
 
 def test_linear_algebra_failure_exits_numerical(gen_dir, tmp_path, monkeypatch):

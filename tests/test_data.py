@@ -111,6 +111,19 @@ def test_augment_selection_out_of_range():
         augment_with_groups(ds, lambda f: f, 1, [5])
 
 
+def test_augment_rejects_no_copies_and_a_transform_that_changes_the_shape():
+    ds = make_dataset([0, 1], [None, None])
+    with pytest.raises(ValueError, match="count_per_sample must be >= 1"):
+        augment_with_groups(ds, lambda f: f, 0, [0])
+    with pytest.raises(ValueError, match="transform must preserve the feature dimension"):
+        augment_with_groups(ds, lambda f: np.append(f, 0.0), 1, [0])
+
+
+def test_group_index_rejects_segment_ids_that_are_not_one_dimensional():
+    with pytest.raises(ValueError, match="segment ids must be one-dimensional"):
+        GroupIndex(np.zeros((2, 2), dtype=int))
+
+
 def test_csv_row_parsing(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("id,y,x0,x1\na,1,0.5,-0.25\n,0,1.0,2.0\n")
@@ -299,3 +312,13 @@ def test_dataset_validates_dimensions():
         Dataset(np.array([1.0, 2.0]), [0], n_classes=1)
     with pytest.raises(ValueError):
         Dataset(np.array([[1.0, 2.0]]), [3], n_classes=2)
+    with pytest.raises(ValueError, match="at least one sample"):
+        Dataset(np.zeros((0, 2)), [])
+    with pytest.raises(ValueError, match=r"labels shape \(1,\) does not match 2 samples"):
+        Dataset(np.zeros((2, 1)), [0])
+    with pytest.raises(ValueError, match=r"labels shape \(2, 1\) does not match 2 samples"):
+        Dataset(np.zeros((2, 1)), [[0], [1]])
+    with pytest.raises(ValueError, match=r"ids shape \(1,\) does not match 2 samples"):
+        Dataset(np.zeros((2, 1)), [0, 1], ["a"])
+    with pytest.raises(ValueError, match="class indices >= 0"):
+        Dataset(np.zeros((2, 1)), [0, -1])

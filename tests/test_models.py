@@ -199,7 +199,8 @@ def test_gradient_matches_finite_differences(kind, sizes, activation):
     # backward chain, then the product with the first layer's weights
     g_logits = rng.standard_normal(forward(spec, theta, x).shape)
     hs = list(md._layer_inputs(spec, theta, x))
-    g_theta, g_h = md._chain(spec, theta, hs, g_logits.reshape(len(x), spec.output_dim))
+    g_theta = np.empty_like(theta)
+    g_h = md._chain(spec, theta, hs, g_logits.reshape(len(x), spec.output_dim), g_theta)
     wsl, wshape, _ = spec.layout[0]
     g_x = g_h @ theta[wsl].reshape(wshape).T
     fd_x = _finite_difference(lambda a: float(np.sum(forward(spec, theta, a) * g_logits)), x)
@@ -207,6 +208,36 @@ def test_gradient_matches_finite_differences(kind, sizes, activation):
         lambda t: float(np.sum(forward(spec, t, x) * g_logits)), theta)
     assert _max_rel(g_x, fd_x) < 1e-5
     assert _max_rel(g_theta, fd_theta) < 1e-5
+
+
+@pytest.mark.parametrize("kind,sizes,activation", [
+    ("linear", (3, 1), "tanh"),
+    ("mlp", (3, 5, 1), "tanh"),
+    ("mlp", (4, 6, 3, 1), "relu"),
+    ("mlp", (3, 4, 3), "tanh"),  # 3-class output
+])
+def test_input_gradient_matches_finite_differences(kind, sizes, activation, monkeypatch):
+    rng = np.random.default_rng(sum(sizes))
+    spec = ModelSpec(kind, sizes, activation)
+    theta = init_params(spec, 5) + 0.1 * rng.standard_normal(param_count(spec))
+    k = max(sizes[-1], 2)
+    x, y = rng.standard_normal((12, sizes[0])), rng.integers(0, k, 12)
+    # loss_i reads only x_i, so d sum_i loss_i / d x_i is d loss_i / d x_i
+    g = md._input_gradient(spec, theta, x, md._targets(spec, y))
+    fd = _finite_difference(
+        lambda a: float(np.sum(per_sample_loss(spec, forward(spec, theta, a), y))), x)
+    assert g.shape == x.shape
+    assert _max_rel(g, fd) < 1e-5
+    # row blocks that leave a lone last row (taken by the last block), then
+    # last blocks of 2 and 17 rows: each row keeps the bits of one pass
+    for n, blocks in _BLOCKED_ROWS.items():
+        x, targets = rng.standard_normal((n, sizes[0])), md._targets(spec, rng.integers(0, k, n))
+        assert len(md._row_blocks(spec, n)) == 1
+        want = md._input_gradient(spec, theta, x, targets)
+        with monkeypatch.context() as patched:
+            patched.setattr(md, "_CHUNK_BYTES", 37 * 8 * sum(sizes))
+            assert [s.stop - s.start for s in md._row_blocks(spec, n)] == blocks
+            assert md._input_gradient(spec, theta, x, targets).tobytes() == want.tobytes()
 
 
 def test_param_flatten_round_trip():
@@ -250,3 +281,19 @@ def test_model_spec_validation():
         ModelSpec("cnn", (2, 1))
     with pytest.raises(ValueError):
         ModelSpec("mlp", (2, 4, 1), activation="gelu")
+    with pytest.raises(ValueError, match="at least input and output width"):
+        ModelSpec("mlp", (2,))
+    with pytest.raises(ValueError, match="layer sizes must be positive"):
+        ModelSpec("mlp", (2, 0, 1))
+
+
+def test_predict_labels_reads_one_logit_by_sign_and_k_logits_by_argmax():
+    x = np.array([[1.0, -2.0], [-1.0, 0.5], [0.0, 0.0]])
+    one = ModelSpec("linear", (2, 1))
+    theta = np.array([1.0, 0.0, -0.5])  # logits 0.5, -1.5, -0.5
+    assert md.predict_labels(one, theta, x).tolist() == [1, 0, 0]
+    three = ModelSpec("linear", (2, 3))
+    theta = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1])  # logits x0, x1, 0.1
+    assert md.predict_labels(three, theta, x).tolist() == [0, 1, 2]
+    single = md.predict_labels(three, theta, x[1])
+    assert single.shape == () and int(single) == 1

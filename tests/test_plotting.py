@@ -141,6 +141,12 @@ def test_boundary_svg_rejects_three_classes(monkeypatch):
     assert calls == []
 
 
+def test_boundary_svg_rejects_features_that_are_not_2d():
+    ds = Dataset(np.zeros((2, 3)), [0, 1])
+    with pytest.raises(ValueError, match="plotting needs 2-d features, got p = 3"):
+        decision_boundary_svg(ds, [])
+
+
 def test_boundary_svg_rejects_a_span_past_the_float_range():
     # a warning would fail the test too: pyproject turns warnings into errors
     ds = Dataset([[-1e308, 0.0], [1e308, 1.0]], [0, 1])

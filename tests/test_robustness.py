@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import tracemalloc
@@ -790,6 +791,22 @@ def test_row_blocks_leave_style_probes_bitwise_unchanged(render, n, monkeypatch)
     blocked = probes()
     monkeypatch.setattr(md, "_row_blocks", lambda spec, rows: [slice(0, rows)])
     assert blocked == probes()
+
+
+# the names of models that robustness may read: every pass through the
+# layers is models' (``forward`` and ``_input_gradient``)
+_MODEL_NAMES = {"ModelSpec", "forward", "_targets", "_target_losses", "_input_gradient", "_chunk"}
+
+
+def test_robustness_runs_no_layer_code():
+    tree = ast.parse(Path(rb.__file__).read_text(encoding="utf-8"))
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    reads = {node.attr for node in attributes
+             if isinstance(node.value, ast.Name) and node.value.id == "md"}
+    assert reads <= _MODEL_NAMES, sorted(reads - _MODEL_NAMES)
+    assert not [node.lineno for node in attributes if node.attr == "layout"]
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "models"]
 
 
 # ---- divergence probe ---------------------------------------------------------

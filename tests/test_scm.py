@@ -14,7 +14,7 @@ from condvar import (
     save_latents,
     load_csv,
 )
-from condvar.scm import EXAMPLE1_STYLE_DIRECTION, expand_assignment
+from condvar.scm import EXAMPLE1_STYLE_DIRECTION, StyleAwareDataset, expand_assignment
 
 
 def first_member(gi):
@@ -40,6 +40,18 @@ def test_spec_validation():
         small_spec(style_cov=((1.0, 2.0), (2.0, 1.0)))  # indefinite
     with pytest.raises(ValueError):
         small_spec(style_class_mean=(1.0,))
+    with pytest.raises(ValueError, match="q and r must be positive"):
+        small_spec(q=0)
+    with pytest.raises(ValueError, match="unknown id sampler 'random'"):
+        small_spec(id_sampler="random")
+    with pytest.raises(ValueError, match="class_balance must lie strictly between 0 and 1"):
+        small_spec(class_balance=1)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample_linear_scm(small_spec(), 0, seed=0)
+    # a linear render cannot re-render without its matrices
+    ds = sample_linear_scm(small_spec(), 10, seed=0)
+    with pytest.raises(ValueError, match="linear renders need core and style matrices"):
+        StyleAwareDataset(ds.dataset, ds.core, ds.style, "linear")
 
 
 def test_style_matrix_full_rank_and_orthonormal():
@@ -270,3 +282,5 @@ def test_expand_assignment_shapes():
     assert np.array_equal(full[:, 0], gi.seg)
     with pytest.raises(ValueError):
         expand_assignment(np.zeros((7, 1)), 20, q, gi)
+    with pytest.raises(ValueError, match="shift must have style dimension 1"):
+        expand_assignment(np.array([1.0, 2.0]), 20, q)

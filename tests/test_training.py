@@ -247,6 +247,15 @@ def test_config_validation():
         OptimizerConfig("lbfgs", 0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        TrainConfig(batch_size=0)
+
+
+def test_train_rejects_a_group_index_over_other_rows():
+    ds = toy_dataset(n=30)
+    with pytest.raises(ValueError, match="group index does not cover the dataset"):
+        train(ds, build_group_index(toy_dataset(n=20)), ModelSpec("linear", (3, 1)),
+              TrainConfig(epochs=1))
 
 
 # ---- constrained oracle --------------------------------------------------------
@@ -270,6 +279,22 @@ def test_oracle_rejects_full_style_space():
     cfg = TrainConfig(PenaltyConfig(), OptimizerConfig("adam", 0.05), 10, 5, 0)
     with pytest.raises(ValueError):
         oracle_train_constrained(ds, ModelSpec("linear", (2, 1)), np.eye(2), cfg)
+
+
+def test_oracle_rejects_what_it_cannot_fit():
+    ds = toy_dataset(seed=2, p=3)
+    cfg = TrainConfig(PenaltyConfig(), OptimizerConfig("adam", 0.05), 10, 5, 0)
+    cases = [
+        (ModelSpec("mlp", (3, 4, 1)), np.eye(3)[:, :1], "single-logit linear models only"),
+        (ModelSpec("linear", (3, 1)), np.eye(2)[:, :1], "style matrix must be p x q"),
+        (ModelSpec("linear", (3, 1)), np.ones(3), "style matrix must be p x q"),
+        (ModelSpec("linear", (2, 1)), np.eye(2)[:, :1],
+         "feature dimension 3 does not match model input 2"),
+        (ModelSpec("linear", (3, 1)), np.ones((3, 4)), "style dimension exceeds"),
+    ]
+    for spec, w_mat, message in cases:
+        with pytest.raises(ValueError, match=message):
+            oracle_train_constrained(ds, spec, w_mat, cfg)
 
 
 def test_oracle_rejects_rank_deficient():
