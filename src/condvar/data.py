@@ -225,6 +225,14 @@ def _reading(path, what: str):
         raise DataFormatError(f"{path}: malformed {what} ({exc})") from None
 
 
+def _integer(v) -> int:
+    """``int(v)`` for a v that holds an integer; one with a fraction, which
+    ``int`` would drop, raises ValueError, judged by ``_reading``."""
+    if int(v) != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _parse_rows(rows: list, p: int) -> np.ndarray:
     """Ids, labels and features of ``rows`` (CSV lines of p + 2 fields) in
     one ``np.loadtxt`` call: a record array with an object field ``id``

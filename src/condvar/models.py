@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataFormatError, _json_text, _reading, _write_text
+from .data import DataFormatError, _integer, _json_text, _reading, _write_text
 
 __all__ = [
     "ModelSpec",
@@ -51,7 +51,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", tuple(map(_integer, self.layer_sizes)))
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output width")
         if self.kind == "linear" and len(self.layer_sizes) != 2:
@@ -161,17 +161,15 @@ def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray, g_theta=
 
 
 # every evaluation outside training holds its buffers, 8 bytes a float,
-# within this many bytes: a batch of stacked shifted styles or plot-grid
-# rows its widest layer buffer (``_chunk``), a block of the rows of a pass
-# its buffers for all the layers together (``_row_blocks``)
+# within this many bytes: a stack of inputs (``_chunk``), and a block of the
+# rows of a pass its buffers for all the layers together (``_row_blocks``)
 _CHUNK_BYTES = 256 * 1024
 
 
-def _chunk(spec: ModelSpec, rows: int, *widths: int) -> int:
-    """How many blocks of ``rows`` rows one batched evaluation takes: as
-    many as keep a buffer as wide as the widest of the model's layers and
-    ``widths`` within ``_CHUNK_BYTES``, at least 1."""
-    return max(1, _CHUNK_BYTES // (8 * rows * max(*spec.layer_sizes, *widths)))
+def _chunk(rows: int, width: int) -> int:
+    """How many copies of ``rows`` rows, each holding ``width`` floats of
+    input, one stack takes within ``_CHUNK_BYTES``, at least 1."""
+    return max(1, _CHUNK_BYTES // (8 * rows * width))
 
 
 def _row_blocks(spec: ModelSpec, n: int) -> list:
@@ -297,7 +295,7 @@ def load_checkpoint(path):
         payload = json.load(fh)
         spec = ModelSpec.from_dict(payload["spec"])
         theta = np.asarray(payload["flat_params"], dtype=float)
-        seed, step = int(payload["seed"]), int(payload["step"])
+        seed, step = _integer(payload["seed"]), _integer(payload["step"])
         if not np.all(np.isfinite(theta)) or step < 0:
             raise ValueError("parameters must be finite and the step >= 0")
     if theta.shape != (param_count(spec),):

@@ -4,15 +4,12 @@ SVG is written by hand so the bytes depend only on the inputs: samples
 colored by class, grouped pairs joined by segments, and one traced contour
 per checkpoint (marching squares on a 400 x 400 logit grid).
 
-The grid is evaluated a block of grid rows at a time, ``models._chunk``
-rows of 400 points each (the model's widest layer buffer within 256 KiB,
-at least one row): 5 rows for a 2-16-16-1 MLP, 40 for a linear model.
-``models.forward`` runs each block by the row rule of every evaluation
-outside training (``models._row_blocks``: all layers' buffers within the
-same 256 KiB, 512 rows for that MLP). Only the finished (400, 400) logit
+The grid is evaluated a stack of grid rows at a time, as many rows of 400
+2-d points as ``models._chunk`` fits in its budget, and ``models.forward``
+runs each stack through the layers. Only the finished (400, 400) logit
 grid is kept whole. A grid point's logit does not depend on the points
 evaluated beside it, so neither do the SVG bytes; the tests pin them at
-blocks of 1, 7 and 400 rows.
+stacks of 1, 7 and 400 rows.
 """
 
 from __future__ import annotations
@@ -131,9 +128,8 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
 
     xs = np.linspace(lo[0], hi[0], _GRID)
     ys = np.linspace(lo[1], hi[1], _GRID)
-    vals = np.empty((_GRID, _GRID))
+    vals, rows = np.empty((_GRID, _GRID)), md._chunk(_GRID, 2)
     for k, (spec, theta) in enumerate(checkpoints):
-        rows = md._chunk(spec, _GRID)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite boundary raises below
             for r in range(0, _GRID, rows):
                 block = ys[r:r + rows]

@@ -125,13 +125,10 @@ def mahalanobis_cost(delta, sigma) -> float:
 
 def _shifted_losses(fit, shifts) -> np.ndarray:
     """Per-sample losses of a ``_Fit``, (K, n), under K stacked style shifts:
-    ``shifts`` is (K, n, q), or (K, 1, q) for one shift of every sample. The
-    shifted styles are rendered and scored k at a time as one (k n)-row
-    batch, k from ``models._chunk``, whose rows ``models.forward`` runs in
-    its row blocks; no sample's loss depends on the shifts or rows beside
-    it."""
-    spec, ds, n = fit.spec, fit.data, len(fit.targets)
-    k = md._chunk(spec, n, ds.q)
+    ``shifts`` is (K, n, q), or (K, 1, q) for one shift of every sample,
+    rendered and scored ``fit.copies`` at a time as one stack for
+    ``models.forward``; no sample's loss depends on the rows beside it."""
+    spec, ds, n, k = fit.spec, fit.data, len(fit.targets), fit.copies
     losses = np.empty((len(shifts), n))
     for lo in range(0, len(shifts), k):
         feats = ds.render(ds.style + shifts[lo:lo + k])
@@ -186,14 +183,13 @@ def _search_spheres(fit, budgets, seed) -> tuple:
     groups; above that, 64 random restarts per group (seeded seed + j), each
     refined by 200 steps of projected gradient ascent. Each group keeps its
     first strict maximum; a group that never finds one keeps the zero shift
-    and its unshifted losses. Candidates are stepped and scored K at a time, the
-    evaluator's chunk (``_shifted_losses``), their group means taken over K m
+    and its unshifted losses. Candidates are stepped and scored
+    ``fit.copies`` at a time, their group means taken over that many times m
     segments. When every budget is 0 the only shift is 0, and the fit's
     unshifted losses and their group means are returned without a search."""
     ds, chol, seg, m, q = fit.data, fit.chol, fit.groups.seg, fit.groups.m, fit.data.q
     n, p = ds.dataset.features.shape
-    scale = np.sqrt(budgets)[:, None]
-    k = md._chunk(fit.spec, n, q)
+    scale, k = np.sqrt(budgets)[:, None], fit.copies
     seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
     def shift(u):  # (K, m, q) unit directions -> shifts
@@ -252,9 +248,11 @@ def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarra
 
 class _Fit:
     """The probes of one fit and what they share: the factor of ``sigma``
-    (checked before any model evaluation), the loss targets and a, set here,
-    and the zero-shift per-sample losses and style gradients, (n,) and
-    (n, q), each computed once, on first use."""
+    (checked before any model evaluation), the loss targets, a and
+    ``copies``, how many copies of the n samples, features and style, one
+    stack holds (``models._chunk``), set here, and the zero-shift per-sample
+    losses and style gradients, (n,) and (n, q), each computed once, on
+    first use."""
 
     def __init__(self, spec, theta, style_dataset, sigma=None, groups=None):
         self.spec, self.theta, self.data = spec, theta, style_dataset
@@ -262,6 +260,7 @@ class _Fit:
         self.chol = None if sigma is None else _chol(sigma, style_dataset.q)
         self.targets = md._targets(spec, style_dataset.dataset.labels)
         self.a = _style_direction(spec, theta, style_dataset)
+        self.copies = md._chunk(len(self.targets), style_dataset.dataset.p + style_dataset.q)
 
     @cached_property
     def unshifted(self) -> np.ndarray:
@@ -346,6 +345,8 @@ def _check_method(method, m: int) -> None:
 
 def _checked_magnitudes(magnitudes) -> np.ndarray:
     magnitudes = np.asarray(sorted(float(v) for v in magnitudes))
+    if len(magnitudes) == 0:
+        raise ValueError("magnitudes must hold at least one magnitude")
     if not np.all(np.isfinite(magnitudes)):
         raise ValueError("magnitudes must be finite")
     return magnitudes

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, DataFormatError, _json_text, _reading, _write_text
+from .data import Dataset, DataFormatError, _integer, _json_text, _reading, _write_text
 
 __all__ = [
     "LinearScmSpec",
@@ -124,10 +124,10 @@ class LinearScmSpec:
     @staticmethod
     def from_dict(d: dict) -> "LinearScmSpec":
         return LinearScmSpec(
-            int(d["p"]), int(d["q"]), int(d["r"]),
-            float(d["class_balance"]), int(d["id_count"]), d["id_sampler"],
+            _integer(d["p"]), _integer(d["q"]), _integer(d["r"]),
+            float(d["class_balance"]), _integer(d["id_count"]), d["id_sampler"],
             float(d["core_class_mean"]), float(d["core_id_scale"]),
-            d["style_class_mean"], d["style_cov"], int(d["structure_seed"]),
+            d["style_class_mean"], d["style_cov"], _integer(d["structure_seed"]),
         )
 
 

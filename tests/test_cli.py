@@ -975,13 +975,19 @@ def scm_dir(tmp_path_factory):
     ("eval", "checkpoint", _json_with(_put("spec", "layer_sizes", ["N", 1]))),
     ("eval", "checkpoint", _json_with(_put("flat_params", 0, 10 ** 400))),
     ("shift_eval", "scm_latents", _json_with(_put("scm", "id_count", "N"))),
+    ("eval", "checkpoint", _json_with(_put("spec", "layer_sizes", [2.5, 1]))),
+    ("eval", "checkpoint", _json_with(_put(None, "seed", 1.5))),
+    ("eval", "checkpoint", _json_with(_put(None, "step", 2.5))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "p", 2.5))),
 ], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
         "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
-        "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999"])
+        "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999",
+        "layer_size_2.5", "seed_1.5", "step_2.5", "scm_p_2.5"])
 def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
         gen_dir, trained_dir, scm_dir, tmp_path, capsys, command, spoilt, spoil):
-    # one rule judges every input file: undecodable text, too deep a nesting
-    # and an out-of-range number are data errors naming the file
+    # one rule judges every input file: undecodable text, too deep a nesting,
+    # an out-of-range number and a fraction in an integer field are data
+    # errors naming the file
     files = {"data": gen_dir / "train.csv", "checkpoint": trained_dir / "checkpoint.json",
              "latents": gen_dir / "train_latents.json"}
     if spoilt == "scm_latents":

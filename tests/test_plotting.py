@@ -1,10 +1,13 @@
+import ast
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from condvar import models as md
+from condvar import plotting
 from condvar.data import Dataset
 from condvar.plotting import _GRID, decision_boundary_svg, zero_contour_segments
 
@@ -192,17 +195,17 @@ _PINNED_SVGS = {
 @pytest.mark.parametrize("rows", [None, 1, 7, _GRID])
 @pytest.mark.parametrize("name", sorted(_PINNED_SVGS))
 def test_boundary_svg_bytes_do_not_depend_on_the_row_block(name, rows, monkeypatch):
-    # None keeps the default budget; 7 rows leave a partial last block
-    # (400 % 7 = 1); 400 rows evaluate the whole grid in one block
+    # None keeps the default budget, 40 grid rows of 2-d points for every
+    # model; 7 rows leave a partial last block (400 % 7 = 1); 400 rows
+    # evaluate the whole grid in one block
     (spec, theta), sha256 = _PINNED_SVGS[name]
     if rows is not None:
-        monkeypatch.setattr(md, "_CHUNK_BYTES", rows * 8 * _GRID * max(spec.layer_sizes))
+        monkeypatch.setattr(md, "_CHUNK_BYTES", rows * 8 * _GRID * 2)
     calls = []
     forward = md.forward
     monkeypatch.setattr(md, "forward", lambda *a: calls.append(1) or forward(*a))
     svg = decision_boundary_svg(_scatter_dataset(), [(spec, theta)], [name])
-    if rows is not None:
-        assert len(calls) == -(-_GRID // rows)
+    assert len(calls) == -(-_GRID // (rows or 40))
     assert _boundary_lines(svg) > 0
     assert hashlib.sha256(svg.encode()).hexdigest() == sha256
 
@@ -220,3 +223,21 @@ def test_boundary_svg_memory_does_not_grow_with_the_grid_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
+
+
+# the names of models that plotting may read: the layers are forward's, and
+# a stack of grid rows is sized by its 2-d inputs alone
+_MODEL_NAMES = {"forward", "_chunk"}
+
+
+def test_plotting_sizes_its_grid_stack_once_and_runs_no_layer_code():
+    # _chunk is called outside every loop: once per plot
+    tree = ast.parse(Path(plotting.__file__).read_text(encoding="utf-8"))
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "md"}
+    assert reads <= _MODEL_NAMES, sorted(reads - _MODEL_NAMES)
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "models"]
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    assert not [node.lineno for loop in loops for node in ast.walk(loop)
+                if isinstance(node, ast.Attribute) and node.attr == "_chunk"]

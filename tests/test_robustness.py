@@ -624,10 +624,10 @@ def _one_candidate_search(model, theta, ds, gi, chol, budgets, seed):
     return best_val, best_delta
 
 
-def _force_chunk(monkeypatch, k, model, ds):
+def _force_chunk(monkeypatch, k, ds):
     # the budget that makes _search_spheres stack exactly k candidates
     n, p = ds.dataset.features.shape
-    monkeypatch.setattr(md, "_CHUNK_BYTES", k * 8 * n * max(p, ds.q, *model.layer_sizes))
+    monkeypatch.setattr(md, "_CHUNK_BYTES", k * 8 * n * (p + ds.q))
 
 
 def _grid_instance(q, render):
@@ -652,7 +652,7 @@ def test_grid_search_equals_one_candidate_loop(q, render, k, monkeypatch):
     model, theta, ds, gi, sigma, budgets = _grid_instance(q, render)
     want_vals, want_shifts = _one_candidate_search(model, theta, ds, gi,
                                                    np.linalg.cholesky(sigma), budgets, 0)
-    _force_chunk(monkeypatch, k, model, ds)
+    _force_chunk(monkeypatch, k, ds)
     vals, shifts, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, 0)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(shifts, want_shifts)
@@ -672,7 +672,7 @@ def test_stacked_ascent_matches_per_restart_loop(k, ascent_reference, monkeypatc
     # k = 5 leaves a partial last chunk of the 64 restarts; 64 steps them all at once
     args, sigma, (want_vals, want_shifts) = ascent_reference
     model, theta, ds, gi, _chol, budgets, seed = args
-    _force_chunk(monkeypatch, k, model, ds)
+    _force_chunk(monkeypatch, k, ds)
     vals, shifts, _ = _search_spheres(_Fit(model, theta, ds, sigma, gi), budgets, seed)
     np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
     np.testing.assert_allclose(shifts, want_shifts, rtol=1e-12, atol=1e-15)
@@ -729,7 +729,7 @@ def test_grid_search_keeps_first_direction_on_ties(monkeypatch):
     # candidate ties and each group must keep grid[0]'s shift across chunks
     model, _theta, ds, gi, sigma, budgets = _grid_instance(2, "linear")
     chol = np.linalg.cholesky(sigma)
-    _force_chunk(monkeypatch, 7, model, ds)
+    _force_chunk(monkeypatch, 7, ds)
     vals, shifts, _ = _search_spheres(_Fit(model, np.zeros(md.param_count(model)), ds, sigma, gi),
                                    budgets, 0)
     first = np.sqrt(budgets)[:, None] * np.einsum("ab,b->a", chol, _sphere_directions(2)[0])
@@ -760,6 +760,38 @@ def test_search_memory_stays_within_the_chunk_budget():
         # shift_search's peak RSS may grow; a 1 MiB budget reads 1.9 MB here
         assert peak <= 4 * md._CHUNK_BYTES
         assert peak <= 1 << 20
+
+
+def _polar_fit():
+    # polar_mlp's shape: n = 4 000 samples in 2 000 pairs, a 2-16-16-1 MLP
+    ds, _test = gen_example2(4000, 2000, seed=0)
+    model = ModelSpec("mlp", (2, 16, 16, 1))
+    theta = md.init_params(model, 0)
+    return model, theta, ds, build_group_index(ds.dataset)
+
+
+def test_polar_report_memory_stays_within_the_chunk_budget():
+    model, theta, ds, gi = _polar_fit()
+    sigma = estimate_conditional_covariance(ds, gi).pooled
+    tracemalloc.start()
+    try:
+        rb.report(model, theta, ds, gi, sigma, [0.0, 0.01, 0.1, 1.0], "uniform_ball", 1e-3,
+                  [0.0, 1.0, 10.0, 100.0, 1000.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * md._CHUNK_BYTES
+
+
+def test_a_fit_sizes_its_stack_once(monkeypatch):
+    # every probe of a report stacks the copies its _Fit sized on creation
+    model, theta, ds, gi = _polar_fit()
+    calls = []
+    chunk = md._chunk
+    monkeypatch.setattr(md, "_chunk", lambda *a: calls.append(a) or chunk(*a))
+    rb.report(model, theta, ds, gi, np.eye(1), [0.0, 0.1, 1.0], "uniform_ball", 1e-3,
+              [0.0, 1.0, 10.0])
+    assert calls == [(4000, 3)]
 
 
 @pytest.mark.parametrize("n", [97, 98, 113])
@@ -852,7 +884,7 @@ def test_divergence_probe_stacks_separate_loss_under_shift_calls(case, k, monkey
     magnitudes = [0.0, 0.5, 3.0, 30.0, 300.0]
     want = [loss_under_shift(model, theta, ds, np.zeros(ds.q))]
     want += [loss_under_shift(model, theta, ds, mag * direction) for mag in magnitudes]
-    _force_chunk(monkeypatch, k, model, ds)
+    _force_chunk(monkeypatch, k, ds)
     probe = divergence_probe(model, theta, ds, direction, magnitudes)
     assert [probe.unshifted, *probe.losses.tolist()] == want
 
@@ -862,6 +894,17 @@ def test_divergence_probe_rejects_zero_direction():
     with pytest.raises(ValueError):
         divergence_probe(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds,
                          np.zeros(2), [1.0])
+
+
+def test_divergence_probe_rejects_no_magnitudes_before_the_model_runs(monkeypatch):
+    spec, ds, gi = scm_instance()
+    calls = []
+    forward = md.forward
+    monkeypatch.setattr(md, "forward", lambda *a: calls.append(1) or forward(*a))
+    with pytest.raises(ValueError, match="at least one magnitude"):
+        divergence_probe(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds,
+                         np.array([1.0, 0.0]), [])
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -1098,6 +1141,7 @@ _BAD_REPORT_INPUTS = {
     "no_xi": {"xis": []},
     "fo_xi": {"fo_xi": -1.0},
     "magnitudes": {"magnitudes": [1.0, float("inf")]},
+    "no_magnitudes": {"magnitudes": []},
     "method": {"method": "steepest"},
     "exhaustive_tiny_groups": {"method": "exhaustive_tiny"},
     "sigma": {"sigma": np.array([[1.0, 5.0], [0.0, 1.0]])},
