@@ -50,8 +50,8 @@ class Dataset:
     def __init__(self, features, labels, ids=None, n_classes=None):
         features = np.array(features, dtype=float)
         labels = np.array(labels, dtype=int)
-        if features.ndim != 2:
-            raise ValueError("features must be an (n, p) array")
+        if features.ndim != 2 or features.shape[1] < 1:
+            raise ValueError("features must be an (n, p) array with p >= 1")
         n = features.shape[0]
         if n < 1:
             raise ValueError("a dataset needs at least one sample")
@@ -177,14 +177,16 @@ def _csv_text(dataset: Dataset) -> str:
     """The text ``save_csv`` writes."""
     ids = ["" if ident is None else str(ident) for ident in dataset.ids]
     joined = "".join(ids)
-    if "," in joined or "\n" in joined:
+    # universal-newline reading breaks a line at "\r" as well as at "\n"
+    if "," in joined or "\n" in joined or "\r" in joined:
         raise DataFormatError("id tokens may not contain commas or newlines")
     # an absent id writes "", so any further "" is an id that is empty
     if ids.count("") > np.count_nonzero(np.equal(dataset.ids, None)):
         raise DataFormatError("id tokens may not be empty: an empty field means no id")
+    if not np.isfinite(dataset.features).all():
+        raise DataFormatError("features must be finite")
     cols = ",".join(f"x{j}" for j in range(dataset.p))
-    # built column by column; with p = 0 a row still ends in a comma, as the header does
-    features = [map(repr, column) for column in dataset.features.T.tolist()] or [[""] * len(ids)]
+    features = [map(repr, column) for column in dataset.features.T.tolist()]
     rows = map(",".join, zip(ids, map(str, dataset.labels.tolist()), *features))
     return "\n".join([f"id,y,{cols}", *rows, ""])  # one join: the text is never copied
 
@@ -192,9 +194,9 @@ def _csv_text(dataset: Dataset) -> str:
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
     written with shortest round-trip precision so load(save(d)) == d bitwise.
-    Every id is checked before the file is opened, so an id that is empty
-    (it would read back as absent) or holds a comma or a newline raises
-    DataFormatError and leaves the path untouched."""
+    It refuses every row ``load_csv`` refuses before opening the file: a
+    non-finite feature, or an id that is empty (it reads back as absent) or
+    holds a comma, a newline or a carriage return, raises DataFormatError."""
     _write_text(path, _csv_text(dataset))
 
 
@@ -227,8 +229,9 @@ def _reading(path, what: str):
 
 def _integer(v) -> int:
     """``int(v)`` for a v that holds an integer; one with a fraction, which
-    ``int`` would drop, raises ValueError, judged by ``_reading``."""
-    if int(v) != v:
+    ``int`` would drop, and a boolean, which it would read as 0 or 1, raise
+    ValueError, judged by ``_reading``."""
+    if isinstance(v, bool) or int(v) != v:
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 

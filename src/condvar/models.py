@@ -279,22 +279,35 @@ def _decide(spec: ModelSpec, logits) -> np.ndarray:
 
 
 def _checkpoint_payload(spec: ModelSpec, theta: np.ndarray, seed: int, step: int) -> dict:
-    return {"spec": asdict(spec), "flat_params": [float(v) for v in np.asarray(theta).ravel()],
+    """The tree ``save_checkpoint`` writes; a parameter count other than
+    ``param_count(spec)`` or a negative step, which ``load_checkpoint``
+    refuses, raises ValueError."""
+    theta = np.asarray(theta).ravel()
+    if theta.size != param_count(spec):
+        raise ValueError(f"{theta.size} parameters for a model spec of {param_count(spec)}")
+    if step < 0:
+        raise ValueError(f"step must be >= 0, got {step}")
+    return {"spec": asdict(spec), "flat_params": [float(v) for v in theta],
             "seed": int(seed), "step": int(step)}
 
 
 def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: int):
+    """Write a checkpoint, built before the file is opened: one that
+    ``load_checkpoint`` would refuse raises ValueError and leaves the path untouched."""
     _write_text(path, _json_text(_checkpoint_payload(spec, theta, seed, step)))
 
 
 def load_checkpoint(path):
     """(spec, theta, seed, step) from a ``save_checkpoint`` file; a file
-    that is not one, non-finite parameters or a negative step included,
-    raises DataFormatError naming it."""
+    that is not one, parameters that are not finite JSON numbers or a
+    negative step included, raises DataFormatError naming it."""
     with _reading(path, "checkpoint"), open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
         spec = ModelSpec.from_dict(payload["spec"])
-        theta = np.asarray(payload["flat_params"], dtype=float)
+        params = payload["flat_params"]
+        if any(type(v) not in (int, float) for v in params):  # no string, no boolean
+            raise ValueError("parameters must be JSON numbers")
+        theta = np.asarray(params, dtype=float)
         seed, step = _integer(payload["seed"]), _integer(payload["step"])
         if not np.all(np.isfinite(theta)) or step < 0:
             raise ValueError("parameters must be finite and the step >= 0")

@@ -768,7 +768,7 @@ def test_gen_whose_render_overflows_fails_numerical_and_writes_nothing(tmp_path,
                "--seed", 0, "--out", out)
     err = capsys.readouterr().err
     assert code == 4
-    assert err == "numerical failure: train.csv: non-finite feature (the render overflows)\n"
+    assert err == "numerical failure: train.csv: non-finite result (features must be finite)\n"
     assert not out.exists()
 
 
@@ -979,15 +979,23 @@ def scm_dir(tmp_path_factory):
     ("eval", "checkpoint", _json_with(_put(None, "seed", 1.5))),
     ("eval", "checkpoint", _json_with(_put(None, "step", 2.5))),
     ("shift_eval", "scm_latents", _json_with(_put("scm", "p", 2.5))),
+    ("eval", "checkpoint", _json_with(_put("flat_params", 0, "0.5"))),
+    ("eval", "checkpoint", _json_with(_put("flat_params", 0, True))),
+    ("eval", "checkpoint", _json_with(_put(None, "step", True))),
+    ("eval", "checkpoint", _json_with(_put("spec", "layer_sizes", [2, True]))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "q", True))),
 ], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
         "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
         "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999",
-        "layer_size_2.5", "seed_1.5", "step_2.5", "scm_p_2.5"])
+        "layer_size_2.5", "seed_1.5", "step_2.5", "scm_p_2.5", "param_string", "param_true",
+        "step_true", "layer_size_true", "scm_q_true"])
 def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
         gen_dir, trained_dir, scm_dir, tmp_path, capsys, command, spoilt, spoil):
     # one rule judges every input file: undecodable text, too deep a nesting,
-    # an out-of-range number and a fraction in an integer field are data
-    # errors naming the file
+    # an out-of-range number, a fraction or a boolean in an integer field and
+    # a parameter that is not a JSON number are data errors naming the file;
+    # read as numbers, the booleans (as 1) and the string (as 0.5) would each
+    # make a file that loads
     files = {"data": gen_dir / "train.csv", "checkpoint": trained_dir / "checkpoint.json",
              "latents": gen_dir / "train_latents.json"}
     if spoilt == "scm_latents":

@@ -138,6 +138,8 @@ def test_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(12)
     feats = rng.standard_normal((100, 5)) * np.exp(rng.uniform(-8, 8, (100, 5)))
     ids = [None if i % 3 else f"g{i % 7}" for i in range(100)]
+    # characters the reader does not split a line or a field on; "\r" is refused
+    ids[1:28:3] = ["a\tb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", 'a"b', "#a", " "]
     ds = Dataset(feats, rng.integers(0, 3, 100), ids)
     path = tmp_path / "rt.csv"
     save_csv(ds, path)
@@ -196,7 +198,7 @@ def test_csv_skipped_lines_do_not_change_the_dataset(tmp_path, layout):
     assert got.n_classes == want.n_classes
 
 
-@pytest.mark.parametrize("bad_id", ["a,b", "a\nb"])
+@pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb"])
 def test_csv_save_rejects_bad_id_before_touching_the_file(tmp_path, bad_id):
     # the bad id sits after valid rows: nothing may be written before the check
     ds = Dataset([[0.0], [1.0], [2.0]], [0, 1, 0], ["a", "b", bad_id])
@@ -205,6 +207,19 @@ def test_csv_save_rejects_bad_id_before_touching_the_file(tmp_path, bad_id):
     with pytest.raises(DataFormatError, match="commas or newlines"):
         save_csv(ds, path)
     assert path.read_text() == "id,y,x0\nold,1,5.0\n"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_csv_save_rejects_a_non_finite_feature_before_touching_the_file(tmp_path, value):
+    # load_csv refuses the row that repr would write for it, so save_csv refuses the dataset
+    ds = Dataset([[0.0, 1.0], [1.0, 2.0], [2.0, value]], [0, 1, 0], ["a", "b", "c"])
+    path = tmp_path / "d.csv"
+    path.write_text(f"id,y,x0,x1\nc,0,2.0,{value!r}\n")
+    with pytest.raises(DataFormatError, match=":2: non-finite feature"):
+        load_csv(path)
+    with pytest.raises(DataFormatError, match="features must be finite"):
+        save_csv(ds, path)
+    assert path.read_text() == f"id,y,x0,x1\nc,0,2.0,{value!r}\n"
 
 
 def test_csv_save_rejects_an_empty_id_before_touching_the_file(tmp_path):
@@ -314,6 +329,9 @@ def test_dataset_validates_dimensions():
         Dataset(np.array([[1.0, 2.0]]), [3], n_classes=2)
     with pytest.raises(ValueError, match="at least one sample"):
         Dataset(np.zeros((0, 2)), [])
+    # p = 0 would write the header "id,y," that load_csv calls malformed
+    with pytest.raises(ValueError, match=r"an \(n, p\) array with p >= 1"):
+        Dataset(np.zeros((2, 0)), [0, 1])
     with pytest.raises(ValueError, match=r"labels shape \(1,\) does not match 2 samples"):
         Dataset(np.zeros((2, 1)), [0])
     with pytest.raises(ValueError, match=r"labels shape \(2, 1\) does not match 2 samples"):

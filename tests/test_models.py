@@ -1,11 +1,14 @@
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from condvar import autodiff as ad
 from condvar import models as md
+from condvar.data import DataFormatError
 from condvar.models import (
     ModelSpec,
     forward,
@@ -272,6 +275,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert spec2 == spec
     assert np.array_equal(theta, theta2)
     assert (seed, step) == (1, 42)
+
+
+@pytest.mark.parametrize("n_params, step, message", [
+    (8, 0, "8 parameters for a model spec of 9"),
+    (9, -1, r"step must be >= 0, got -1"),
+], ids=["param_count", "negative_step"])
+def test_checkpoint_save_refuses_what_load_refuses_before_touching_the_file(
+        tmp_path, n_params, step, message):
+    spec = ModelSpec("mlp", (2, 2, 1))  # 9 parameters
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({"spec": asdict(spec), "flat_params": [0.0] * n_params,
+                                "seed": 0, "step": step}))
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+    before = path.read_text()
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(path, spec, np.zeros(n_params), 0, step)
+    assert path.read_text() == before
 
 
 def test_model_spec_validation():
