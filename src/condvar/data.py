@@ -1,6 +1,7 @@
 """Columnar observations, the (label, id) grouping partition, CSV ingest,
 the one JSON serializer and the one writer of every file the package writes,
-and the one rule that judges every file it reads (``_reading``).
+the one rule that judges every file it reads (``_reading``) and the one
+reader of every JSON number that is not an integer (``_reals``).
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -10,6 +11,7 @@ conditional variance penalty sees.
 
 from __future__ import annotations
 
+import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -193,10 +195,12 @@ def _csv_text(dataset: Dataset) -> str:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
-    written with shortest round-trip precision so load(save(d)) == d bitwise.
-    It refuses every row ``load_csv`` refuses before opening the file: a
-    non-finite feature, or an id that is empty (it reads back as absent) or
-    holds a comma, a newline or a carriage return, raises DataFormatError."""
+    written with shortest round-trip precision, so ``load_csv`` reads back the
+    features, labels and ids bitwise. The file holds no class count: it reads
+    back as the largest label + 1. It refuses every row ``load_csv`` refuses
+    before opening the file: a non-finite feature, or an id that is empty (it
+    reads back as absent) or holds a comma, a newline or a carriage return,
+    raises DataFormatError."""
     _write_text(path, _csv_text(dataset))
 
 
@@ -234,6 +238,19 @@ def _integer(v) -> int:
     if isinstance(v, bool) or int(v) != v:
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _reals(values, ndim: int) -> np.ndarray:
+    """``values``, a rectangular nest of finite JSON numbers ``ndim`` non-empty lists deep, as a
+    float64 array read in one flat pass; anything else raises an error that ``_reading`` judges."""
+    flat, shape = [values], []
+    for _ in range(ndim):
+        shape += set(map(len, flat))  # one width per level unless ragged; a number: TypeError
+        flat = list(itertools.chain.from_iterable(flat))  # a string or object yields strings
+    if (len(shape) != ndim or not all(shape) or not set(map(type, flat)) <= {int, float}
+            or not np.isfinite(arr := np.array(flat, dtype=float)).all()):
+        raise ValueError(f"expected finite JSON numbers in a rectangular nest of depth {ndim}")
+    return arr.reshape(shape)
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:

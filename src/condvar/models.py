@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataFormatError, _integer, _json_text, _reading, _write_text
+from .data import DataFormatError, _integer, _json_text, _reading, _reals, _write_text
 
 __all__ = [
     "ModelSpec",
@@ -304,13 +304,10 @@ def load_checkpoint(path):
     with _reading(path, "checkpoint"), open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
         spec = ModelSpec.from_dict(payload["spec"])
-        params = payload["flat_params"]
-        if any(type(v) not in (int, float) for v in params):  # no string, no boolean
-            raise ValueError("parameters must be JSON numbers")
-        theta = np.asarray(params, dtype=float)
+        theta = _reals(payload["flat_params"], 1)
         seed, step = _integer(payload["seed"]), _integer(payload["step"])
-        if not np.all(np.isfinite(theta)) or step < 0:
-            raise ValueError("parameters must be finite and the step >= 0")
+        if step < 0:
+            raise ValueError("the step must be >= 0")
     if theta.shape != (param_count(spec),):
         raise DataFormatError(f"{path}: checkpoint parameter count does not match its model spec")
     return spec, theta, seed, step

@@ -19,13 +19,12 @@ one list per row, a linear render's matrices and any SCM spec.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, DataFormatError, _integer, _json_text, _reading, _write_text
+from .data import Dataset, DataFormatError, _integer, _json_text, _reading, _reals, _write_text
 
 __all__ = [
     "LinearScmSpec",
@@ -116,18 +115,17 @@ class LinearScmSpec:
         """Deterministic k_core(y, id): class mean plus a hash-seeded offset."""
         base = np.zeros(self.r)
         base[0] = self.core_class_mean * y_pm
-        rng = np.random.default_rng(
-            [self.structure_seed & 0xFFFFFFFF, 7919, int(y_pm) + 2, int(ident)]
-        )
+        rng = np.random.default_rng([self.structure_seed, 7919, int(y_pm) + 2, int(ident)])
         return base + self.core_id_scale * rng.standard_normal(self.r)
 
     @staticmethod
     def from_dict(d: dict) -> "LinearScmSpec":
         return LinearScmSpec(
             _integer(d["p"]), _integer(d["q"]), _integer(d["r"]),
-            float(d["class_balance"]), _integer(d["id_count"]), d["id_sampler"],
-            float(d["core_class_mean"]), float(d["core_id_scale"]),
-            d["style_class_mean"], d["style_cov"], _integer(d["structure_seed"]),
+            float(_reals(d["class_balance"], 0)), _integer(d["id_count"]), d["id_sampler"],
+            float(_reals(d["core_class_mean"], 0)), float(_reals(d["core_id_scale"], 0)),
+            _reals(d["style_class_mean"], 1), _reals(d["style_cov"], 2),
+            _integer(d["structure_seed"]),
         )
 
 
@@ -383,18 +381,6 @@ def save_latents(style_dataset: StyleAwareDataset, path) -> None:
     _write_text(path, _latents_text(style_dataset))
 
 
-def _latent_rows(rows) -> np.ndarray:
-    """A sidecar's list of latent rows as an (n, width) float array, read
-    in one flat pass; rows of different lengths raise ValueError, since the
-    flat pass would run them together."""
-    widths = set(map(len, rows))
-    if len(widths) != 1:
-        raise ValueError("latent rows must all have one length")
-    (width,) = widths
-    flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, float, len(rows) * width).reshape(len(rows), width)
-
-
 def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
     """Reattach latents from a sidecar file to a loaded Dataset. A file that
     is not a sidecar, or one that does not re-render ``dataset``'s
@@ -404,11 +390,11 @@ def load_style_dataset(dataset: Dataset, path) -> StyleAwareDataset:
         kind = payload["render_kind"]
         ds = StyleAwareDataset(
             dataset=dataset,
-            core=_latent_rows(payload["core"]),
-            style=_latent_rows(payload["style"]),
+            core=_reals(payload["core"], 2),
+            style=_reals(payload["style"], 2),
             render_kind=kind,
-            core_matrix=np.asarray(payload["core_matrix"]) if kind == "linear" else None,
-            style_matrix=np.asarray(payload["style_matrix"]) if kind == "linear" else None,
+            core_matrix=_reals(payload["core_matrix"], 2) if kind == "linear" else None,
+            style_matrix=_reals(payload["style_matrix"], 2) if kind == "linear" else None,
             scm=LinearScmSpec.from_dict(payload["scm"]) if "scm" in payload else None,
             generator=payload.get("generator", "custom"),
             generator_params=payload.get("generator_params", {}),

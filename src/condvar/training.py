@@ -98,7 +98,7 @@ def _epoch_batches(group_index: GroupIndex, batch_size: int, seed: int,
         raise ValueError(
             f"largest group ({group_index.max_size()}) exceeds batch size {batch_size}"
         )
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(epoch)])
+    rng = np.random.default_rng([int(seed), int(epoch)])
     order = rng.permutation(m)
     sizes = group_index.sizes[order]
     filled = np.concatenate([[0], np.cumsum(sizes)])

@@ -620,9 +620,10 @@ def _other_seed(path):
     _set("style", lambda rows: [rows[0] + rows[1], []] + rows[2:]),
     _set("style", lambda rows: [[row] for row in rows]),
     _set("style", lambda rows: [v for row in rows for v in row]),
+    _set("style", lambda rows: ["7"] * len(rows)), _set("style", lambda rows: [""] * len(rows)),
 ], ids=["missing_core", "not_json", "other_seed", "ragged_row", "non_numeric", "top_level_list",
         "missing_style", "short_style", "unknown_render_kind", "nan_latent", "ragged_core",
-        "ragged_same_total", "three_deep", "flat"])
+        "ragged_same_total", "three_deep", "flat", "string_rows", "empty_string_rows"])
 def test_shift_eval_malformed_sidecar_exits_data(gen_dir, trained_dir, tmp_path, capsys, spoil):
     side = tmp_path / "latents.json"
     side.write_bytes((gen_dir / "train_latents.json").read_bytes())
@@ -957,6 +958,11 @@ def _put(outer, field, value):
     return edit
 
 
+def _style_as_strings(payload):
+    payload["style"] = [[str(v) for v in row] for row in payload["style"]]
+    return payload
+
+
 @pytest.fixture(scope="module")
 def scm_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scm")
@@ -984,18 +990,24 @@ def scm_dir(tmp_path_factory):
     ("eval", "checkpoint", _json_with(_put(None, "step", True))),
     ("eval", "checkpoint", _json_with(_put("spec", "layer_sizes", [2, True]))),
     ("shift_eval", "scm_latents", _json_with(_put("scm", "q", True))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "class_balance", "0.5"))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "style_cov", [[True]]))),
+    ("shift_eval", "scm_latents", _json_with(_style_as_strings)),
+    ("shift_eval", "scm_latents", _json_with(_put("core", 0, [True]))),
+    ("shift_eval", "scm_latents", _json_with(_put("style_matrix", 0, ["0.5"]))),
 ], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
         "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
         "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999",
         "layer_size_2.5", "seed_1.5", "step_2.5", "scm_p_2.5", "param_string", "param_true",
-        "step_true", "layer_size_true", "scm_q_true"])
+        "step_true", "layer_size_true", "scm_q_true", "scm_class_balance_string",
+        "scm_style_cov_true", "style_strings", "core_true", "style_matrix_string"])
 def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
         gen_dir, trained_dir, scm_dir, tmp_path, capsys, command, spoilt, spoil):
     # one rule judges every input file: undecodable text, too deep a nesting,
     # an out-of-range number, a fraction or a boolean in an integer field and
-    # a parameter that is not a JSON number are data errors naming the file;
-    # read as numbers, the booleans (as 1) and the string (as 0.5) would each
-    # make a file that loads
+    # a string or a boolean where any other number belongs are data errors
+    # naming the file; read as numbers, the booleans (as 1) and the strings
+    # would make most of these files load
     files = {"data": gen_dir / "train.csv", "checkpoint": trained_dir / "checkpoint.json",
              "latents": gen_dir / "train_latents.json"}
     if spoilt == "scm_latents":

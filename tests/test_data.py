@@ -150,6 +150,18 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(ds.features, back.features)
 
 
+def test_csv_round_trip_reads_the_class_count_as_the_largest_label_plus_one(tmp_path):
+    # the file holds no class count: a declared count above the largest
+    # label + 1 is not kept, while features, labels and ids are
+    ds = Dataset([[0.0], [1.0]], [0, 1], ["a", None], n_classes=3)
+    path = tmp_path / "classes.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert (ds.n_classes, back.n_classes) == (3, 2)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tolist() == [0, 1] and list(back.ids) == ["a", None]
+
+
 def test_csv_save_writes_pinned_text(tmp_path):
     # the row-wise formula f"{id},{y},{','.join(map(repr, row))}\n" wrote these bytes
     feats = [[-0.0, 0.0], [1e-05, 0.0001], [1e16, 5e-324], [1.7976931348623157e+308, 0.1]]

@@ -82,6 +82,12 @@ def test_round_robin_groups_are_balanced():
     assert sizes.max() - sizes.min() <= 2  # class imbalance only
 
 
+def test_core_latent_reads_every_bit_of_the_structure_seed():
+    # structure seeds that agree in their low 32 bits draw other core offsets
+    low, high = (small_spec(structure_seed=s).core_latent(1, 4) for s in (3, 3 + 2 ** 32))
+    assert not np.array_equal(low, high)
+
+
 @pytest.mark.parametrize("sampler", ["round_robin", "uniform"])
 def test_ids_and_core_latents_follow_the_sampling_rule(sampler):
     # per-row reference: the k-th sample of a class gets id k mod id_count

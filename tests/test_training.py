@@ -350,7 +350,7 @@ def test_lambda_grid_checks_validation_labels_before_training(outputs, monkeypat
 
 def _argsort_batches(index, batch_size, seed, epoch):
     # reference packing: sort every row by the shuffled rank of its group
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(epoch)])
+    rng = np.random.default_rng([int(seed), int(epoch)])
     order = rng.permutation(index.m)
     rank = np.empty(index.m, dtype=np.intp)
     rank[order] = np.arange(index.m)
@@ -380,6 +380,18 @@ def test_minibatches_match_argsort_packing(kind):
             want = _argsort_batches(index, batch_size, trial, epoch)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+def test_batch_shuffle_reads_every_bit_of_the_seed():
+    # seeds that agree in their low 32 bits still shuffle apart: 2**32 packs
+    # other batches than 0, each matching the reference packing of its seed
+    index = GroupIndex(np.arange(40) // 2)
+    for epoch in range(3):
+        low, high = (group_aware_minibatches(index, 6, seed, epoch) for seed in (0, 2 ** 32))
+        for seed, got in ((0, low), (2 ** 32, high)):
+            want = _argsort_batches(index, 6, seed, epoch)
+            assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        assert [b.tolist() for b in low] != [b.tolist() for b in high]
 
 
 def _pinned_runs():
