@@ -43,13 +43,13 @@ class Dataset:
     """n observations stored as columns.
 
     features   (n, p) float array
-    labels     (n,) class indices in [0, n_classes)
+    labels     (n,) class indices >= 0
     ids        (n,) object array of id tokens; None marks an absent id
 
     The arrays are copied on construction and read-only afterwards.
     """
 
-    def __init__(self, features, labels, ids=None, n_classes=None):
+    def __init__(self, features, labels, ids=None):
         features = np.array(features, dtype=float)
         labels = np.array(labels, dtype=int)
         if features.ndim != 2 or features.shape[1] < 1:
@@ -62,16 +62,11 @@ class Dataset:
         ids = np.full(n, None, dtype=object) if ids is None else np.array(ids, dtype=object)
         if ids.shape != (n,):
             raise ValueError(f"ids shape {ids.shape} does not match {n} samples")
-        if n_classes is None:
-            n_classes = int(labels.max()) + 1
         if labels.min() < 0:
             raise ValueError("labels are class indices >= 0")
-        if labels.max() >= n_classes:
-            raise ValueError(f"label {labels.max()} >= class count {n_classes}")
         self._features = _frozen(features)
         self.labels = _frozen(labels)
         self.ids = _frozen(ids)
-        self.n_classes = int(n_classes)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -142,8 +137,10 @@ def build_group_index(dataset: Dataset) -> GroupIndex:
     n = len(dataset)
     present = np.not_equal(dataset.ids, None)
     _, id_code = np.unique(dataset.ids[present].astype(str), return_inverse=True)
-    key = np.arange(n) + n * dataset.n_classes  # above every (id, label) code
-    key[present] = id_code.reshape(-1) * dataset.n_classes + dataset.labels[present]
+    # GroupIndex renumbers keys: every multiplier k above every label gives one seg
+    k = int(dataset.labels.max()) + 1
+    key = np.arange(n) + n * k  # above every (id, label) code
+    key[present] = id_code.reshape(-1) * k + dataset.labels[present]
     return GroupIndex(key)
 
 
@@ -171,7 +168,6 @@ def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, sele
         np.concatenate([dataset.features, np.reshape(copies, (-1, dataset.p))]),
         np.concatenate([dataset.labels, dataset.labels[sources]]),
         np.concatenate([ids, np.repeat(tags, count_per_sample)]),
-        dataset.n_classes,
     )
 
 
@@ -196,11 +192,10 @@ def _csv_text(dataset: Dataset) -> str:
 def save_csv(dataset: Dataset, path) -> None:
     """Header ``id,y,x0,...,x{p-1}``; empty id field means absent; floats are
     written with shortest round-trip precision, so ``load_csv`` reads back the
-    features, labels and ids bitwise. The file holds no class count: it reads
-    back as the largest label + 1. It refuses every row ``load_csv`` refuses
-    before opening the file: a non-finite feature, or an id that is empty (it
-    reads back as absent) or holds a comma, a newline or a carriage return,
-    raises DataFormatError."""
+    features, labels and ids bitwise. It refuses every row ``load_csv``
+    refuses before opening the file: a non-finite feature, or an id that is
+    empty (it reads back as absent) or holds a comma, a newline or a carriage
+    return, raises DataFormatError."""
     _write_text(path, _csv_text(dataset))
 
 

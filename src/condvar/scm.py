@@ -20,6 +20,7 @@ one list per row, a linear render's matrices and any SCM spec.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -86,6 +87,14 @@ class LinearScmSpec:
     structure_seed: int = 0
 
     def __post_init__(self):
+        # float() below would read "1.5" or True as a number
+        for name, ndim in (("class_balance", 0), ("core_class_mean", 0), ("core_id_scale", 0),
+                           ("style_class_mean", 1), ("style_cov", 2)):
+            leaves = np.array(getattr(self, name), dtype=object)
+            if leaves.ndim != ndim or not all(isinstance(v, numbers.Real)
+                                              and not isinstance(v, bool) for v in leaves.flat):
+                what = ("a real number", "a list of real numbers", "a matrix of real numbers")
+                raise ValueError(f"{name} must be {what[ndim]}, got {getattr(self, name)!r}")
         object.__setattr__(self, "style_class_mean",
                            tuple(float(v) for v in self.style_class_mean))
         object.__setattr__(self, "style_cov",
@@ -144,14 +153,21 @@ class StyleAwareDataset:
     generator_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.core = np.atleast_2d(np.asarray(self.core, dtype=float))
-        self.style = np.atleast_2d(np.asarray(self.style, dtype=float))
-        if self.core.shape[0] != len(self.dataset) or self.style.shape[0] != len(self.dataset):
-            raise ValueError("latents must cover every sample")
+        self.core = np.asarray(self.core, dtype=float)
+        self.style = np.asarray(self.style, dtype=float)
+        n = len(self.dataset)
+        if {self.core.ndim, self.style.ndim} != {2} or {len(self.core), len(self.style)} != {n}:
+            raise ValueError(f"latents must be (n, r) and (n, q) arrays with n = {n}")
         if self.render_kind not in ("linear", "polar"):
             raise ValueError(f"unknown render kind {self.render_kind!r}")
         if self.render_kind == "linear" and (self.core_matrix is None or self.style_matrix is None):
             raise ValueError("linear renders need core and style matrices")
+        r = self.core.shape[1]
+        if self.render_kind == "polar" and (r, self.q) != (1, 1):
+            raise ValueError(f"a polar render takes r = q = 1, not r = {r}, q = {self.q}")
+        widths = (self.dataset.p, self.q, r)
+        if self.scm is not None and (self.scm.p, self.scm.q, self.scm.r) != widths:
+            raise ValueError(f"the spec's (p, q, r) must be the data's widths {widths}")
 
     @property
     def q(self) -> int:
@@ -212,7 +228,7 @@ def rerender(style_dataset: StyleAwareDataset, assignment, group_index=None) -> 
     delta = expand_assignment(assignment, n, style_dataset.q, group_index)
     feats = style_dataset.render(style_dataset.style + delta)
     ds = style_dataset.dataset
-    return Dataset(feats, ds.labels, ds.ids, ds.n_classes)
+    return Dataset(feats, ds.labels, ds.ids)
 
 
 def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
@@ -247,7 +263,7 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
     ids = [f"i{int(ident)}" for ident in idents]
     feats = _render("linear", core, style, c_mat, w_mat)
     return StyleAwareDataset(
-        dataset=Dataset(feats, labels, ids, n_classes=2),
+        dataset=Dataset(feats, labels, ids),
         core=core,
         style=style,
         render_kind="linear",
@@ -349,7 +365,7 @@ def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_s
         style = (draw_style(rng, y_pm) + np.where(y_pm == 1, shift, 0.0))[:, None]
         feats = _render(render_kind, core, style, core_matrix, style_matrix)
         splits.append(StyleAwareDataset(
-            Dataset(feats, (y_pm + 1) // 2, ids, n_classes=2), core, style, render_kind,
+            Dataset(feats, (y_pm + 1) // 2, ids), core, style, render_kind,
             core_matrix, style_matrix, generator=name,
             generator_params=dict(extra, applied_shift=shift, **params),
         ))

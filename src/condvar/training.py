@@ -250,7 +250,7 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     if q == p:
         raise ValueError("style space fills the feature space; only w = 0 is feasible")
     basis = q_full[:, q:]  # p x (p - q), orthonormal complement of col(W)
-    projected = Dataset(dataset.features @ basis, dataset.labels, n_classes=dataset.n_classes)
+    projected = Dataset(dataset.features @ basis, dataset.labels)
     # ||P phi|| == ||phi||, so the ridge term on phi is the ridge term on w
     ridge_only = replace(config, penalty=PenaltyConfig(gamma=config.penalty.gamma),
                          batch_size=len(dataset))

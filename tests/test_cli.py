@@ -963,11 +963,41 @@ def _style_as_strings(payload):
     return payload
 
 
+def _widen(field):
+    """An edit that appends to the latents ``field`` a column, the square of
+    the first; it varies within groups, so the covariance of the style stays
+    positive definite."""
+    def edit(payload):
+        payload[field] = [row + [row[0] ** 2] for row in payload[field]]
+        return payload
+    return edit
+
+
+def _spec_q1(payload):
+    payload["scm"].update(q=1, style_cov=[[1.0]], style_class_mean=[1.0])
+    return payload
+
+
 @pytest.fixture(scope="module")
 def scm_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scm")
     assert run("gen", "linear_scm", "--n", 60, "--c", 0, "--p", 2, "--q", 1, "--r", 1,
                "--id-count", 20, "--out", out) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def wide_scm_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("wide_scm")
+    assert run("gen", "linear_scm", "--n", 60, "--c", 0, "--p", 10, "--q", 2, "--r", 4,
+               "--out", out) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def polar_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("polar")
+    assert run("gen", "example2", "--n", 200, "--c", 50, "--out", out) == 0
     return out
 
 
@@ -995,23 +1025,35 @@ def scm_dir(tmp_path_factory):
     ("shift_eval", "scm_latents", _json_with(_style_as_strings)),
     ("shift_eval", "scm_latents", _json_with(_put("core", 0, [True]))),
     ("shift_eval", "scm_latents", _json_with(_put("style_matrix", 0, ["0.5"]))),
+    ("shift_eval", "polar_latents", _json_with(_widen("style"))),
+    ("shift_eval", "polar_latents", _json_with(_widen("core"))),
+    ("shift_eval", "wide_scm_latents", _json_with(_spec_q1)),
+    ("shift_eval", "wide_scm_latents", _json_with(_put("scm", "p", 7))),
 ], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
         "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
         "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999",
         "layer_size_2.5", "seed_1.5", "step_2.5", "scm_p_2.5", "param_string", "param_true",
         "step_true", "layer_size_true", "scm_q_true", "scm_class_balance_string",
-        "scm_style_cov_true", "style_strings", "core_true", "style_matrix_string"])
+        "scm_style_cov_true", "style_strings", "core_true", "style_matrix_string",
+        "polar_style_column", "polar_core_column", "scm_q_below_style_width",
+        "scm_p_below_feature_width"])
 def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
-        gen_dir, trained_dir, scm_dir, tmp_path, capsys, command, spoilt, spoil):
+        gen_dir, trained_dir, scm_dir, wide_scm_dir, polar_dir, tmp_path, capsys,
+        command, spoilt, spoil):
     # one rule judges every input file: undecodable text, too deep a nesting,
     # an out-of-range number, a fraction or a boolean in an integer field and
     # a string or a boolean where any other number belongs are data errors
     # naming the file; read as numbers, the booleans (as 1) and the strings
-    # would make most of these files load
+    # would make most of these files load. So are a polar sidecar's second
+    # latent column, which the render would ignore, and a spec whose p or q
+    # is not the width of the features or the style latents
     files = {"data": gen_dir / "train.csv", "checkpoint": trained_dir / "checkpoint.json",
              "latents": gen_dir / "train_latents.json"}
-    if spoilt == "scm_latents":
-        files.update(data=scm_dir / "train.csv", latents=scm_dir / "train_latents.json")
+    sidecar_dirs = {"scm_latents": scm_dir, "wide_scm_latents": wide_scm_dir,
+                    "polar_latents": polar_dir}
+    if spoilt in sidecar_dirs:
+        gen_out = sidecar_dirs[spoilt]
+        files.update(data=gen_out / "train.csv", latents=gen_out / "train_latents.json")
         spoilt = "latents"
     bad = tmp_path / files[spoilt].name
     bad.write_bytes(files[spoilt].read_bytes())

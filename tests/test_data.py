@@ -7,6 +7,7 @@ from condvar import (
     GroupIndex,
     augment_with_groups,
     build_group_index,
+    gen_example1,
     load_csv,
     save_csv,
 )
@@ -15,7 +16,7 @@ from condvar import (
 def make_dataset(labels, ids, p=2, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((len(labels), p))
-    return Dataset(feats, labels, ids, n_classes=max(labels) + 1)
+    return Dataset(feats, labels, ids)
 
 
 def test_grouping_by_label_and_id():
@@ -97,7 +98,7 @@ def test_augment_count_increases_grouped_observations():
 
 
 def test_augment_rotation_by_pi():
-    ds = Dataset(np.array([[1.0, 0.0]]), [0], n_classes=1)
+    ds = Dataset(np.array([[1.0, 0.0]]), [0])
     rot = np.array([[-1.0, 0.0], [0.0, -1.0]])
     out = augment_with_groups(ds, lambda f: rot @ f, 1, [0])
     gi = build_group_index(out)
@@ -150,16 +151,29 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(ds.features, back.features)
 
 
-def test_csv_round_trip_reads_the_class_count_as_the_largest_label_plus_one(tmp_path):
-    # the file holds no class count: a declared count above the largest
-    # label + 1 is not kept, while features, labels and ids are
-    ds = Dataset([[0.0], [1.0]], [0, 1], ["a", None], n_classes=3)
-    path = tmp_path / "classes.csv"
-    save_csv(ds, path)
-    back = load_csv(path)
-    assert (ds.n_classes, back.n_classes) == (3, 2)
-    assert back.features.tobytes() == ds.features.tobytes()
-    assert back.labels.tolist() == [0, 1] and list(back.ids) == ["a", None]
+def _attributes(dataset):
+    """Every attribute of ``dataset``, an array as its dtype, shape and bits
+    (an object array as its items)."""
+    return {name: (value.dtype, value.shape,
+                   value.tolist() if value.dtype == object else value.tobytes())
+            if isinstance(value, np.ndarray) else value
+            for name, value in vars(dataset).items()}
+
+
+def test_csv_round_trip_keeps_every_dataset_attribute(tmp_path):
+    # a Dataset holds nothing that its CSV does not: one whose only label is
+    # 0, one whose labels skip a class and one with three classes read back
+    # attribute for attribute
+    datasets = {
+        "single_label": gen_example1(1, 0, seed=0)[0].dataset,
+        "skipped_class": Dataset([[0.5, -0.0], [1e-300, 2.0], [3.0, 4.0]], [3, 0, 3]),
+        "three_classes": make_dataset([2, 0, 1, 2], ["a", None, "a", "b"]),
+    }
+    assert datasets["single_label"].labels.tolist() == [0]
+    for name, ds in datasets.items():
+        path = tmp_path / f"{name}.csv"
+        save_csv(ds, path)
+        assert _attributes(load_csv(path)) == _attributes(ds), name
 
 
 def test_csv_save_writes_pinned_text(tmp_path):
@@ -207,7 +221,6 @@ def test_csv_skipped_lines_do_not_change_the_dataset(tmp_path, layout):
     assert got.features.tobytes() == want.features.tobytes()
     assert got.labels.tolist() == want.labels.tolist() == [1, 0, 1, 0]
     assert list(got.ids) == list(want.ids) == ["a", None, "a", "b"]
-    assert got.n_classes == want.n_classes
 
 
 @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb"])
@@ -336,9 +349,7 @@ def test_csv_accepts_padded_and_signed_numbers(tmp_path):
 
 def test_dataset_validates_dimensions():
     with pytest.raises(ValueError):
-        Dataset(np.array([1.0, 2.0]), [0], n_classes=1)
-    with pytest.raises(ValueError):
-        Dataset(np.array([[1.0, 2.0]]), [3], n_classes=2)
+        Dataset(np.array([1.0, 2.0]), [0])
     with pytest.raises(ValueError, match="at least one sample"):
         Dataset(np.zeros((0, 2)), [])
     # p = 0 would write the header "id,y," that load_csv calls malformed

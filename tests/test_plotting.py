@@ -111,14 +111,14 @@ def _scatter_dataset():
     feats = rng.standard_normal((60, 2))
     labels = (feats[:, 0] + 0.5 * feats[:, 1] > 0).astype(int)
     ids = np.array([f"g{i // 2}" if i < 20 else None for i in range(60)], dtype=object)
-    return Dataset(feats, labels, ids, 2)
+    return Dataset(feats, labels, ids)
 
 
 @pytest.mark.parametrize("n", [1999, 2000, 2001, 4999])
 def test_boundary_svg_draws_at_most_max_points_samples(n):
     # above _MAX_POINTS (2000) the scatter thins to evenly spaced indices
     feats = np.random.default_rng(2).standard_normal((n, 2))
-    svg = decision_boundary_svg(Dataset(feats, np.arange(n) % 2, None, 2), [])
+    svg = decision_boundary_svg(Dataset(feats, np.arange(n) % 2, None), [])
     assert svg.count("<circle") == min(n, 2000)
 
 

@@ -54,6 +54,18 @@ def test_spec_validation():
         StyleAwareDataset(ds.dataset, ds.core, ds.style, "linear")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("class_balance", "0.5"), ("core_class_mean", "1.5"), ("core_id_scale", True),
+    ("style_class_mean", (True, 0.5)), ("style_class_mean", ("1.0", 0.5)),
+    ("style_cov", (("1.0", 0.2), (0.2, 0.5))), ("style_cov", ((1.0, 0.2), (0.2, np.True_))),
+])
+def test_spec_refuses_a_string_or_a_boolean_in_a_real_field(field, value):
+    # float() would read "1.5" as 1.5 and True as 1.0, and a string core
+    # mean would fail only at the first draw
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        small_spec(**{field: value})
+
+
 def test_style_matrix_full_rank_and_orthonormal():
     spec = small_spec()
     c_mat, w_mat = spec.matrices()
