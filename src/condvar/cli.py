@@ -208,7 +208,7 @@ def _evaluate(spec, theta, dataset) -> dict:
     groups = build_group_index(dataset)
     pen = conditional_penalty(logits, groups, 1.0)
     try:
-        ratio = variance_ratio(logits, groups) if groups.c > 0 else None
+        ratio = variance_ratio(logits, groups)
     except (DegenerateVarianceError, ValueError):
         ratio = None
     return {
@@ -243,11 +243,11 @@ def _cmd_shift_eval(args) -> tuple:
     groups = build_group_index(dataset)
     if style_ds.scm is not None:
         sigma = np.asarray(style_ds.scm.style_cov)
-    elif groups.c == 0:
-        raise DataFormatError(f"{args.data}: no (label, id) group has two members, "
-                              "so the style covariance cannot be estimated")
     else:
-        cov = rb.estimate_conditional_covariance(style_ds, groups)
+        try:
+            cov = rb.estimate_conditional_covariance(style_ds, groups)
+        except ValueError as exc:
+            raise DataFormatError(f"{args.data}: {exc}") from None
         if not cov.spd:
             raise DataFormatError(f"{args.latents}: the within-group style covariance "
                                   "estimated from these latents is not positive definite")
@@ -268,15 +268,11 @@ def _cmd_plot(args) -> tuple:
         raise ConfigError(f"--name must be a plain file name other than manifest.json, "
                           f"got {args.name!r}")
     dataset = load_csv(args.data)
-    if dataset.p != 2:
-        raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")
     checkpoints = [_load_checkpoint_for(path, dataset, args.data) for path in args.checkpoints]
     for path, (spec, _theta) in zip(args.checkpoints, checkpoints):
         if spec.output_dim > 2:
             raise DataFormatError(f"{path}: plots need 1 or 2 outputs, not {spec.output_dim}")
     labels = args.labels if args.labels is not None else [Path(p).stem for p in args.checkpoints]
-    if len(labels) != len(checkpoints):
-        raise ConfigError("need exactly one label per checkpoint")
     try:
         svg = decision_boundary_svg(dataset, checkpoints, labels)
     except ArithmeticError as exc:

@@ -1,7 +1,8 @@
 """Columnar observations, the (label, id) grouping partition, CSV ingest,
 the one JSON serializer and the one writer of every file the package writes,
 the one rule that judges every file it reads (``_reading``) and the one
-reader of every JSON number that is not an integer (``_reals``).
+reader of every JSON array of reals (``_reals``): latents, render matrices
+and parameters. A spec judges its own fields, integers through ``_integer``.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.

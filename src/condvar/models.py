@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataFormatError, _integer, _json_text, _reading, _reals, _write_text
+from .data import _integer, _json_text, _reading, _reals, _write_text
 
 __all__ = [
     "ModelSpec",
@@ -299,15 +299,12 @@ def save_checkpoint(path, spec: ModelSpec, theta: np.ndarray, seed: int, step: i
 
 def load_checkpoint(path):
     """(spec, theta, seed, step) from a ``save_checkpoint`` file; a file
-    that is not one, parameters that are not finite JSON numbers or a
-    negative step included, raises DataFormatError naming it."""
+    that is not one, parameters that are not finite JSON numbers and one
+    that ``_checkpoint_payload`` refuses included, raises DataFormatError naming it."""
     with _reading(path, "checkpoint"), open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
         spec = ModelSpec.from_dict(payload["spec"])
         theta = _reals(payload["flat_params"], 1)
         seed, step = _integer(payload["seed"]), _integer(payload["step"])
-        if step < 0:
-            raise ValueError("the step must be >= 0")
-    if theta.shape != (param_count(spec),):
-        raise DataFormatError(f"{path}: checkpoint parameter count does not match its model spec")
+        _checkpoint_payload(spec, theta, seed, step)  # the writer's rules judge the count and step
     return spec, theta, seed, step

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import models as md
-from .data import Dataset, build_group_index
+from .data import Dataset, DataFormatError, build_group_index
 
 __all__ = ["decision_boundary_svg", "zero_contour_segments"]
 
@@ -70,17 +70,18 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     (spec, theta) checkpoint. Grouped pairs are joined by grey segments.
 
     ``checkpoints`` is a list of (ModelSpec, theta) tuples; ``labels`` names
-    them in the legend. Raises on non-2-d data and, before evaluating any
-    model, on a checkpoint with more than two outputs; ArithmeticError when
-    the padded span of the data overflows the float range or a traced
+    them in the legend. Raises DataFormatError on non-2-d data; ValueError
+    on a label count other than the checkpoint count and, before evaluating
+    any model, on a checkpoint with more than two outputs; ArithmeticError
+    when the padded span of the data overflows the float range or a traced
     boundary is not finite.
     """
     if dataset.p != 2:
-        raise ValueError(f"plotting needs 2-d features, got p = {dataset.p}")
+        raise DataFormatError(f"plotting needs 2-d features, got p = {dataset.p}")
     if labels is None:
         labels = [f"model {k}" for k in range(len(checkpoints))]
     if len(labels) != len(checkpoints):
-        raise ValueError("need one label per checkpoint")
+        raise ValueError("need exactly one label per checkpoint")
     if any(spec.output_dim > 2 for spec, _theta in checkpoints):
         raise ValueError("boundary plots support single-logit or two-class models")
     feats = dataset.features

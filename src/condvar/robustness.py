@@ -503,7 +503,8 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
     dev = styles - segment_means(styles, seg, group_index.m)[seg]
     dev = dev[group_index.sizes[seg] >= 2]
     if len(dev) == 0:
-        raise ValueError("no group has two members; the style covariance is not estimable")
+        raise ValueError("no (label, id) group has two members, "
+                         "so the style covariance cannot be estimated")
     pooled = dev.T @ dev / len(dev)
     eigs = np.linalg.eigvalsh((pooled + pooled.T) / 2.0)
     zeta = float(np.max(np.abs(eigs))) if eigs.size else 0.0

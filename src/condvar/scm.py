@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,18 +87,20 @@ class LinearScmSpec:
     structure_seed: int = 0
 
     def __post_init__(self):
-        # float() below would read "1.5" or True as a number
+        for name in ("p", "q", "r", "id_count", "structure_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
+        # astype(float) would read "1.5" or True as a number; _chol judges style_cov's values
         for name, ndim in (("class_balance", 0), ("core_class_mean", 0), ("core_id_scale", 0),
                            ("style_class_mean", 1), ("style_cov", 2)):
             leaves = np.array(getattr(self, name), dtype=object)
-            if leaves.ndim != ndim or not all(isinstance(v, numbers.Real)
-                                              and not isinstance(v, bool) for v in leaves.flat):
-                what = ("a real number", "a list of real numbers", "a matrix of real numbers")
+            if leaves.ndim != ndim or not all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and (ndim == 2 or np.isfinite(v)) for v in leaves.flat):
+                what = ("a finite real number", "a list of finite real numbers",
+                        "a matrix of real numbers")
                 raise ValueError(f"{name} must be {what[ndim]}, got {getattr(self, name)!r}")
-        object.__setattr__(self, "style_class_mean",
-                           tuple(float(v) for v in self.style_class_mean))
-        object.__setattr__(self, "style_cov",
-                           tuple(tuple(float(v) for v in row) for row in self.style_cov))
+            as_tuples = (float, tuple, lambda rows: tuple(map(tuple, rows)))[ndim]
+            object.__setattr__(self, name, as_tuples(leaves.astype(float).tolist()))
         if self.r + self.q > self.p:
             raise ValueError("core and style dimensions exceed the feature dimension")
         if self.q < 1 or self.r < 1:
@@ -129,13 +131,7 @@ class LinearScmSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LinearScmSpec":
-        return LinearScmSpec(
-            _integer(d["p"]), _integer(d["q"]), _integer(d["r"]),
-            float(_reals(d["class_balance"], 0)), _integer(d["id_count"]), d["id_sampler"],
-            float(_reals(d["core_class_mean"], 0)), float(_reals(d["core_id_scale"], 0)),
-            _reals(d["style_class_mean"], 1), _reals(d["style_cov"], 2),
-            _integer(d["structure_seed"]),
-        )
+        return LinearScmSpec(**{f.name: d[f.name] for f in fields(LinearScmSpec)})
 
 
 @dataclass
@@ -231,15 +227,21 @@ def rerender(style_dataset: StyleAwareDataset, assignment, group_index=None) -> 
     return Dataset(feats, ds.labels, ds.ids)
 
 
+def _finite_shift(shift) -> float:
+    """``shift`` as a float, by the one test-shift rule: NaN or an infinity raises ValueError."""
+    shift = float(shift)
+    if not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
+    return shift
+
+
 def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
                       shift: float = 0.0) -> StyleAwareDataset:
     """Ancestral sampling from the partially linear model. Groups arise when
     the same (Y, ID) pair is drawn more than once. ``shift`` is added to
     every style coordinate of every class-1 sample, the teaching examples'
     test-split rule; a non-finite shift raises ValueError."""
-    shift = float(shift)
-    if not np.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
+    shift = _finite_shift(shift)
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
@@ -344,14 +346,15 @@ def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_s
     core_mean(y) + core_sd * z per single and per pair (the n - 2c singles
     come first, then c pairs that share (Y, ID) and their core value), then
     draw_style(rng, y) for every row. The test split shifts class 1's
-    style by ``test_shift``."""
+    style by ``test_shift``, which must be finite."""
+    test_shift = _finite_shift(test_shift)
     if not 0 <= 2 * c <= n:
         raise ValueError("need 0 <= c <= n / 2")
     n_single = n - 2 * c
     ids = [None] * n_single + [f"g{j}" for j in range(c) for _ in range(2)]
-    extra = {"n": n, "c": c, "test_shift": float(test_shift), "seed": seed}
+    extra = {"n": n, "c": c, "test_shift": test_shift, "seed": seed}
     splits = []
-    for split_seed, shift in ((seed, 0.0), (seed + 1, float(test_shift))):
+    for split_seed, shift in ((seed, 0.0), (seed + 1, test_shift)):
         rng = np.random.default_rng(split_seed)
         y_pm = np.concatenate([
             np.where(rng.random(n_single) < 0.5, 1, -1),

@@ -794,8 +794,8 @@ def test_checkpoint_with_the_wrong_parameter_count_exits_data(gen_dir, trained_d
     ckpt.write_text(json.dumps(payload))
     out = tmp_path / "eval"
     assert run("eval", "--checkpoint", ckpt, "--data", gen_dir / "test.csv", "--out", out) == 3
-    assert capsys.readouterr().err == (f"data error: {ckpt}: checkpoint parameter count "
-                                       "does not match its model spec\n")
+    assert capsys.readouterr().err == (f"data error: {ckpt}: malformed checkpoint "
+                                       "(4 parameters for a model spec of 3)\n")
     assert not out.exists()
 
 
@@ -859,11 +859,13 @@ def test_plot_scatter_only(gen_dir, tmp_path):
     assert (tmp_path / "plot.svg").exists()
 
 
-def test_plot_dimension_error(tmp_path):
+def test_plot_dimension_error(tmp_path, capsys):
     other = tmp_path / "scm"
     assert run("gen", "linear_scm", "--n", 30, "--c", 0, "--p", 6, "--q", 2,
                "--r", 3, "--out", other) == 0
+    capsys.readouterr()
     assert run("plot", "--data", other / "train.csv", "--out", tmp_path) == 3
+    assert capsys.readouterr().err == "data error: plotting needs 2-d features, got p = 6\n"
 
 
 def test_plot_checkpoint_width_mismatch_exits_data(gen_dir, tmp_path):
@@ -1029,6 +1031,8 @@ def polar_dir(tmp_path_factory):
     ("shift_eval", "polar_latents", _json_with(_widen("core"))),
     ("shift_eval", "wide_scm_latents", _json_with(_spec_q1)),
     ("shift_eval", "wide_scm_latents", _json_with(_put("scm", "p", 7))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "core_id_scale", float("nan")))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "style_class_mean", [float("inf")]))),
 ], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
         "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
         "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999",
@@ -1036,13 +1040,14 @@ def polar_dir(tmp_path_factory):
         "step_true", "layer_size_true", "scm_q_true", "scm_class_balance_string",
         "scm_style_cov_true", "style_strings", "core_true", "style_matrix_string",
         "polar_style_column", "polar_core_column", "scm_q_below_style_width",
-        "scm_p_below_feature_width"])
+        "scm_p_below_feature_width", "scm_core_id_scale_nan", "scm_style_class_mean_infinity"])
 def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
         gen_dir, trained_dir, scm_dir, wide_scm_dir, polar_dir, tmp_path, capsys,
         command, spoilt, spoil):
     # one rule judges every input file: undecodable text, too deep a nesting,
-    # an out-of-range number, a fraction or a boolean in an integer field and
-    # a string or a boolean where any other number belongs are data errors
+    # an out-of-range number, a fraction or a boolean in an integer field, a
+    # NaN or an infinity token in a spec's real field and a string or a
+    # boolean where any other number belongs are data errors
     # naming the file; read as numbers, the booleans (as 1) and the strings
     # would make most of these files load. So are a polar sidecar's second
     # latent column, which the render would ignore, and a spec whose p or q

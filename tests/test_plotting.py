@@ -8,7 +8,7 @@ import pytest
 
 from condvar import models as md
 from condvar import plotting
-from condvar.data import Dataset
+from condvar.data import DataFormatError, Dataset
 from condvar.plotting import _GRID, decision_boundary_svg, zero_contour_segments
 
 
@@ -146,7 +146,7 @@ def test_boundary_svg_rejects_three_classes(monkeypatch):
 
 def test_boundary_svg_rejects_features_that_are_not_2d():
     ds = Dataset(np.zeros((2, 3)), [0, 1])
-    with pytest.raises(ValueError, match="plotting needs 2-d features, got p = 3"):
+    with pytest.raises(DataFormatError, match="plotting needs 2-d features, got p = 3"):
         decision_boundary_svg(ds, [])
 
 

@@ -993,7 +993,7 @@ def test_zeta_for_diagonal_matrix():
     ds2 = sample_linear_scm(spec2, 5, seed=1)
     # singleton-only grouping: nothing to estimate from, generator covariance or not
     assert ds2.scm is not None and build_group_index(ds2.dataset).c == 0
-    with pytest.raises(ValueError, match="no group has two members"):
+    with pytest.raises(ValueError, match=r"no \(label, id\) group has two members"):
         estimate_conditional_covariance(ds2)
 
 

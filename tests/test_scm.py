@@ -1,4 +1,7 @@
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,32 @@ def test_spec_refuses_a_string_or_a_boolean_in_a_real_field(field, value):
     # mean would fail only at the first draw
     with pytest.raises(ValueError, match=f"^{field} must be a"):
         small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("p", 10.5, "^10.5 is not an integer"), ("id_count", 2.5, "^2.5 is not an integer"),
+    ("structure_seed", 1.5, "^1.5 is not an integer"),
+    ("core_class_mean", np.inf, "^core_class_mean must be a finite real number"),
+    ("core_id_scale", np.nan, "^core_id_scale must be a finite real number"),
+    ("style_class_mean", (np.nan, 1.0), r"^style_class_mean must be a list of finite real"),
+], ids=["p_10.5", "id_count_2.5", "structure_seed_1.5", "core_class_mean_inf",
+        "core_id_scale_nan", "style_class_mean_nan"])
+def test_spec_refuses_a_fraction_in_an_integer_field_and_a_non_finite_real(field, value,
+                                                                          message):
+    # a draw would drop the fraction or fail on it, and a NaN or an
+    # infinity would reach every feature
+    with pytest.raises(ValueError, match=message):
+        small_spec(**{field: value})
+
+
+def test_spec_stores_numpy_numbers_as_python_numbers():
+    # the CLI passes variance * np.eye(q); the sidecar writes the spec as it is stored
+    spec = small_spec(p=np.int64(6), id_count=np.int32(25), class_balance=np.float32(0.25),
+                      core_class_mean=np.float64(2.0), core_id_scale=1,
+                      style_class_mean=np.array([1.0, 0.5]), style_cov=0.5 * np.eye(2))
+    plain = small_spec(class_balance=0.25, core_class_mean=2.0, core_id_scale=1.0,
+                       style_cov=((0.5, 0.0), (0.0, 0.5)))
+    assert json.dumps(asdict(spec)) == json.dumps(asdict(plain))
 
 
 def test_style_matrix_full_rank_and_orthonormal():
@@ -193,6 +222,19 @@ def test_per_class_shift_intervention():
 def test_sampler_rejects_a_non_finite_shift(shift):
     with pytest.raises(ValueError, match="shift must be finite"):
         sample_linear_scm(small_spec(), 20, seed=0, shift=shift)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("generate", [
+    lambda shift: gen_example1(20, 5, shift),
+    lambda shift: gen_example2(20, 5, shift),
+    lambda shift: sample_linear_scm(small_spec(), 20, 0, shift),
+], ids=["example1", "example2", "linear_scm"])
+def test_every_generator_refuses_a_non_finite_test_shift_before_any_draw(monkeypatch, generate,
+                                                                        shift):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError, match=f"^shift must be finite, got {float(shift)}$"):
+        generate(shift)
 
 
 def test_style_covariance_matches_spec_monte_carlo():
