@@ -109,11 +109,10 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _checked(spec: ModelSpec, theta, x):
-    """(theta, x as a 2-d batch, whether x was a single sample)."""
+    """(theta, x) as float arrays; x must be an (n, input_dim) batch."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"x must be an (n, {spec.input_dim}) batch, got shape {x.shape}")
     if x.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature dimension {x.shape[1]} does not match model input {spec.input_dim}"
@@ -121,7 +120,7 @@ def _checked(spec: ModelSpec, theta, x):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (param_count(spec),):
         raise ValueError("parameter vector length does not match the model spec")
-    return theta, x, single
+    return theta, x
 
 
 def _layer_inputs(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
@@ -187,25 +186,21 @@ def _row_blocks(spec: ModelSpec, n: int) -> list:
 
 
 def forward(spec: ModelSpec, theta, x):
-    """Logits for ``x``; accepts a single sample (p,) or a batch (n, p),
-    evaluated in ``_row_blocks``.
-
-    Single-logit models return shape (n,) (or a scalar for a single
-    sample), K-output models return (n, K).
-    """
-    theta, x, single = _checked(spec, theta, x)
+    """Logits for a batch ``x`` (n, p), evaluated in ``_row_blocks``:
+    (n,) for a single-logit model, (n, K) for a K-output one."""
+    theta, x = _checked(spec, theta, x)
     out = np.empty((len(x),) if spec.output_dim == 1 else (len(x), spec.output_dim))
     for rows in _row_blocks(spec, len(x)):
         for h in _layer_inputs(spec, theta, x[rows]):  # only the last one is kept
             pass
         out[rows] = _output(spec, theta, h)
-    return out[0] if single else out
+    return out
 
 
 def _input_gradient(spec: ModelSpec, theta, x, targets: np.ndarray) -> np.ndarray:
     """d loss_i / d x_i, (n, input_dim), for the loss ``targets`` (``_targets``),
     in ``_row_blocks``: the layers run once each way, with no parameter gradient."""
-    theta, x, _ = _checked(spec, theta, x)
+    theta, x = _checked(spec, theta, x)
     w_t = theta[spec.layout[0][0]].reshape(spec.layout[0][1]).T
     out = np.empty_like(x)
     for rows in _row_blocks(spec, len(x)):

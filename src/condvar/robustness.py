@@ -28,7 +28,7 @@ import numpy as np
 from . import models as md
 from .data import GroupIndex, build_group_index
 from .penalties import conditional_penalty, segment_means
-from .scm import StyleAwareDataset, _chol, _render_vjp, expand_assignment
+from .scm import StyleAwareDataset, _checked_shift, _chol, _render_vjp
 
 __all__ = [
     "ConditionalCovariance",
@@ -138,10 +138,9 @@ def _shifted_losses(fit, shifts) -> np.ndarray:
     return losses
 
 
-def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
-                     assignment, group_index: GroupIndex | None = None) -> float:
-    """Mean loss after re-rendering under the given shift assignment."""
-    return _Fit(spec, theta, style_dataset, groups=group_index).mean_loss(assignment)
+def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset, shift) -> float:
+    """Mean loss after re-rendering under ``shift``, (q,) or (n, q)."""
+    return _Fit(spec, theta, style_dataset).mean_loss(shift)
 
 
 def _sphere_directions(q: int):
@@ -271,13 +270,13 @@ class _Fit:
         return _style_gradients(self.spec, self.theta, self.data, self.data.dataset.features,
                                 self.targets)
 
-    def mean_loss(self, assignment) -> float:
-        delta = expand_assignment(assignment, len(self.data.dataset), self.data.q, self.groups)
-        losses = _shifted_losses(self, delta[None])[0] if np.any(delta) else self.unshifted
+    def mean_loss(self, shift) -> float:
+        shift = _checked_shift(shift, len(self.targets), self.data.q)  # (1, q) or (n, q)
+        losses = _shifted_losses(self, shift[None])[0] if np.any(shift) else self.unshifted
         return float(np.mean(losses))
 
     def worst_case(self, xi, method, seed) -> WorstCaseResult:
-        m, q = self.groups.m, self.data.q
+        m, q, seg = self.groups.m, self.data.q, self.groups.seg
         losses = None  # the search's per-sample losses at its shifts, else scored below
         if xi == 0.0:
             assignment = np.zeros((m, q))  # every method's only shift
@@ -286,7 +285,7 @@ class _Fit:
         elif method == "uniform_ball":
             _, assignment, losses = _search_spheres(self, np.full(m, xi), seed)
         else:
-            grads = segment_means(self.gradients, self.groups.seg, m)  # (m, q)
+            grads = segment_means(self.gradients, seg, m)  # (m, q)
             sg = np.einsum("ab,jb->ja", np.asarray(self.sigma, dtype=float), grads)
             norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
             active = norms > 0.0
@@ -296,7 +295,7 @@ class _Fit:
                 per_group_budget = xi * m / active.sum()
                 assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
         exact = method == "uniform_ball" and self.a is not None
-        value = self.mean_loss(assignment) if losses is None else float(np.mean(losses))
+        value = self.mean_loss(assignment[seg]) if losses is None else float(np.mean(losses))
         return WorstCaseResult(value, assignment, method,
                                _EXACT_NOTE if exact else WorstCaseResult.note)
 
@@ -436,16 +435,13 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
 
 
 def invariance_defect(theta, style_matrix) -> float:
-    """||W^T w|| / ||w|| for a linear model's weight vector w (0 when w = 0).
-
-    ``theta`` may be the bare weight vector (length p) or the flat [w, b]
-    parameter vector of a single-logit linear model.
-    """
+    """||W^T w|| / ||w|| for the flat [w, b] parameter vector of a
+    single-logit linear model, length p + 1 (0 when w = 0)."""
     w_mat = np.asarray(style_matrix, dtype=float)
     theta = np.asarray(theta, dtype=float)
     p = w_mat.shape[0]
-    if theta.shape not in ((p,), (p + 1,)):
-        raise ValueError(f"parameter vector of length {theta.size} does not fit p = {p}")
+    if theta.shape != (p + 1,):
+        raise ValueError(f"parameter vector of length {theta.size} does not fit p + 1 = {p + 1}")
     w = theta[:p]
     norm = np.linalg.norm(w)
     if norm == 0.0:

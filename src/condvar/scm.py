@@ -20,7 +20,9 @@ one list per row, a linear render's matrices and any SCM spec.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "gen_example1",
     "gen_example2",
     "rerender",
-    "expand_assignment",
     "save_latents",
     "load_style_dataset",
     "EXAMPLE1_STYLE_DIRECTION",
@@ -89,13 +90,15 @@ class LinearScmSpec:
     def __post_init__(self):
         for name in ("p", "q", "r", "id_count", "structure_seed"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
-        # astype(float) would read "1.5" or True as a number; _chol judges style_cov's values
+        # astype(float) would read "1.5" or True as a number and fail on a Python
+        # int beyond the float range; _chol judges style_cov's values
         for name, ndim in (("class_balance", 0), ("core_class_mean", 0), ("core_id_scale", 0),
                            ("style_class_mean", 1), ("style_cov", 2)):
             leaves = np.array(getattr(self, name), dtype=object)
             if leaves.ndim != ndim or not all(
                     isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and (ndim == 2 or np.isfinite(v)) for v in leaves.flat):
+                    and (not isinstance(v, int) or abs(v) <= sys.float_info.max)
+                    and (ndim == 2 or math.isfinite(v)) for v in leaves.flat):
                 what = ("a finite real number", "a list of finite real numbers",
                         "a matrix of real numbers")
                 raise ValueError(f"{name} must be {what[ndim]}, got {getattr(self, name)!r}")
@@ -110,6 +113,8 @@ class LinearScmSpec:
         _chol(self.style_cov, self.q, "style_cov")
         if self.id_count < 1:
             raise ValueError(f"id_count must be >= 1, got {self.id_count}")
+        if self.structure_seed < 0:
+            raise ValueError(f"structure_seed must be >= 0, got {self.structure_seed}")
         if self.id_sampler not in ("uniform", "round_robin"):
             raise ValueError(f"unknown id sampler {self.id_sampler!r}")
         if not 0.0 < self.class_balance < 1.0:
@@ -198,33 +203,22 @@ def _render_vjp(style_dataset, features, gx) -> np.ndarray:
     return out
 
 
-def expand_assignment(assignment, n: int, q: int, group_index=None) -> np.ndarray:
-    """Normalize a shift assignment to per-sample shape (n, q).
-
-    Accepts a single length-q shift, an (n, q) per-sample array, or an
-    (m, q) per-group array together with ``group_index``. When m == n the
-    per-sample reading wins.
-    """
-    arr = np.asarray(assignment, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (q,):
-            raise ValueError(f"shift must have style dimension {q}")
-        return np.tile(arr, (n, 1))
-    if arr.shape == (n, q):
-        return arr
-    if group_index is not None and arr.shape == (group_index.m, q):
-        return arr[group_index.seg]
-    raise ValueError(f"cannot interpret assignment of shape {arr.shape}")
+def _checked_shift(shift, n: int, q: int) -> np.ndarray:
+    """``shift`` as a (1, q) or (n, q) float array that adds onto n samples'
+    (n, q) style latents: one length-q shift for every sample, or an (n, q)
+    array; any other shape raises ValueError naming it."""
+    shift = np.asarray(shift, dtype=float)
+    if shift.shape not in ((q,), (n, q)):
+        raise ValueError(f"a shift must have shape ({q},) or ({n}, {q}), got {shift.shape}")
+    return shift.reshape(-1, q)
 
 
-def rerender(style_dataset: StyleAwareDataset, assignment, group_index=None) -> Dataset:
-    """Re-render features with style latents shifted by ``assignment``;
-    labels and ids are unchanged."""
-    n = len(style_dataset.dataset)
-    delta = expand_assignment(assignment, n, style_dataset.q, group_index)
-    feats = style_dataset.render(style_dataset.style + delta)
+def rerender(style_dataset: StyleAwareDataset, shift) -> Dataset:
+    """Re-render features with style latents shifted by ``shift``
+    (``_checked_shift``); labels and ids are unchanged."""
     ds = style_dataset.dataset
-    return Dataset(feats, ds.labels, ds.ids)
+    delta = _checked_shift(shift, len(ds), style_dataset.q)
+    return Dataset(style_dataset.render(style_dataset.style + delta), ds.labels, ds.ids)
 
 
 def _finite_shift(shift) -> float:

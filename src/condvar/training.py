@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, build_group_index
+from .data import Dataset, GroupIndex, _integer, build_group_index
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -68,10 +68,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

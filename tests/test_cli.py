@@ -1033,6 +1033,8 @@ def polar_dir(tmp_path_factory):
     ("shift_eval", "wide_scm_latents", _json_with(_put("scm", "p", 7))),
     ("shift_eval", "scm_latents", _json_with(_put("scm", "core_id_scale", float("nan")))),
     ("shift_eval", "scm_latents", _json_with(_put("scm", "style_class_mean", [float("inf")]))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "structure_seed", -1))),
+    ("shift_eval", "scm_latents", _json_with(_put("scm", "core_class_mean", 10 ** 400))),
 ], ids=["csv_not_utf8_train", "csv_not_utf8_eval", "csv_not_utf8_shift_eval",
         "csv_not_utf8_plot", "nested_checkpoint", "nested_sidecar", "seed_1e999",
         "step_1e999", "layer_size_1e999", "param_401_digits", "scm_id_count_1e999",
@@ -1040,7 +1042,8 @@ def polar_dir(tmp_path_factory):
         "step_true", "layer_size_true", "scm_q_true", "scm_class_balance_string",
         "scm_style_cov_true", "style_strings", "core_true", "style_matrix_string",
         "polar_style_column", "polar_core_column", "scm_q_below_style_width",
-        "scm_p_below_feature_width", "scm_core_id_scale_nan", "scm_style_class_mean_infinity"])
+        "scm_p_below_feature_width", "scm_core_id_scale_nan", "scm_style_class_mean_infinity",
+        "scm_structure_seed_negative", "scm_core_class_mean_401_digits"])
 def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
         gen_dir, trained_dir, scm_dir, wide_scm_dir, polar_dir, tmp_path, capsys,
         command, spoilt, spoil):
@@ -1050,8 +1053,9 @@ def test_unreadable_input_exits_data_naming_it_and_writes_nothing(
     # boolean where any other number belongs are data errors
     # naming the file; read as numbers, the booleans (as 1) and the strings
     # would make most of these files load. So are a polar sidecar's second
-    # latent column, which the render would ignore, and a spec whose p or q
-    # is not the width of the features or the style latents
+    # latent column, which the render would ignore, a spec whose p or q
+    # is not the width of the features or the style latents and a spec
+    # whose structure seed is negative, which no draw can take
     files = {"data": gen_dir / "train.csv", "checkpoint": trained_dir / "checkpoint.json",
              "latents": gen_dir / "train_latents.json"}
     sidecar_dirs = {"scm_latents": scm_dir, "wide_scm_latents": wide_scm_dir,

@@ -24,13 +24,13 @@ from condvar.penalties import PenaltyConfig
 def test_linear_forward_dot_product():
     spec = ModelSpec("linear", (2, 1))
     theta = np.array([1.0, -0.75, 0.0])  # w, then bias
-    assert forward(spec, theta, np.array([1.0, 1.0])) == pytest.approx(0.25)
+    assert forward(spec, theta, np.array([1.0, 1.0])[None])[0] == pytest.approx(0.25)
 
 
 def test_zero_parameters_zero_logit():
     spec = ModelSpec("linear", (2, 1))
     theta = np.zeros(3)
-    z = forward(spec, theta, np.array([3.0, -2.0]))
+    z = forward(spec, theta, np.array([3.0, -2.0])[None])[0]
     assert z == 0.0
     assert 1.0 / (1.0 + math.exp(-z)) == 0.5
 
@@ -38,15 +38,16 @@ def test_zero_parameters_zero_logit():
 def test_zero_mlp_gives_zero_logit():
     spec = ModelSpec("mlp", (2, 3, 1))
     theta = np.zeros(param_count(spec))
-    assert forward(spec, theta, np.array([1.0, 2.0])) == 0.0
+    assert forward(spec, theta, np.array([1.0, 2.0])[None])[0] == 0.0
 
 
 def test_linear_logit_doubles_with_parameters():
     spec = ModelSpec("linear", (4, 1))
     rng = np.random.default_rng(0)
     theta = rng.standard_normal(param_count(spec))
-    x = rng.standard_normal(4)
-    assert forward(spec, 2.0 * theta, x) == pytest.approx(2.0 * forward(spec, theta, x), rel=0, abs=1e-15)
+    x = rng.standard_normal(4)[None]
+    assert forward(spec, 2.0 * theta, x)[0] == pytest.approx(2.0 * forward(spec, theta, x)[0],
+                                                           rel=0, abs=1e-15)
 
 
 def test_forward_dimension_mismatch():
@@ -316,5 +317,5 @@ def test_predict_labels_reads_one_logit_by_sign_and_k_logits_by_argmax():
     three = ModelSpec("linear", (2, 3))
     theta = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1])  # logits x0, x1, 0.1
     assert md.predict_labels(three, theta, x).tolist() == [0, 1, 2]
-    single = md.predict_labels(three, theta, x[1])
-    assert single.shape == () and int(single) == 1
+    with pytest.raises(ValueError, match=r"x must be an \(n, 2\) batch, got shape \(2,\)"):
+        md.predict_labels(three, theta, x[1])

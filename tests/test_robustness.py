@@ -552,7 +552,8 @@ def test_exhaustive_tiny_matches_per_split_search(q, m):
     want = _exhaustive_by_split(model, theta, ds, gi, sigma, xi, seed=0)
     res = worst_case_loss(model, theta, ds, gi, sigma, xi, method="exhaustive_tiny")
     assert res.value == pytest.approx(want, rel=1e-12)
-    assert loss_under_shift(model, theta, ds, res.assignment, gi) == pytest.approx(want, rel=1e-12)
+    per_sample = res.assignment[gi.seg]
+    assert loss_under_shift(model, theta, ds, per_sample) == pytest.approx(want, rel=1e-12)
     spent = sum(mahalanobis_cost(d, sigma) for d in res.assignment)
     assert spent == pytest.approx(m * xi, rel=1e-9)
 
@@ -948,14 +949,16 @@ def test_invariance_defect_cases():
     w_mat, _ = np.linalg.qr(rng.standard_normal((5, 2)))
     v = rng.standard_normal(5)
     orth = v - w_mat @ (w_mat.T @ v)
-    assert invariance_defect(orth, w_mat) <= 1e-12
+    assert invariance_defect(np.append(orth, 0.0), w_mat) <= 1e-12
     in_space = w_mat @ np.array([0.6, 0.8])
-    assert invariance_defect(in_space, w_mat) == pytest.approx(1.0, rel=1e-12)
-    assert invariance_defect(np.zeros(5), w_mat) == 0.0
+    assert invariance_defect(np.append(in_space, 0.0), w_mat) == pytest.approx(1.0, rel=1e-12)
+    assert invariance_defect(np.zeros(6), w_mat) == 0.0
     with_bias = np.concatenate([orth, [2.0]])
     assert invariance_defect(with_bias, w_mat) <= 1e-12
     with pytest.raises(ValueError):
         invariance_defect(np.zeros(7), w_mat)
+    with pytest.raises(ValueError, match="length 5 does not fit p \\+ 1 = 6"):
+        invariance_defect(orth, w_mat)  # a bare weight vector
 
 
 # ---- conditional covariance -------------------------------------------------------

@@ -17,7 +17,7 @@ from condvar import (
     save_latents,
     load_csv,
 )
-from condvar.scm import EXAMPLE1_STYLE_DIRECTION, StyleAwareDataset, expand_assignment
+from condvar.scm import EXAMPLE1_STYLE_DIRECTION, StyleAwareDataset
 
 
 def first_member(gi):
@@ -75,14 +75,24 @@ def test_spec_refuses_a_string_or_a_boolean_in_a_real_field(field, value):
     ("core_class_mean", np.inf, "^core_class_mean must be a finite real number"),
     ("core_id_scale", np.nan, "^core_id_scale must be a finite real number"),
     ("style_class_mean", (np.nan, 1.0), r"^style_class_mean must be a list of finite real"),
+    ("structure_seed", -1, "^structure_seed must be >= 0, got -1$"),
+    ("core_class_mean", 10 ** 400, "^core_class_mean must be a finite real number, got 1000"),
 ], ids=["p_10.5", "id_count_2.5", "structure_seed_1.5", "core_class_mean_inf",
-        "core_id_scale_nan", "style_class_mean_nan"])
+        "core_id_scale_nan", "style_class_mean_nan", "structure_seed_negative",
+        "core_class_mean_401_digits"])
 def test_spec_refuses_a_fraction_in_an_integer_field_and_a_non_finite_real(field, value,
                                                                           message):
-    # a draw would drop the fraction or fail on it, and a NaN or an
-    # infinity would reach every feature
+    # a draw would drop the fraction or fail on it or on a negative seed, a
+    # NaN or an infinity would reach every feature, and an integer beyond
+    # the float range would fail numpy's finiteness test
     with pytest.raises(ValueError, match=message):
         small_spec(**{field: value})
+
+
+def test_spec_reads_an_integer_within_the_float_range_as_its_float():
+    # numpy's isfinite cannot take a Python int wider than 64 bits
+    spec = small_spec(core_class_mean=10 ** 300, style_cov=((10 ** 300, 0), (0, 1)))
+    assert spec.core_class_mean == 1e300 and spec.style_cov == ((1e300, 0.0), (0.0, 1.0))
 
 
 def test_spec_stores_numpy_numbers_as_python_numbers():
@@ -331,16 +341,18 @@ def test_save_latents_rejects_non_finite_and_keeps_the_old_file(tmp_path, bad):
     assert side.read_bytes() == before
 
 
-def test_expand_assignment_shapes():
+def test_rerender_shift_shapes():
     train, _ = gen_example1(20, 4, seed=0)
     gi = build_group_index(train.dataset)
-    q = 1
-    a = expand_assignment(np.array([2.0]), 20, q)
-    assert a.shape == (20, 1) and np.all(a == 2.0)
-    per_group = np.arange(gi.m, dtype=float)[:, None]
-    full = expand_assignment(per_group, 20, q, gi)
-    assert np.array_equal(full[:, 0], gi.seg)
-    with pytest.raises(ValueError):
-        expand_assignment(np.zeros((7, 1)), 20, q, gi)
-    with pytest.raises(ValueError, match="shift must have style dimension 1"):
-        expand_assignment(np.array([1.0, 2.0]), 20, q)
+    shift = np.array([2.0])
+    tiled = rerender(train, np.tile(shift, (20, 1))).features
+    assert rerender(train, shift).features.tobytes() == tiled.tobytes()
+    assert not np.array_equal(tiled, train.dataset.features)
+    assert gi.m != 20  # a per-group (m, q) array is no shift
+    with pytest.raises(ValueError, match=r"a shift must have shape \(1,\) or \(20, 1\), "
+                                         rf"got \({gi.m}, 1\)"):
+        rerender(train, np.zeros((gi.m, 1)))
+    with pytest.raises(ValueError, match=r"got \(2,\)"):
+        rerender(train, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"got \(20, 2\)"):
+        rerender(train, np.zeros((20, 2)))

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -249,6 +249,26 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("batch_size", 60.5, "^60.5 is not an integer$"),
+    ("batch_size", True, "^True is not an integer$"),
+    ("epochs", 2.5, "^2.5 is not an integer$"), ("seed", 1.5, "^1.5 is not an integer$"),
+    ("seed", -1, "^seed must be >= 0, got -1$"),
+], ids=["batch_size_60.5", "batch_size_true", "epochs_2.5", "seed_1.5", "seed_negative"])
+def test_train_config_refuses_a_fraction_a_boolean_and_a_negative_seed(field, value, message):
+    # a fractional batch size would train silently, a boolean as 0 or 1, and
+    # the other values would fail only at their first use, unnamed
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_stores_integers_as_python_integers():
+    # train's manifest writes asdict(config)
+    cfg = TrainConfig(batch_size=np.int64(60), epochs=np.int32(3), seed=np.uint8(7))
+    assert json.dumps(asdict(cfg)) == json.dumps(asdict(TrainConfig(batch_size=60, epochs=3,
+                                                                    seed=7)))
 
 
 def test_train_rejects_a_group_index_over_other_rows():
