@@ -2,7 +2,8 @@
 the one JSON serializer and the one writer of every file the package writes,
 the one rule that judges every file it reads (``_reading``) and the one
 reader of every JSON array of reals (``_reals``): latents, render matrices
-and parameters. A spec judges its own fields, integers through ``_integer``.
+and parameters. A spec judges its own fields, integers through ``_integer``
+and real numbers through ``_is_real`` or ``_real``.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,6 +238,22 @@ def _integer(v) -> int:
     if isinstance(v, bool) or int(v) != v:
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _is_real(v) -> bool:
+    """Whether ``float`` reads v as the real number it is: a real number,
+    not a boolean, and within the float range if it is a Python integer."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (not isinstance(v, int) or abs(v) <= sys.float_info.max))
+
+
+def _real(name: str, v, rule: str, ok) -> float:
+    """``float(v)`` for a finite real number v that ``ok`` accepts; any
+    other v, a string or a boolean among them, raises ValueError naming the
+    field ``name`` and its ``rule``."""
+    if not (_is_real(v) and math.isfinite(v) and ok(v)):
+        raise ValueError(f"{name} must be {rule}, got {v!r}")
+    return float(v)
 
 
 def _reals(values, ndim: int) -> np.ndarray:

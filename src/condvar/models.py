@@ -197,6 +197,31 @@ def forward(spec: ModelSpec, theta, x):
     return out
 
 
+def _boundary_lipschitz(spec: ModelSpec, theta, radius: float) -> tuple:
+    """(L, margin) for the boundary logit (the single logit, or logit 1 - logit 0
+    of two) within +-``radius`` in each coordinate: a ``forward`` value above
+    L d + margin keeps its sign within distance d. L is the product of the
+    layers' Frobenius norms (of the column difference for two outputs; tanh and
+    relu are 1-Lipschitz). Each unit's absolute terms a = |h| |W| + |b| (|h| is
+    radius, then min(a, 1) after tanh, a after relu) bound its rounding by
+    (fan-in + 1) 2^-53 a, which its activation keeps relative and the later
+    layers carry by their norms: 1e-9 times each layer's |a| times the norms
+    after it, summed, far exceeds twice that error and the rounding of L d
+    (its first term is >= 5e-10 L radius). Terms above 1e154 square |a| to inf,
+    far below overflow: then the margin is inf or NaN and certifies nothing."""
+    theta = np.asarray(theta, dtype=float)
+    h, lip, total = np.full(spec.input_dim, float(radius)), 1.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for wsl, wshape, bsl in spec.layout:
+            a = h @ np.abs(w := theta[wsl].reshape(wshape)) + np.abs(theta[bsl])
+            h = np.minimum(a, 1.0) if spec.activation == "tanh" else a
+            if spec.output_dim == 2 and bsl.stop == len(theta):  # the last layer
+                w = w[:, 1] - w[:, 0]
+            norm = np.linalg.norm(w)
+            lip, total = lip * norm, total * norm + np.sqrt(a @ a)  # weights |a| by the norms after
+        return lip, 1e-9 * total
+
+
 def _input_gradient(spec: ModelSpec, theta, x, targets: np.ndarray) -> np.ndarray:
     """d loss_i / d x_i, (n, input_dim), for the loss ``targets`` (``_targets``),
     in ``_row_blocks``: the layers run once each way, with no parameter gradient."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupIndex
+from .data import GroupIndex, _real
 
 __all__ = [
     "PenaltyConfig",
@@ -41,12 +41,10 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.target not in ("prediction", "loss"):
             raise ValueError(f"unknown penalty target {self.target!r}")
-        if self.nu not in (0.5, 1.0):
-            raise ValueError("nu must be exactly 0.5 or 1.0")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("lam must be finite and >= 0")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError("gamma must be finite and >= 0")
+        for name, rule, ok in (("nu", "exactly 0.5 or 1.0", lambda v: v in (0.5, 1.0)),
+                               ("lam", "finite and >= 0", lambda v: v >= 0.0),
+                               ("gamma", "finite and >= 0", lambda v: v >= 0.0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), rule, ok))
 
 
 def _check_values(values, group_index: GroupIndex) -> np.ndarray:

@@ -4,12 +4,14 @@ SVG is written by hand so the bytes depend only on the inputs: samples
 colored by class, grouped pairs joined by segments, and one traced contour
 per checkpoint (marching squares on a 400 x 400 logit grid).
 
-The grid is evaluated a stack of grid rows at a time, as many rows of 400
-2-d points as ``models._chunk`` fits in its budget, and ``models.forward``
-runs each stack through the layers. Only the finished (400, 400) logit
-grid is kept whole. A grid point's logit does not depend on the points
-evaluated beside it, so neither do the SVG bytes; the tests pin them at
-stacks of 1, 7 and 400 rows.
+The grid indices 0, 8, ..., 392 and 399 cut the grid into 50 x 50 blocks.
+A block whose corner logits are finite, share a sign and pass L times its
+diagonal plus a margin (``models._boundary_lipschitz``) keeps that sign,
+written in with no model call; every point of any other block goes through
+``models.forward``, at most as many grid rows as ``models._chunk`` fits in
+a stack. A cell whose sign changes lies in an uncertified block, and a logit
+does not depend on the points evaluated beside it, so the bytes are the full
+grid's; the tests pin them at stacks of 1, 7 and 400 rows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ _MAX_POINTS = 2000        # samples drawn, evenly spaced by index
 # cell corner offsets in marching order: (0,0), (1,0), (1,1), (0,1) as (ix, iy)
 _CORNER_DX = np.array([0, 1, 1, 0])
 _CORNER_DY = np.array([0, 0, 1, 1])
+_BLOCK = 8                # grid cells a block side: 50 x 50 blocks, the last 7 cells wide
+_LATTICE = np.r_[0:_GRID:_BLOCK, _GRID - 1]   # block corners 0, 8, ..., 392, 399
 
 
 def zero_contour_segments(grid_vals: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -41,10 +45,14 @@ def zero_contour_segments(grid_vals: np.ndarray, xs: np.ndarray, ys: np.ndarray)
     -> (ix, iy+1) -> back), and its first two crossings form its segment.
     A saddle cell (four crossings) adds the segment of its last two,
     directly after the first. A corner counts as inside when its value is
-    > 0, so NaN and exact zeros count as outside.
+    > 0, so NaN and exact zeros count as outside. A grid_vals that is not
+    2-d, at least 2 x 2 and of shape (len(ys), len(xs)) raises ValueError.
     """
     vals = np.asarray(grid_vals)
     xs, ys = np.asarray(xs), np.asarray(ys)
+    if vals.ndim != 2 or min(vals.shape) < 2 or vals.shape != ys.shape + xs.shape:
+        raise ValueError(f"grid_vals of shape {vals.shape} must be 2-d, at least 2 x 2 and "
+                         f"of shape (len(ys), len(xs)): ys has shape {ys.shape}, xs {xs.shape}")
     pos = vals > 0.0
     cut = np.stack([
         pos[:-1, :-1] != pos[:-1, 1:],   # bottom
@@ -132,13 +140,7 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
     vals, rows = np.empty((_GRID, _GRID)), md._chunk(_GRID, 2)
     for k, (spec, theta) in enumerate(checkpoints):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite boundary raises below
-            for r in range(0, _GRID, rows):
-                block = ys[r:r + rows]
-                pts = np.column_stack([np.tile(xs, len(block)), np.repeat(block, _GRID)])
-                logits = md.forward(spec, theta, pts)
-                if logits.ndim == 2:
-                    logits = logits[:, 1] - logits[:, 0]
-                vals[r:r + rows] = logits.reshape(len(block), _GRID)
+            _fill_grid(vals, spec, theta, xs, ys, rows)
             segs = zero_contour_segments(vals, xs, ys)
         if not np.isfinite(segs).all():  # a cell whose corners are +inf and -inf, or NaN
             raise ArithmeticError(f"the decision boundary of {labels[k]!r} is not finite "
@@ -152,6 +154,28 @@ def decision_boundary_svg(dataset: Dataset, checkpoints: list, labels: list | No
         parts.append(f'<text x="40" y="{y}" font-family="monospace" font-size="12">{_esc(text)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _fill_grid(vals: np.ndarray, spec, theta, xs: np.ndarray, ys: np.ndarray, rows: int):
+    """Write the boundary logit at each point of an uncertified block into ``vals``
+    and the kept sign at every other, evaluating <= ``rows`` grid rows a stack."""
+    def logit(pts):  # the single logit, or logit 1 - logit 0 of two
+        out = md.forward(spec, theta, pts)
+        return out[:, 1] - out[:, 0] if out.ndim == 2 else out
+    lx, ly = xs[_LATTICE], ys[_LATTICE]
+    v = logit(np.column_stack([np.tile(lx, len(ly)), np.repeat(ly, len(lx))])).reshape(len(ly), -1)
+    c = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]])  # (4, 50, 50) block corners
+    lip, margin = md._boundary_lipschitz(spec, theta, np.abs([xs, ys]).max())
+    sure = (np.isfinite(c).all(0) & ((c > 0).all(0) | (c < 0).all(0))
+            & (np.abs(c).max(0) > lip * np.hypot(np.diff(ly)[:, None], np.diff(lx)) + margin))
+    # point and cell (8 j + a, 8 i + b) lie in block (j, i), a shared edge in either
+    vals.reshape(len(sure), _BLOCK, -1, _BLOCK)[...] = np.sign(c[0])[:, None, :, None]
+    cells = np.pad(~np.repeat(np.repeat(sure, _BLOCK, 0), _BLOCK, 1)[:-1, :-1], 1)
+    need = cells[1:, 1:] | cells[1:, :-1] | cells[:-1, 1:] | cells[:-1, :-1]  # their corners
+    for r in range(0, _GRID, rows):
+        iy, ix = np.nonzero(need[r:r + rows])
+        if len(iy):
+            vals[r + iy, ix] = logit(np.column_stack([xs[ix], ys[r + iy]]))
 
 
 def _esc(s: str) -> str:

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, DataFormatError, _integer, _json_text, _reading, _reals, _write_text
+from .data import (Dataset, DataFormatError, _integer, _is_real, _json_text, _reading, _reals,
+                   _write_text)
 
 __all__ = [
     "LinearScmSpec",
@@ -96,9 +95,7 @@ class LinearScmSpec:
                            ("style_class_mean", 1), ("style_cov", 2)):
             leaves = np.array(getattr(self, name), dtype=object)
             if leaves.ndim != ndim or not all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and (not isinstance(v, int) or abs(v) <= sys.float_info.max)
-                    and (ndim == 2 or math.isfinite(v)) for v in leaves.flat):
+                    _is_real(v) and (ndim == 2 or math.isfinite(v)) for v in leaves.flat):
                 what = ("a finite real number", "a list of finite real numbers",
                         "a matrix of real numbers")
                 raise ValueError(f"{name} must be {what[ndim]}, got {getattr(self, name)!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, _integer, build_group_index
+from .data import Dataset, GroupIndex, _integer, _real, build_group_index
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -55,8 +55,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError("lr must be finite and positive")
+        for name, rule, ok in (("lr", "finite and > 0", lambda v: v > 0.0),
+                               ("momentum", "finite and in [0, 1)", lambda v: 0.0 <= v < 1.0),
+                               ("beta1", "finite and in [0, 1)", lambda v: 0.0 <= v < 1.0),
+                               ("beta2", "finite and in [0, 1)", lambda v: 0.0 <= v < 1.0),
+                               ("eps", "finite and > 0", lambda v: v > 0.0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), rule, ok))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import ast
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -87,6 +90,20 @@ def test_zero_contour_two_by_two(vals, expected):
     got = zero_contour_segments(vals, xs, ys)
     _assert_bitwise(got, _loop_segments(vals, xs, ys))
     np.testing.assert_array_equal(got, np.reshape(expected, (-1, 2, 2)))
+
+
+@pytest.mark.parametrize("shape, nx, ny", [
+    ((2, 2), 4, 2),     # more xs than grid columns
+    ((2, 2), 1, 2),     # fewer xs than grid columns
+    ((4,), 4, 1),       # a 1-d grid
+    ((1, 3), 3, 1),     # one grid row: no cell
+    ((3, 1), 1, 3),     # one grid column: no cell
+    ((2, 2, 2), 2, 2),  # a 3-d grid
+])
+def test_zero_contour_refuses_a_grid_that_does_not_fit_its_axes(shape, nx, ny):
+    with pytest.raises(ValueError, match=rf"grid_vals of shape \({shape[0]},.*ys has shape "
+                                         rf"\({ny},\), xs \({nx},\)"):
+        zero_contour_segments(np.ones(shape), np.arange(float(nx)), np.arange(float(ny)))
 
 
 def test_zero_contour_without_crossing_is_empty():
@@ -192,6 +209,20 @@ _PINNED_SVGS = {
 }
 
 
+# the grid points each pinned checkpoint sends through forward (the 51 x 51
+# lattice of block corners and every point of an uncertified block), and the
+# forward calls at stacks of the default budget, 1, 7 and 400 grid rows: the
+# lattice, then one per stack that holds a point to evaluate. tanh_mlp's
+# logits (|f| < 0.3) never pass L times a block's diagonal (about 1.3), so
+# it certifies no block
+_PINNED_WORK = {
+    "single_logit": (9145, {None: 8, 1: 274, 7: 41, _GRID: 2}),
+    "softmax": (9448, {None: 10, 1: 337, 7: 50, _GRID: 2}),
+    "tanh_mlp": (2601 + _GRID * _GRID, {None: 11, 1: 401, 7: 59, _GRID: 2}),
+    "relu_mlp": (61360, {None: 10, 1: 329, 7: 49, _GRID: 2}),
+}
+
+
 @pytest.mark.parametrize("rows", [None, 1, 7, _GRID])
 @pytest.mark.parametrize("name", sorted(_PINNED_SVGS))
 def test_boundary_svg_bytes_do_not_depend_on_the_row_block(name, rows, monkeypatch):
@@ -203,9 +234,11 @@ def test_boundary_svg_bytes_do_not_depend_on_the_row_block(name, rows, monkeypat
         monkeypatch.setattr(md, "_CHUNK_BYTES", rows * 8 * _GRID * 2)
     calls = []
     forward = md.forward
-    monkeypatch.setattr(md, "forward", lambda *a: calls.append(1) or forward(*a))
+    monkeypatch.setattr(md, "forward", lambda *a: calls.append(len(a[2])) or forward(*a))
     svg = decision_boundary_svg(_scatter_dataset(), [(spec, theta)], [name])
-    assert len(calls) == -(-_GRID // (rows or 40))
+    points, stacks = _PINNED_WORK[name]
+    assert (sum(calls), len(calls)) == (points, stacks[rows])
+    assert calls[0] == 51 * 51 and max(calls[1:]) <= (rows or 40) * _GRID
     assert _boundary_lines(svg) > 0
     assert hashlib.sha256(svg.encode()).hexdigest() == sha256
 
@@ -225,9 +258,10 @@ def test_boundary_svg_memory_does_not_grow_with_the_grid_batch():
     assert peak <= 4 << 20
 
 
-# the names of models that plotting may read: the layers are forward's, and
-# a stack of grid rows is sized by its 2-d inputs alone
-_MODEL_NAMES = {"forward", "_chunk"}
+# the names of models that plotting may read: the layers are forward's, a
+# stack of grid rows is sized by its 2-d inputs alone, and the certificate's
+# bound reads the weights
+_MODEL_NAMES = {"forward", "_chunk", "_boundary_lipschitz"}
 
 
 def test_plotting_sizes_its_grid_stack_once_and_runs_no_layer_code():
@@ -241,3 +275,141 @@ def test_plotting_sizes_its_grid_stack_once_and_runs_no_layer_code():
     loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
     assert not [node.lineno for loop in loops for node in ast.walk(loop)
                 if isinstance(node, ast.Attribute) and node.attr == "_chunk"]
+
+
+def _random_checkpoint(rng, kind):
+    """A (spec, theta) of ``kind`` with weights scaled by 1e-3 .. 1e3 and
+    biases up to 1e3."""
+    width = int(rng.integers(1, 17))
+    spec = {"linear1": md.ModelSpec("linear", (2, 1)), "linear2": md.ModelSpec("linear", (2, 2)),
+            "tanh": md.ModelSpec("mlp", (2, width, *[width] * int(rng.integers(0, 2)),
+                                         int(rng.integers(1, 3))), "tanh"),
+            "relu": md.ModelSpec("mlp", (2, width, int(rng.integers(1, 3))), "relu")}[kind]
+    theta = md.init_params(spec, int(rng.integers(1 << 30))) * 10.0 ** rng.uniform(-3, 3)
+    bias = ~spec.weight_mask
+    theta[bias] = rng.uniform(-1, 1, bias.sum()) * 10.0 ** rng.uniform(-3, 3)
+    return spec, theta
+
+
+def _full_grid(spec, theta, xs, ys):
+    """The boundary logit at all 160 000 grid points, in one forward call."""
+    pts = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = md.forward(spec, theta, pts)
+        return (out[:, 1] - out[:, 0] if out.ndim == 2 else out).reshape(len(ys), len(xs))
+
+
+@pytest.mark.parametrize("kind", ["linear1", "linear2", "tanh", "relu"])
+def test_certified_grid_traces_the_segments_of_the_full_grid_bitwise(kind, monkeypatch):
+    # boxes near the origin and offset to 1e6; three in four checkpoints put
+    # their boundary through the box centre by moving the last bias
+    rng = np.random.default_rng({"linear1": 11, "linear2": 12, "tanh": 13, "relu": 14}[kind])
+    traced, forward = [], md.forward
+    monkeypatch.setattr(plotting, "zero_contour_segments",
+                        lambda *a: traced.append((a, zero_contour_segments(*a))) or traced[-1][1])
+    evaluated = []
+    monkeypatch.setattr(md, "forward", lambda *a: evaluated.append(len(a[2])) or forward(*a))
+    cases = certified = crossing = both = 0
+    for offset in (0.0, 1e6):
+        for _ in range(8):
+            spec, theta = _random_checkpoint(rng, kind)
+            centre = offset * rng.choice([-1.0, 1.0], 2)
+            feats = centre + rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-1, 1, 2)
+            if rng.random() < 0.75:
+                mid = _full_grid(spec, theta, centre[:1], centre[1:])[0, 0]
+                theta[-1] -= mid  # the last bias: logit 1 - logit 0 moves by the same
+            ds = Dataset(feats, np.arange(40) % 2)
+            del traced[:], evaluated[:]
+            try:
+                decision_boundary_svg(ds, [(spec, theta)])
+            except ArithmeticError:  # a non-finite boundary, as the full grid's
+                pass
+            sure = sum(evaluated) < 2601 + _GRID * _GRID
+            (vals, xs, ys), segs = traced[0]
+            full = _full_grid(spec, theta, xs, ys)
+            _assert_bitwise(segs, zero_contour_segments(full, xs, ys))
+            assert np.array_equal(vals > 0, full > 0)
+            cases, certified, crossing = cases + 1, certified + sure, crossing + (len(segs) > 0)
+            both += sure and len(segs) > 0
+    # a tanh net's product of norms grows with its weights and its logits do
+    # not, so fewer tanh checkpoints certify a block
+    assert both >= 3, (cases, certified, crossing, both)
+
+
+def _longdouble_logit(spec, theta, x):
+    """The boundary logit in extended precision: a reference for forward's rounding."""
+    theta, h = theta.astype(np.longdouble), x.astype(np.longdouble)
+    for i, (wsl, wshape, bsl) in enumerate(spec.layout):
+        h = h @ theta[wsl].reshape(wshape) + theta[bsl]
+        if i < len(spec.layout) - 1:
+            h = np.tanh(h) if spec.activation == "tanh" else np.maximum(h, 0)
+    return h[:, 1] - h[:, 0] if spec.output_dim == 2 else h[:, 0]
+
+
+@pytest.mark.parametrize("kind", ["linear1", "linear2", "tanh", "relu"])
+def test_boundary_bound_holds_at_random_point_pairs(kind):
+    rng = np.random.default_rng({"linear1": 21, "linear2": 22, "tanh": 23, "relu": 24}[kind])
+    extended = np.finfo(np.longdouble).eps < 1e-18
+    for offset in (0.0, 1e6):
+        for _ in range(10):
+            spec, theta = _random_checkpoint(rng, kind)
+            centre = offset * rng.choice([-1.0, 1.0], 2)
+            a = centre + rng.uniform(-1, 1, (200, 2)) * 10.0 ** rng.uniform(-2, 2)
+            b = a + rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-4, 0)
+            radius = np.abs([a, b]).max()
+            lip, margin = md._boundary_lipschitz(spec, theta, radius)
+            assert 0.0 < margin < np.inf and 0.0 < lip < np.inf
+            fa = md.forward(spec, theta, a)
+            fb = md.forward(spec, theta, b)
+            if spec.output_dim == 2:
+                fa, fb = fa[:, 1] - fa[:, 0], fb[:, 1] - fb[:, 0]
+            dist = np.hypot(*(a - b).T)
+            assert np.all(np.abs(fa - fb) <= lip * dist + margin)
+            if extended:  # forward errs by less than half the margin
+                assert np.all(np.abs(fa - _longdouble_logit(spec, theta, a)) <= margin / 2)
+            if kind.startswith("linear"):
+                w = theta[:2 * spec.output_dim].reshape(2, -1)
+                assert lip == np.linalg.norm(w[:, 0] if kind == "linear1" else w[:, 1] - w[:, 0])
+
+
+def test_boundary_bound_certifies_nothing_where_a_layer_could_overflow():
+    spec = md.ModelSpec("linear", (2, 1))
+    for theta, radius in (([1e10, 1e10, 0.0], 1e300), ([1.0, 1.0, 1e155], 1.0)):
+        assert not md._boundary_lipschitz(spec, np.array(theta), radius)[1] < np.inf
+    spec, theta = _mlp((2, 8, 8, 2), "relu", 0)
+    assert not md._boundary_lipschitz(spec, theta * 1e80, 1e3)[1] < np.inf
+    assert md._boundary_lipschitz(spec, theta * 1e40, 1e3)[1] < np.inf
+
+
+def test_boundary_svg_calls_no_lapack_routine_and_imports_no_module():
+    # a first np.linalg.norm(w, 2) maps LAPACK's pages and a first np.unique
+    # imports numpy.ma: a fresh interpreter sees both
+    script = """
+import sys
+import numpy as np
+try:
+    import numpy.linalg._linalg as linalg
+except ImportError:  # numpy < 2
+    import numpy.linalg.linalg as linalg
+from condvar import models as md
+from condvar.data import Dataset
+from condvar.plotting import decision_boundary_svg
+
+class NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK routine {name} called")
+
+linalg._umath_linalg = NoLapack()
+ds = Dataset(np.random.default_rng(0).standard_normal((50, 2)), np.arange(50) % 2)
+checkpoints = [(md.ModelSpec("linear", (2, 2)), np.array([0.4, 1.0, -0.3, 0.5, 0.2, 0.1]))]
+for sizes in ((2, 16, 16, 1), (2, 8, 2)):
+    spec = md.ModelSpec("mlp", sizes)
+    checkpoints.append((spec, md.init_params(spec, 1)))
+before = set(sys.modules)
+decision_boundary_svg(ds, checkpoints)
+print(sorted(set(sys.modules) - before))
+"""
+    src = Path(plotting.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout == "[]\n"

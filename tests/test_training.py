@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -269,6 +270,42 @@ def test_train_config_stores_integers_as_python_integers():
     cfg = TrainConfig(batch_size=np.int64(60), epochs=np.int32(3), seed=np.uint8(7))
     assert json.dumps(asdict(cfg)) == json.dumps(asdict(TrainConfig(batch_size=60, epochs=3,
                                                                     seed=7)))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (OptimizerConfig, "lr", True), (OptimizerConfig, "lr", "0.1"),
+    (OptimizerConfig, "lr", 10 ** 400), (OptimizerConfig, "lr", 0.0),
+    (OptimizerConfig, "momentum", 5.0), (OptimizerConfig, "momentum", -0.1),
+    (OptimizerConfig, "beta1", _NAN), (OptimizerConfig, "beta1", 1.0),
+    (OptimizerConfig, "beta2", np.bool_(True)), (OptimizerConfig, "beta2", -1e-3),
+    (OptimizerConfig, "eps", -1.0), (OptimizerConfig, "eps", _INF),
+    (PenaltyConfig, "nu", True), (PenaltyConfig, "nu", 0.7), (PenaltyConfig, "nu", "0.5"),
+    (PenaltyConfig, "lam", True), (PenaltyConfig, "lam", "1"), (PenaltyConfig, "lam", -1.0),
+    (PenaltyConfig, "lam", 10 ** 400), (PenaltyConfig, "gamma", _INF),
+    (PenaltyConfig, "gamma", _NAN), (PenaltyConfig, "gamma", -1e-9),
+], ids=lambda v: ("np_true" if isinstance(v, np.bool_) else f"str_{v}" if v in ("0.1", "0.5", "1")
+                 else "10**400" if isinstance(v, int) and v == 10 ** 400 else None))
+def test_configs_refuse_a_real_field_out_of_range_naming_it(config, field, value):
+    # a boolean would read as 0 or 1, a string or an integer past the float
+    # range would fail unnamed in numpy, and a momentum or beta >= 1 would
+    # train silently without bound
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        config(**{field: value})
+
+
+def test_configs_store_real_fields_as_floats():
+    # train's manifest writes asdict(config): an integer or numpy value is
+    # stored as the float the CLI's flags give
+    opt = OptimizerConfig("sgd", 1, np.float32(0.5), 0, np.int64(0), 1)
+    pen = PenaltyConfig("loss", 1, np.int64(2), 0)
+    assert json.dumps(asdict(opt)) == json.dumps(asdict(OptimizerConfig("sgd", 1.0, 0.5, 0.0,
+                                                                        0.0, 1.0)))
+    assert json.dumps(asdict(pen)) == json.dumps(asdict(PenaltyConfig("loss", 1.0, 2.0, 0.0)))
+    assert all(type(v) is float for v in (*asdict(opt).values(), *asdict(pen).values())
+               if not isinstance(v, str))
 
 
 def test_train_rejects_a_group_index_over_other_rows():
