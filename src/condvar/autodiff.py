@@ -33,11 +33,7 @@ __all__ = ["ridge", "objective", "grad"]
 
 def ridge(spec: md.ModelSpec, theta: np.ndarray) -> float:
     """||weights||^2 summed over the layers; biases are excluded."""
-    total = 0.0
-    for wsl, _, _ in spec.layout:
-        w = theta[wsl]
-        total = total + np.sum(w * w)
-    return float(total)
+    return float(sum(np.sum(w * w) for w, _b in md._layers(spec, theta)))
 
 
 def _penalized(penalty: PenaltyConfig, sizes, n: int) -> bool:
@@ -76,8 +72,7 @@ def grad(spec: md.ModelSpec, theta: np.ndarray, x: np.ndarray, targets: np.ndarr
     ``np.errstate(over="ignore")``: the logistic derivative's exp overflows
     to the right limit."""
     n = len(targets)
-    hs = list(md._layer_inputs(spec, theta, x))
-    logits = md._output(spec, theta, hs[-1])
+    hs, logits = md._pass(spec, theta, x)
     d_loss = md._target_loss_gradient(spec, logits, targets)
     g_logits = d_loss / n
     if _penalized(penalty, sizes, n):

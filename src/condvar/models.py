@@ -1,15 +1,15 @@
 """Differentiable classifiers: linear logistic and small fully-connected nets.
 
 Parameters live in one flat vector with a frozen layout (layer-major,
-weights before biases, read from ``ModelSpec.layout``) so checkpoints stay
-readable across versions. ``forward`` computes the logits. Labels reach
-every loss and loss derivative through ``_targets``, which checks that
-they fit the model's outputs and maps them to what the losses read.
-There is one backward chain, the private ``_chain``: it carries a logit
-gradient back through the layers whose inputs a forward pass kept, and
-computes the parameter gradient only for training (``autodiff.grad``).
-``_input_gradient`` takes it on to d loss / d input; with ``forward``, it is
-the only code outside training that runs the layers.
+weights before biases, ``ModelSpec.layout``) so checkpoints stay readable
+across versions. Every pass takes each layer's (W, b) views from one walk,
+``_layers``, and each hidden activation's map and derivative from one table,
+``_ACTIVATIONS``. Labels reach every loss and its derivative through
+``_targets``, which checks that they fit the model's outputs. ``_pass`` runs
+the layers, keeping their inputs, for ``forward`` and for the one backward
+chain ``_chain`` (the parameter gradient for ``autodiff.grad``, d loss / d
+input for ``_input_gradient``); ``_logit_interval`` is the range of the
+boundary logit over boxes, the plot's certificate.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# each hidden activation, a monotone map: (its map in place, its derivative from its output)
+_ACTIVATIONS = {"tanh": (lambda z: np.tanh(z, out=z), lambda h: 1.0 - h * h),
+                "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h: h > 0.0)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description.
@@ -56,12 +61,12 @@ class ModelSpec:
             raise ValueError("layer_sizes needs at least input and output width")
         if self.kind == "linear" and len(self.layer_sizes) != 2:
             raise ValueError("linear models have no hidden layers")
-        if self.activation not in ("tanh", "relu"):
+        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
 
-    # the flat-vector layout is derived once per spec: every pass reads it
+    # the flat-vector layout is derived once per spec: the walk ``_layers`` reads it
     @cached_property
     def layout(self) -> tuple:
         """Per layer: (weight_slice, weight_shape, bias_slice)."""
@@ -76,9 +81,9 @@ class ModelSpec:
     @cached_property
     def weight_mask(self) -> np.ndarray:
         """True at the weights of the flat vector: the ridge's support."""
-        mask = np.zeros(self.layout[-1][2].stop, dtype=bool)
-        for wsl, _, _ in self.layout:
-            mask[wsl] = True
+        mask = np.zeros(param_count(self), dtype=bool)
+        for w, _b in _layers(self, mask):
+            w[...] = True
         return mask
 
     @property
@@ -98,13 +103,19 @@ def param_count(spec: ModelSpec) -> int:
     return spec.layout[-1][2].stop
 
 
+def _layers(spec: ModelSpec, theta: np.ndarray):
+    """Yield each layer's (W, b), (fan_in, fan_out) and (fan_out,) views of ``theta``."""
+    for wsl, wshape, bsl in spec.layout:
+        yield theta[wsl].reshape(wshape), theta[bsl]
+
+
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
     rng = np.random.default_rng(seed)
     theta = np.zeros(param_count(spec))
-    for w, (fan_in, fan_out), _b in spec.layout:
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        theta[w] = rng.uniform(-a, a, size=fan_in * fan_out)
+    for w, _b in _layers(spec, theta):
+        a = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-a, a, size=w.shape)
     return theta
 
 
@@ -123,23 +134,17 @@ def _checked(spec: ModelSpec, theta, x):
     return theta, x
 
 
-def _layer_inputs(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
-    """Yield the input of every layer: the batch x, then each hidden
-    activation, each computed in one buffer."""
-    h = x
-    yield h
-    for wsl, wshape, bsl in spec.layout[:-1]:
-        h = h @ theta[wsl].reshape(wshape)
-        h += theta[bsl]
-        h = np.tanh(h, out=h) if spec.activation == "tanh" else np.maximum(h, 0.0, out=h)
-        yield h
-
-
-def _output(spec: ModelSpec, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Logits from the input of the last layer: (n,) or (n, K)."""
-    wsl, wshape, bsl = spec.layout[-1]
-    h = h @ theta[wsl].reshape(wshape) + theta[bsl]
-    return h.reshape(-1) if spec.output_dim == 1 else h
+def _pass(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> tuple:
+    """(hs, logits): the input of every layer (the batch x, then each hidden
+    activation, each computed in one buffer) and the logits, (n,) or (n, K)."""
+    *hidden, (w, b) = _layers(spec, theta)
+    act, hs = _ACTIVATIONS[spec.activation][0], [x]
+    for w_h, b_h in hidden:
+        h = hs[-1] @ w_h
+        h += b_h
+        hs.append(act(h))
+    h = hs[-1] @ w + b
+    return hs, h.reshape(-1) if spec.output_dim == 1 else h
 
 
 def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray, g_theta=None):
@@ -147,15 +152,14 @@ def _chain(spec: ModelSpec, theta: np.ndarray, hs: list, g: np.ndarray, g_theta=
     inputs are ``hs`` and return it at the first layer's output (before any
     activation); the parameter gradient is written only into a ``g_theta``
     that the caller passes. The subgradient of relu at its kink is 0."""
-    for i in reversed(range(len(hs))):
-        wsl, wshape, bsl = spec.layout[i]
-        if g_theta is not None:
-            g_theta[wsl] = (hs[i].T @ g).reshape(-1)
-            g_theta[bsl] = g.sum(axis=0)
+    d_act = _ACTIVATIONS[spec.activation][1]
+    grads = [None] * len(hs) if g_theta is None else list(_layers(spec, g_theta))
+    for i, (w, _b) in reversed(list(enumerate(_layers(spec, theta)))):
+        if grads[i] is not None:
+            grads[i][0][...] = hs[i].T @ g
+            grads[i][1][...] = g.sum(axis=0)
         if i > 0:  # hs[i] is the activation of layer i - 1
-            g = g @ theta[wsl].reshape(wshape).T
-            h = hs[i]
-            g = g * (1.0 - h * h) if spec.activation == "tanh" else g * (h > 0.0)
+            g = g @ w.T * d_act(hs[i])
     return g
 
 
@@ -189,49 +193,53 @@ def forward(spec: ModelSpec, theta, x):
     """Logits for a batch ``x`` (n, p), evaluated in ``_row_blocks``:
     (n,) for a single-logit model, (n, K) for a K-output one."""
     theta, x = _checked(spec, theta, x)
-    out = np.empty((len(x),) if spec.output_dim == 1 else (len(x), spec.output_dim))
-    for rows in _row_blocks(spec, len(x)):
-        for h in _layer_inputs(spec, theta, x[rows]):  # only the last one is kept
-            pass
-        out[rows] = _output(spec, theta, h)
-    return out
+    return np.concatenate([_pass(spec, theta, x[rows])[1] for rows in _row_blocks(spec, len(x))])
 
 
-def _boundary_lipschitz(spec: ModelSpec, theta, radius: float) -> tuple:
-    """(L, margin) for the boundary logit (the single logit, or logit 1 - logit 0
-    of two) within +-``radius`` in each coordinate: a ``forward`` value above
-    L d + margin keeps its sign within distance d. L is the product of the
-    layers' Frobenius norms (of the column difference for two outputs; tanh and
-    relu are 1-Lipschitz). Each unit's absolute terms a = |h| |W| + |b| (|h| is
-    radius, then min(a, 1) after tanh, a after relu) bound its rounding by
-    (fan-in + 1) 2^-53 a, which its activation keeps relative and the later
-    layers carry by their norms: 1e-9 times each layer's |a| times the norms
-    after it, summed, far exceeds twice that error and the rounding of L d
-    (its first term is >= 5e-10 L radius). Terms above 1e154 square |a| to inf,
-    far below overflow: then the margin is inf or NaN and certifies nothing."""
-    theta = np.asarray(theta, dtype=float)
-    h, lip, total = np.full(spec.input_dim, float(radius)), 1.0, 0.0
+def _logit_interval(spec: ModelSpec, theta, lo, hi) -> tuple:
+    """(low, high), each (k,): a range of the boundary logit (the single logit,
+    or logit 1 - logit 0 of two) over each box [lo_i, hi_i] of the (k, p) lo
+    and hi that holds ``forward``'s value and the exact one.
+
+    Boxes go through ``_layers`` in ``_row_blocks`` as centre c and radius r:
+    c -> cW + b, r -> r|W|, then the monotone activation at both ends c -+ r;
+    for two logits the last W and b are column differences. The roundings of
+    ``forward`` and of this pass (sums, centre, radius, ends, the logit
+    difference, numpy's tanh to 4 ulp) add up to below (3 fan-in + 27) 2^-53 a,
+    a = |c||W| + r|W| + |b| (both columns for two logits): r is widened by
+    2^-48 (fan-in + 1) a, plus 2^-1022 for underflow. Where a layer's a reaches
+    2^1020 (or is inf or NaN), a sum of ``forward``'s could overflow: the
+    range is (-inf, inf)."""
+    theta, lo = _checked(spec, theta, lo)
+    hi = _checked(spec, theta, hi)[1]
+    act, layers, out = _ACTIVATIONS[spec.activation][0], list(_layers(spec, theta)), []
     with np.errstate(over="ignore", invalid="ignore"):
-        for wsl, wshape, bsl in spec.layout:
-            a = h @ np.abs(w := theta[wsl].reshape(wshape)) + np.abs(theta[bsl])
-            h = np.minimum(a, 1.0) if spec.activation == "tanh" else a
-            if spec.output_dim == 2 and bsl.stop == len(theta):  # the last layer
-                w = w[:, 1] - w[:, 0]
-            norm = np.linalg.norm(w)
-            lip, total = lip * norm, total * norm + np.sqrt(a @ a)  # weights |a| by the norms after
-        return lip, 1e-9 * total
+        for rows in _row_blocks(spec, len(lo)):
+            ends, ok = np.stack([lo[rows], hi[rows]]), True
+            for i, (w, b) in enumerate(layers, 1):
+                c, r = (ends[0] + ends[1]) / 2, (ends[1] - ends[0]) / 2
+                a = (np.abs(c) + r) @ np.abs(w) + np.abs(b)
+                if i == len(layers) and spec.output_dim == 2:
+                    a, w, b = a.sum(1, keepdims=True), w[:, 1:] - w[:, :1], b[1:] - b[:1]
+                ok = ok & (a < 2.0 ** 1020).all(axis=1)
+                c, r = c @ w + b, r @ np.abs(w) + (2.0 ** -48 * (len(w) + 1) * a + 2.0 ** -1022)
+                ends = np.stack([c - r, c + r])
+                if i < len(layers):
+                    act(ends)
+            out.append(np.where(ok, ends[..., 0], [[-np.inf], [np.inf]]))
+    return tuple(np.concatenate(out, axis=1))
 
 
 def _input_gradient(spec: ModelSpec, theta, x, targets: np.ndarray) -> np.ndarray:
     """d loss_i / d x_i, (n, input_dim), for the loss ``targets`` (``_targets``),
     in ``_row_blocks``: the layers run once each way, with no parameter gradient."""
     theta, x = _checked(spec, theta, x)
-    w_t = theta[spec.layout[0][0]].reshape(spec.layout[0][1]).T
+    w_t = next(_layers(spec, theta))[0].T
     out = np.empty_like(x)
     for rows in _row_blocks(spec, len(x)):
-        hs = list(_layer_inputs(spec, theta, x[rows]))
+        hs, logits = _pass(spec, theta, x[rows])
         with np.errstate(over="ignore"):  # exp = inf gives the limit 0
-            g = _target_loss_gradient(spec, _output(spec, theta, hs[-1]), targets[rows])
+            g = _target_loss_gradient(spec, logits, targets[rows])
         out[rows] = _chain(spec, theta, hs, g.reshape(len(g), spec.output_dim)) @ w_t
     return out
 

@@ -50,10 +50,9 @@ __all__ = [
 
 @dataclass
 class ConditionalCovariance:
-    """Pooled within-group style covariance plus its spectral norm zeta."""
+    """Pooled within-group style covariance and whether it is positive definite."""
 
     pooled: np.ndarray      # (q, q)
-    zeta: float
     spd: bool
 
 
@@ -488,7 +487,7 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
     All groups of size >= 2 contribute, population-normalized, and are
     pooled into one shared estimate (the generators here share one style
     covariance across groups). Data with no group of two or more raises
-    ValueError. zeta is the spectral norm of the estimate.
+    ValueError.
     """
     if not isinstance(style_dataset, StyleAwareDataset):
         raise TypeError("style latents are required")
@@ -503,8 +502,7 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
                          "so the style covariance cannot be estimated")
     pooled = dev.T @ dev / len(dev)
     eigs = np.linalg.eigvalsh((pooled + pooled.T) / 2.0)
-    zeta = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     # degenerate (all-identical within groups) estimates must not pass as SPD
     floor = 1e-12 * max(1.0, float(np.mean(styles * styles)))
     spd = bool(np.all(eigs > floor))
-    return ConditionalCovariance(pooled, zeta, spd)
+    return ConditionalCovariance(pooled, spd)

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +204,7 @@ def test_gradient_matches_finite_differences(kind, sizes, activation):
     # parameter and input gradients of an arbitrary logit gradient: the
     # backward chain, then the product with the first layer's weights
     g_logits = rng.standard_normal(forward(spec, theta, x).shape)
-    hs = list(md._layer_inputs(spec, theta, x))
+    hs = md._pass(spec, theta, x)[0]
     g_theta = np.empty_like(theta)
     g_h = md._chain(spec, theta, hs, g_logits.reshape(len(x), spec.output_dim), g_theta)
     wsl, wshape, _ = spec.layout[0]
@@ -303,6 +305,10 @@ def test_model_spec_validation():
         ModelSpec("cnn", (2, 1))
     with pytest.raises(ValueError):
         ModelSpec("mlp", (2, 4, 1), activation="gelu")
+    # the table lookup takes no unhashable value and no value that is not a name
+    for activation in (None, ["tanh"]):
+        with pytest.raises(ValueError, match="unknown activation"):
+            ModelSpec("mlp", (2, 4, 1), activation=activation)
     with pytest.raises(ValueError, match="at least input and output width"):
         ModelSpec("mlp", (2,))
     with pytest.raises(ValueError, match="layer sizes must be positive"):
@@ -319,3 +325,33 @@ def test_predict_labels_reads_one_logit_by_sign_and_k_logits_by_argmax():
     assert md.predict_labels(three, theta, x).tolist() == [0, 1, 2]
     with pytest.raises(ValueError, match=r"x must be an \(n, 2\) batch, got shape \(2,\)"):
         md.predict_labels(three, theta, x[1])
+
+
+def _readers(attr, key_of=None):
+    """Where ``src/condvar`` reads ``.attr``, other than as the key of a dict
+    named ``key_of``: "module.function" or "module.Class.method" of the
+    top-level definition that holds each read."""
+    out = set()
+    for path in Path(md.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        keys = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == key_of}
+        for top in tree.body:
+            for sub in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = getattr(top, "name", "")
+                if sub is not top:
+                    name += "." + getattr(sub, "name", "")
+                if any(isinstance(node, ast.Attribute) and node.attr == attr
+                       and id(node) not in keys for node in ast.walk(sub)):
+                    out.add(f"{path.stem}.{name}")
+    return out
+
+
+def test_one_table_reads_the_activation_and_one_walk_the_layout():
+    # outside ModelSpec's own check the activation is read only to look its
+    # row up in _ACTIVATIONS, and every pass takes (W, b) views from _layers
+    assert _readers("activation", "_ACTIVATIONS") == {"models.ModelSpec.__post_init__"}
+    assert _readers("activation") > {"models.ModelSpec.__post_init__"}  # the lookups
+    layout = _readers("layout")
+    assert {name for name in layout if not name.startswith("models.ModelSpec.")} == {
+        "models.param_count", "models._layers"}, sorted(layout)

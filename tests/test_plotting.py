@@ -182,6 +182,18 @@ def test_boundary_svg_rejects_a_boundary_that_is_not_finite():
         decision_boundary_svg(ds, [(spec, np.array([1e10, 1e10, 0.0]))], ["steep"])
 
 
+@pytest.mark.parametrize("sizes, cut, match", [
+    ((3, 1), 0, "feature dimension 2 does not match model input 3"),
+    ((2, 1), 1, "parameter vector length does not match the model spec"),
+    ((2, 4, 2), 1, "parameter vector length does not match the model spec"),
+])
+def test_boundary_svg_judges_a_mis_sized_checkpoint(sizes, cut, match):
+    spec = md.ModelSpec("linear" if len(sizes) == 2 else "mlp", sizes)
+    theta = md.init_params(spec, 0)[cut:]
+    with pytest.raises(ValueError, match=match):
+        decision_boundary_svg(_scatter_dataset(), [(spec, theta)])
+
+
 def test_boundary_svg_rejects_label_count_mismatch():
     spec = md.ModelSpec("linear", (2, 1))
     theta = md.init_params(spec, 0)
@@ -209,17 +221,15 @@ _PINNED_SVGS = {
 }
 
 
-# the grid points each pinned checkpoint sends through forward (the 51 x 51
-# lattice of block corners and every point of an uncertified block), and the
-# forward calls at stacks of the default budget, 1, 7 and 400 grid rows: the
-# lattice, then one per stack that holds a point to evaluate. tanh_mlp's
-# logits (|f| < 0.3) never pass L times a block's diagonal (about 1.3), so
-# it certifies no block
+# the grid points each pinned checkpoint sends through forward (every point
+# of a block whose logit range holds 0), and the forward calls at stacks of
+# the default budget, 1, 7 and 400 grid rows: one per stack that holds a
+# point to evaluate
 _PINNED_WORK = {
-    "single_logit": (9145, {None: 8, 1: 274, 7: 41, _GRID: 2}),
-    "softmax": (9448, {None: 10, 1: 337, 7: 50, _GRID: 2}),
-    "tanh_mlp": (2601 + _GRID * _GRID, {None: 11, 1: 401, 7: 59, _GRID: 2}),
-    "relu_mlp": (61360, {None: 10, 1: 329, 7: 49, _GRID: 2}),
+    "single_logit": (5968, {None: 7, 1: 273, 7: 40, _GRID: 1}),
+    "softmax": (6527, {None: 9, 1: 336, 7: 49, _GRID: 1}),
+    "tanh_mlp": (106840, {None: 9, 1: 329, 7: 48, _GRID: 1}),
+    "relu_mlp": (10055, {None: 5, 1: 200, 7: 30, _GRID: 1}),
 }
 
 
@@ -238,7 +248,7 @@ def test_boundary_svg_bytes_do_not_depend_on_the_row_block(name, rows, monkeypat
     svg = decision_boundary_svg(_scatter_dataset(), [(spec, theta)], [name])
     points, stacks = _PINNED_WORK[name]
     assert (sum(calls), len(calls)) == (points, stacks[rows])
-    assert calls[0] == 51 * 51 and max(calls[1:]) <= (rows or 40) * _GRID
+    assert max(calls) <= (rows or 40) * _GRID
     assert _boundary_lines(svg) > 0
     assert hashlib.sha256(svg.encode()).hexdigest() == sha256
 
@@ -259,9 +269,9 @@ def test_boundary_svg_memory_does_not_grow_with_the_grid_batch():
 
 
 # the names of models that plotting may read: the layers are forward's, a
-# stack of grid rows is sized by its 2-d inputs alone, and the certificate's
-# bound reads the weights
-_MODEL_NAMES = {"forward", "_chunk", "_boundary_lipschitz"}
+# stack of grid rows is sized by its 2-d inputs alone, and the certificate is
+# the logit range of each block's box
+_MODEL_NAMES = {"forward", "_chunk", "_logit_interval"}
 
 
 def test_plotting_sizes_its_grid_stack_once_and_runs_no_layer_code():
@@ -324,15 +334,13 @@ def test_certified_grid_traces_the_segments_of_the_full_grid_bitwise(kind, monke
                 decision_boundary_svg(ds, [(spec, theta)])
             except ArithmeticError:  # a non-finite boundary, as the full grid's
                 pass
-            sure = sum(evaluated) < 2601 + _GRID * _GRID
+            sure = sum(evaluated) < _GRID * _GRID
             (vals, xs, ys), segs = traced[0]
             full = _full_grid(spec, theta, xs, ys)
             _assert_bitwise(segs, zero_contour_segments(full, xs, ys))
             assert np.array_equal(vals > 0, full > 0)
             cases, certified, crossing = cases + 1, certified + sure, crossing + (len(segs) > 0)
             both += sure and len(segs) > 0
-    # a tanh net's product of norms grows with its weights and its logits do
-    # not, so fewer tanh checkpoints certify a block
     assert both >= 3, (cases, certified, crossing, both)
 
 
@@ -346,39 +354,74 @@ def _longdouble_logit(spec, theta, x):
     return h[:, 1] - h[:, 0] if spec.output_dim == 2 else h[:, 0]
 
 
+def _boundary_logit(spec, theta, x):
+    out = md.forward(spec, theta, x)
+    return out[:, 1] - out[:, 0] if out.ndim == 2 else out
+
+
 @pytest.mark.parametrize("kind", ["linear1", "linear2", "tanh", "relu"])
-def test_boundary_bound_holds_at_random_point_pairs(kind):
+def test_logit_interval_holds_at_points_of_each_box(kind):
+    # 30 boxes a case, 4 corners, 4 edge midpoints and 12 random interior
+    # points a box; boxes near the origin and offset to 1e6, of half-widths
+    # 1e-4 .. 10
     rng = np.random.default_rng({"linear1": 21, "linear2": 22, "tanh": 23, "relu": 24}[kind])
     extended = np.finfo(np.longdouble).eps < 1e-18
+    unit = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1], [0, -1], [1, 0], [0, 1], [-1, 0]])
     for offset in (0.0, 1e6):
         for _ in range(10):
             spec, theta = _random_checkpoint(rng, kind)
-            centre = offset * rng.choice([-1.0, 1.0], 2)
-            a = centre + rng.uniform(-1, 1, (200, 2)) * 10.0 ** rng.uniform(-2, 2)
-            b = a + rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-4, 0)
-            radius = np.abs([a, b]).max()
-            lip, margin = md._boundary_lipschitz(spec, theta, radius)
-            assert 0.0 < margin < np.inf and 0.0 < lip < np.inf
-            fa = md.forward(spec, theta, a)
-            fb = md.forward(spec, theta, b)
-            if spec.output_dim == 2:
-                fa, fb = fa[:, 1] - fa[:, 0], fb[:, 1] - fb[:, 0]
-            dist = np.hypot(*(a - b).T)
-            assert np.all(np.abs(fa - fb) <= lip * dist + margin)
-            if extended:  # forward errs by less than half the margin
-                assert np.all(np.abs(fa - _longdouble_logit(spec, theta, a)) <= margin / 2)
-            if kind.startswith("linear"):
-                w = theta[:2 * spec.output_dim].reshape(2, -1)
-                assert lip == np.linalg.norm(w[:, 0] if kind == "linear1" else w[:, 1] - w[:, 0])
+            mid = offset * rng.choice([-1.0, 1.0], 2)
+            mid = mid + rng.uniform(-1, 1, (30, 2)) * 10.0 ** rng.uniform(-2, 2)
+            half = 10.0 ** rng.uniform(-4, 1, (30, 2))
+            low, high = md._logit_interval(spec, theta, mid - half, mid + half)
+            assert np.isfinite(low).all() and np.isfinite(high).all() and (low <= high).all()
+            steps = np.concatenate([np.broadcast_to(unit, (30, 8, 2)),
+                                    rng.uniform(-1, 1, (30, 12, 2))], axis=1)
+            pts = (mid[:, None] + steps * half[:, None]).reshape(-1, 2)
+            # rounding may leave a point outside its box by an ulp: clip it in
+            pts = np.clip(pts, np.repeat(mid - half, 20, 0), np.repeat(mid + half, 20, 0))
+            lo_k, hi_k = np.repeat(low, 20), np.repeat(high, 20)
+            f = _boundary_logit(spec, theta, pts)
+            assert np.all((lo_k <= f) & (f <= hi_k))
+            if extended:
+                f = _longdouble_logit(spec, theta, pts)
+                assert np.all((lo_k <= f) & (f <= hi_k))
+            if kind.startswith("linear"):  # the exact range, widened by rounding alone
+                k = spec.output_dim
+                w, b = theta[:2 * k].reshape(2, k), theta[2 * k:]
+                a = (np.abs(mid) + half) @ np.abs(w).sum(1) + np.abs(b).sum()
+                w, b = (w[:, 0], b[0]) if k == 1 else (w[:, 1] - w[:, 0], b[1] - b[0])
+                c, r = mid @ w + b, half @ np.abs(w)
+                assert np.all(np.abs([low - (c - r), high - (c + r)]) <= 1e-13 * a)
+
+
+def test_logit_interval_of_two_logits_covers_the_rounding_of_each():
+    # logits near 1e8 whose difference is near 0.1: forward rounds each logit
+    # by about 1e-8, far more than the difference column's terms allow
+    spec = md.ModelSpec("linear", (2, 2))
+    theta = np.array([1e8, 1e8 + 1e-3, -3e7, -3e7 + 2e-3, 5e7, 5e7 + 0.1])
+    mid = np.random.default_rng(0).uniform(0.0, 1.0, (200, 2))
+    low, high = md._logit_interval(spec, theta, mid, mid)
+    f = _boundary_logit(spec, theta, mid)
+    assert np.all((low <= f) & (f <= high)) and np.all(high - low < 1e-5)
 
 
 def test_boundary_bound_certifies_nothing_where_a_layer_could_overflow():
     spec = md.ModelSpec("linear", (2, 1))
-    for theta, radius in (([1e10, 1e10, 0.0], 1e300), ([1.0, 1.0, 1e155], 1.0)):
-        assert not md._boundary_lipschitz(spec, np.array(theta), radius)[1] < np.inf
+    for theta, radius in (([1e10, 1e10, 0.0], 1e300), ([1.0, 1.0, 1e308], 1.0)):
+        box = np.full((1, 2), float(radius))
+        low, high = md._logit_interval(spec, np.array(theta), -box, box)
+        assert low.tolist() == [-np.inf] and high.tolist() == [np.inf]
+    box = np.full((3, 2), 1e3)
     spec, theta = _mlp((2, 8, 8, 2), "relu", 0)
-    assert not md._boundary_lipschitz(spec, theta * 1e80, 1e3)[1] < np.inf
-    assert md._boundary_lipschitz(spec, theta * 1e40, 1e3)[1] < np.inf
+    low, high = md._logit_interval(spec, theta * 1e120, -box, box)
+    assert (low == -np.inf).all() and (high == np.inf).all()
+    low, high = md._logit_interval(spec, theta * 1e80, -box, box)
+    assert np.isfinite(low).all() and np.isfinite(high).all()
+    # tanh maps an overflowing first layer's ends +-inf to +-1
+    spec, theta = _mlp((2, 8, 1), "tanh", 0)
+    low, high = md._logit_interval(spec, theta * 1e300, -box * 1e10, box * 1e10)
+    assert (low == -np.inf).all() and (high == np.inf).all()
 
 
 def test_boundary_svg_calls_no_lapack_routine_and_imports_no_module():
