@@ -32,7 +32,8 @@ from . import __version__
 from . import models as md
 from . import robustness as rb
 from . import scm
-from .data import DataFormatError, _csv_text, _json_text, _write_text, build_group_index, load_csv
+from .data import (DataFormatError, _csv_text, _json_text, _natural, _write_text, build_group_index,
+                   load_csv)
 from .penalties import (
     DegenerateVarianceError,
     PenaltyConfig,
@@ -128,17 +129,12 @@ def _check_fit(spec, dataset, data_path, what: str) -> None:
         raise DataFormatError(f"{data_path}: {exc}") from None
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-
-
 # Each _cmd_* returns (resolved values, {file name: text or JSON payload}, stdout summary).
 
 # ---- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> tuple:
-    _check_seed(args.seed)
+    _natural("--seed", args.seed)
     for flag, value in (("--test-shift", args.test_shift), ("--style-mean", args.style_mean)):
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
@@ -177,7 +173,7 @@ def _cmd_gen(args) -> tuple:
 # ---- train -----------------------------------------------------------------
 
 def _cmd_train(args) -> tuple:
-    _check_seed(args.seed)
+    _natural("--seed", args.seed)
     dataset = load_csv(args.data)
     spec = _parse_model(args.model)
     _check_fit(spec, dataset, args.data, "model")

@@ -2,8 +2,8 @@
 the one JSON serializer and the one writer of every file the package writes,
 the one rule that judges every file it reads (``_reading``) and the one
 reader of every JSON array of reals (``_reals``): latents, render matrices
-and parameters. A spec judges its own fields, integers through ``_integer``
-and real numbers through ``_is_real`` or ``_real``.
+and parameters. Spec fields and scalar arguments are judged by one rule per
+kind: ``_integer``, ``_natural`` (seeds, epochs), ``_is_real`` and ``_real``.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -156,7 +156,7 @@ def augment_with_groups(dataset: Dataset, transform, count_per_sample: int, sele
     The source sample also receives that id, so source + copies form one
     group of size 1 + count_per_sample after ``build_group_index``.
     """
-    if count_per_sample < 1:
+    if (count_per_sample := _integer(count_per_sample)) < 1:
         raise ValueError("count_per_sample must be >= 1")
     selection = np.sort(np.asarray(selection, dtype=int).reshape(-1))
     bad = selection[(selection < 0) | (selection >= len(dataset))]
@@ -233,11 +233,18 @@ def _reading(path, what: str):
 
 def _integer(v) -> int:
     """``int(v)`` for a v that holds an integer; one with a fraction, which
-    ``int`` would drop, and a boolean, which it would read as 0 or 1, raise
-    ValueError, judged by ``_reading``."""
-    if isinstance(v, bool) or int(v) != v:
+    ``int`` would drop, and a boolean, Python's or numpy's, which it would
+    read as 0 or 1, raise ValueError, judged by ``_reading``."""
+    if isinstance(v, (bool, np.bool_)) or int(v) != v:
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _natural(name: str, v) -> int:
+    """``_integer(v)`` for a seed or an epoch v >= 0, else ValueError naming ``name``."""
+    if (v := _integer(v)) < 0:
+        raise ValueError(f"{name} must be >= 0, got {v}")
+    return v
 
 
 def _is_real(v) -> bool:

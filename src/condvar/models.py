@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _integer, _json_text, _reading, _reals, _write_text
+from .data import _integer, _json_text, _natural, _reading, _reals, _write_text
 
 __all__ = [
     "ModelSpec",
@@ -111,7 +111,7 @@ def _layers(spec: ModelSpec, theta: np.ndarray):
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_natural("seed", seed))
     theta = np.zeros(param_count(spec))
     for w, _b in _layers(spec, theta):
         a = np.sqrt(6.0 / sum(w.shape))

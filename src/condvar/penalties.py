@@ -27,6 +27,10 @@ class DegenerateVarianceError(ArithmeticError):
     """All group means coincide, so a variance ratio has no denominator."""
 
 
+# the one rule of the variance exponent nu, for ``data._real``
+_NU_RULE = ("exactly 0.5 or 1.0", lambda v: v in (0.5, 1.0))
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """target 'prediction' penalizes logits, 'loss' penalizes per-sample
@@ -41,7 +45,7 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.target not in ("prediction", "loss"):
             raise ValueError(f"unknown penalty target {self.target!r}")
-        for name, rule, ok in (("nu", "exactly 0.5 or 1.0", lambda v: v in (0.5, 1.0)),
+        for name, rule, ok in (("nu", *_NU_RULE),
                                ("lam", "finite and >= 0", lambda v: v >= 0.0),
                                ("gamma", "finite and >= 0", lambda v: v >= 0.0)):
             object.__setattr__(self, name, _real(name, getattr(self, name), rule, ok))
@@ -119,8 +123,7 @@ def conditional_penalty(values, group_index: GroupIndex, nu: float = 1.0) -> flo
     Returns exactly 0.0 when there are no grouped observations (c = 0), in
     which case penalized and pooled training coincide.
     """
-    if nu not in (0.5, 1.0):
-        raise ValueError("nu must be exactly 0.5 or 1.0")
+    nu = _real("nu", nu, *_NU_RULE)
     values = _check_values(values, group_index)
     if group_index.c == 0:
         return 0.0

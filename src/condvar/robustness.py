@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import models as md
-from .data import GroupIndex, build_group_index
+from .data import GroupIndex, _natural, _real, build_group_index
 from .penalties import conditional_penalty, segment_means
 from .scm import StyleAwareDataset, _checked_shift, _chol, _render_vjp
 
@@ -138,7 +138,8 @@ def _shifted_losses(fit, shifts) -> np.ndarray:
 
 
 def loss_under_shift(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset, shift) -> float:
-    """Mean loss after re-rendering under ``shift``, (q,) or (n, q)."""
+    """Mean loss after re-rendering under ``shift``, (q,) or (n, q) by ``_checked_shift``."""
+    shift = _checked_shift(shift, len(style_dataset.dataset), style_dataset.q)
     return _Fit(spec, theta, style_dataset).mean_loss(shift)
 
 
@@ -162,7 +163,8 @@ def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
     """a = W^T w when a style shift delta moves every logit by a^T delta (a
     single-logit linear model, weights w, on a linear render W), else None."""
     if (style_dataset.render_kind, spec.kind, spec.output_dim) == ("linear", "linear", 1):
-        return _render_vjp(style_dataset, None, np.asarray(theta, dtype=float)[:spec.input_dim])
+        (w, _b), = md._layers(spec, np.asarray(theta, dtype=float))
+        return _render_vjp(style_dataset, None, w[:, 0])
     return None
 
 
@@ -270,7 +272,7 @@ class _Fit:
                                 self.targets)
 
     def mean_loss(self, shift) -> float:
-        shift = _checked_shift(shift, len(self.targets), self.data.q)  # (1, q) or (n, q)
+        """The mean loss under a (1, q) or (n, q) float ``shift``."""
         losses = _shifted_losses(self, shift[None])[0] if np.any(shift) else self.unshifted
         return float(np.mean(losses))
 
@@ -329,9 +331,8 @@ class _Fit:
         return DivergenceProbe(direction, magnitudes, losses, unshifted, verdict)
 
 
-def _check_budget(xi) -> None:
-    if not (np.isfinite(xi) and xi >= 0):
-        raise ValueError(f"xi must be finite and >= 0, got {xi}")
+def _budget(xi) -> float:
+    return _real("xi", xi, "finite and >= 0", lambda v: v >= 0.0)
 
 
 def _check_method(method, m: int) -> None:
@@ -342,11 +343,10 @@ def _check_method(method, m: int) -> None:
 
 
 def _checked_magnitudes(magnitudes) -> np.ndarray:
-    magnitudes = np.asarray(sorted(float(v) for v in magnitudes))
+    magnitudes = np.asarray(sorted(_real("magnitudes", v, "finite", lambda v: True)
+                                   for v in magnitudes))
     if len(magnitudes) == 0:
         raise ValueError("magnitudes must hold at least one magnitude")
-    if not np.all(np.isfinite(magnitudes)):
-        raise ValueError("magnitudes must be finite")
     return magnitudes
 
 
@@ -375,7 +375,7 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     here for every xi, 0 included, is ``_EXACT_NOTE`` for the exact
     'uniform_ball' values, else the ``WorstCaseResult`` default.
     """
-    _check_budget(xi)
+    xi, seed = _budget(xi), _natural("seed", seed)
     _check_method(method, group_index.m)
     return _Fit(spec, theta, style_dataset, sigma, group_index).worst_case(xi, method, seed)
 
@@ -419,8 +419,9 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     or infinite loss raises ArithmeticError naming its magnitude instead.
     """
     direction = np.asarray(direction, dtype=float)
-    if direction.shape != (style_dataset.q,) or not np.any(direction != 0.0):
-        raise ValueError("direction must be a nonzero length-q vector")
+    if (direction.shape != (style_dataset.q,) or not np.isfinite(direction).all()
+            or not np.any(direction != 0.0)):
+        raise ValueError("direction must be a finite nonzero length-q vector")
     return _Fit(spec, theta, style_dataset).divergence(direction,
                                                        _checked_magnitudes(magnitudes))
 
@@ -429,8 +430,7 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
                     group_index: GroupIndex, sigma, xi: float) -> FirstOrderGap:
     """Compare the worst-case loss at budget xi against its first-order
     expansion: unshifted loss + sqrt(xi) * conditional sd of the loss."""
-    _check_budget(xi)
-    return _Fit(spec, theta, style_dataset, sigma, group_index).first_order(xi)
+    return _Fit(spec, theta, style_dataset, sigma, group_index).first_order(_budget(xi))
 
 
 def invariance_defect(theta, style_matrix) -> float:
@@ -441,7 +441,8 @@ def invariance_defect(theta, style_matrix) -> float:
     p = w_mat.shape[0]
     if theta.shape != (p + 1,):
         raise ValueError(f"parameter vector of length {theta.size} does not fit p + 1 = {p + 1}")
-    w = theta[:p]
+    (w, _b), = md._layers(md.ModelSpec("linear", (p, 1)), theta)
+    w = w[:, 0]
     norm = np.linalg.norm(w)
     if norm == 0.0:
         return 0.0
@@ -467,15 +468,14 @@ def report(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
     before the model first runs."""
     if len(xis) == 0:
         raise ValueError("xis must hold at least one budget")
-    for xi in (*xis, fo_xi):
-        _check_budget(xi)
+    xis, fo_xi = [_budget(xi) for xi in xis], _budget(fo_xi)
     _check_method(method, group_index.m)
     magnitudes = _checked_magnitudes(magnitudes)
     fit = _Fit(spec, theta, style_dataset, sigma, group_index)
     linear = fit.a is not None
     direction = fit.steepest() if linear else np.eye(style_dataset.q)[0]
     return RobustnessReport(
-        [float(xi) for xi in xis], [fit.worst_case(xi, method, 0) for xi in xis], method,
+        xis, [fit.worst_case(xi, method, 0) for xi in xis], method,
         fit.first_order(fo_xi), fit.divergence(direction, magnitudes),
         invariance_defect(theta, style_dataset.style_matrix) if linear else None)
 

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import (Dataset, DataFormatError, _integer, _is_real, _json_text, _reading, _reals,
-                   _write_text)
+from .data import (Dataset, DataFormatError, _integer, _is_real, _json_text, _natural, _reading,
+                   _real, _reals, _write_text)
 
 __all__ = [
     "LinearScmSpec",
@@ -87,8 +87,9 @@ class LinearScmSpec:
     structure_seed: int = 0
 
     def __post_init__(self):
-        for name in ("p", "q", "r", "id_count", "structure_seed"):
+        for name in ("p", "q", "r", "id_count"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
+        object.__setattr__(self, "structure_seed", _natural("structure_seed", self.structure_seed))
         # astype(float) would read "1.5" or True as a number and fail on a Python
         # int beyond the float range; _chol judges style_cov's values
         for name, ndim in (("class_balance", 0), ("core_class_mean", 0), ("core_id_scale", 0),
@@ -110,8 +111,6 @@ class LinearScmSpec:
         _chol(self.style_cov, self.q, "style_cov")
         if self.id_count < 1:
             raise ValueError(f"id_count must be >= 1, got {self.id_count}")
-        if self.structure_seed < 0:
-            raise ValueError(f"structure_seed must be >= 0, got {self.structure_seed}")
         if self.id_sampler not in ("uniform", "round_robin"):
             raise ValueError(f"unknown id sampler {self.id_sampler!r}")
         if not 0.0 < self.class_balance < 1.0:
@@ -203,10 +202,12 @@ def _render_vjp(style_dataset, features, gx) -> np.ndarray:
 def _checked_shift(shift, n: int, q: int) -> np.ndarray:
     """``shift`` as a (1, q) or (n, q) float array that adds onto n samples'
     (n, q) style latents: one length-q shift for every sample, or an (n, q)
-    array; any other shape raises ValueError naming it."""
+    array; any other shape, and a NaN or an infinity, raise ValueError naming it."""
     shift = np.asarray(shift, dtype=float)
     if shift.shape not in ((q,), (n, q)):
         raise ValueError(f"a shift must have shape ({q},) or ({n}, {q}), got {shift.shape}")
+    if not np.isfinite(shift).all():
+        raise ValueError(f"a shift must be finite, got {shift[~np.isfinite(shift)][0]}")
     return shift.reshape(-1, q)
 
 
@@ -218,23 +219,16 @@ def rerender(style_dataset: StyleAwareDataset, shift) -> Dataset:
     return Dataset(style_dataset.render(style_dataset.style + delta), ds.labels, ds.ids)
 
 
-def _finite_shift(shift) -> float:
-    """``shift`` as a float, by the one test-shift rule: NaN or an infinity raises ValueError."""
-    shift = float(shift)
-    if not np.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
-    return shift
-
-
 def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
                       shift: float = 0.0) -> StyleAwareDataset:
     """Ancestral sampling from the partially linear model. Groups arise when
     the same (Y, ID) pair is drawn more than once. ``shift`` is added to
     every style coordinate of every class-1 sample, the teaching examples'
-    test-split rule; a non-finite shift raises ValueError."""
-    shift = _finite_shift(shift)
-    if n < 1:
+    test-split rule; every argument is judged before the first draw."""
+    shift = _real("shift", shift, "finite", lambda v: True)
+    if (n := _integer(n)) < 1:
         raise ValueError("need n >= 1")
+    seed = _natural("seed", seed)
     rng = np.random.default_rng(seed)
     c_mat, w_mat = spec.matrices()
     y_pm = np.where(rng.random(n) < spec.class_balance, 1, -1)
@@ -337,8 +331,9 @@ def _gen_paired(name, params, n, c, test_shift, seed, core_mean, core_sd, draw_s
     core_mean(y) + core_sd * z per single and per pair (the n - 2c singles
     come first, then c pairs that share (Y, ID) and their core value), then
     draw_style(rng, y) for every row. The test split shifts class 1's
-    style by ``test_shift``, which must be finite."""
-    test_shift = _finite_shift(test_shift)
+    style by ``test_shift``. Every argument is judged before the first draw."""
+    test_shift = _real("shift", test_shift, "finite", lambda v: True)
+    n, c, seed = _integer(n), _integer(c), _natural("seed", seed)
     if not 0 <= 2 * c <= n:
         raise ValueError("need 0 <= c <= n / 2")
     n_single = n - 2 * c

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, _integer, _real, build_group_index
+from .data import Dataset, GroupIndex, _integer, _natural, _real, build_group_index
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -72,14 +72,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed"):
+        for name in ("batch_size", "epochs"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
+        object.__setattr__(self, "seed", _natural("seed", self.seed))
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -100,13 +99,14 @@ def _epoch_batches(group_index: GroupIndex, batch_size: int, seed: int,
     id of each, and per batch (start, stop, sizes): its slice of both and
     the size of each of its groups, in batch-local id order. Groups are
     shuffled as units and packed greedily in that order; a group's rows
-    keep their ascending index order."""
-    m = group_index.m
+    keep their ascending index order. ``batch_size`` is judged by ``_integer``,
+    ``seed`` and ``epoch`` by ``_natural``."""
+    batch_size, m = _integer(batch_size), group_index.m
     if m and group_index.max_size() > batch_size:
         raise ValueError(
             f"largest group ({group_index.max_size()}) exceeds batch size {batch_size}"
         )
-    rng = np.random.default_rng([int(seed), int(epoch)])
+    rng = np.random.default_rng([_natural("seed", seed), _natural("epoch", epoch)])
     order = rng.permutation(m)
     sizes = group_index.sizes[order]
     filled = np.concatenate([[0], np.cumsum(sizes)])
@@ -262,9 +262,10 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     # ||P phi|| == ||phi||, so the ridge term on phi is the ridge term on w
     ridge_only = replace(config, penalty=PenaltyConfig(gamma=config.penalty.gamma),
                          batch_size=len(dataset))
-    phi = train(projected, build_group_index(projected), md.ModelSpec("linear", (p - q, 1)),
-                ridge_only).theta
-    return np.concatenate([basis @ phi[:-1], phi[-1:]])
+    spec = md.ModelSpec("linear", (p - q, 1))
+    (phi, b), = md._layers(spec, train(projected, build_group_index(projected), spec,
+                                       ridge_only).theta)
+    return np.concatenate([basis @ phi[:, 0], b])
 
 
 def evaluate_lambda_grid(train_set: Dataset, val_set: Dataset,
@@ -276,16 +277,16 @@ def evaluate_lambda_grid(train_set: Dataset, val_set: Dataset,
     has not yet increased considerably; the report leaves that call to the
     user rather than automating a threshold.
     """
-    md._targets(model_spec, val_set.labels)  # bad labels raise before the first fit
+    md._targets(model_spec, val_set.labels)  # bad labels and weights raise before the first fit
+    penalties = [replace(base_config.penalty, lam=lam) for lam in lambdas]
     groups = build_group_index(train_set)
     rows = []
-    for lam in lambdas:
-        pen = replace(base_config.penalty, lam=float(lam))
+    for pen in penalties:
         report = train(train_set, groups, model_spec, replace(base_config, penalty=pen))
         logits = md.forward(model_spec, report.theta, val_set.features)
         losses = md.per_sample_loss(model_spec, logits, val_set.labels)
         rows.append({
-            "lam": float(lam),
+            "lam": pen.lam,
             "val_loss": float(np.mean(losses)),
             "val_error": float(np.mean(md._decide(model_spec, logits) != val_set.labels)),
         })

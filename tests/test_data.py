@@ -120,6 +120,22 @@ def test_augment_rejects_no_copies_and_a_transform_that_changes_the_shape():
         augment_with_groups(ds, lambda f: np.append(f, 0.0), 1, [0])
 
 
+@pytest.mark.parametrize("count", [2.5, True, np.True_, "2"], ids=["2.5", "true", "np_true", "str"])
+def test_augment_refuses_a_count_that_is_not_an_integer(count):
+    # np.repeat dropped the fraction of 2.5 and read True as one copy
+    ds = make_dataset([0, 1], [None, None])
+    with pytest.raises(ValueError, match="is not an integer$"):
+        augment_with_groups(ds, lambda f: f, count, [0])
+
+
+def test_augment_takes_a_numpy_count_as_the_python_count():
+    ds = make_dataset([0, 1, 1], [None, None, None])
+    plain = augment_with_groups(ds, lambda f: f + 1.0, 2, [1, 2])
+    numpy = augment_with_groups(ds, lambda f: f + 1.0, np.int64(2), [1, 2])
+    assert numpy.features.tobytes() == plain.features.tobytes()
+    assert numpy.ids.tolist() == plain.ids.tolist()
+
+
 def test_group_index_rejects_segment_ids_that_are_not_one_dimensional():
     with pytest.raises(ValueError, match="segment ids must be one-dimensional"):
         GroupIndex(np.zeros((2, 2), dtype=int))

@@ -269,6 +269,21 @@ def test_init_is_seeded_and_bias_free():
     assert np.all(np.abs(a[wsl]) <= a_limit)
 
 
+@pytest.mark.parametrize("seed, message", [(-1, "^seed must be >= 0, got -1$"),
+                                           (1.5, "^1.5 is not an integer$"),
+                                           (True, "^True is not an integer$")],
+                         ids=["negative", "1.5", "true"])
+def test_init_refuses_a_seed_that_is_not_an_integer_ge_0(seed, message):
+    # numpy refused each unnamed, or read True as the seed 1
+    with pytest.raises(ValueError, match=message):
+        init_params(ModelSpec("mlp", (3, 4, 1)), seed)
+
+
+def test_init_takes_a_numpy_seed_as_the_python_seed():
+    spec = ModelSpec("mlp", (3, 4, 1))
+    assert init_params(spec, np.int64(3)).tobytes() == init_params(spec, 3).tobytes()
+
+
 def test_checkpoint_round_trip(tmp_path):
     spec = ModelSpec("mlp", (2, 3, 1), "relu")
     theta = init_params(spec, 1)
@@ -313,6 +328,9 @@ def test_model_spec_validation():
         ModelSpec("mlp", (2,))
     with pytest.raises(ValueError, match="layer sizes must be positive"):
         ModelSpec("mlp", (2, 0, 1))
+    # int() reads numpy's True as 1, a 1-input model
+    with pytest.raises(ValueError, match="^np.True_ is not an integer$"):
+        ModelSpec("linear", (np.True_, 1))
 
 
 def test_predict_labels_reads_one_logit_by_sign_and_k_logits_by_argmax():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ def test_baseline_grouping_composes_with_penalty():
     values = rng.standard_normal(20)
     want = np.mean([np.var(values[ds.labels == k]) for k in np.unique(ds.labels)])
     assert conditional_penalty(values, index, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [True, np.True_, "0.5", 0.7, np.nan],
+                         ids=["true", "np_true", "str", "0.7", "nan"])
+def test_penalty_and_config_read_one_nu_rule(nu):
+    # the penalty read True as nu = 1, which PenaltyConfig refuses
+    index = GroupIndex(np.array([0, 0, 1]))
+    message = re.escape(f"nu must be exactly 0.5 or 1.0, got {nu!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        conditional_penalty(np.zeros(3), index, nu)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PenaltyConfig(nu=nu)
+
+
+def test_penalty_takes_a_numpy_nu_as_the_python_nu():
+    index = GroupIndex(np.array([0, 0, 1]))
+    values = np.array([1.0, 3.0, 7.0])
+    assert conditional_penalty(values, index, np.float64(0.5)) == conditional_penalty(values,
+                                                                                     index, 0.5)
 
 
 def test_penalty_config_validation():

@@ -827,8 +827,10 @@ def test_row_blocks_leave_style_probes_bitwise_unchanged(render, n, monkeypatch)
 
 
 # the names of models that robustness may read: every pass through the
-# layers is models' (``forward`` and ``_input_gradient``)
-_MODEL_NAMES = {"ModelSpec", "forward", "_targets", "_target_losses", "_input_gradient", "_chunk"}
+# layers is models' (``forward`` and ``_input_gradient``), and a linear
+# model's weights are read through the one walk, ``_layers``
+_MODEL_NAMES = {"ModelSpec", "forward", "_targets", "_target_losses", "_input_gradient", "_chunk",
+                "_layers"}
 
 
 def test_robustness_runs_no_layer_code():
@@ -906,6 +908,92 @@ def test_divergence_probe_rejects_no_magnitudes_before_the_model_runs(monkeypatc
         divergence_probe(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds,
                          np.array([1.0, 0.0]), [])
     assert calls == []
+
+
+def _refuses_before_the_model_runs(monkeypatch, message, probe):
+    spec, ds, gi = scm_instance()
+    for name in ("forward", "_input_gradient"):
+        monkeypatch.setattr(md, name, lambda *a: pytest.fail("the model ran before the check"))
+    with pytest.raises(ValueError, match=message):
+        probe(ModelSpec("linear", (6, 1)), linear_theta(spec, ds), ds, gi)
+
+
+_BUDGET_PROBES = {
+    "worst_case_loss": lambda m, th, ds, gi, xi: worst_case_loss(m, th, ds, gi, np.eye(2), xi),
+    "first_order_gap": lambda m, th, ds, gi, xi: first_order_gap(m, th, ds, gi, np.eye(2), xi),
+    "report_xis": lambda m, th, ds, gi, xi: rb.report(m, th, ds, gi, np.eye(2), [0.0, xi],
+                                                      "gradient_allocation", 1e-3, [0.0, 1.0]),
+    "report_fo_xi": lambda m, th, ds, gi, xi: rb.report(m, th, ds, gi, np.eye(2), [0.0],
+                                                        "gradient_allocation", xi, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("xi", [True, np.True_, "0.5", -1.0, np.nan],
+                         ids=["true", "np_true", "str", "negative", "nan"])
+@pytest.mark.parametrize("probe", sorted(_BUDGET_PROBES))
+def test_every_budget_is_judged_before_the_model_runs(monkeypatch, probe, xi):
+    # True read as the budget 1, and "0.5" failed unnamed in numpy
+    _refuses_before_the_model_runs(monkeypatch, "^xi must be finite and >= 0, got ",
+                                   lambda *fit: _BUDGET_PROBES[probe](*fit, xi))
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "^seed must be >= 0, got -1$"),
+                                           (1.5, "^1.5 is not an integer$"),
+                                           (True, "^True is not an integer$")],
+                         ids=["negative", "1.5", "true"])
+@pytest.mark.parametrize("method", ["gradient_allocation", "uniform_ball"])
+def test_worst_case_seed_is_judged_before_the_model_runs(monkeypatch, method, seed, message):
+    # only the random-restart ascent draws from the seed, so the others took any
+    _refuses_before_the_model_runs(monkeypatch, message, lambda m, th, ds, gi: worst_case_loss(
+        m, th, ds, gi, np.eye(2), 0.5, method, seed))
+
+
+@pytest.mark.parametrize("magnitudes", [["1", 2.0], [True, 2.0], [0.0, np.True_], [1.0, np.nan]],
+                         ids=["str", "true", "np_true", "nan"])
+@pytest.mark.parametrize("probe", ["divergence_probe", "report"])
+def test_every_magnitude_is_judged_before_the_model_runs(monkeypatch, probe, magnitudes):
+    def run(m, th, ds, gi):
+        if probe == "report":
+            return rb.report(m, th, ds, gi, np.eye(2), [0.0], "uniform_ball", 1e-3, magnitudes)
+        return divergence_probe(m, th, ds, np.array([1.0, 0.0]), magnitudes)
+
+    _refuses_before_the_model_runs(monkeypatch, "^magnitudes must be finite, got ", run)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("per_sample", [False, True], ids=["one", "per_sample"])
+def test_loss_under_shift_refuses_a_shift_that_is_not_finite(monkeypatch, per_sample, bad):
+    # the mean loss read NaN or an infinity
+    def run(m, th, ds, gi):
+        shift = np.zeros((len(ds.dataset), 2)) if per_sample else np.zeros(2)
+        shift[(7, 1) if per_sample else 1] = bad
+        return loss_under_shift(m, th, ds, shift)
+
+    _refuses_before_the_model_runs(monkeypatch, f"^a shift must be finite, got {bad}$", run)
+
+
+@pytest.mark.parametrize("direction", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
+def test_divergence_probe_refuses_a_direction_that_is_not_finite(monkeypatch, direction):
+    # it failed late, as a numerical failure (ArithmeticError) of a NaN loss
+    _refuses_before_the_model_runs(
+        monkeypatch, "^direction must be a finite nonzero length-q vector$",
+        lambda m, th, ds, gi: divergence_probe(m, th, ds, direction, [0.0, 1.0]))
+
+
+def test_probes_take_numpy_numbers_as_the_python_numbers():
+    spec, ds, gi = scm_instance()
+    model, theta = ModelSpec("linear", (6, 1)), linear_theta(spec, ds)
+    for method in ("gradient_allocation", "uniform_ball"):
+        plain = worst_case_loss(model, theta, ds, gi, np.eye(2), 0.5, method, 0)
+        numpy = worst_case_loss(model, theta, ds, gi, np.eye(2), np.float64(0.5), method,
+                                np.int64(0))
+        assert (numpy.value, numpy.assignment.tobytes()) == (plain.value,
+                                                             plain.assignment.tobytes())
+    plain = rb.report(model, theta, ds, gi, np.eye(2), [0.0, 0.5], "uniform_ball", 1e-3,
+                      [0.0, 1.0, 10.0]).to_json()
+    numpy = rb.report(model, theta, ds, gi, np.eye(2), np.array([0.0, 0.5]), "uniform_ball",
+                      np.float64(1e-3), np.array([0.0, 1.0, 10.0])).to_json()
+    assert json.dumps(numpy, sort_keys=True) == json.dumps(plain, sort_keys=True)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

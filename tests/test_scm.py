@@ -72,12 +72,13 @@ def test_spec_refuses_a_string_or_a_boolean_in_a_real_field(field, value):
 @pytest.mark.parametrize("field, value, message", [
     ("p", 10.5, "^10.5 is not an integer"), ("id_count", 2.5, "^2.5 is not an integer"),
     ("structure_seed", 1.5, "^1.5 is not an integer"),
+    ("id_count", np.True_, "^np.True_ is not an integer"),
     ("core_class_mean", np.inf, "^core_class_mean must be a finite real number"),
     ("core_id_scale", np.nan, "^core_id_scale must be a finite real number"),
     ("style_class_mean", (np.nan, 1.0), r"^style_class_mean must be a list of finite real"),
     ("structure_seed", -1, "^structure_seed must be >= 0, got -1$"),
     ("core_class_mean", 10 ** 400, "^core_class_mean must be a finite real number, got 1000"),
-], ids=["p_10.5", "id_count_2.5", "structure_seed_1.5", "core_class_mean_inf",
+], ids=["p_10.5", "id_count_2.5", "structure_seed_1.5", "id_count_np_true", "core_class_mean_inf",
         "core_id_scale_nan", "style_class_mean_nan", "structure_seed_negative",
         "core_class_mean_401_digits"])
 def test_spec_refuses_a_fraction_in_an_integer_field_and_a_non_finite_real(field, value,
@@ -247,6 +248,75 @@ def test_every_generator_refuses_a_non_finite_test_shift_before_any_draw(monkeyp
         generate(shift)
 
 
+_GENERATORS = {
+    "example1": lambda n=20, c=5, shift=4.0, seed=0: gen_example1(n, c, shift, seed),
+    "example2": lambda n=20, c=5, shift=4.0, seed=0: gen_example2(n, c, shift, seed),
+    "linear_scm": lambda n=20, shift=4.0, seed=0: sample_linear_scm(small_spec(), n, seed, shift),
+}
+
+
+def _refuses_before_any_draw(monkeypatch, generator, message, **argument):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError, match=message):
+        _GENERATORS[generator](**argument)
+
+
+@pytest.mark.parametrize("shift", [True, np.True_, "1.5"], ids=["true", "np_true", "str"])
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_every_generator_refuses_a_shift_that_is_not_a_real_number(monkeypatch, generator,
+                                                                   shift):
+    # float() would read True as 1.0 and "1.5" as 1.5
+    _refuses_before_any_draw(monkeypatch, generator, "^shift must be finite, got ", shift=shift)
+
+
+@pytest.mark.parametrize("n", [20.5, True, np.True_, "20"], ids=["20.5", "true", "np_true", "str"])
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_every_generator_refuses_a_sample_count_that_is_not_an_integer(monkeypatch, generator,
+                                                                       n):
+    # a fraction failed unnamed in numpy, and True drew one sample
+    _refuses_before_any_draw(monkeypatch, generator, "is not an integer$", n=n)
+
+
+@pytest.mark.parametrize("c", [2.5, True, np.True_], ids=["2.5", "true", "np_true"])
+@pytest.mark.parametrize("generator", ["example1", "example2"])
+def test_every_teaching_example_refuses_a_pair_count_that_is_not_an_integer(monkeypatch,
+                                                                           generator, c):
+    _refuses_before_any_draw(monkeypatch, generator, "is not an integer$", c=c)
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "^seed must be >= 0, got -1$"),
+                                           (1.5, "^1.5 is not an integer$"),
+                                           (True, "^True is not an integer$")],
+                         ids=["negative", "1.5", "true"])
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_every_generator_refuses_a_seed_that_is_not_an_integer_ge_0(monkeypatch, generator, seed,
+                                                                   message):
+    _refuses_before_any_draw(monkeypatch, generator, message, seed=seed)
+
+
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_every_generator_takes_numpy_numbers_as_the_python_numbers(tmp_path, generator):
+    # the sidecar writes n, c and seed as the generator records them
+    plain, numpy = tmp_path / "plain.json", tmp_path / "numpy.json"
+    args = {"n": 40, "c": 5, "shift": 1.5, "seed": 3}
+    if generator == "linear_scm":
+        del args["c"]
+    first = _GENERATORS[generator](**args)
+    save_latents(first[0] if isinstance(first, tuple) else first, plain)
+    as_numpy = {k: np.float64(v) if k == "shift" else np.int64(v) for k, v in args.items()}
+    second = _GENERATORS[generator](**as_numpy)
+    save_latents(second[0] if isinstance(second, tuple) else second, numpy)
+    assert numpy.read_bytes() == plain.read_bytes()
+
+
+def test_a_teaching_example_reads_counts_held_in_floats_as_their_integers(tmp_path):
+    # data._integer reads 200.0 as 200, as every spec and config does
+    plain, floats = tmp_path / "int.json", tmp_path / "float.json"
+    save_latents(gen_example1(200, 10, seed=2)[1], plain)
+    save_latents(gen_example1(200.0, 10.0, seed=2)[1], floats)
+    assert floats.read_bytes() == plain.read_bytes()
+
+
 def test_style_covariance_matches_spec_monte_carlo():
     cov = ((0.8, 0.3), (0.3, 0.6))
     spec = small_spec(style_cov=cov, id_count=200)
@@ -356,3 +426,14 @@ def test_rerender_shift_shapes():
         rerender(train, np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match=r"got \(20, 2\)"):
         rerender(train, np.zeros((20, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rerender_refuses_a_shift_that_is_not_finite(bad):
+    # the render would build a Dataset of NaN or infinite features
+    train, _ = gen_example1(20, 4, seed=0)
+    per_sample = np.zeros((20, 1))
+    per_sample[7] = bad
+    for shift in ([bad], per_sample):
+        with pytest.raises(ValueError, match=f"^a shift must be finite, got {bad}$"):
+            rerender(train, shift)

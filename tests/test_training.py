@@ -164,6 +164,26 @@ def test_minibatches_epoch_dependent_but_seed_deterministic():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2.5, 0, 0), "^2.5 is not an integer$"), ((True, 0, 0), "^True is not an integer$"),
+    ((3, -1, 0), "^seed must be >= 0, got -1$"), ((3, 1.5, 0), "^1.5 is not an integer$"),
+    ((3, 0, -1), "^epoch must be >= 0, got -1$"),
+    ((3, 0, np.True_), "^np.True_ is not an integer$"),
+], ids=["batch_size_2.5", "batch_size_true", "seed_negative", "seed_1.5", "epoch_negative",
+        "epoch_np_true"])
+def test_minibatches_refuse_a_count_that_is_not_an_integer(args, message):
+    # a fractional batch size packed silently, and numpy refused a negative seed unnamed
+    with pytest.raises(ValueError, match=message):
+        group_aware_minibatches(GroupIndex(np.array([0, 0, 1, 2, 3])), *args)
+
+
+def test_minibatches_take_numpy_numbers_as_the_python_numbers():
+    index = GroupIndex(np.array([0, 0, 1, 2, 3, 3, 4]))
+    plain = group_aware_minibatches(index, 3, seed=5, epoch=2)
+    numpy = group_aware_minibatches(index, np.int64(3), seed=np.int64(5), epoch=np.int32(2))
+    assert [b.tolist() for b in numpy] == [b.tolist() for b in plain]
+
+
 # ---- training ----------------------------------------------------------------
 
 def test_train_separable_reaches_zero_error():
@@ -257,7 +277,9 @@ def test_config_validation():
     ("batch_size", True, "^True is not an integer$"),
     ("epochs", 2.5, "^2.5 is not an integer$"), ("seed", 1.5, "^1.5 is not an integer$"),
     ("seed", -1, "^seed must be >= 0, got -1$"),
-], ids=["batch_size_60.5", "batch_size_true", "epochs_2.5", "seed_1.5", "seed_negative"])
+    ("epochs", np.True_, "^np.True_ is not an integer$"),
+], ids=["batch_size_60.5", "batch_size_true", "epochs_2.5", "seed_1.5", "seed_negative",
+        "epochs_np_true"])
 def test_train_config_refuses_a_fraction_a_boolean_and_a_negative_seed(field, value, message):
     # a fractional batch size would train silently, a boolean as 0 or 1, and
     # the other values would fail only at their first use, unnamed
@@ -400,6 +422,19 @@ def test_lambda_grid_checks_validation_labels_before_training(outputs, monkeypat
     monkeypatch.setattr(ad, "grad", lambda *args: calls.append(1) or grad(*args))
     with pytest.raises(ValueError, match="label 2 does not fit"):
         evaluate_lambda_grid(ds, val, spec, TrainConfig(epochs=2), [0.0, 1.0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("lambdas", [[True, "1"], [0.0, "1"], [0.0, True], [0.0, -1.0]],
+                         ids=["true_str", "str", "true", "negative"])
+def test_lambda_grid_judges_every_weight_before_the_first_fit(lambdas, monkeypatch):
+    # float(lam) read True and "1" as 1.0, and a bad weight after the first
+    # one raised only after a fit
+    ds = toy_dataset(seed=3, n=40)
+    calls = []
+    monkeypatch.setattr(ad, "grad", lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match="^lam must be finite and >= 0, got "):
+        evaluate_lambda_grid(ds, ds, ModelSpec("linear", (3, 1)), TrainConfig(epochs=2), lambdas)
     assert calls == []
 
 
