@@ -53,10 +53,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _publish(args, resolved: dict, files: dict) -> None:
     """Serialize the JSON payloads of ``{name: text or payload}`` and the
     manifest (every flag, overlaid by ``resolved``); a NaN or an infinity is
@@ -89,20 +85,17 @@ def _serialized(name: str, build, content) -> str:
 
 def _parse_model(text: str) -> md.ModelSpec:
     if text == "linear":
-        raise ConfigError("linear models need the feature dimension: use linear:p[,out]")
+        raise ValueError("linear models need the feature dimension: use linear:p[,out]")
     kind, _, rest = text.partition(":")
     if kind not in ("linear", "mlp") or not rest:
-        raise ConfigError(f"bad model spec {text!r}; expected linear:p or mlp:p,h...,out")
+        raise ValueError(f"bad model spec {text!r}; expected linear:p or mlp:p,h...,out")
     try:
         sizes = tuple(int(v) for v in rest.split(","))
     except ValueError:
-        raise ConfigError(f"bad layer sizes in {text!r}") from None
+        raise ValueError(f"bad layer sizes in {text!r}") from None
     if kind == "linear" and len(sizes) == 1:
         sizes = (sizes[0], 1)
-    try:
-        return md.ModelSpec(kind, sizes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return md.ModelSpec(kind, sizes)
 
 
 def _parse_penalty(text: str, lam: float, gamma: float) -> PenaltyConfig:
@@ -112,7 +105,7 @@ def _parse_penalty(text: str, lam: float, gamma: float) -> PenaltyConfig:
         nu = float(nu_text) if nu_text else 1.0
         return PenaltyConfig(target, nu, lam, gamma)
     except (KeyError, ValueError):
-        raise ConfigError(
+        raise ValueError(
             f"bad penalty spec {text!r}; expected f,1 | f,0.5 | l,1 | l,0.5"
         ) from None
 
@@ -137,17 +130,17 @@ def _cmd_gen(args) -> tuple:
     _natural("--seed", args.seed)
     for flag, value in (("--test-shift", args.test_shift), ("--style-mean", args.style_mean)):
         if value is not None and not np.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+            raise ValueError(f"{flag} must be finite, got {value}")
     variance = np.square(args.style_sd)  # inf past the float range: _run ignores the warning
     if not (args.style_sd > 0.0 and 0.0 < variance < np.inf):
-        raise ConfigError(f"--style-sd must be finite and > 0 with a finite positive square, "
-                          f"got {args.style_sd}")
+        raise ValueError(f"--style-sd must be finite and > 0 with a finite positive square, "
+                         f"got {args.style_sd}")
     # a test shift goes to the generator only when given: the generator owns its default
     shift = () if args.test_shift is None else (args.test_shift,)
     if args.generator == "linear_scm":
         if args.c != 0:
-            raise ConfigError("linear_scm groups samples by (Y, ID) collisions; "
-                              "it takes --c 0 and --id-count")
+            raise ValueError("linear_scm groups samples by (Y, ID) collisions; "
+                             "it takes --c 0 and --id-count")
         spec = scm.LinearScmSpec(
             p=args.p, q=args.q, r=args.r,
             id_count=args.id_count,
@@ -238,7 +231,7 @@ def _cmd_shift_eval(args) -> tuple:
     spec, theta = _load_checkpoint_for(args.checkpoint, dataset, args.data)
     groups = build_group_index(dataset)
     if style_ds.scm is not None:
-        sigma = np.asarray(style_ds.scm.style_cov)
+        sigma = style_ds.scm.style_cov
     else:
         try:
             cov = rb.estimate_conditional_covariance(style_ds, groups)
@@ -261,8 +254,8 @@ def _cmd_shift_eval(args) -> tuple:
 def _cmd_plot(args) -> tuple:
     # the SVG goes beside the manifest, so its name is a plain file name
     if args.name in ("", ".", "..", "manifest.json") or Path(args.name).name != args.name:
-        raise ConfigError(f"--name must be a plain file name other than manifest.json, "
-                          f"got {args.name!r}")
+        raise ValueError(f"--name must be a plain file name other than manifest.json, "
+                         f"got {args.name!r}")
     dataset = load_csv(args.data)
     checkpoints = [_load_checkpoint_for(path, dataset, args.data) for path in args.checkpoints]
     for path, (spec, _theta) in zip(args.checkpoints, checkpoints):

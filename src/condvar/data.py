@@ -1,9 +1,9 @@
 """Columnar observations, the (label, id) grouping partition, CSV ingest,
 the one JSON serializer and the one writer of every file the package writes,
 the one rule that judges every file it reads (``_reading``) and the one
-reader of every JSON array of reals (``_reals``): latents, render matrices
-and parameters. Spec fields and scalar arguments are judged by one rule per
-kind: ``_integer``, ``_natural`` (seeds, epochs), ``_is_real`` and ``_real``.
+judge of every array of reals, from a file or a caller (``_reals``). Scalar
+spec fields and arguments are judged by one rule per kind: ``_integer``,
+``_natural`` (seeds, epochs) and ``_real``, a finite real by ``_reals``.
 
 Grouping follows one rule: observations that share the exact pair
 (label, id) form one group; observations with no id are never grouped.
@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
-import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,11 +231,13 @@ def _reading(path, what: str):
 
 def _integer(v) -> int:
     """``int(v)`` for a v that holds an integer; one with a fraction, which
-    ``int`` would drop, and a boolean, Python's or numpy's, which it would
-    read as 0 or 1, raise ValueError, judged by ``_reading``."""
-    if isinstance(v, (bool, np.bool_)) or int(v) != v:
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
+    ``int`` would drop, a NaN or an infinity, which it cannot convert, and a
+    boolean, Python's or numpy's, which it would read as 0 or 1, raise
+    ValueError, judged by ``_reading``."""
+    with suppress(OverflowError, ValueError):  # int(inf), int(nan), int("x")
+        if not isinstance(v, (bool, np.bool_)) and int(v) == v:
+            return int(v)
+    raise ValueError(f"{v!r} is not an integer")
 
 
 def _natural(name: str, v) -> int:
@@ -247,33 +247,31 @@ def _natural(name: str, v) -> int:
     return v
 
 
-def _is_real(v) -> bool:
-    """Whether ``float`` reads v as the real number it is: a real number,
-    not a boolean, and within the float range if it is a Python integer."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and (not isinstance(v, int) or abs(v) <= sys.float_info.max))
-
-
 def _real(name: str, v, rule: str, ok) -> float:
-    """``float(v)`` for a finite real number v that ``ok`` accepts; any
-    other v, a string or a boolean among them, raises ValueError naming the
-    field ``name`` and its ``rule``."""
-    if not (_is_real(v) and math.isfinite(v) and ok(v)):
-        raise ValueError(f"{name} must be {rule}, got {v!r}")
-    return float(v)
+    """``float(v)`` for a finite real number v (``_reals(v, 0)``) that ``ok``
+    accepts; any other v, a string or a boolean among them, raises ValueError
+    naming the field ``name`` and its ``rule``."""
+    with suppress(ValueError):
+        if ok(real := float(_reals(v, 0))):
+            return real
+    raise ValueError(f"{name} must be {rule}, got {v!r}")
 
 
 def _reals(values, ndim: int) -> np.ndarray:
-    """``values``, a rectangular nest of finite JSON numbers ``ndim`` non-empty lists deep, as a
-    float64 array read in one flat pass; anything else raises an error that ``_reading`` judges."""
-    flat, shape = [values], []
-    for _ in range(ndim):
-        shape += set(map(len, flat))  # one width per level unless ragged; a number: TypeError
-        flat = list(itertools.chain.from_iterable(flat))  # a string or object yields strings
-    if (len(shape) != ndim or not all(shape) or not set(map(type, flat)) <= {int, float}
-            or not np.isfinite(arr := np.array(flat, dtype=float)).all()):
-        raise ValueError(f"expected finite JSON numbers in a rectangular nest of depth {ndim}")
-    return arr.reshape(shape)
+    """``values``, a rectangular nest ``ndim`` non-empty levels deep of finite real numbers (never
+    a string, a boolean, Python's or numpy's, or a Python int past the float range; an ndarray's
+    are its ``tolist()``), as a float64 array read in one flat pass; anything else raises
+    ValueError, which ``_reading`` judges."""
+    flat, shape = [values.tolist() if isinstance(values, np.ndarray) else values], []
+    with suppress(OverflowError, TypeError):  # a number where a level should be; 10**400
+        for _ in range(ndim):
+            shape += set(map(len, flat))  # one width per level unless ragged
+            flat = list(itertools.chain.from_iterable(flat))  # a string or object yields strings
+        if (len(shape) == ndim and all(shape)
+                and all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, flat)))
+                and np.isfinite(arr := np.array(flat, dtype=float)).all()):
+            return arr.reshape(shape)
+    raise ValueError(f"expected finite real numbers in a rectangular nest of depth {ndim}")
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:

@@ -8,8 +8,9 @@ factors Sigma, and ``scm._render_vjp`` carries ``models._input_gradient``
 through the render. Worst-case searches return lower bounds on the true
 supremum (deterministic per-group shifts, finite direction grids or
 ascent). 'uniform_ball' is exact for equal per-group budgets, at every
-budget, when ``_style_direction`` finds the model linear in style. Every
-probe scores through ``_shifted_losses``.
+budget, when ``_style_direction`` finds the model linear in style and when
+q = 1, where each budget sphere is two points. Every probe scores through
+``_shifted_losses``.
 
 ``report`` runs every probe of one fit on one ``_Fit``, which computes each
 input they share once, and returns one ``RobustnessReport``, whose
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import models as md
-from .data import GroupIndex, _natural, _real, build_group_index
+from .data import GroupIndex, _natural, _real, _reals, build_group_index
 from .penalties import conditional_penalty, segment_means
 from .scm import StyleAwareDataset, _checked_shift, _chol, _render_vjp
 
@@ -56,9 +57,9 @@ class ConditionalCovariance:
     spd: bool
 
 
-# uniform_ball's note for a single-logit linear model on a linear render
-_EXACT_NOTE = ("exact for equal per-group budgets (linear model, linear render); "
-               "a lower bound when budgets may differ between groups")
+# uniform_ball's note where its two candidates per group are exhaustive
+_EXACT_NOTE = ("exact for equal per-group budgets (a single logit linear in style, or a single "
+               "style coordinate); a lower bound when budgets may differ between groups")
 
 
 @dataclass
@@ -117,7 +118,7 @@ class RobustnessReport:
 
 def mahalanobis_cost(delta, sigma) -> float:
     """delta^T sigma^{-1} delta through a Cholesky solve."""
-    delta = np.asarray(delta, dtype=float)
+    delta = _reals(delta, 1)
     z = np.linalg.solve(_chol(sigma, len(delta)), delta)
     return float(z @ z)
 
@@ -161,8 +162,9 @@ def _sphere_directions(q: int):
 
 def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
     """a = W^T w when a style shift delta moves every logit by a^T delta (a
-    single-logit linear model, weights w, on a linear render W), else None."""
-    if (style_dataset.render_kind, spec.kind, spec.output_dim) == ("linear", "linear", 1):
+    single-logit model with no hidden layer, weights w, on a linear render
+    W, whatever its kind), else None."""
+    if (style_dataset.render_kind, len(spec.layer_sizes), spec.output_dim) == ("linear", 2, 1):
         (w, _b), = md._layers(spec, np.asarray(theta, dtype=float))
         return _render_vjp(style_dataset, None, w[:, 0])
     return None
@@ -255,9 +257,9 @@ class _Fit:
     first use."""
 
     def __init__(self, spec, theta, style_dataset, sigma=None, groups=None):
-        self.spec, self.theta, self.data = spec, theta, style_dataset
-        self.sigma, self.groups = sigma, groups
+        self.spec, self.theta, self.data, self.groups = spec, theta, style_dataset, groups
         self.chol = None if sigma is None else _chol(sigma, style_dataset.q)
+        self.sigma = None if sigma is None else _reals(sigma, 2)  # judged by _chol
         self.targets = md._targets(spec, style_dataset.dataset.labels)
         self.a = _style_direction(spec, theta, style_dataset)
         self.copies = md._chunk(len(self.targets), style_dataset.dataset.p + style_dataset.q)
@@ -287,7 +289,7 @@ class _Fit:
             _, assignment, losses = _search_spheres(self, np.full(m, xi), seed)
         else:
             grads = segment_means(self.gradients, seg, m)  # (m, q)
-            sg = np.einsum("ab,jb->ja", np.asarray(self.sigma, dtype=float), grads)
+            sg = np.einsum("ab,jb->ja", self.sigma, grads)
             norms = np.sqrt(np.maximum(np.einsum("ja,ja->j", grads, sg), 0.0))
             active = norms > 0.0
             assignment = np.zeros((m, q))
@@ -295,7 +297,7 @@ class _Fit:
                 # nonzero-gradient groups share the whole average budget equally
                 per_group_budget = xi * m / active.sum()
                 assignment[active] = np.sqrt(per_group_budget) * sg[active] / norms[active, None]
-        exact = method == "uniform_ball" and self.a is not None
+        exact = method == "uniform_ball" and (self.a is not None or q == 1)
         value = self.mean_loss(assignment[seg]) if losses is None else float(np.mean(losses))
         return WorstCaseResult(value, assignment, method,
                                _EXACT_NOTE if exact else WorstCaseResult.note)
@@ -310,7 +312,7 @@ class _Fit:
     def steepest(self) -> np.ndarray:
         whole = np.zeros(len(self.data.dataset), dtype=int)  # one segment: every sample
         g = segment_means(self.gradients, whole, 1)[0]
-        sg = np.asarray(self.sigma, dtype=float) @ g
+        sg = self.sigma @ g
         denom = np.sqrt(g @ sg)
         return np.eye(len(g))[0] if denom == 0.0 else sg / denom
 
@@ -360,8 +362,9 @@ def worst_case_loss(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
       'uniform_ball'        every group searched on its budget sphere at once,
                             over a dense direction grid (q <= 3) or by
                             random-restart projected ascent; exactly, at two
-                            candidates, for a single-logit linear model on a
-                            linear render
+                            candidates, for a model linear in style (one
+                            logit, no hidden layer, a linear render) and
+                            at q = 1
       'gradient_allocation' first-order directions delta_j ~ Sigma grad_j,
                             the average budget split equally among the
                             groups whose gradient is not zero
@@ -418,9 +421,11 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     a heuristic, since no finite probe certifies an infinite limit. A NaN
     or infinite loss raises ArithmeticError naming its magnitude instead.
     """
-    direction = np.asarray(direction, dtype=float)
-    if (direction.shape != (style_dataset.q,) or not np.isfinite(direction).all()
-            or not np.any(direction != 0.0)):
+    try:
+        direction = _reals(direction, 1)
+    except ValueError:
+        direction = None
+    if direction is None or direction.shape != (style_dataset.q,) or not np.any(direction):
         raise ValueError("direction must be a finite nonzero length-q vector")
     return _Fit(spec, theta, style_dataset).divergence(direction,
                                                        _checked_magnitudes(magnitudes))
@@ -436,8 +441,8 @@ def first_order_gap(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset,
 def invariance_defect(theta, style_matrix) -> float:
     """||W^T w|| / ||w|| for the flat [w, b] parameter vector of a
     single-logit linear model, length p + 1 (0 when w = 0)."""
-    w_mat = np.asarray(style_matrix, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    w_mat = _reals(style_matrix, 2)
+    theta = _reals(theta, 1)
     p = w_mat.shape[0]
     if theta.shape != (p + 1,):
         raise ValueError(f"parameter vector of length {theta.size} does not fit p + 1 = {p + 1}")

@@ -20,13 +20,13 @@ one list per row, a linear render's matrices and any SCM spec.
 from __future__ import annotations
 
 import json
-import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import (Dataset, DataFormatError, _integer, _is_real, _json_text, _natural, _reading,
-                   _real, _reals, _write_text)
+from .data import (Dataset, DataFormatError, _integer, _json_text, _natural, _reading, _real,
+                   _reals, _write_text)
 
 __all__ = [
     "LinearScmSpec",
@@ -47,14 +47,11 @@ _EXAMPLE1_CORE_DIRECTION = np.array([0.6, 0.8])
 
 def _chol(sigma, q: int, name: str = "sigma") -> np.ndarray:
     """Lower Cholesky factor L of a style covariance Sigma = L L^T: the one
-    check, for every given or spec Sigma, that it is a finite, symmetric (to
-    ``np.allclose``) positive definite q x q matrix, else ValueError naming it."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape == (q, q) and np.isfinite(sigma).all() and np.allclose(sigma, sigma.T):
-        try:
+    check, for every given or spec Sigma, that it is a symmetric (to ``np.allclose``)
+    positive definite q x q matrix of reals (``data._reals``), else ValueError naming it."""
+    with suppress(ValueError):  # np.linalg.LinAlgError is a ValueError
+        if (sigma := _reals(sigma, 2)).shape == (q, q) and np.allclose(sigma, sigma.T):
             return np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            pass
     raise ValueError(f"{name} must be a symmetric positive definite {q} x {q} matrix")
 
 
@@ -90,18 +87,15 @@ class LinearScmSpec:
         for name in ("p", "q", "r", "id_count"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
         object.__setattr__(self, "structure_seed", _natural("structure_seed", self.structure_seed))
-        # astype(float) would read "1.5" or True as a number and fail on a Python
-        # int beyond the float range; _chol judges style_cov's values
-        for name, ndim in (("class_balance", 0), ("core_class_mean", 0), ("core_id_scale", 0),
-                           ("style_class_mean", 1), ("style_cov", 2)):
-            leaves = np.array(getattr(self, name), dtype=object)
-            if leaves.ndim != ndim or not all(
-                    _is_real(v) and (ndim == 2 or math.isfinite(v)) for v in leaves.flat):
-                what = ("a finite real number", "a list of finite real numbers",
-                        "a matrix of real numbers")
-                raise ValueError(f"{name} must be {what[ndim]}, got {getattr(self, name)!r}")
-            as_tuples = (float, tuple, lambda rows: tuple(map(tuple, rows)))[ndim]
-            object.__setattr__(self, name, as_tuples(leaves.astype(float).tolist()))
+        for name in ("class_balance", "core_class_mean", "core_id_scale"):
+            value = _real(name, getattr(self, name), "a finite real number", lambda v: True)
+            object.__setattr__(self, name, value)
+        try:
+            mean = tuple(_reals(self.style_class_mean, 1).tolist())
+        except ValueError:
+            raise ValueError(f"style_class_mean must be a list of finite real numbers, "
+                             f"got {self.style_class_mean!r}") from None
+        object.__setattr__(self, "style_class_mean", mean)
         if self.r + self.q > self.p:
             raise ValueError("core and style dimensions exceed the feature dimension")
         if self.q < 1 or self.r < 1:
@@ -109,6 +103,7 @@ class LinearScmSpec:
         if len(self.style_class_mean) != self.q:
             raise ValueError("style_class_mean must have length q")
         _chol(self.style_cov, self.q, "style_cov")
+        object.__setattr__(self, "style_cov", tuple(map(tuple, _reals(self.style_cov, 2).tolist())))
         if self.id_count < 1:
             raise ValueError(f"id_count must be >= 1, got {self.id_count}")
         if self.id_sampler not in ("uniform", "round_robin"):
@@ -201,13 +196,16 @@ def _render_vjp(style_dataset, features, gx) -> np.ndarray:
 
 def _checked_shift(shift, n: int, q: int) -> np.ndarray:
     """``shift`` as a (1, q) or (n, q) float array that adds onto n samples'
-    (n, q) style latents: one length-q shift for every sample, or an (n, q)
-    array; any other shape, and a NaN or an infinity, raise ValueError naming it."""
-    shift = np.asarray(shift, dtype=float)
+    (n, q) style latents: one length-q shift for every sample, or an (n, q) array,
+    of finite real numbers (``data._reals``); anything else raises ValueError naming it."""
+    for ndim in (2, 1):  # an (n, q) array, else one length-q shift
+        with suppress(ValueError):
+            shift = _reals(shift, ndim)
+            break
+    else:
+        raise ValueError(f"a shift must be finite real numbers of shape ({q},) or ({n}, {q})")
     if shift.shape not in ((q,), (n, q)):
         raise ValueError(f"a shift must have shape ({q},) or ({n}, {q}), got {shift.shape}")
-    if not np.isfinite(shift).all():
-        raise ValueError(f"a shift must be finite, got {shift[~np.isfinite(shift)][0]}")
     return shift.reshape(-1, q)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, _integer, _natural, _real, build_group_index
+from .data import Dataset, GroupIndex, _integer, _natural, _real, _reals, build_group_index
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -243,9 +243,12 @@ def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
     """
     if model_spec.kind != "linear" or model_spec.output_dim != 1:
         raise ValueError("the constrained oracle supports single-logit linear models only")
-    w_mat = np.asarray(style_matrix, dtype=float)
-    if w_mat.ndim != 2 or w_mat.shape[0] != model_spec.input_dim:
-        raise ValueError("style matrix must be p x q")
+    try:
+        w_mat = _reals(style_matrix, 2)
+    except ValueError:
+        w_mat = None
+    if w_mat is None or w_mat.shape[0] != model_spec.input_dim:
+        raise ValueError("style matrix must be p x q, of finite real numbers")
     if dataset.p != model_spec.input_dim:
         raise ValueError(f"feature dimension {dataset.p} does not match model input "
                          f"{model_spec.input_dim}")

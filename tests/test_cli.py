@@ -144,8 +144,9 @@ def test_pipeline_byte_identical_across_blas_thread_counts(tmp_path):
             "polar/train/checkpoint.json", "polar/train/report.json",
             "polar/shift/robustness.json")])
         note = json.loads((out / "shift" / "robustness.json").read_text())["note"]
-        assert note == ("exact for equal per-group budgets (linear model, linear render); "
-                        "a lower bound when budgets may differ between groups")
+        assert note == ("exact for equal per-group budgets (a single logit linear in style, "
+                        "or a single style coordinate); a lower bound when budgets may differ "
+                        "between groups")
     assert digests[0] == digests[1]
 
 

@@ -24,6 +24,7 @@ from condvar import (
     invariance_defect,
     loss_under_shift,
     mahalanobis_cost,
+    oracle_train_constrained,
     sample_linear_scm,
     steepest_style_direction,
     train,
@@ -31,7 +32,8 @@ from condvar import (
 )
 from condvar import models as md
 from condvar import robustness as rb
-from condvar.data import Dataset, GroupIndex
+from condvar import scm, training
+from condvar.data import Dataset, GroupIndex, _json_text
 from condvar.penalties import segment_means
 from condvar.robustness import (
     WorstCaseResult,
@@ -340,8 +342,9 @@ def test_uniform_ball_with_zero_weights_is_the_unshifted_loss():
     assert np.all(np.isfinite(res.assignment))
     for delta in res.assignment:
         assert mahalanobis_cost(delta, sigma) == pytest.approx(xi, rel=1e-12)
-    assert res.note == ("exact for equal per-group budgets (linear model, linear render); "
-                        "a lower bound when budgets may differ between groups")
+    assert res.note == ("exact for equal per-group budgets (a single logit linear in style, "
+                        "or a single style coordinate); a lower bound when budgets may differ "
+                        "between groups")
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.6])
@@ -367,11 +370,46 @@ def test_inexact_cases_keep_the_default_note_at_every_budget(case, xi):
     assert res.note == WorstCaseResult.note == "worst-case values are lower bounds on the supremum"
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.6])
+def test_uniform_ball_is_exact_at_one_style_coordinate_for_any_model(xi):
+    # q = 1: a group's budget sphere is the two points +-sqrt(xi sigma), and
+    # the search scores both, so its value is each group's better point
+    ds, _test = gen_example2(60, 20, seed=2)
+    gi = build_group_index(ds.dataset)
+    model = ModelSpec("mlp", (2, 4, 1))
+    theta = md.init_params(model, 1)
+    res = worst_case_loss(model, theta, ds, gi, [[0.3]], xi, method="uniform_ball")
+    ends = [segment_means(md.per_sample_loss(model, md.forward(
+        model, theta, rerender(ds, [s]).features), ds.dataset.labels), gi.seg, gi.m)
+        for s in (np.sqrt(xi * 0.3), -np.sqrt(xi * 0.3))]
+    assert res.value == pytest.approx(float(np.sum(gi.sizes / gi.n * np.maximum(*ends))),
+                                      rel=1e-12)
+    assert res.note == rb._EXACT_NOTE
+    grad = worst_case_loss(model, theta, ds, gi, [[0.3]], xi, method="gradient_allocation")
+    assert grad.note == WorstCaseResult.note
+
+
+def test_report_reads_a_model_with_no_hidden_layer_as_linear_whatever_its_kind():
+    # mlp (p, 1) has the layers, and so the logits, of linear (p, 1): the
+    # exact pair, the invariance defect and the note follow the layers
+    spec, ds, gi = scm_instance()
+    theta = linear_theta(spec, ds)
+    written = [_json_text(rb.report(ModelSpec(kind, (6, 1)), theta, ds, gi, np.eye(2),
+                                    [0.0, 0.5, 2.0], "uniform_ball", 1e-3,
+                                    [0.0, 1.0, 10.0]).to_json()) for kind in ("linear", "mlp")]
+    assert written[0] == written[1]
+    payload = json.loads(written[1])
+    assert payload["note"] == rb._EXACT_NOTE and "invariance_defect" in payload
+
+
 def test_style_direction_is_w_transpose_w_for_single_logit_linear_fits_only():
     spec, ds, _gi = scm_instance()
     theta = linear_theta(spec, ds)
     _c, w_mat = spec.matrices()
     assert np.array_equal(rb._style_direction(ModelSpec("linear", (6, 1)), theta, ds),
+                          w_mat.T @ theta[:6])
+    # linearity is read from the layers: no hidden layer, whatever the kind
+    assert np.array_equal(rb._style_direction(ModelSpec("mlp", (6, 1)), theta, ds),
                           w_mat.T @ theta[:6])
     three = ModelSpec("linear", (6, 3))
     mlp = ModelSpec("mlp", (6, 4, 1))
@@ -969,7 +1007,8 @@ def test_loss_under_shift_refuses_a_shift_that_is_not_finite(monkeypatch, per_sa
         shift[(7, 1) if per_sample else 1] = bad
         return loss_under_shift(m, th, ds, shift)
 
-    _refuses_before_the_model_runs(monkeypatch, f"^a shift must be finite, got {bad}$", run)
+    _refuses_before_the_model_runs(
+        monkeypatch, r"^a shift must be finite real numbers of shape \(2,\) or \(90, 2\)$", run)
 
 
 @pytest.mark.parametrize("direction", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
@@ -978,6 +1017,69 @@ def test_divergence_probe_refuses_a_direction_that_is_not_finite(monkeypatch, di
     _refuses_before_the_model_runs(
         monkeypatch, "^direction must be a finite nonzero length-q vector$",
         lambda m, th, ds, gi: divergence_probe(m, th, ds, direction, [0.0, 1.0]))
+
+
+def _with_leaf(nest, leaf):
+    """``nest`` as nested lists with its first number replaced by ``leaf``."""
+    nest = np.asarray(nest, dtype=float).tolist()
+    row = nest
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = leaf
+    return nest
+
+
+# every entry point that reads an array of reals through data._reals, as
+# (model, theta, style data, groups, leaf) -> call; each leaf goes first in
+# an array the call accepts as it is
+_ARRAY_ENTRY_POINTS = {
+    "spec_core_class_mean": lambda m, th, ds, gi, v: replace(ds.scm, core_class_mean=v),
+    "spec_style_class_mean": lambda m, th, ds, gi, v: replace(
+        ds.scm, style_class_mean=_with_leaf(ds.scm.style_class_mean, v)),
+    "spec_style_cov": lambda m, th, ds, gi, v: replace(
+        ds.scm, style_cov=_with_leaf(ds.scm.style_cov, v)),
+    "mahalanobis_cost_delta": lambda m, th, ds, gi, v: mahalanobis_cost([v, 0.5], np.eye(2)),
+    "mahalanobis_cost_sigma": lambda m, th, ds, gi, v: mahalanobis_cost(
+        [0.3, 0.5], _with_leaf(np.eye(2), v)),
+    "worst_case_loss_sigma": lambda m, th, ds, gi, v: worst_case_loss(
+        m, th, ds, gi, _with_leaf(np.eye(2), v), 0.5, "uniform_ball"),
+    "first_order_gap_sigma": lambda m, th, ds, gi, v: first_order_gap(
+        m, th, ds, gi, _with_leaf(np.eye(2), v), 0.5),
+    "steepest_style_direction_sigma": lambda m, th, ds, gi, v: steepest_style_direction(
+        m, th, ds, _with_leaf(np.eye(2), v)),
+    "report_sigma": lambda m, th, ds, gi, v: rb.report(
+        m, th, ds, gi, _with_leaf(np.eye(2), v), [0.0, 0.5], "uniform_ball", 1e-3, [0.0, 1.0]),
+    "rerender_shift": lambda m, th, ds, gi, v: rerender(ds, [v, 0.0]),
+    "rerender_per_sample_shift": lambda m, th, ds, gi, v: rerender(
+        ds, _with_leaf(np.zeros((len(ds.dataset), 2)), v)),
+    "loss_under_shift_shift": lambda m, th, ds, gi, v: loss_under_shift(m, th, ds, [v, 0.0]),
+    "loss_under_shift_per_sample_shift": lambda m, th, ds, gi, v: loss_under_shift(
+        m, th, ds, _with_leaf(np.zeros((len(ds.dataset), 2)), v)),
+    "divergence_probe_direction": lambda m, th, ds, gi, v: divergence_probe(
+        m, th, ds, [v, 0.0], [0.0, 1.0]),
+    "invariance_defect_theta": lambda m, th, ds, gi, v: invariance_defect(
+        _with_leaf(th, v), ds.style_matrix),
+    "invariance_defect_style_matrix": lambda m, th, ds, gi, v: invariance_defect(
+        th, _with_leaf(ds.style_matrix, v)),
+    "oracle_train_constrained_style_matrix": lambda m, th, ds, gi, v: oracle_train_constrained(
+        ds.dataset, m, _with_leaf(ds.style_matrix, v), TrainConfig(epochs=1)),
+}
+
+
+@pytest.mark.parametrize("leaf", ["1.5", True, np.True_, 10 ** 400],
+                         ids=["str", "true", "np_true", "401_digits"])
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_every_array_of_reals_is_judged_by_one_rule_before_anything_runs(monkeypatch, entry,
+                                                                        leaf):
+    # the probes read "1.5" and True as numbers through np.asarray(..., float),
+    # and failed on 10**400 with an OverflowError; the spec refused them all
+    spec, ds, gi = scm_instance()
+    model, theta = ModelSpec("linear", (6, 1)), linear_theta(spec, ds)
+    for module, name in ((np.random, "default_rng"), (md, "forward"),
+                         (md, "_input_gradient"), (scm, "_render"), (training, "train")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("ran before the check"))
+    with pytest.raises(ValueError):
+        _ARRAY_ENTRY_POINTS[entry](model, theta, ds, gi, leaf)
 
 
 def test_probes_take_numpy_numbers_as_the_python_numbers():

@@ -78,9 +78,11 @@ def test_spec_refuses_a_string_or_a_boolean_in_a_real_field(field, value):
     ("style_class_mean", (np.nan, 1.0), r"^style_class_mean must be a list of finite real"),
     ("structure_seed", -1, "^structure_seed must be >= 0, got -1$"),
     ("core_class_mean", 10 ** 400, "^core_class_mean must be a finite real number, got 1000"),
+    ("id_count", float("inf"), "^inf is not an integer$"),
+    ("structure_seed", float("nan"), "^nan is not an integer$"),
 ], ids=["p_10.5", "id_count_2.5", "structure_seed_1.5", "id_count_np_true", "core_class_mean_inf",
         "core_id_scale_nan", "style_class_mean_nan", "structure_seed_negative",
-        "core_class_mean_401_digits"])
+        "core_class_mean_401_digits", "id_count_inf", "structure_seed_nan"])
 def test_spec_refuses_a_fraction_in_an_integer_field_and_a_non_finite_real(field, value,
                                                                           message):
     # a draw would drop the fraction or fail on it or on a negative seed, a
@@ -269,11 +271,13 @@ def test_every_generator_refuses_a_shift_that_is_not_a_real_number(monkeypatch, 
     _refuses_before_any_draw(monkeypatch, generator, "^shift must be finite, got ", shift=shift)
 
 
-@pytest.mark.parametrize("n", [20.5, True, np.True_, "20"], ids=["20.5", "true", "np_true", "str"])
+@pytest.mark.parametrize("n", [20.5, True, np.True_, "20", float("inf"), float("nan")],
+                         ids=["20.5", "true", "np_true", "str", "inf", "nan"])
 @pytest.mark.parametrize("generator", sorted(_GENERATORS))
 def test_every_generator_refuses_a_sample_count_that_is_not_an_integer(monkeypatch, generator,
                                                                        n):
-    # a fraction failed unnamed in numpy, and True drew one sample
+    # a fraction failed unnamed in numpy, True drew one sample, and int()
+    # raised OverflowError on inf and an unnamed ValueError on NaN
     _refuses_before_any_draw(monkeypatch, generator, "is not an integer$", n=n)
 
 
@@ -435,5 +439,6 @@ def test_rerender_refuses_a_shift_that_is_not_finite(bad):
     per_sample = np.zeros((20, 1))
     per_sample[7] = bad
     for shift in ([bad], per_sample):
-        with pytest.raises(ValueError, match=f"^a shift must be finite, got {bad}$"):
+        with pytest.raises(ValueError, match=r"^a shift must be finite real numbers of shape "
+                                             r"\(1,\) or \(20, 1\)$"):
             rerender(train, shift)

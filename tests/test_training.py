@@ -278,11 +278,15 @@ def test_config_validation():
     ("epochs", 2.5, "^2.5 is not an integer$"), ("seed", 1.5, "^1.5 is not an integer$"),
     ("seed", -1, "^seed must be >= 0, got -1$"),
     ("epochs", np.True_, "^np.True_ is not an integer$"),
+    ("epochs", float("inf"), "^inf is not an integer$"),
+    ("seed", float("nan"), "^nan is not an integer$"),
 ], ids=["batch_size_60.5", "batch_size_true", "epochs_2.5", "seed_1.5", "seed_negative",
-        "epochs_np_true"])
+        "epochs_np_true", "epochs_inf", "seed_nan"])
 def test_train_config_refuses_a_fraction_a_boolean_and_a_negative_seed(field, value, message):
     # a fractional batch size would train silently, a boolean as 0 or 1, and
-    # the other values would fail only at their first use, unnamed
+    # the other values would fail only at their first use, unnamed; int()
+    # raised OverflowError, a numerical failure, on inf and an unnamed
+    # ValueError on NaN
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
 
