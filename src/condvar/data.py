@@ -1,8 +1,8 @@
 """Columnar observations, the (label, id) grouping partition, CSV ingest,
 the one JSON serializer and the one writer of every file the package writes,
 the one rule that judges every file it reads (``_reading``) and the one
-judge of every array of reals, from a file or a caller (``_reals``). Scalar
-spec fields and arguments are judged by one rule per kind: ``_integer``,
+judge of every array of reals, from a file or a caller, by the caller's test
+and refusal (``_reals``). Scalars are judged by one rule per kind: ``_integer``,
 ``_natural`` (seeds, epochs) and ``_real``, a finite real by ``_reals``.
 
 Grouping follows one rule: observations that share the exact pair
@@ -130,6 +130,14 @@ class GroupIndex:
         return _frozen(np.argsort(self.seg, kind="stable"))
 
 
+def _covering(group_index: GroupIndex, n: int) -> GroupIndex:
+    """``group_index`` when it partitions n samples, else ValueError: the one
+    check that a caller's groups fit its data, made before any model runs."""
+    if group_index.n != n:
+        raise ValueError("group index does not cover the dataset")
+    return group_index
+
+
 def build_group_index(dataset: Dataset) -> GroupIndex:
     """Group observations sharing the exact (label, id) pair.
 
@@ -248,20 +256,17 @@ def _natural(name: str, v) -> int:
 
 
 def _real(name: str, v, rule: str, ok) -> float:
-    """``float(v)`` for a finite real number v (``_reals(v, 0)``) that ``ok``
-    accepts; any other v, a string or a boolean among them, raises ValueError
-    naming the field ``name`` and its ``rule``."""
-    with suppress(ValueError):
-        if ok(real := float(_reals(v, 0))):
-            return real
-    raise ValueError(f"{name} must be {rule}, got {v!r}")
+    """``float(v)`` for a finite real number v that ``ok`` accepts, both judged
+    by ``_reals(v, 0, ok)``; any other v, a string or a boolean among them,
+    raises ValueError naming the field ``name`` and its ``rule``."""
+    return float(_reals(v, 0, ok, ValueError(f"{name} must be {rule}, got {v!r}")))
 
 
-def _reals(values, ndim: int) -> np.ndarray:
+def _reals(values, ndim: int, ok=None, refusal=None) -> np.ndarray:
     """``values``, a rectangular nest ``ndim`` non-empty levels deep of finite real numbers (never
     a string, a boolean, Python's or numpy's, or a Python int past the float range; an ndarray's
-    are its ``tolist()``), as a float64 array read in one flat pass; anything else raises
-    ValueError, which ``_reading`` judges."""
+    are its ``tolist()``), as a float64 array read in one flat pass that ``ok``, if given, accepts;
+    anything else raises ``refusal``, by default a ValueError that ``_reading`` judges."""
     flat, shape = [values.tolist() if isinstance(values, np.ndarray) else values], []
     with suppress(OverflowError, TypeError):  # a number where a level should be; 10**400
         for _ in range(ndim):
@@ -269,9 +274,11 @@ def _reals(values, ndim: int) -> np.ndarray:
             flat = list(itertools.chain.from_iterable(flat))  # a string or object yields strings
         if (len(shape) == ndim and all(shape)
                 and all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, flat)))
-                and np.isfinite(arr := np.array(flat, dtype=float)).all()):
-            return arr.reshape(shape)
-    raise ValueError(f"expected finite real numbers in a rectangular nest of depth {ndim}")
+                and np.isfinite(arr := np.array(flat, dtype=float).reshape(shape)).all()
+                and (ok is None or ok(arr))):
+            return arr
+    raise refusal or ValueError("expected finite real numbers in a rectangular nest of depth "
+                                f"{ndim}")
 
 
 def _parse_rows(rows: list, p: int) -> np.ndarray:

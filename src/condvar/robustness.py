@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import models as md
-from .data import GroupIndex, _natural, _real, _reals, build_group_index
+from .data import GroupIndex, _covering, _natural, _real, _reals, build_group_index
 from .penalties import conditional_penalty, segment_means
 from .scm import StyleAwareDataset, _checked_shift, _chol, _render_vjp
 
@@ -249,15 +249,16 @@ def _style_gradients(spec, theta, style_dataset, features, targets) -> np.ndarra
 
 
 class _Fit:
-    """The probes of one fit and what they share: the factor of ``sigma``
-    (checked before any model evaluation), the loss targets, a and
-    ``copies``, how many copies of the n samples, features and style, one
-    stack holds (``models._chunk``), set here, and the zero-shift per-sample
-    losses and style gradients, (n,) and (n, q), each computed once, on
-    first use."""
+    """The probes of one fit and what they share: the factor of ``sigma`` and
+    the groups (both checked before any model evaluation), the loss targets,
+    a and ``copies``, how many copies of the n samples, features and style,
+    one stack holds (``models._chunk``), set here, and the zero-shift
+    per-sample losses and style gradients, (n,) and (n, q), each computed
+    once, on first use."""
 
     def __init__(self, spec, theta, style_dataset, sigma=None, groups=None):
-        self.spec, self.theta, self.data, self.groups = spec, theta, style_dataset, groups
+        self.spec, self.theta, self.data = spec, theta, style_dataset
+        self.groups = None if groups is None else _covering(groups, len(style_dataset.dataset))
         self.chol = None if sigma is None else _chol(sigma, style_dataset.q)
         self.sigma = None if sigma is None else _reals(sigma, 2)  # judged by _chol
         self.targets = md._targets(spec, style_dataset.dataset.labels)
@@ -421,12 +422,8 @@ def divergence_probe(spec: md.ModelSpec, theta, style_dataset: StyleAwareDataset
     a heuristic, since no finite probe certifies an infinite limit. A NaN
     or infinite loss raises ArithmeticError naming its magnitude instead.
     """
-    try:
-        direction = _reals(direction, 1)
-    except ValueError:
-        direction = None
-    if direction is None or direction.shape != (style_dataset.q,) or not np.any(direction):
-        raise ValueError("direction must be a finite nonzero length-q vector")
+    direction = _reals(direction, 1, lambda d: d.shape == (style_dataset.q,) and np.any(d),
+                       ValueError("direction must be a finite nonzero length-q vector"))
     return _Fit(spec, theta, style_dataset).divergence(direction,
                                                        _checked_magnitudes(magnitudes))
 
@@ -498,6 +495,7 @@ def estimate_conditional_covariance(style_dataset: StyleAwareDataset,
         raise TypeError("style latents are required")
     if group_index is None:
         group_index = build_group_index(style_dataset.dataset)
+    _covering(group_index, len(style_dataset.dataset))
     styles = style_dataset.style
     seg = group_index.seg
     dev = styles - segment_means(styles, seg, group_index.m)[seg]

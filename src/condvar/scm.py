@@ -90,12 +90,10 @@ class LinearScmSpec:
         for name in ("class_balance", "core_class_mean", "core_id_scale"):
             value = _real(name, getattr(self, name), "a finite real number", lambda v: True)
             object.__setattr__(self, name, value)
-        try:
-            mean = tuple(_reals(self.style_class_mean, 1).tolist())
-        except ValueError:
-            raise ValueError(f"style_class_mean must be a list of finite real numbers, "
-                             f"got {self.style_class_mean!r}") from None
-        object.__setattr__(self, "style_class_mean", mean)
+        mean = _reals(self.style_class_mean, 1, refusal=ValueError(
+            "style_class_mean must be a list of finite real numbers, "
+            f"got {self.style_class_mean!r}"))
+        object.__setattr__(self, "style_class_mean", tuple(mean.tolist()))
         if self.r + self.q > self.p:
             raise ValueError("core and style dimensions exceed the feature dimension")
         if self.q < 1 or self.r < 1:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
-from .data import Dataset, GroupIndex, _integer, _natural, _real, _reals, build_group_index
+from .data import (Dataset, GroupIndex, _covering, _integer, _natural, _real, _reals,
+                   build_group_index)
 from .penalties import PenaltyConfig, conditional_penalty
 
 __all__ = [
@@ -197,8 +198,7 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     seed, batch shuffles use (seed, epoch), and within-batch reduction order
     is fixed by sample index order.
     """
-    if group_index.n != len(dataset):
-        raise ValueError("group index does not cover the dataset")
+    _covering(group_index, len(dataset))
     x_all = dataset.features
     y_all = dataset.labels
     theta = md.init_params(model_spec, config.seed)
@@ -233,22 +233,19 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
 def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
                              style_matrix: np.ndarray,
                              config: TrainConfig) -> np.ndarray:
-    """Fit a linear model constrained to ignore the style subspace: the
-    weight vector is forced into the orthogonal complement of
+    """Fit a single-logit model with no hidden layer, whatever its kind (the
+    rule of ``robustness._style_direction``), constrained to ignore the style
+    subspace: the weight vector is forced into the orthogonal complement of
     col(style_matrix) by writing w = P phi with P an orthonormal basis of
     that complement, and training (phi, b) with full batches on the
     projected features x P under the ridge term alone.
 
     Returns the flat parameter vector [w, b] with ||W^T w|| at rounding level.
     """
-    if model_spec.kind != "linear" or model_spec.output_dim != 1:
+    if (len(model_spec.layer_sizes), model_spec.output_dim) != (2, 1):
         raise ValueError("the constrained oracle supports single-logit linear models only")
-    try:
-        w_mat = _reals(style_matrix, 2)
-    except ValueError:
-        w_mat = None
-    if w_mat is None or w_mat.shape[0] != model_spec.input_dim:
-        raise ValueError("style matrix must be p x q, of finite real numbers")
+    w_mat = _reals(style_matrix, 2, lambda w: len(w) == model_spec.input_dim,
+                   ValueError("style matrix must be p x q, of finite real numbers"))
     if dataset.p != model_spec.input_dim:
         raise ValueError(f"feature dimension {dataset.p} does not match model input "
                          f"{model_spec.input_dim}")

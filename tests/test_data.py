@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from condvar import (
     load_csv,
     save_csv,
 )
+from condvar.data import _reals
 
 
 def make_dataset(labels, ids, p=2, seed=0):
@@ -379,3 +383,47 @@ def test_dataset_validates_dimensions():
         Dataset(np.zeros((2, 1)), [0, 1], ["a"])
     with pytest.raises(ValueError, match="class indices >= 0"):
         Dataset(np.zeros((2, 1)), [0, -1])
+
+
+# ---- the one refusal rule of arrays of reals ----------------------------------
+
+def test_reals_raises_the_callers_refusal_when_its_test_refuses():
+    refusal, seen = ValueError("the caller's message"), []
+    with pytest.raises(ValueError) as info:
+        _reals([[1.0, 2.0]], 2, lambda arr: seen.append(arr.tolist()) or False, refusal)
+    assert info.value is refusal
+    assert seen == [[[1.0, 2.0]]]
+    accepted = _reals([[1.0, 2.0]], 2, lambda arr: arr.shape == (1, 2), refusal)
+    assert accepted.dtype == np.float64 and accepted.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("values, ndim", [
+    ("1.5", 0), (True, 0), ([1.0, np.True_], 1), ([10 ** 400], 1), ([np.nan, 1.0], 1),
+    ([], 1), (1.0, 1), ([[1.0]], 1), ([[1.0], [1.0, 2.0]], 2), ([1.0, 2.0], 2),
+], ids=["str", "true", "np_true", "401_digits", "nan", "empty", "scalar", "too_deep",
+        "ragged", "too_shallow"])
+def test_reals_refuses_a_malformed_nest_before_the_callers_test(values, ndim):
+    refusal = ValueError("the caller's message")
+    with pytest.raises(ValueError) as info:
+        _reals(values, ndim, lambda arr: pytest.fail("the test ran on a malformed nest"), refusal)
+    assert info.value is refusal
+
+
+@pytest.mark.parametrize("ok", [None, lambda arr: False], ids=["no_test", "refusing_test"])
+def test_reals_default_refusal_is_unchanged(ok):
+    with pytest.raises(ValueError, match="^expected finite real numbers in a rectangular nest "
+                                         "of depth 2$"):
+        _reals([[1.0, 2.0]] if ok else [["1.0"]], 2, ok)
+
+
+def test_no_try_body_calls_reals():
+    # a caller hands _reals its test and refusal, never catches and renames its error
+    calls = []
+    for path in sorted((Path(_reals.__code__.co_filename).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Try):
+                calls += [f"{path.name}:{call.lineno}" for stmt in node.body
+                          for call in ast.walk(stmt) if isinstance(call, ast.Call)
+                          and "_reals" in (getattr(call.func, "id", None),
+                                           getattr(call.func, "attr", None))]
+    assert not calls

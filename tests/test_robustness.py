@@ -1019,6 +1019,35 @@ def test_divergence_probe_refuses_a_direction_that_is_not_finite(monkeypatch, di
         lambda m, th, ds, gi: divergence_probe(m, th, ds, direction, [0.0, 1.0]))
 
 
+# every entry point that takes a group index, as (model, theta, style data, groups) -> call
+_GROUPED_ENTRY_POINTS = {
+    **{f"worst_case_loss_{method}_{xi}": (
+        lambda m, th, ds, gi, method=method, xi=xi: worst_case_loss(m, th, ds, gi, np.eye(1),
+                                                                    xi, method))
+       for method in ("gradient_allocation", "uniform_ball", "exhaustive_tiny")
+       for xi in (0.0, 1.0)},
+    "first_order_gap": lambda m, th, ds, gi: first_order_gap(m, th, ds, gi, np.eye(1), 1.0),
+    "report": lambda m, th, ds, gi: rb.report(m, th, ds, gi, np.eye(1), [0.0, 1.0],
+                                              "uniform_ball", 0.5, [0.0, 1.0]),
+    "estimate_conditional_covariance": lambda m, th, ds, gi: estimate_conditional_covariance(
+        ds, gi),
+}
+
+
+@pytest.mark.parametrize("rows", [30, 50])
+@pytest.mark.parametrize("entry", sorted(_GROUPED_ENTRY_POINTS))
+def test_every_group_index_must_cover_the_data_before_the_model_runs(monkeypatch, entry, rows):
+    # at xi = 0 the probes returned the unshifted loss; elsewhere numpy failed
+    # to reshape or broadcast the 40 rows into the index's groups
+    ds = gen_example1(40, 5, seed=0)[0]
+    model = ModelSpec("linear", (2, 1))
+    theta = md.init_params(model, 0)
+    for name in ("forward", "_input_gradient"):
+        monkeypatch.setattr(md, name, lambda *a: pytest.fail("the model ran before the check"))
+    with pytest.raises(ValueError, match="^group index does not cover the dataset$"):
+        _GROUPED_ENTRY_POINTS[entry](model, theta, ds, GroupIndex(np.arange(rows) % 3))
+
+
 def _with_leaf(nest, leaf):
     """``nest`` as nested lists with its first number replaced by ``leaf``."""
     nest = np.asarray(nest, dtype=float).tolist()

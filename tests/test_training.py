@@ -380,6 +380,19 @@ def test_oracle_rejects_what_it_cannot_fit():
             oracle_train_constrained(ds, spec, w_mat, cfg)
 
 
+def test_oracle_takes_any_single_logit_model_with_no_hidden_layer():
+    # the oracle read linearity from the kind, refusing mlp:2,1
+    ds = gen_example1(40, 5, seed=0)[0]
+    cfg = TrainConfig(PenaltyConfig(), OptimizerConfig("adam", 0.05), 10, 3, 0)
+    thetas = [oracle_train_constrained(ds.dataset, ModelSpec(kind, (2, 1)), ds.style_matrix, cfg)
+              for kind in ("linear", "mlp")]
+    assert thetas[0].tobytes() == thetas[1].tobytes()
+    for spec in (ModelSpec("mlp", (2, 4, 1)), ModelSpec("mlp", (2, 2)), ModelSpec("linear", (2, 2))):
+        with pytest.raises(ValueError, match="^the constrained oracle supports single-logit "
+                                             "linear models only$"):
+            oracle_train_constrained(ds.dataset, spec, ds.style_matrix, cfg)
+
+
 def test_oracle_rejects_rank_deficient():
     ds = toy_dataset(seed=2, p=3)
     w_mat = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
