@@ -45,6 +45,7 @@ from .training import (
     DivergenceError,
     OptimizerConfig,
     TrainConfig,
+    _OPTIMIZERS,
     train,
 )
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lambda", dest="lam", type=float, default=0.0)
     t.add_argument("--penalty", default="f,1", help="f,1 | f,0.5 | l,1 | l,0.5")
     t.add_argument("--gamma", type=float, default=0.0)
-    t.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
+    t.add_argument("--optimizer", choices=list(_OPTIMIZERS), default="adam")
     t.add_argument("--lr", type=float, default=0.01)
     t.add_argument("--batch-size", type=int, default=120)
     t.add_argument("--epochs", type=int, default=10)
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--xi", type=float, nargs="+", default=[0.0, 0.01, 0.1, 1.0])
     s.add_argument("--fo-xi", type=float, default=1e-3)
     s.add_argument("--method", default="gradient_allocation",
-                   choices=["uniform_ball", "gradient_allocation", "exhaustive_tiny"])
+                   choices=rb._METHODS)
     s.add_argument("--magnitudes", type=float, nargs="+",
                    default=[0.0, 1.0, 10.0, 100.0, 1000.0])
     s.add_argument("--out", default=".")

@@ -103,6 +103,11 @@ def param_count(spec: ModelSpec) -> int:
     return spec.layout[-1][2].stop
 
 
+def _affine(spec: ModelSpec) -> bool:
+    """One logit and no hidden layer, whatever the kind: one affine map to a single logit."""
+    return (len(spec.layer_sizes), spec.output_dim) == (2, 1)
+
+
 def _layers(spec: ModelSpec, theta: np.ndarray):
     """Yield each layer's (W, b), (fan_in, fan_out) and (fan_out,) views of ``theta``."""
     for wsl, wshape, bsl in spec.layout:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupIndex, _real
+from .data import GroupIndex, _covering, _real
 
 __all__ = [
     "PenaltyConfig",
@@ -53,10 +53,10 @@ class PenaltyConfig:
 
 def _check_values(values, group_index: GroupIndex) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or len(values) != group_index.n:
-        raise ValueError(
-            f"values shape {values.shape} does not match group index over {group_index.n} samples"
-        )
+    if values.ndim not in (1, 2):
+        raise ValueError(f"values shape {values.shape} does not match group index over "
+                         f"{group_index.n} samples")
+    _covering(group_index, len(values))
     return values
 
 

@@ -119,7 +119,7 @@ class RobustnessReport:
 def mahalanobis_cost(delta, sigma) -> float:
     """delta^T sigma^{-1} delta through a Cholesky solve."""
     delta = _reals(delta, 1)
-    z = np.linalg.solve(_chol(sigma, len(delta)), delta)
+    z = np.linalg.solve(_chol(sigma, len(delta))[1], delta)
     return float(z @ z)
 
 
@@ -164,7 +164,7 @@ def _style_direction(spec, theta, style_dataset) -> np.ndarray | None:
     """a = W^T w when a style shift delta moves every logit by a^T delta (a
     single-logit model with no hidden layer, weights w, on a linear render
     W, whatever its kind), else None."""
-    if (style_dataset.render_kind, len(spec.layer_sizes), spec.output_dim) == ("linear", 2, 1):
+    if style_dataset.render_kind == "linear" and md._affine(spec):
         (w, _b), = md._layers(spec, np.asarray(theta, dtype=float))
         return _render_vjp(style_dataset, None, w[:, 0])
     return None
@@ -186,21 +186,18 @@ def _search_spheres(fit, budgets, seed) -> tuple:
     refined by 200 steps of projected gradient ascent. Each group keeps its
     first strict maximum; a group that never finds one keeps the zero shift
     and its unshifted losses. Candidates are stepped and scored
-    ``fit.copies`` at a time, their group means taken over that many times m
-    segments. When every budget is 0 the only shift is 0, and the fit's
+    ``fit.copies`` at a time, their group means taken over ``seg`` for all
+    of them at once. When every budget is 0 the only shift is 0, and the fit's
     unshifted losses and their group means are returned without a search."""
     ds, chol, seg, m, q = fit.data, fit.chol, fit.groups.seg, fit.groups.m, fit.data.q
     n, p = ds.dataset.features.shape
     scale, k = np.sqrt(budgets)[:, None], fit.copies
-    seg_k = (np.arange(k)[:, None] * m + seg).reshape(-1)  # candidate i's groups at i m + seg
 
     def shift(u):  # (K, m, q) unit directions -> shifts
         return scale * np.einsum("ab,kjb->kja", chol, u)
 
-    def group_means(values):  # (K n, ...) -> (K, m, ...)
-        kk = len(values) // n
-        means = segment_means(values, seg_k[:kk * n], kk * m)
-        return means.reshape((kk, m) + values.shape[1:])
+    def group_means(values):  # (K, n, ...) -> (K, m, ...), reduced on an (n, K, ...) view
+        return np.moveaxis(segment_means(np.moveaxis(values, 0, 1), seg, m), 0, 1)
 
     if not np.any(budgets):
         return segment_means(fit.unshifted, seg, m), np.zeros((m, q)), fit.unshifted
@@ -227,13 +224,13 @@ def _search_spheres(fit, budgets, seed) -> tuple:
             style = ds.style + np.take(shift(u), seg, axis=1)
             g = _style_gradients(fit.spec, fit.theta, ds, ds.render(style).reshape(-1, p),
                                  np.tile(fit.targets, len(u)))
-            g_u = scale * np.einsum("ba,kjb->kja", chol, group_means(g))
+            g_u = scale * np.einsum("ba,kjb->kja", chol, group_means(g.reshape(len(u), n, q)))
             norms = np.maximum(np.linalg.norm(g_u, axis=2, keepdims=True), 1e-12)
             u = u + 0.1 * scale * g_u / norms
             u = u / np.linalg.norm(u, axis=2, keepdims=True)
         delta = shift(u)
         losses = _shifted_losses(fit, np.take(delta, seg, axis=1))
-        val = group_means(losses.reshape(-1))
+        val = group_means(losses)
         val[np.isnan(val)] = -np.inf  # NaN never beats the best, as under ">"
         top = np.argmax(val, axis=0)  # first maximum within the chunk
         val, delta = val[top, groups], delta[top, groups]
@@ -259,8 +256,7 @@ class _Fit:
     def __init__(self, spec, theta, style_dataset, sigma=None, groups=None):
         self.spec, self.theta, self.data = spec, theta, style_dataset
         self.groups = None if groups is None else _covering(groups, len(style_dataset.dataset))
-        self.chol = None if sigma is None else _chol(sigma, style_dataset.q)
-        self.sigma = None if sigma is None else _reals(sigma, 2)  # judged by _chol
+        self.sigma, self.chol = (None, None) if sigma is None else _chol(sigma, style_dataset.q)
         self.targets = md._targets(spec, style_dataset.dataset.labels)
         self.a = _style_direction(spec, theta, style_dataset)
         self.copies = md._chunk(len(self.targets), style_dataset.dataset.p + style_dataset.q)
@@ -338,8 +334,12 @@ def _budget(xi) -> float:
     return _real("xi", xi, "finite and >= 0", lambda v: v >= 0.0)
 
 
+# every worst_case_loss method, in the order of the CLI's --method choices
+_METHODS = ("uniform_ball", "gradient_allocation", "exhaustive_tiny")
+
+
 def _check_method(method, m: int) -> None:
-    if method not in ("uniform_ball", "gradient_allocation", "exhaustive_tiny"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "exhaustive_tiny" and m > 3:
         raise ValueError("exhaustive_tiny supports at most 3 groups")

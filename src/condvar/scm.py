@@ -45,13 +45,13 @@ EXAMPLE1_STYLE_DIRECTION = np.array([0.8, -0.6])
 _EXAMPLE1_CORE_DIRECTION = np.array([0.6, 0.8])
 
 
-def _chol(sigma, q: int, name: str = "sigma") -> np.ndarray:
-    """Lower Cholesky factor L of a style covariance Sigma = L L^T: the one
-    check, for every given or spec Sigma, that it is a symmetric (to ``np.allclose``)
-    positive definite q x q matrix of reals (``data._reals``), else ValueError naming it."""
+def _chol(sigma, q: int, name: str = "sigma") -> tuple:
+    """(Sigma, L): the one check, for every given or spec Sigma, that it is a symmetric
+    (to ``np.allclose``) positive definite q x q matrix of reals (``data._reals``), else
+    ValueError naming it; Sigma as checked and its lower Cholesky factor, Sigma = L L^T."""
     with suppress(ValueError):  # np.linalg.LinAlgError is a ValueError
         if (sigma := _reals(sigma, 2)).shape == (q, q) and np.allclose(sigma, sigma.T):
-            return np.linalg.cholesky(sigma)
+            return sigma, np.linalg.cholesky(sigma)
     raise ValueError(f"{name} must be a symmetric positive definite {q} x {q} matrix")
 
 
@@ -100,8 +100,8 @@ class LinearScmSpec:
             raise ValueError("q and r must be positive")
         if len(self.style_class_mean) != self.q:
             raise ValueError("style_class_mean must have length q")
-        _chol(self.style_cov, self.q, "style_cov")
-        object.__setattr__(self, "style_cov", tuple(map(tuple, _reals(self.style_cov, 2).tolist())))
+        sigma, _ = _chol(self.style_cov, self.q, "style_cov")
+        object.__setattr__(self, "style_cov", tuple(map(tuple, sigma.tolist())))
         if self.id_count < 1:
             raise ValueError(f"id_count must be >= 1, got {self.id_count}")
         if self.id_sampler not in ("uniform", "round_robin"):
@@ -240,7 +240,7 @@ def sample_linear_scm(spec: LinearScmSpec, n: int, seed: int,
     keys, inverse = np.unique(np.column_stack([y_pm, idents]), axis=0, return_inverse=True)
     core = np.array([spec.core_latent(int(y), int(i)) for y, i in keys])[inverse.reshape(-1)]
     mean = np.outer(y_pm, np.asarray(spec.style_class_mean))
-    noise = rng.standard_normal((n, spec.q)) @ _chol(spec.style_cov, spec.q).T
+    noise = rng.standard_normal((n, spec.q)) @ _chol(spec.style_cov, spec.q)[1].T
     # added even at 0, so a -0.0 sum reads +0.0 whatever the shift
     style = mean + noise + np.where(labels == 1, shift, 0.0)[:, None]
     ids = [f"i{int(ident)}" for ident in idents]

@@ -54,7 +54,7 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("adam", "sgd"):
+        if self.kind not in _OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.kind!r}")
         for name, rule, ok in (("lr", "finite and > 0", lambda v: v > 0.0),
                                ("momentum", "finite and in [0, 1)", lambda v: 0.0 <= v < 1.0),
@@ -170,8 +170,8 @@ class _Adam:
         theta -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
-def _make_optimizer(cfg: OptimizerConfig, dim: int):
-    return _Adam(cfg, dim) if cfg.kind == "adam" else _Sgd(cfg, dim)
+# each optimizer kind's class, built from the config and the parameter count
+_OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
 
 
 # ---- training loops --------------------------------------------------------
@@ -204,7 +204,7 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
     theta = md.init_params(model_spec, config.seed)
     md._checked(model_spec, theta, x_all)  # the only checks: grad takes batches as given
     targets = md._targets(model_spec, y_all)
-    opt = _make_optimizer(config.optimizer, theta.size)
+    opt = _OPTIMIZERS[config.optimizer.kind](config.optimizer, theta.size)
     history = []
     step = 0
     for epoch in range(config.epochs):
@@ -233,22 +233,20 @@ def train(dataset: Dataset, group_index: GroupIndex, model_spec: md.ModelSpec,
 def oracle_train_constrained(dataset: Dataset, model_spec: md.ModelSpec,
                              style_matrix: np.ndarray,
                              config: TrainConfig) -> np.ndarray:
-    """Fit a single-logit model with no hidden layer, whatever its kind (the
-    rule of ``robustness._style_direction``), constrained to ignore the style
-    subspace: the weight vector is forced into the orthogonal complement of
+    """Fit a single-logit model with no hidden layer, whatever its kind
+    (``models._affine``), constrained to ignore the style subspace: the
+    weight vector is forced into the orthogonal complement of
     col(style_matrix) by writing w = P phi with P an orthonormal basis of
     that complement, and training (phi, b) with full batches on the
     projected features x P under the ridge term alone.
 
     Returns the flat parameter vector [w, b] with ||W^T w|| at rounding level.
     """
-    if (len(model_spec.layer_sizes), model_spec.output_dim) != (2, 1):
+    if not md._affine(model_spec):
         raise ValueError("the constrained oracle supports single-logit linear models only")
     w_mat = _reals(style_matrix, 2, lambda w: len(w) == model_spec.input_dim,
                    ValueError("style matrix must be p x q, of finite real numbers"))
-    if dataset.p != model_spec.input_dim:
-        raise ValueError(f"feature dimension {dataset.p} does not match model input "
-                         f"{model_spec.input_dim}")
+    md._checked(model_spec, np.zeros(md.param_count(model_spec)), dataset.features)  # width rule
     p, q = w_mat.shape
     if q > p:
         raise ValueError("style dimension exceeds feature dimension")

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import gc
 import hashlib
 import json
@@ -15,7 +17,7 @@ import condvar
 from condvar import Dataset, build_group_index, conditional_penalty, load_csv, save_csv
 from condvar import models as md
 from condvar import robustness as rb
-from condvar import scm
+from condvar import scm, training
 from condvar.cli import build_parser, main
 from condvar.penalties import segment_means
 from condvar.training import group_aware_minibatches
@@ -834,6 +836,38 @@ def test_plot_rejects_a_checkpoint_with_more_than_two_outputs(gen_dir, tmp_path,
                "--out", out) == 3
     assert capsys.readouterr().err.startswith(f"data error: {ckpt}: plots need 1 or 2 outputs")
     assert not out.exists()
+
+
+def _literal_owners(names) -> set:
+    """The assignment targets in ``src/condvar`` ("module.NAME") of every tuple,
+    list, set or dict literal that holds one of the strings ``names``, or
+    "module:line" for a literal assigned to no name."""
+    owners = set()
+    for path in Path(md.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        targets = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        for node in ast.walk(tree):
+            items = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", [])
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)) and any(
+                    getattr(item, "value", None) in names for item in items):
+                owners.add(f"{path.stem}.{targets[id(node)]}" if id(node) in targets
+                           else f"{path.stem}:{node.lineno}")
+    return owners
+
+
+def test_cli_choices_read_the_library_tables():
+    # each list of kinds is written once: the CLI's choices and the library's
+    # checks read training._OPTIMIZERS and robustness._METHODS
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, flag):
+        return next(a.choices for a in sub.choices[command]._actions if flag in a.option_strings)
+
+    assert choices("train", "--optimizer") == list(training._OPTIMIZERS) == ["adam", "sgd"]
+    assert choices("shift_eval", "--method") is rb._METHODS
+    assert _literal_owners({"adam", "sgd"}) == {"training._OPTIMIZERS"}
+    assert _literal_owners(set(rb._METHODS)) == {"robustness._METHODS"}
 
 
 def test_plot_svg(gen_dir, trained_dir, tmp_path):

@@ -402,6 +402,29 @@ def _readers(attr, key_of=None):
     return out
 
 
+def test_only_models_decides_that_a_model_is_affine():
+    # one logit and no hidden layer: the one comparison of the layer sizes with
+    # the output width is models._affine's, which robustness and the oracle call
+    owners = set()
+    for path in Path(md.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Compare) and {"layer_sizes", "output_dim"} <= {
+                        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                    for node in ast.walk(fn)):
+                owners.add(f"{path.stem}.{fn.name}")
+    assert owners == {"models._affine"}
+    assert [md._affine(ModelSpec(kind, sizes)) for kind, sizes in (
+        ("linear", (2, 1)), ("mlp", (2, 1)), ("linear", (2, 3)), ("mlp", (2, 4, 1)))] == [
+        True, True, False, False]
+
+
+def test_one_rule_refuses_data_of_another_width():
+    # the oracle refuses a dataset of the wrong width through models._checked
+    texts = [path.read_text(encoding="utf-8") for path in Path(md.__file__).parent.glob("*.py")]
+    assert sum(text.count("does not match model input") for text in texts) == 1
+
+
 def test_one_table_reads_the_activation_and_one_walk_the_layout():
     # outside ModelSpec's own check the activation is read only to look its
     # row up in _ACTIVATIONS, and every pass takes (W, b) views from _layers

@@ -16,6 +16,7 @@ from condvar import (
     PenaltyConfig,
     TrainConfig,
     build_group_index,
+    conditional_penalty,
     divergence_probe,
     estimate_conditional_covariance,
     first_order_gap,
@@ -28,6 +29,7 @@ from condvar import (
     sample_linear_scm,
     steepest_style_direction,
     train,
+    variance_ratio,
     worst_case_loss,
 )
 from condvar import models as md
@@ -868,7 +870,7 @@ def test_row_blocks_leave_style_probes_bitwise_unchanged(render, n, monkeypatch)
 # layers is models' (``forward`` and ``_input_gradient``), and a linear
 # model's weights are read through the one walk, ``_layers``
 _MODEL_NAMES = {"ModelSpec", "forward", "_targets", "_target_losses", "_input_gradient", "_chunk",
-                "_layers"}
+                "_layers", "_affine"}
 
 
 def test_robustness_runs_no_layer_code():
@@ -880,6 +882,17 @@ def test_robustness_runs_no_layer_code():
     assert not [node.lineno for node in attributes if node.attr == "layout"]
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "models"]
+
+
+def test_group_reductions_build_no_segment_ids_from_seg():
+    # every group reduction reads the fit's own seg (the candidates' group
+    # means on an (n, K) view): no offset ids such as i m + seg
+    def is_seg(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "seg"
+
+    tree = ast.parse(Path(rb.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and (is_seg(node.left) or is_seg(node.right))]
 
 
 # ---- divergence probe ---------------------------------------------------------
@@ -1031,6 +1044,9 @@ _GROUPED_ENTRY_POINTS = {
                                               "uniform_ball", 0.5, [0.0, 1.0]),
     "estimate_conditional_covariance": lambda m, th, ds, gi: estimate_conditional_covariance(
         ds, gi),
+    # the penalties judge their values' length by the same rule (data._covering)
+    "conditional_penalty": lambda m, th, ds, gi: conditional_penalty(np.arange(40.0), gi),
+    "variance_ratio": lambda m, th, ds, gi: variance_ratio(np.arange(40.0), gi),
 }
 
 

@@ -17,7 +17,8 @@ from condvar import (
     save_latents,
     load_csv,
 )
-from condvar.scm import EXAMPLE1_STYLE_DIRECTION, StyleAwareDataset
+from condvar.data import _reals
+from condvar.scm import EXAMPLE1_STYLE_DIRECTION, StyleAwareDataset, _chol
 
 
 def first_member(gi):
@@ -106,6 +107,16 @@ def test_spec_stores_numpy_numbers_as_python_numbers():
     plain = small_spec(class_balance=0.25, core_class_mean=2.0, core_id_scale=1.0,
                        style_cov=((0.5, 0.0), (0.0, 0.5)))
     assert json.dumps(asdict(spec)) == json.dumps(asdict(plain))
+
+
+@pytest.mark.parametrize("sigma", [((1.5,),), [[2, 1], [1, 3]], np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                   np.array([[4, 1], [1, 2]], dtype=np.int64)])
+def test_chol_returns_the_sigma_it_checked_with_its_factor(sigma):
+    # every reader of a covariance (the probes' fit, the spec) takes it from here
+    checked, factor = _chol(sigma, len(sigma))
+    want = _reals(sigma, 2)
+    assert checked.dtype == want.dtype and checked.tobytes() == want.tobytes()
+    assert factor.tobytes() == np.linalg.cholesky(want).tobytes()
 
 
 def test_style_matrix_full_rank_and_orthonormal():
